@@ -4,23 +4,29 @@ The encoder runs a beam search over the per-step shared draws: at step k it
 scores every (beam, sample) pair by the cumulative log importance weight
 sum_j log q(a_j | a_1:j-1) / p(a_j) and keeps the top B. Ties are broken
 toward the lexicographically smallest index tuple, which keeps the output
-independent of evaluation order. The decoder only replays the chosen draws
+independent of evaluation order. Blocks that share a schedule run each step
+together, as one array operation over a block axis; a block's code is the
+same as when it is encoded alone. The decoder only replays the chosen draws
 and never sees the target distribution.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import chain, stream
+from . import stream
 from .chain import AuxSchedule, posterior_moments, samples_per_step, target_moments
 from .errors import ConfigError, CorruptStreamError, NumericError, UsageError
-from .gauss import DiagGaussian, log_density_ratio
+from .gauss import DiagGaussian
 
 # Candidate arrays are B x M x D floats per step; reject configs beyond this.
 MAX_CANDIDATE_FLOATS = 1 << 24
+# Blocks encoded together hold G x B x M x D candidate floats per step; G is
+# the largest count within this cap, and at least 1.
+MAX_CHUNK_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -97,72 +103,109 @@ def encode(
     single beam, in which case each step's index is sampled proportionally to
     its importance weight using a reserved stream address.
     """
+    indices, zs, ratios = encode_blocks([q], schedule, cfg, seed, [block])
+    return indices[0], zs[0], float(ratios[0])
+
+
+def encode_blocks(
+    qs: Sequence[DiagGaussian],
+    schedule: AuxSchedule,
+    cfg: RecConfig,
+    seed: int,
+    blocks: Sequence[int],
+) -> tuple[list[IndexTuple], np.ndarray, np.ndarray]:
+    """Encode blocks that share one schedule, step by step across blocks.
+
+    Returns (indices per block, decoded z of shape (G, D), log q(z)/p(z) of
+    shape (G,)). Block g's outputs are exactly those of encoding it alone:
+    blocks run in chunks of at most MAX_CHUNK_FLOATS candidate floats per
+    step, and every reduction and sort runs along one block's own row.
+    """
     if schedule.M != samples_per_step(cfg.omega, cfg.epsilon):
         raise UsageError("schedule and config disagree on samples per step")
-    d = q.dim
+    if len(qs) != len(blocks):
+        raise UsageError(f"{len(qs)} targets for {len(blocks)} blocks")
+    if not qs or len({q.dim for q in qs}) != 1:
+        raise UsageError("targets must be nonempty and share one dimension")
+    mean = np.array([q.mean for q in qs])
+    std = np.array([q.std for q in qs])
+    d = mean.shape[1]
     _check_budget(cfg, schedule, d)
-    stochastic = cfg.stochastic_final and cfg.beams == 1
+    chunk = max(1, MAX_CHUNK_FLOATS // (cfg.beams * schedule.M * d))
+    blocks = np.asarray(blocks)
+    indices: list[IndexTuple] = []
+    zs, ratios = [], []
+    for lo in range(0, len(blocks), chunk):
+        part = slice(lo, lo + chunk)
+        prefixes, z, ratio = _encode_chunk(
+            mean[part], std[part], schedule, cfg, seed, blocks[part]
+        )
+        indices += [IndexTuple(p) for p in prefixes.tolist()]
+        zs.append(z)
+        ratios.append(ratio)
+    return indices, np.concatenate(zs), np.concatenate(ratios)
 
+
+def _encode_chunk(mean, std, schedule, cfg, seed, blocks):
+    """Beam search for G blocks at once; beam state has shape (G, beams, D)."""
+    g = len(blocks)
+    rows = np.arange(g)[:, None]
+    stochastic = cfg.stochastic_final and cfg.beams == 1
     m = schedule.M
     tails = schedule.tail_var()
-    # Beam state, kept sorted by lexicographic index prefix.
-    nu = q.mean[None, :].copy()
-    rho_sq = q.var[None, :].copy()
-    b = np.zeros((1, d))
-    log_w = np.zeros(1)
-    prefixes = np.zeros((1, 0), dtype=np.int64)
+    # Beam state, kept sorted by lexicographic index prefix within each block.
+    nu = mean[:, None, :].copy()
+    rho_sq = (std * std)[:, None, :]
+    b = np.zeros_like(nu)
+    log_w = np.zeros((g, 1))
+    prefixes = np.zeros((g, 1, 0), dtype=np.int64)
 
     for k in range(schedule.K):
         sig_sq = float(schedule.sigma_sq[k])
         s_prev, s_next = float(tails[k]), float(tails[k + 1])
         a = stream.scale_to_aux(
-            stream.draw_matrix(seed, block, k, m, d), np.sqrt(sig_sq)
-        )  # (M, D), shared across beams
+            stream.draw_matrix(seed, blocks, k, m, mean.shape[1]), np.sqrt(sig_sq)
+        )  # (G, M, D), shared across each block's beams
 
         mean_t, var_t = target_moments(nu, rho_sq, b, sig_sq, s_prev, s_next)
-        # log q(a | beam) - log p(a), for every beam x sample pair
-        diff = a[None, :, :] - mean_t[:, None, :]
-        quad_q = np.sum(diff * diff / (2.0 * var_t[:, None, :]), axis=2)
-        quad_p = np.sum(a * a, axis=1) / (2.0 * sig_sq)
-        norm = -0.5 * np.sum(np.log(var_t / sig_sq), axis=1)
-        cand = log_w[:, None] + norm[:, None] - quad_q + quad_p[None, :]
+        # log q(a | beam) - log p(a), for every block x beam x sample
+        diff = a[:, None, :, :] - mean_t[:, :, None, :]
+        quad_q = np.sum(diff * diff / (2.0 * var_t[:, :, None, :]), axis=3)
+        quad_p = np.sum(a * a, axis=2) / (2.0 * sig_sq)
+        norm = -0.5 * np.sum(np.log(var_t / sig_sq), axis=2)
+        cand = log_w[:, :, None] + norm[:, :, None] - quad_q + quad_p[:, None, :]
+        flat = cand.reshape(g, -1)
 
         if stochastic:
-            w_log = cand[0]
-            w = np.exp(w_log - np.max(w_log))
-            u = stream.draw_uniform(seed, block, k, m)
-            pick = np.array([importance_select(w, "stochastic", u)])
-            beam_idx = np.zeros(1, dtype=np.int64)
+            w_log = cand[:, 0]
+            w = np.exp(w_log - np.max(w_log, axis=1, keepdims=True))
+            u = stream.draw_uniforms(seed, blocks, k, m)
+            order = np.array(
+                [[importance_select(w[i], "stochastic", u[i])] for i in range(g)]
+            )
         else:
-            flat = cand.ravel()
-            keep = min(cfg.beams, flat.size)
+            keep = min(cfg.beams, flat.shape[1])
             # Stable sort on descending weight; candidate order is already
             # lexicographic (beam-major), so ties resolve to the smallest tuple.
-            order = np.argsort(-flat, kind="stable")[:keep]
-            order.sort()
-            beam_idx = order // m
-            pick = order % m
+            order = np.argsort(-flat, axis=1, kind="stable")[:, :keep]
+            order.sort(axis=1)
+        beam_idx = order // m
+        pick = order % m
 
-        log_w = cand[beam_idx, pick]
+        log_w = flat[rows, order]
         prefixes = np.concatenate(
-            [prefixes[beam_idx], pick[:, None]], axis=1
+            [prefixes[rows, beam_idx], pick[:, :, None]], axis=2
         )
-        a_sel = a[pick]
         nu, rho_sq, b = posterior_moments(
-            nu[beam_idx], rho_sq[beam_idx], b[beam_idx], a_sel, sig_sq, s_prev, s_next
+            nu[rows, beam_idx], rho_sq[rows, beam_idx], b[rows, beam_idx],
+            a[rows, pick], sig_sq, s_prev, s_next,
         )
 
-    # Final selection: highest log q(z)/p(z) over surviving beams.
-    dq = (b - q.mean[None, :]) / q.std[None, :]
-    ratios = np.sum(
-        -np.log(q.std)[None, :] + 0.5 * (b * b - dq * dq), axis=1
-    )
-    best = int(np.argmax(ratios))
-    return (
-        IndexTuple(tuple(prefixes[best])),
-        b[best].copy(),
-        float(ratios[best]),
-    )
+    # Final selection: highest log q(z)/p(z) over each block's surviving beams.
+    dq = (b - mean[:, None, :]) / std[:, None, :]
+    ratios = np.sum(-np.log(std)[:, None, :] + 0.5 * (b * b - dq * dq), axis=2)
+    best = (rows[:, 0], np.argmax(ratios, axis=1))
+    return prefixes[best], b[best], ratios[best]
 
 
 def decode(

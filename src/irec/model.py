@@ -12,6 +12,7 @@ the file bytes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,8 +90,9 @@ class LinearGaussianModel:
         out += np.float64(self.noise_var).astype("<f8").tobytes()
         return bytes(out)
 
-    @property
+    @functools.cached_property
     def model_id(self) -> int:
+        """FNV-1a-64 of the file bytes, computed once per model."""
         return fnv1a64(self.to_bytes())
 
 

@@ -2,11 +2,12 @@
 
 Each 8x8 patch is one coded block: posterior -> whiten -> schedule -> index
 coding. The step schedule is the v2 equal-KL schedule built from the model's
-posterior variances, which are the same for every patch; version-1 files
-decode with the power-law schedule. The lossless path appends a range-coded
-residual of x minus the quantized reconstruction, using the decoded
-(possibly biased) latent on both sides so encoder and decoder stay
-synchronized.
+posterior variances, which are the same for every patch, so blocks with the
+same step count K share it and are index coded together
+(codec.encode_blocks); version-1 files decode with the power-law schedule.
+The lossless path appends a range-coded residual of x minus the quantized
+reconstruction, using the decoded (possibly biased) latent on both sides so
+encoder and decoder stay synchronized.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codec, container, model as model_mod, residual as residual_mod
-from .chain import build_schedule, schedule_from_steps
+from .chain import AuxSchedule, build_schedule, schedule_from_steps
 from .codec import IndexTuple, RecConfig
 from .container import ContainerHeader
 from .errors import CorruptStreamError, FormatError, ModelMismatchError, UsageError
@@ -40,20 +41,30 @@ class CompressionResult:
 
 
 def _encode_blocks(img: ImageGray8, model: LinearGaussianModel, cfg: RecConfig, seed: int):
+    """Encode every patch; blocks that share a step count K are encoded together."""
     prior = DiagGaussian.standard(model.latent_dim)
-    blocks: list[IndexTuple] = []
+    targets: list[DiagGaussian] = []
     kls: list[float] = []
-    zs: list[np.ndarray] = []
+    # Every block's schedule comes from the same variances, so K fixes it.
+    groups: dict[int, tuple[AuxSchedule, list[int]]] = {}
     s_sq = model_mod.posterior_var(model)
     for i, patch in enumerate(model_mod.patchify(img)):
         q = model_mod.posterior(model, patch)
         q_std, _ = whiten(q, prior)
         kl = kl_divergence(q_std, prior)
         schedule = build_schedule(kl, cfg.omega, cfg.epsilon, s_sq)
-        indices, z, _ = codec.encode(q_std, schedule, cfg, seed, block=i)
-        blocks.append(indices)
+        targets.append(q_std)
         kls.append(kl)
-        zs.append(z)
+        groups.setdefault(schedule.K, (schedule, []))[1].append(i)
+    blocks: list[IndexTuple] = [None] * len(targets)
+    zs: list[np.ndarray] = [None] * len(targets)
+    for schedule, group in groups.values():
+        indices, z, _ = codec.encode_blocks(
+            [targets[i] for i in group], schedule, cfg, seed, group
+        )
+        for j, i in enumerate(group):
+            blocks[i] = indices[j]
+            zs[i] = z[j]
     return blocks, kls, zs
 
 

@@ -12,7 +12,10 @@ sample) addresses, so the generator is part of the wire format:
   r = sqrt(-2 ln u0); lane j produces dims (2j, 2j+1) as (r cos(2 pi u1),
   r sin(2 pi u1)). An odd final dimension uses the cosine branch only.
 
-See docs/FORMAT.md for the normative statement of these rules.
+Philox is a counter-based PRF, so draw_normals and draw_uniforms evaluate
+any broadcast grid of addresses in one call; the single-address functions
+are thin calls into them. See docs/FORMAT.md for the normative statement of
+these rules.
 """
 
 from __future__ import annotations
@@ -32,11 +35,23 @@ _U64_MAX = 0xFFFFFFFFFFFFFFFF
 _TWO_PI = 2.0 * np.pi
 
 
-def _check_u32(name: str, value: int) -> int:
-    value = int(value)
-    if not 0 <= value <= _U32_MAX:
-        raise UsageError(f"{name} out of u32 range: {value}")
-    return value
+def _check_u32(name: str, value):
+    """The address as uint64 after checking that it lies in u32.
+
+    Python and NumPy integer scalars stay scalars; arrays are checked
+    elementwise and must hold integers.
+    """
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        if not 0 <= value <= _U32_MAX:
+            raise UsageError(f"{name} out of u32 range: {value}")
+        return np.uint64(value)
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iu":
+        raise UsageError(f"{name} must be integers, got {arr.dtype}")
+    if arr.size and (arr.min() < 0 or arr.max() > _U32_MAX):
+        raise UsageError(f"{name} out of u32 range: [{arr.min()}, {arr.max()}]")
+    return arr.astype(np.uint64, copy=False)
 
 
 def _check_seed(seed: int) -> int:
@@ -61,26 +76,24 @@ def _philox4x32_10(c0, c1, c2, c3, k0: int, k1: int):
     return c0, c1, c2, c3
 
 
-def raw_words(
-    seed: int, block: int, step: int, samples: np.ndarray, lanes: np.ndarray
-):
-    """64-bit output words for a grid of (sample, lane) addresses.
+def raw_words(seed: int, block, step, samples, lanes):
+    """64-bit output words for a broadcast grid of addresses.
 
-    Returns two arrays of shape broadcast(samples, lanes): the low and high
-    64-bit words of each Philox invocation.
+    block, step and samples are u32 integers or integer arrays; lanes is an
+    array of lane numbers. Returns two uint64 arrays of shape
+    broadcast(block, step, samples, lanes), NumPy scalars if every input is
+    a scalar: the low and high 64-bit words of each Philox invocation.
     """
     seed = _check_seed(seed)
-    block = _check_u32("block", block)
-    step = _check_u32("step", step)
-    lanes_a, samples_a = np.broadcast_arrays(
-        np.asarray(lanes, dtype=np.uint64), np.asarray(samples, dtype=np.uint64)
-    )
-    c0 = lanes_a
-    c1 = samples_a
-    c2 = np.full(lanes_a.shape, step, dtype=np.uint64)
-    c3 = np.full(lanes_a.shape, block, dtype=np.uint64)
+    # No explicit broadcast: after four rounds every output word depends on
+    # all four counter words, so the arithmetic itself broadcasts them.
     r0, r1, r2, r3 = _philox4x32_10(
-        c0, c1, c2, c3, seed & _U32_MAX, seed >> 32
+        np.asarray(lanes, dtype=np.uint64),
+        _check_u32("sample", samples),
+        _check_u32("step", step),
+        _check_u32("block", block),
+        seed & _U32_MAX,
+        seed >> 32,
     )
     w_lo = r0 | (r1 << np.uint64(32))
     w_hi = r2 | (r3 << np.uint64(32))
@@ -92,55 +105,57 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
     return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def draw_matrix(
-    seed: int, block: int, step: int, n_samples: int, dims: int
-) -> np.ndarray:
-    """Standard-normal draws for sample indices 0..n_samples-1, shape (n, dims)."""
+def _per_lane(address):
+    # Give an array address a trailing lane axis; a scalar broadcasts as is.
+    return address if np.ndim(address) == 0 else np.asarray(address)[..., None]
+
+
+def draw_normals(seed: int, block, step, sample, dims: int) -> np.ndarray:
+    """Standard-normal vectors at every broadcast (block, step, sample) address.
+
+    Returns shape broadcast(block, step, sample) + (dims,). Each vector is
+    the same as a single-address draw at its address (FORMAT.md §4).
+    """
     if dims < 1:
         raise UsageError("dims must be >= 1")
+    lanes = np.arange((dims + 1) // 2, dtype=np.uint64)
+    w_lo, w_hi = raw_words(
+        seed, _per_lane(block), _per_lane(step), _per_lane(sample), lanes
+    )
+    r = np.sqrt(-2.0 * np.log(_to_uniform(w_lo)))
+    theta = _TWO_PI * _to_uniform(w_hi)
+    out = np.empty(w_lo.shape[:-1] + (2 * lanes.size,), dtype=np.float64)
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    return out[..., :dims]
+
+
+def draw_uniforms(seed: int, block, step, sample) -> np.ndarray:
+    """Uniforms in (0,1) at every broadcast address (lane 0, low word)."""
+    w_lo, _ = raw_words(seed, block, step, sample, 0)
+    return _to_uniform(w_lo)
+
+
+def draw_matrix(seed: int, block, step: int, n_samples: int, dims: int) -> np.ndarray:
+    """Standard-normal draws for sample indices 0..n_samples-1.
+
+    Shape (n_samples, dims) for one block, or block.shape + (n_samples, dims)
+    for an array of blocks.
+    """
     if n_samples < 1:
         raise UsageError("n_samples must be >= 1")
-    n_lanes = (dims + 1) // 2
-    lanes = np.arange(n_lanes, dtype=np.uint64)[None, :]
-    samples = np.arange(n_samples, dtype=np.uint64)[:, None]
-    w_lo, w_hi = raw_words(seed, block, step, samples, lanes)
-    u0 = _to_uniform(w_lo)
-    u1 = _to_uniform(w_hi)
-    r = np.sqrt(-2.0 * np.log(u0))
-    theta = _TWO_PI * u1
-    out = np.empty((n_samples, 2 * n_lanes), dtype=np.float64)
-    out[:, 0::2] = r * np.cos(theta)
-    out[:, 1::2] = r * np.sin(theta)
-    return out[:, :dims]
+    samples = np.arange(n_samples, dtype=np.uint64)
+    return draw_normals(seed, _per_lane(block), step, samples, dims)
 
 
-def draw_vector(
-    seed: int, block: int, step: int, sample: int, dims: int
-) -> np.ndarray:
+def draw_vector(seed: int, block: int, step: int, sample: int, dims: int) -> np.ndarray:
     """Standard-normal vector at one address; bit-identical across calls."""
-    sample = _check_u32("sample", sample)
-    n_lanes = (max(dims, 1) + 1) // 2
-    lanes = np.arange(n_lanes, dtype=np.uint64)
-    if dims < 1:
-        raise UsageError("dims must be >= 1")
-    w_lo, w_hi = raw_words(seed, block, step, np.uint64(sample), lanes)
-    u0 = _to_uniform(w_lo)
-    u1 = _to_uniform(w_hi)
-    r = np.sqrt(-2.0 * np.log(u0))
-    theta = _TWO_PI * u1
-    out = np.empty(2 * n_lanes, dtype=np.float64)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
-    return out[:dims]
+    return draw_normals(seed, block, step, sample, dims)
 
 
 def draw_uniform(seed: int, block: int, step: int, sample: int) -> float:
     """Deterministic uniform in (0,1) at one address (lane 0, low word)."""
-    sample = _check_u32("sample", sample)
-    w_lo, _ = raw_words(
-        seed, block, step, np.uint64(sample), np.zeros(1, dtype=np.uint64)
-    )
-    return float(_to_uniform(w_lo)[0])
+    return float(draw_uniforms(seed, block, step, sample))
 
 
 def scale_to_aux(u: np.ndarray, sigma_k: float) -> np.ndarray:

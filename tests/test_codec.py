@@ -143,6 +143,38 @@ class TestEncode:
         )
 
 
+class TestEncodeBlocks:
+    @pytest.mark.parametrize(
+        "beams,stochastic", [(1, False), (4, False), (20, False), (1, True)]
+    )
+    def test_matches_one_block_at_a_time(self, beams, stochastic, monkeypatch):
+        # 13 blocks run as chunks of 4, 4, 4 and 1; each must equal its lone
+        # encode.
+        rng = np.random.default_rng(8)
+        dims = 16
+        qs = [synthetic_target(dims, 25.0, rng) for _ in range(13)]
+        schedule = build_schedule(25.0, 3.0, 0.2)
+        cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams, stochastic_final=stochastic)
+        monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", 4 * beams * schedule.M * dims)
+        blocks = [int(b) for b in rng.choice(5000, size=len(qs), replace=False)]
+        indices, zs, ratios = codec.encode_blocks(qs, schedule, cfg, 21, blocks)
+        for q, block, idx, z, ratio in zip(qs, blocks, indices, zs, ratios):
+            alone = encode(q, schedule, cfg, seed=21, block=block)
+            assert idx == alone[0]
+            assert z.tobytes() == alone[1].tobytes()
+            assert ratio == alone[2]
+
+    def test_rejects_mismatched_inputs(self):
+        schedule = build_schedule(5.0, 3.0, 0.2)
+        two = [DiagGaussian.standard(2), DiagGaussian.standard(3)]
+        with pytest.raises(UsageError):
+            codec.encode_blocks(two, schedule, CFG, 0, [0, 1])
+        with pytest.raises(UsageError):
+            codec.encode_blocks(two[:1], schedule, CFG, 0, [0, 1])
+        with pytest.raises(UsageError):
+            codec.encode_blocks([], schedule, CFG, 0, [])
+
+
 class TestDecode:
     def test_single_step_index(self):
         schedule = build_schedule(0.0, 3.0, 0.2)

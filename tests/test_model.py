@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import irec.model
 from irec.errors import FormatError, UsageError
 from irec.gauss import DiagGaussian, kl_divergence
 from irec.model import (
@@ -195,6 +196,22 @@ class TestModelFile:
             noise_var=fitted_model.noise_var + 1.0,
         )
         assert other.model_id != fitted_model.model_id
+
+    def test_model_id_is_fnv_of_file_bytes_computed_once(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        model = LinearGaussianModel(
+            W=rng.normal(size=(64, 3)), mu=rng.normal(size=64), noise_var=2.0
+        )
+        expected = fnv1a64(model.to_bytes())
+        calls = []
+
+        def counting(data):
+            calls.append(len(data))
+            return fnv1a64(data)
+
+        monkeypatch.setattr(irec.model, "fnv1a64", counting)
+        assert [model.model_id for _ in range(3)] == [expected] * 3
+        assert calls == [len(model.to_bytes())]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.lgm"

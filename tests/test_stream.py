@@ -28,6 +28,49 @@ class TestDeterminism:
         assert np.all(np.isfinite(v))
 
 
+class TestBatchedDraws:
+    @pytest.mark.parametrize("dims", [1, 7, 8, 16])
+    def test_matches_single_address_draws(self, dims):
+        # A vector must not depend on its position in a batch (FORMAT.md §4).
+        blocks = np.array([0, 3, 1, 2**32 - 1, 250])
+        samples = np.arange(37)
+        batch = stream.draw_normals(
+            2**63 + 11, blocks[:, None], 5, samples[None, :], dims
+        )
+        assert batch.shape == (5, 37, dims)
+        for i, block in enumerate(blocks):
+            for m in samples:
+                single = stream.draw_vector(2**63 + 11, int(block), 5, int(m), dims)
+                assert batch[i, m].tobytes() == single.tobytes()
+
+    def test_matrix_over_blocks(self):
+        blocks = np.array([4, 9, 2])
+        mat = stream.draw_matrix(99, blocks, 2, 16, 7)
+        assert mat.shape == (3, 16, 7)
+        for i, block in enumerate(blocks):
+            assert mat[i].tobytes() == stream.draw_matrix(99, int(block), 2, 16, 7).tobytes()
+
+    def test_uniforms_match_single_address(self):
+        blocks = np.arange(6)
+        steps = np.array([0, 1, 2, 3, 4, 5])
+        u = stream.draw_uniforms(5, blocks, steps, 37)
+        assert u.shape == (6,)
+        for b, k, value in zip(blocks, steps, u):
+            assert value == stream.draw_uniform(5, int(b), int(k), 37)
+
+    @pytest.mark.parametrize("address", ["block", "step", "sample"])
+    @pytest.mark.parametrize("bad", [-1, 2**32])
+    def test_array_address_out_of_u32(self, address, bad):
+        kwargs = {"block": np.array([0, 1]), "step": 0, "sample": np.array([0, 1])}
+        kwargs[address] = np.array([0, bad], dtype=np.int64)
+        with pytest.raises(UsageError):
+            stream.draw_normals(0, kwargs["block"], kwargs["step"], kwargs["sample"], 2)
+
+    def test_non_integer_address(self):
+        with pytest.raises(UsageError):
+            stream.draw_normals(0, np.array([0.0, 1.0]), 0, 0, 2)
+
+
 class TestStatistics:
     def test_marginal_moments(self):
         # About 1e6 scalar draws across many sample addresses.
