@@ -4,10 +4,11 @@ The encoder runs a beam search over the per-step shared draws: at step k it
 scores every (beam, sample) pair by the cumulative log importance weight
 sum_j log q(a_j | a_1:j-1) / p(a_j) and keeps the top B. Ties are broken
 toward the lexicographically smallest index tuple, which keeps the output
-independent of evaluation order. Blocks that share a schedule run each step
-together, as one array operation over a block axis; a block's code is the
-same as when it is encoded alone. The decoder only replays the chosen draws
-and never sees the target distribution.
+independent of evaluation order; the B best are found in linear time
+(top_b), not by sorting. Blocks that share a schedule run each step together,
+as one array operation over a block axis; a block's code is the same as when
+it is encoded alone. The decoder only replays the chosen draws and never sees
+the target distribution.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from .gauss import DiagGaussian
 
 # Candidate arrays are B x M x D floats per step; reject configs beyond this.
 MAX_CANDIDATE_FLOATS = 1 << 24
-# Blocks encoded together hold G x B x M x D candidate floats per step; G is
-# the largest count within this cap, and at least 1.
-MAX_CHUNK_FLOATS = 1 << 15
+# Blocks encoded together score G x B x M x D candidate floats per step, in
+# one buffer that is reused for every step and chunk; G is the largest count
+# whose buffer fits this many floats, and at least 1.
+MAX_CHUNK_FLOATS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ def importance_select(
 
     Greedy returns the smallest argmax; stochastic picks proportionally to
     weight, driven by the caller-supplied uniform so selection stays
-    reproducible.
+    reproducible, and never returns an index of zero weight.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.size == 0 or np.any(np.isnan(weights)) or np.any(weights < 0):
@@ -78,8 +80,34 @@ def importance_select(
         if u is None or not 0.0 <= u < 1.0:
             raise UsageError("stochastic mode needs a uniform u in [0, 1)")
         cdf = np.cumsum(weights)
-        return int(np.searchsorted(cdf, u * total, side="right"))
+        pick = int(np.searchsorted(cdf, u * total, side="right"))
+        # u * total (a pairwise sum) can reach past cdf[-1] (a running sum);
+        # such a draw belongs to the last index with any weight.
+        return min(pick, int(np.flatnonzero(weights)[-1]))
     raise UsageError(f"unknown mode {mode!r}")
+
+
+def top_b(scores: np.ndarray, keep: int) -> np.ndarray:
+    """Column indices of each row's `keep` best scores, in ascending order.
+
+    Equal to np.sort(np.argsort(-scores, axis=1, kind="stable")[:, :keep]):
+    higher scores win, NaN ranks below -inf, and ties (0.0 and -0.0 among
+    them) go to the lowest index. Runs in linear time: partition finds each
+    row's keep-th best value, every strictly better score is kept, and the
+    places left go to the tied scores of lowest index.
+    """
+    neg = -scores
+    kth = np.partition(neg, keep - 1, axis=1)[:, keep - 1 : keep]
+    better = neg < kth
+    tied = neg == kth
+    lost = np.isnan(kth[:, 0])
+    if lost.any():  # fewer than keep non-NaN scores: NaNs fill the rest
+        nan = np.isnan(neg[lost])
+        better[lost] = ~nan
+        tied[lost] = nan
+    need = keep - np.count_nonzero(better, axis=1)[:, None]
+    take = better | (tied & (np.cumsum(tied, axis=1) <= need))
+    return np.nonzero(take)[1].reshape(len(scores), keep)
 
 
 def _check_budget(cfg: RecConfig, schedule: AuxSchedule, dims: int) -> None:
@@ -118,8 +146,10 @@ def encode_blocks(
 
     Returns (indices per block, decoded z of shape (G, D), log q(z)/p(z) of
     shape (G,)). Block g's outputs are exactly those of encoding it alone:
-    blocks run in chunks of at most MAX_CHUNK_FLOATS candidate floats per
-    step, and every reduction and sort runs along one block's own row.
+    blocks run in chunks whose candidates fit one scoring buffer of at most
+    MAX_CHUNK_FLOATS floats (one block's B*M*D if that is more), allocated
+    here once, and every reduction and selection runs along one block's own
+    row.
     """
     if schedule.M != samples_per_step(cfg.omega, cfg.epsilon):
         raise UsageError("schedule and config disagree on samples per step")
@@ -131,14 +161,16 @@ def encode_blocks(
     std = np.array([q.std for q in qs])
     d = mean.shape[1]
     _check_budget(cfg, schedule, d)
-    chunk = max(1, MAX_CHUNK_FLOATS // (cfg.beams * schedule.M * d))
+    per_block = cfg.beams * schedule.M * d
+    chunk = min(len(qs), max(1, MAX_CHUNK_FLOATS // per_block))
+    scratch = np.empty(chunk * per_block)
     blocks = np.asarray(blocks)
     indices: list[IndexTuple] = []
     zs, ratios = [], []
     for lo in range(0, len(blocks), chunk):
         part = slice(lo, lo + chunk)
         prefixes, z, ratio = _encode_chunk(
-            mean[part], std[part], schedule, cfg, seed, blocks[part]
+            mean[part], std[part], schedule, cfg, seed, blocks[part], scratch
         )
         indices += [IndexTuple(p) for p in prefixes.tolist()]
         zs.append(z)
@@ -146,12 +178,17 @@ def encode_blocks(
     return indices, np.concatenate(zs), np.concatenate(ratios)
 
 
-def _encode_chunk(mean, std, schedule, cfg, seed, blocks):
-    """Beam search for G blocks at once; beam state has shape (G, beams, D)."""
+def _encode_chunk(mean, std, schedule, cfg, seed, blocks, scratch):
+    """Beam search for G blocks at once; beam state has shape (G, beams, D).
+
+    Candidates are scored in place in `scratch`, a flat float64 buffer of at
+    least G*B*M*D elements.
+    """
     g = len(blocks)
     rows = np.arange(g)[:, None]
     stochastic = cfg.stochastic_final and cfg.beams == 1
     m = schedule.M
+    d = mean.shape[1]
     tails = schedule.tail_var()
     # Beam state, kept sorted by lexicographic index prefix within each block.
     nu = mean[:, None, :].copy()
@@ -164,13 +201,18 @@ def _encode_chunk(mean, std, schedule, cfg, seed, blocks):
         sig_sq = float(schedule.sigma_sq[k])
         s_prev, s_next = float(tails[k]), float(tails[k + 1])
         a = stream.scale_to_aux(
-            stream.draw_matrix(seed, blocks, k, m, mean.shape[1]), np.sqrt(sig_sq)
+            stream.draw_matrix(seed, blocks, k, m, d), np.sqrt(sig_sq)
         )  # (G, M, D), shared across each block's beams
 
         mean_t, var_t = target_moments(nu, rho_sq, b, sig_sq, s_prev, s_next)
-        # log q(a | beam) - log p(a), for every block x beam x sample
-        diff = a[:, None, :, :] - mean_t[:, :, None, :]
-        quad_q = np.sum(diff * diff / (2.0 * var_t[:, :, None, :]), axis=3)
+        # log q(a | beam) - log p(a), for every block x beam x sample. The
+        # in-place ufuncs are those of (a - mean)**2 / (2 var), in that order,
+        # on a contiguous view, so the scores are bit for bit the same.
+        diff = scratch[: g * nu.shape[1] * m * d].reshape(g, -1, m, d)
+        np.subtract(a[:, None, :, :], mean_t[:, :, None, :], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.divide(diff, 2.0 * var_t[:, :, None, :], out=diff)
+        quad_q = np.sum(diff, axis=3)
         quad_p = np.sum(a * a, axis=2) / (2.0 * sig_sq)
         norm = -0.5 * np.sum(np.log(var_t / sig_sq), axis=2)
         cand = log_w[:, :, None] + norm[:, :, None] - quad_q + quad_p[:, None, :]
@@ -184,11 +226,9 @@ def _encode_chunk(mean, std, schedule, cfg, seed, blocks):
                 [[importance_select(w[i], "stochastic", u[i])] for i in range(g)]
             )
         else:
-            keep = min(cfg.beams, flat.shape[1])
-            # Stable sort on descending weight; candidate order is already
-            # lexicographic (beam-major), so ties resolve to the smallest tuple.
-            order = np.argsort(-flat, axis=1, kind="stable")[:, :keep]
-            order.sort(axis=1)
+            # Candidate order is lexicographic (beam-major), so ties resolve
+            # to the smallest tuple.
+            order = top_b(flat, min(cfg.beams, flat.shape[1]))
         beam_idx = order // m
         pick = order % m
 

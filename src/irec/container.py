@@ -6,7 +6,8 @@ Layout (see docs/FORMAT.md for the hex-annotated example):
   names the step schedule, see chain.py), flags u8
   (bit 0 = residual section present), seed u64, omega f64, epsilon f64,
   model_id u64, block_count u32, latent_dim u32, image_width u32,
-  image_height u32.
+  image_height u32. unpack requires a nonempty image and
+  block_count = ceil(width / 8) * ceil(height / 8).
 * one block per latent: K as LEB128 varint, then the index tuple packed as
   the mixed-radix integer sum_k i_k * M^k written big-endian in
   ceil(K * log2(M)) bits, zero-padded up to a byte boundary.
@@ -162,6 +163,12 @@ def unpack(data: bytes) -> tuple[ContainerHeader, list[IndexTuple], bytes | None
         raise FormatError(f"unsupported version {version}")
     if not omega > 0 or epsilon < 0 or not math.isfinite(omega + epsilon):
         raise FormatError("invalid omega/epsilon in header")
+    if width == 0 or height == 0:
+        raise FormatError(f"empty image {width}x{height} in header")
+    if block_count != -(-width // 8) * -(-height // 8):
+        raise FormatError(
+            f"block_count {block_count} does not tile a {width}x{height} image"
+        )
     try:
         header = ContainerHeader(
             seed=seed,

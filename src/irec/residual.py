@@ -2,12 +2,17 @@
 
 The coder is the classic carry-propagating byte-renormalized range coder
 (32-bit range, 64-bit low with cache/carry), with 16-bit symbol frequencies.
+Its per-symbol loops run on Python ints, and each symbol model's frequency
+table is built once and cached.
 The Gaussian CDF is a fixed rational approximation so encoder and decoder
 always derive identical frequency tables from the same (mu, sigma).
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,83 +93,26 @@ def pmf_quantized(model: DiscretizedGaussian, precision_bits: int = PRECISION_BI
     return freq
 
 
-def _cum_freq(freq: np.ndarray) -> np.ndarray:
-    cum = np.zeros(freq.size + 1, dtype=np.int64)
-    np.cumsum(freq, out=cum[1:])
-    return cum
+@functools.lru_cache(maxsize=64)
+def _table(model: DiscretizedGaussian) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(frequencies, cumulative frequencies) of one symbol model, as ints.
+
+    Built once per model; pmf_quantized is looked up as a module global so a
+    cache miss is visible to anything that wraps it.
+    """
+    freq = pmf_quantized(model).tolist()
+    return tuple(freq), tuple(itertools.accumulate(freq, initial=0))
 
 
-class _TableCache(dict):
-    def table(self, model: DiscretizedGaussian):
-        key = (model.mu, model.sigma, model.lo, model.hi)
-        entry = self.get(key)
-        if entry is None:
-            freq = pmf_quantized(model)
-            entry = (freq, _cum_freq(freq))
-            self[key] = entry
-        return entry
-
-
-class RangeEncoder:
-    def __init__(self):
-        self.low = 0
-        self.range = _MASK32
-        self.cache = 0
-        self.cache_size = 1
-        self.out = bytearray()
-
-    def encode(self, cum: int, freq: int, total: int = TOTAL_FREQ) -> None:
-        r = self.range // total
-        self.low += cum * r
-        self.range = r * freq
-        while self.range < _TOP:
-            self.range = (self.range << 8) & _MASK32
-            self._shift_low()
-
-    def _shift_low(self) -> None:
-        if (self.low & _MASK32) < 0xFF000000 or self.low > _MASK32:
-            carry = self.low >> 32
-            self.out.append((self.cache + carry) & 0xFF)
-            for _ in range(self.cache_size - 1):
-                self.out.append((0xFF + carry) & 0xFF)
-            self.cache_size = 0
-            self.cache = (self.low >> 24) & 0xFF
-        self.cache_size += 1
-        self.low = (self.low << 8) & _MASK32
-
-    def finish(self) -> bytes:
-        for _ in range(5):
-            self._shift_low()
-        return bytes(self.out)
-
-
-class RangeDecoder:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        self.range = _MASK32
-        self.code = 0
-        for _ in range(5):
-            self.code = ((self.code << 8) | self._byte()) & 0xFFFFFFFFFF
-        self.code &= _MASK32
-
-    def _byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise CorruptStreamError("range coder input exhausted")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def threshold(self, total: int = TOTAL_FREQ) -> int:
-        self.range //= total
-        return min(self.code // self.range, total - 1)
-
-    def consume(self, cum: int, freq: int) -> None:
-        self.code -= cum * self.range
-        self.range *= freq
-        while self.range < _TOP:
-            self.code = ((self.code << 8) | self._byte()) & _MASK32
-            self.range = (self.range << 8) & _MASK32
+def _shift_low(low: int, cache: int, cache_size: int, out: bytearray):
+    """Emit the settled top byte of low, propagating a pending carry."""
+    if (low & _MASK32) < 0xFF000000 or low > _MASK32:
+        carry = low >> 32
+        out.append((cache + carry) & 0xFF)
+        out.extend(bytes([(0xFF + carry) & 0xFF]) * (cache_size - 1))
+        cache_size = 0
+        cache = (low >> 24) & 0xFF
+    return (low << 8) & _MASK32, cache, cache_size + 1
 
 
 def _model_list(models, count: int):
@@ -180,15 +128,26 @@ def encode_residuals(residuals, models) -> bytes:
     """Range-code integer residuals under their per-symbol Gaussian models."""
     residuals = np.asarray(residuals, dtype=np.int64)
     models = _model_list(models, residuals.size)
-    cache = _TableCache()
-    enc = RangeEncoder()
-    for value, model in zip(residuals.tolist(), models):
-        if not model.lo <= value <= model.hi:
-            raise UsageError(f"residual {value} outside [{model.lo}, {model.hi}]")
-        freq, cum = cache.table(model)
-        sym = value - model.lo
-        enc.encode(int(cum[sym]), int(freq[sym]))
-    return enc.finish()
+    low, rng, cache, cache_size = 0, _MASK32, 0, 1
+    out = bytearray()
+    model = None
+    for value, next_model in zip(residuals.tolist(), models):
+        if next_model is not model:
+            model = next_model
+            freq, cum = _table(model)
+            lo, hi = model.lo, model.hi
+        if not lo <= value <= hi:
+            raise UsageError(f"residual {value} outside [{lo}, {hi}]")
+        sym = value - lo
+        r = rng // TOTAL_FREQ
+        low += cum[sym] * r
+        rng = r * freq[sym]
+        while rng < _TOP:
+            rng = (rng << 8) & _MASK32
+            low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+    for _ in range(5):
+        low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+    return bytes(out)
 
 
 def decode_residuals(data: bytes, models, count: int) -> np.ndarray:
@@ -196,13 +155,27 @@ def decode_residuals(data: bytes, models, count: int) -> np.ndarray:
     models = _model_list(models, count)
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    cache = _TableCache()
-    dec = RangeDecoder(data)
-    out = np.empty(count, dtype=np.int64)
-    for i, model in enumerate(models):
-        freq, cum = cache.table(model)
-        t = dec.threshold()
-        sym = int(np.searchsorted(cum, t, side="right")) - 1
-        dec.consume(int(cum[sym]), int(freq[sym]))
-        out[i] = sym + model.lo
-    return out
+    if len(data) < 5:
+        raise CorruptStreamError("range coder input exhausted")
+    code = int.from_bytes(data[:5], "big") & _MASK32
+    pos, end = 5, len(data)
+    rng = _MASK32
+    out = []
+    model = None
+    for next_model in models:
+        if next_model is not model:
+            model = next_model
+            freq, cum = _table(model)
+            lo = model.lo
+        rng //= TOTAL_FREQ
+        sym = bisect.bisect_right(cum, min(code // rng, TOTAL_FREQ - 1)) - 1
+        code -= cum[sym] * rng
+        rng *= freq[sym]
+        while rng < _TOP:
+            if pos >= end:
+                raise CorruptStreamError("range coder input exhausted")
+            code = ((code << 8) | data[pos]) & _MASK32
+            pos += 1
+            rng = (rng << 8) & _MASK32
+        out.append(sym + lo)
+    return np.array(out, dtype=np.int64)

@@ -93,6 +93,24 @@ class TestCompressDecompress:
         ])
         assert code == 3
 
+    def test_relabelled_image_size_exit_code(self, workspace):
+        # A 16x16 file (4 blocks) relabelled as 8x8 is malformed, not a usage
+        # error.
+        tmp, model_path, img_path = workspace
+        out = tmp / "img.irec"
+        cli.main([
+            "compress", "--model", str(model_path),
+            "--in", str(img_path), "--out", str(out),
+        ])
+        data = bytearray(out.read_bytes())
+        data[46:54] = (8).to_bytes(4, "little") * 2  # image_width, image_height
+        out.write_bytes(bytes(data))
+        code = cli.main([
+            "decompress", "--model", str(model_path),
+            "--in", str(out), "--out", str(tmp / "y.pgm"),
+        ])
+        assert code == 3
+
     def test_model_mismatch_exit_code(self, workspace, fitted_model):
         tmp, model_path, img_path = workspace
         out = tmp / "img.irec"

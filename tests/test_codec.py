@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irec import codec, stream
 from irec.chain import build_schedule, schedule_from_steps
@@ -30,6 +32,17 @@ class TestImportanceSelect:
             importance_select(w, "stochastic", u=float(u)) for u in rng.random(100_000)
         )
         assert 0.745 <= hits / 100_000 <= 0.755
+
+    def test_stochastic_stays_in_range_at_largest_u(self):
+        # u * sum(w) is a pairwise sum and the cdf a running one; at the
+        # largest uniform below 1 the first could pass the cdf's last entry.
+        rng = np.random.default_rng(9)
+        u = 1.0 - 2.0**-53
+        for _ in range(2000):
+            w = rng.random(37)
+            assert importance_select(w, "stochastic", u=u) == 36
+        w = np.array([0.0, 2.0, 0.5, 0.0, 0.0])
+        assert importance_select(w, "stochastic", u=u) == 2
 
     def test_rejects_bad_weights(self):
         with pytest.raises(NumericError):
@@ -143,19 +156,56 @@ class TestEncode:
         )
 
 
+def _top_b_reference(scores, keep):
+    return np.sort(np.argsort(-scores, axis=1, kind="stable")[:, :keep], axis=1)
+
+
+# Few distinct values, so rows are full of ties, next to every special value.
+_SCORES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300, np.inf, -np.inf, np.nan]
+) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestTopB:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_stable_argsort(self, data):
+        rows = data.draw(st.integers(1, 4))
+        width = data.draw(st.integers(1, 40))
+        keep = data.draw(st.integers(1, width))
+        scores = np.array(
+            data.draw(st.lists(_SCORES, min_size=rows * width, max_size=rows * width))
+        ).reshape(rows, width)
+        got = codec.top_b(scores, keep)
+        assert got.shape == (rows, keep)
+        assert np.array_equal(got, _top_b_reference(scores, keep))
+
+    @pytest.mark.parametrize("keep", [1, 20, 740])
+    def test_beam_sized_rows(self, keep):
+        rng = np.random.default_rng(keep)
+        scores = np.round(rng.normal(size=(30, 740)), 1)  # many ties
+        scores[0] = 0.0
+        scores[1, ::2] = -0.0
+        scores[2, :700] = np.nan
+        assert np.array_equal(codec.top_b(scores, keep), _top_b_reference(scores, keep))
+
+
 class TestEncodeBlocks:
+    @pytest.mark.parametrize("per_chunk", [1, 4, None])
     @pytest.mark.parametrize(
         "beams,stochastic", [(1, False), (4, False), (20, False), (1, True)]
     )
-    def test_matches_one_block_at_a_time(self, beams, stochastic, monkeypatch):
-        # 13 blocks run as chunks of 4, 4, 4 and 1; each must equal its lone
-        # encode.
+    def test_matches_one_block_at_a_time(self, beams, stochastic, per_chunk, monkeypatch):
+        # 13 blocks run in chunks of 1, of 4 (4, 4, 4 and 1), or at the
+        # module's own cap; each must equal its lone encode.
         rng = np.random.default_rng(8)
         dims = 16
         qs = [synthetic_target(dims, 25.0, rng) for _ in range(13)]
         schedule = build_schedule(25.0, 3.0, 0.2)
         cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams, stochastic_final=stochastic)
-        monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", 4 * beams * schedule.M * dims)
+        if per_chunk is not None:
+            cap = per_chunk * beams * schedule.M * dims
+            monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", cap)
         blocks = [int(b) for b in rng.choice(5000, size=len(qs), replace=False)]
         indices, zs, ratios = codec.encode_blocks(qs, schedule, cfg, 21, blocks)
         for q, block, idx, z, ratio in zip(qs, blocks, indices, zs, ratios):

@@ -19,6 +19,7 @@ from irec.errors import CorruptStreamError, FormatError, UsageError
 
 
 def header(omega=3.0, epsilon=0.2, blocks=1, latent=4, **kw):
+    # An (8 * blocks) x 8 image is tiled by exactly `blocks` patches.
     base = dict(
         seed=12345,
         omega=omega,
@@ -26,8 +27,8 @@ def header(omega=3.0, epsilon=0.2, blocks=1, latent=4, **kw):
         model_id=0xDEADBEEF,
         block_count=blocks,
         latent_dim=latent,
-        image_width=16,
-        image_height=16,
+        image_width=8 * blocks,
+        image_height=8,
     )
     base.update(kw)
     return ContainerHeader(**base)
@@ -88,7 +89,7 @@ class TestPackUnpack:
     def test_random_round_trips(self):
         rng = np.random.default_rng(1)
         for _ in range(1000):
-            nblocks = int(rng.integers(0, 5))
+            nblocks = int(rng.integers(1, 5))
             blocks = [
                 IndexTuple(tuple(rng.integers(0, 37, size=rng.integers(1, 12))))
                 for _ in range(nblocks)
@@ -104,10 +105,11 @@ class TestPackUnpack:
             assert res2 == (residual if use_res else None)
 
     def test_empty_block_list(self):
+        # No image has zero patches, so a header-only file is malformed.
         data = pack(header(blocks=0), [])
         assert len(data) == HEADER_SIZE
-        _, blocks, res = unpack(data)
-        assert blocks == [] and res is None
+        with pytest.raises(FormatError):
+            unpack(data)
 
     def test_block_count_mismatch(self):
         with pytest.raises(UsageError):
@@ -139,6 +141,21 @@ class TestCorruptInput:
         assert data[4] == 2
         data[4] = 1
         assert unpack(bytes(data))[0].version == 1
+
+    @pytest.mark.parametrize(
+        "width,height,blocks",
+        [(16, 16, 1), (8, 8, 4), (9, 8, 1), (17, 17, 4), (0, 8, 0), (8, 0, 0), (0, 0, 1)],
+    )
+    def test_block_count_must_tile_image(self, width, height, blocks):
+        h = header(blocks=blocks, image_width=width, image_height=height)
+        data = pack(h, [IndexTuple((1,))] * blocks)
+        with pytest.raises(FormatError):
+            unpack(data)
+
+    @pytest.mark.parametrize("width,height,blocks", [(1, 1, 1), (9, 8, 2), (17, 17, 9)])
+    def test_partial_patches_count(self, width, height, blocks):
+        h = header(blocks=blocks, image_width=width, image_height=height)
+        assert len(unpack(pack(h, [IndexTuple((1,))] * blocks))[1]) == blocks
 
     def test_truncated_payload(self):
         data = pack(header(), [IndexTuple((1, 2, 3, 4))])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from irec import residual
 from irec.errors import ConfigError, CorruptStreamError, UsageError
 from irec.residual import (
     TOTAL_FREQ,
@@ -161,3 +162,29 @@ class TestRobustness:
         model = DiscretizedGaussian(mu=0.0, sigma=1.0)
         with pytest.raises(CorruptStreamError):
             decode_residuals(b"\x00\x01", model, 10)
+
+    def test_input_exhausted_mid_stream(self):
+        rng = np.random.default_rng(5)
+        model = DiscretizedGaussian(mu=0.0, sigma=8.0)
+        r = np.clip(np.rint(rng.normal(0, 8, size=2000)).astype(np.int64), -255, 255)
+        data = encode_residuals(r, model)
+        for cut in (5, len(data) // 2, len(data) - 6):
+            with pytest.raises(CorruptStreamError):
+                decode_residuals(data[:cut], model, r.size)
+
+
+def test_table_built_once_per_model(monkeypatch):
+    calls = []
+
+    def counting(model, *args):
+        calls.append(model)
+        return pmf_quantized(model, *args)
+
+    monkeypatch.setattr(residual, "pmf_quantized", counting)
+    residual._table.cache_clear()
+    model = DiscretizedGaussian(mu=0.25, sigma=3.0)
+    r = np.arange(-20, 21)
+    for _ in range(3):
+        data = encode_residuals(r, DiscretizedGaussian(mu=0.25, sigma=3.0))
+        assert np.array_equal(decode_residuals(data, model, r.size), r)
+    assert calls == [model]
