@@ -190,29 +190,40 @@ class TestTopB:
         assert np.array_equal(codec.top_b(scores, keep), _top_b_reference(scores, keep))
 
 
+def _check_blocks_match_lone_encodes(beams, stochastic, per_chunk, monkeypatch):
+    # 13 blocks run in chunks of per_chunk blocks, or at the module's own cap
+    # when per_chunk is None; each must equal its lone encode.
+    rng = np.random.default_rng(8)
+    dims = 16
+    qs = [synthetic_target(dims, 25.0, rng) for _ in range(13)]
+    schedule = build_schedule(25.0, 3.0, 0.2)
+    cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams, stochastic_final=stochastic)
+    if per_chunk is not None:
+        cap = per_chunk * beams * schedule.M * dims
+        monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", cap)
+    blocks = [int(b) for b in rng.choice(5000, size=len(qs), replace=False)]
+    indices, zs, ratios = codec.encode_blocks(qs, schedule, cfg, 21, blocks)
+    for q, block, idx, z, ratio in zip(qs, blocks, indices, zs, ratios):
+        alone = encode(q, schedule, cfg, seed=21, block=block)
+        assert idx == alone[0]
+        assert z.tobytes() == alone[1].tobytes()
+        assert ratio == alone[2]
+
+
+_BEAM_CASES = [(1, False), (4, False), (20, False), (1, True)]
+
+
 class TestEncodeBlocks:
-    @pytest.mark.parametrize("per_chunk", [1, 4, None])
-    @pytest.mark.parametrize(
-        "beams,stochastic", [(1, False), (4, False), (20, False), (1, True)]
-    )
-    def test_matches_one_block_at_a_time(self, beams, stochastic, per_chunk, monkeypatch):
-        # 13 blocks run in chunks of 1, of 4 (4, 4, 4 and 1), or at the
-        # module's own cap; each must equal its lone encode.
-        rng = np.random.default_rng(8)
-        dims = 16
-        qs = [synthetic_target(dims, 25.0, rng) for _ in range(13)]
-        schedule = build_schedule(25.0, 3.0, 0.2)
-        cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams, stochastic_final=stochastic)
-        if per_chunk is not None:
-            cap = per_chunk * beams * schedule.M * dims
-            monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", cap)
-        blocks = [int(b) for b in rng.choice(5000, size=len(qs), replace=False)]
-        indices, zs, ratios = codec.encode_blocks(qs, schedule, cfg, 21, blocks)
-        for q, block, idx, z, ratio in zip(qs, blocks, indices, zs, ratios):
-            alone = encode(q, schedule, cfg, seed=21, block=block)
-            assert idx == alone[0]
-            assert z.tobytes() == alone[1].tobytes()
-            assert ratio == alone[2]
+    @pytest.mark.parametrize("beams,stochastic", _BEAM_CASES)
+    def test_matches_one_block_at_a_time(self, beams, stochastic, monkeypatch):
+        # Chunks of 4, 4, 4 and 1.
+        _check_blocks_match_lone_encodes(beams, stochastic, 4, monkeypatch)
+
+    @pytest.mark.parametrize("per_chunk", [1, None])
+    @pytest.mark.parametrize("beams,stochastic", _BEAM_CASES)
+    def test_matches_at_other_chunk_sizes(self, beams, stochastic, per_chunk, monkeypatch):
+        # One block per chunk, or as many as the module's cap allows.
+        _check_blocks_match_lone_encodes(beams, stochastic, per_chunk, monkeypatch)
 
     def test_rejects_mismatched_inputs(self):
         schedule = build_schedule(5.0, 3.0, 0.2)
