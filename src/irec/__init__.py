@@ -1,6 +1,6 @@
 """Relative-entropy-coding codec and image compression pipeline."""
 
-from .chain import AuxSchedule, ChainState, build_schedule, schedule_from_steps
+from .chain import AuxSchedule, build_schedule, schedule_from_steps
 from .codec import IndexTuple, RecConfig, decode, encode, importance_select
 from .errors import (
     ConfigError,
@@ -11,7 +11,7 @@ from .errors import (
     NumericError,
     UsageError,
 )
-from .gauss import AffineMap, DiagGaussian, kl_divergence, log_density_ratio, whiten
+from .gauss import DiagGaussian, kl_divergence, log_density_ratio, whiten
 from .model import ImageGray8, LinearGaussianModel, fit_ppca
 from .pipeline import (
     CompressionResult,
@@ -22,9 +22,7 @@ from .pipeline import (
 )
 
 __all__ = [
-    "AffineMap",
     "AuxSchedule",
-    "ChainState",
     "CompressionResult",
     "ConfigError",
     "CorruptStreamError",

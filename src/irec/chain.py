@@ -11,10 +11,11 @@ Two step-variance schedules exist, one per container version (FORMAT.md §5):
   variance after step k solves C(t_k) = k * omega by bisection, so every
   step carries omega nats; the last step takes the remaining variance.
 
-Schedules are cached per (variances, K, omega, epsilon). The conditional
-target, conditional prior and posterior update are the closed-form
-Gaussian-sum conditionals; they are univariate formulas applied elementwise
-to each latent dimension.
+Schedules are cached per (variances, K, omega, epsilon). The step target
+(target_moments), the step prior given z (conditional_prior) and the
+posterior update (posterior_moments) are the closed-form Gaussian-sum
+conditionals; they are univariate formulas applied elementwise to each
+latent dimension, on arrays with any batched leading axes.
 """
 
 from __future__ import annotations
@@ -177,27 +178,6 @@ def build_schedule(
     return schedule_from_steps(k, omega, epsilon, variances)
 
 
-@dataclass(frozen=True)
-class ChainState:
-    """Running conditional q(z | a_1:k): mean nu, variance rho_sq, partial sum b."""
-
-    nu: np.ndarray
-    rho_sq: np.ndarray
-    b: np.ndarray
-    k: int
-    s_sq_remaining: float
-
-    @staticmethod
-    def initial(q: DiagGaussian) -> "ChainState":
-        return ChainState(
-            nu=q.mean.copy(),
-            rho_sq=q.var,
-            b=np.zeros(q.dim),
-            k=0,
-            s_sq_remaining=1.0,
-        )
-
-
 def target_moments(nu, rho_sq, b, sig_sq: float, s_prev_sq: float, s_next_sq: float):
     """Mean/variance of the conditional step target q(a_k | a_1:k-1).
 
@@ -219,42 +199,14 @@ def posterior_moments(nu, rho_sq, b, a, sig_sq: float, s_prev_sq: float, s_next_
     return nu_new, rho_new, b + a
 
 
-def _step_vars(state: ChainState, schedule: AuxSchedule):
-    if state.k >= schedule.K:
-        raise UsageError("chain exhausted: no steps remain")
-    tails = schedule.tail_var()
-    sig_sq = float(schedule.sigma_sq[state.k])
-    return sig_sq, float(tails[state.k]), float(tails[state.k + 1])
+def conditional_prior(z, b, sig_sq: float, s_prev_sq: float, s_next_sq: float):
+    """Mean/variance of the step prior p(a_k | z, a_1:k-1).
 
-
-def aux_target(state: ChainState, schedule: AuxSchedule) -> DiagGaussian:
-    """Conditional target distribution of the next auxiliary variable."""
-    sig_sq, s_prev, s_next = _step_vars(state, schedule)
-    mean, var = target_moments(state.nu, state.rho_sq, state.b, sig_sq, s_prev, s_next)
-    return DiagGaussian(mean, np.sqrt(var))
-
-
-def conditional_prior(
-    state: ChainState, schedule: AuxSchedule, z: np.ndarray
-) -> DiagGaussian:
-    """Distribution of the next step value given the full latent z."""
-    sig_sq, s_prev, s_next = _step_vars(state, schedule)
-    z = np.asarray(z, dtype=np.float64)
-    mean = (z - state.b) * (sig_sq / s_prev)
-    var = np.full_like(mean, max(s_next * sig_sq / s_prev, _VAR_FLOOR))
-    return DiagGaussian(mean, np.sqrt(var))
-
-
-def posterior_update(
-    state: ChainState, schedule: AuxSchedule, a_k: np.ndarray
-) -> ChainState:
-    """Advance the chain one step after committing to the step value a_k."""
-    sig_sq, s_prev, s_next = _step_vars(state, schedule)
-    a_k = np.asarray(a_k, dtype=np.float64)
-    nu, rho_sq, b = posterior_moments(
-        state.nu, state.rho_sq, state.b, a_k, sig_sq, s_prev, s_next
-    )
-    return ChainState(nu=nu, rho_sq=rho_sq, b=b, k=state.k + 1, s_sq_remaining=s_next)
+    Given the full latent z and the partial sum b, a_k is the sigma_k^2 share
+    of the remaining gap z - b. Elementwise; batched leading axes allowed.
+    """
+    mean = (z - b) * (sig_sq / s_prev_sq)
+    return mean, np.maximum(s_next_sq * sig_sq / s_prev_sq, _VAR_FLOOR)
 
 
 def chain_kl_profile(

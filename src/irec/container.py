@@ -6,8 +6,9 @@ Layout (see docs/FORMAT.md for the hex-annotated example):
   names the step schedule, see chain.py), flags u8
   (bit 0 = residual section present), seed u64, omega f64, epsilon f64,
   model_id u64, block_count u32, latent_dim u32, image_width u32,
-  image_height u32. unpack requires a nonempty image and
-  block_count = ceil(width / 8) * ceil(height / 8).
+  image_height u32. ContainerHeader requires a nonempty image and
+  block_count = ceil(width / 8) * ceil(height / 8), so pack refuses such a
+  header with UsageError and unpack rejects it with FormatError.
 * one block per latent: K as LEB128 varint, then the index tuple packed as
   the mixed-radix integer sum_k i_k * M^k written big-endian in
   ceil(K * log2(M)) bits, zero-padded up to a byte boundary.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chain import samples_per_step
 from .codec import IndexTuple
@@ -53,6 +54,14 @@ class ContainerHeader:
     def __post_init__(self):
         if self.version not in VERSIONS:
             raise FormatError(f"unsupported version {self.version}")
+        if self.image_width == 0 or self.image_height == 0:
+            raise UsageError(f"empty image {self.image_width}x{self.image_height}")
+        tiles = -(-self.image_width // 8) * -(-self.image_height // 8)
+        if self.block_count != tiles:
+            raise UsageError(
+                f"block_count {self.block_count} does not tile a "
+                f"{self.image_width}x{self.image_height} image"
+            )
         # Validates omega/epsilon and the index width bound.
         samples_per_step(self.omega, self.epsilon)
 
@@ -163,12 +172,6 @@ def unpack(data: bytes) -> tuple[ContainerHeader, list[IndexTuple], bytes | None
         raise FormatError(f"unsupported version {version}")
     if not omega > 0 or epsilon < 0 or not math.isfinite(omega + epsilon):
         raise FormatError("invalid omega/epsilon in header")
-    if width == 0 or height == 0:
-        raise FormatError(f"empty image {width}x{height} in header")
-    if block_count != -(-width // 8) * -(-height // 8):
-        raise FormatError(
-            f"block_count {block_count} does not tile a {width}x{height} image"
-        )
     try:
         header = ContainerHeader(
             seed=seed,

@@ -55,17 +55,6 @@ class DiagGaussian:
         return DiagGaussian(np.zeros(dim), np.ones(dim))
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """Elementwise map z -> scale * z + shift."""
-
-    scale: np.ndarray
-    shift: np.ndarray
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        return self.scale * np.asarray(z, dtype=np.float64) + self.shift
-
-
 def _check_dims(q: DiagGaussian, p: DiagGaussian) -> None:
     if q.dim != p.dim:
         raise UsageError(f"dimension mismatch: {q.dim} vs {p.dim}")
@@ -99,12 +88,11 @@ def log_density(g: DiagGaussian, z: np.ndarray) -> float:
     return float(np.sum(-np.log(g.std) - 0.5 * (d * d + _LOG_2PI)))
 
 
-def whiten(q: DiagGaussian, p: DiagGaussian) -> tuple[DiagGaussian, AffineMap]:
+def whiten(q: DiagGaussian, p: DiagGaussian) -> DiagGaussian:
     """Re-express q in coordinates where p becomes the standard normal.
 
-    Returns the transformed target and the inverse map taking whitened
-    samples back to the original coordinates.
+    A whitened sample z maps back to the original coordinates as
+    p.std * z + p.mean.
     """
     _check_dims(q, p)
-    q_std = DiagGaussian((q.mean - p.mean) / p.std, q.std / p.std)
-    return q_std, AffineMap(scale=p.std.copy(), shift=p.mean.copy())
+    return DiagGaussian((q.mean - p.mean) / p.std, q.std / p.std)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import codec, container, model as model_mod, residual as residual_mod
 from .chain import AuxSchedule, build_schedule, schedule_from_steps
 from .codec import IndexTuple, RecConfig
 from .container import ContainerHeader
-from .errors import CorruptStreamError, FormatError, ModelMismatchError, UsageError
+from .errors import CorruptStreamError, FormatError, ModelMismatchError
 from .gauss import DiagGaussian, kl_divergence, whiten
 from .model import ImageGray8, LinearGaussianModel
 
@@ -50,7 +50,7 @@ def _encode_blocks(img: ImageGray8, model: LinearGaussianModel, cfg: RecConfig, 
     s_sq = model_mod.posterior_var(model)
     for i, patch in enumerate(model_mod.patchify(img)):
         q = model_mod.posterior(model, patch)
-        q_std, _ = whiten(q, prior)
+        q_std = whiten(q, prior)
         kl = kl_divergence(q_std, prior)
         schedule = build_schedule(kl, cfg.omega, cfg.epsilon, s_sq)
         targets.append(q_std)

@@ -17,13 +17,11 @@ schedule of container version 2, built for each target from its variances:
 import math
 
 import numpy as np
-import pytest
 
 from conftest import make_training_patches, sample_image
-from irec import chain as chain_mod
 from irec import codec, container, pipeline, residual, synthetic
 from irec.chain import build_schedule
-from irec.codec import IndexTuple, RecConfig
+from irec.codec import RecConfig
 from irec.errors import IrecError
 from irec.gauss import DiagGaussian
 from irec.model import ImageGray8, fit_ppca
@@ -103,70 +101,51 @@ def test_criterion_03_overhead_ordering():
 
 
 def test_criterion_04_chain_rule_identity():
-    from irec.gauss import kl_divergence
-
     rng = np.random.default_rng(1)
-    worst = 0.0
+    problems = []
     for _ in range(20):
         kl = float(rng.uniform(2.0, 8.0))
         q = synthetic_target(1, kl, rng)
-        profile = chain_mod.chain_kl_profile(
-            q, build_schedule(kl, 3.0, 0.2), trials=100_000, seed=int(rng.integers(2**31))
-        )
-        worst = max(worst, abs(float(profile.sum()) - kl) / kl)
+        problems.append((q, build_schedule(kl, 3.0, 0.2), int(rng.integers(2**31))))
     for _ in range(20):
         q = synthetic_target(16, 30.0, rng)
-        profile = chain_mod.chain_kl_profile(
-            q, build_schedule(30.0, 3.0, 0.2), trials=100_000, seed=int(rng.integers(2**31))
-        )
-        worst = max(worst, abs(float(profile.sum()) - 30.0) / 30.0)
-    report(4, worst <= 0.02, f"worst relative error {worst:.4f}")
+        problems.append((q, build_schedule(30.0, 3.0, 0.2), int(rng.integers(2**31))))
+    result = synthetic.check_chain_rule(problems, trials=100_000)
+    report(4, result.passed, result.detail)
 
 
 def test_criterion_05_conditional_moments():
     # The 3-SE bound applies per comparison; with 50 configs times up to 5
     # dimensions the max deviation is an order statistic that sits near 3 by
     # construction, so the run is pinned to a representative seed.
-    rng = np.random.default_rng(8)
-    n = 100_000
-    worst_mean = worst_var = 0.0
-    for _ in range(50):
+    def draw_problem(rng):
         dims = int(rng.integers(1, 6))
         kl = float(rng.uniform(4.0, 20.0))
         q = synthetic_target(dims, kl, rng)
         schedule = build_schedule(kl, 3.0, 0.2)
-        state = chain_mod.ChainState.initial(q)
-        for _ in range(int(rng.integers(0, schedule.K))):
-            t = chain_mod.aux_target(state, schedule)
-            state = chain_mod.posterior_update(
-                state, schedule, rng.normal(t.mean, t.std)
-            )
-        target = chain_mod.aux_target(state, schedule)
-        tails = schedule.tail_var()
-        sig_sq = float(schedule.sigma_sq[state.k])
-        s_prev, s_next = float(tails[state.k]), float(tails[state.k + 1])
-        z = rng.normal(state.nu, np.sqrt(state.rho_sq), size=(n, dims))
-        a = rng.normal(
-            (z - state.b) * (sig_sq / s_prev),
-            math.sqrt(max(s_next * sig_sq / s_prev, 1e-12)),
-        )
-        se_mean = target.std / math.sqrt(n)
-        se_var = target.var * math.sqrt(2.0 / n)
-        worst_mean = max(worst_mean, float(np.max(np.abs(a.mean(0) - target.mean) / se_mean)))
-        worst_var = max(worst_var, float(np.max(np.abs(a.var(0) - target.var) / se_var)))
-    ok = worst_mean <= 3.0 and worst_var <= 3.0
-    report(5, ok, f"worst mean dev {worst_mean:.2f} SE, var dev {worst_var:.2f} SE")
+        return q, schedule, int(rng.integers(0, schedule.K))
+
+    result = synthetic.check_target_moments(
+        np.random.default_rng(8), draw_problem, configs=50, samples=100_000
+    )
+    report(5, result.passed, result.detail)
 
 
 def test_criterion_06_per_step_kl_histogram(tmp_path):
-    result = synthetic._check_step_kl(seed=0, csv_path=tmp_path / "steps.csv")
+    rng = np.random.default_rng(0)
+    problems = []
+    for _ in range(20):
+        q = synthetic_target(16, 30.0, rng)
+        problems.append((q, build_schedule(30.0, 3.0, 0.2, q.var), int(rng.integers(2**31))))
+    result = synthetic.check_step_kl(problems, trials=2_000, csv_path=tmp_path / "steps.csv")
     assert (tmp_path / "steps.csv").exists()
     report(6, result.passed, result.detail)
 
 
 def test_criterion_07_stochastic_fidelity():
-    d = synthetic.stochastic_fidelity_ks(n_seeds=10_000, seed=1)
-    report(7, d <= 0.05, f"KS distance {d:.4f}")
+    q = DiagGaussian(np.array([0.5]), np.array([0.8]))
+    result = synthetic.check_stochastic_ks(q, samples=10_000, seed=1)
+    report(7, result.passed, result.detail)
 
 
 def test_criterion_08_round_trip_exactness(fitted_model):

@@ -5,21 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irec import chain
 from irec.chain import (
     AuxSchedule,
-    ChainState,
-    aux_target,
     build_schedule,
     chain_kl_profile,
     conditional_prior,
-    posterior_update,
+    posterior_moments,
     samples_per_step,
     schedule_from_steps,
+    target_moments,
 )
 from irec.errors import ConfigError, UsageError
 from irec.gauss import DiagGaussian, kl_divergence, log_density, log_density_ratio
-from irec.synthetic import synthetic_target
+from irec.synthetic import check_chain_rule, check_target_moments, synthetic_target
 
 
 def uni(mean, std):
@@ -136,80 +134,65 @@ class TestEqualKLSchedule:
                 schedule_from_steps(3, 3.0, 0.2, np.array(bad, dtype=np.float64))
 
 
+def step_vars(s, k):
+    """(sigma_k^2, tail variance before step k, tail variance after it)."""
+    tails = s.tail_var()
+    return float(s.sigma_sq[k]), float(tails[k]), float(tails[k + 1])
+
+
+def start(q):
+    """Chain state before the first step: (nu, rho_sq, b)."""
+    return q.mean, q.var, np.zeros(q.dim)
+
+
 class TestAuxTarget:
     def test_single_step_target_is_q(self):
         q = DiagGaussian(np.array([1.5, -0.5]), np.array([0.7, 1.2]))
         s = build_schedule(0.5, 3.0, 0.2)
-        t = aux_target(ChainState.initial(q), s)
-        assert np.allclose(t.mean, q.mean)
-        assert np.allclose(t.std, q.std)
+        mean, var = target_moments(*start(q), *step_vars(s, 0))
+        assert np.allclose(mean, q.mean)
+        assert np.allclose(var, q.var)
 
     def test_exhausted_posterior_reverts_to_coding(self):
         s = schedule_from_steps(3, 3.0, 0.2)
         tails = s.tail_var()
-        state = ChainState(
-            nu=np.array([0.8]),
-            rho_sq=np.array([1e-30]),
-            b=np.array([0.8]),
-            k=1,
-            s_sq_remaining=float(tails[1]),
+        mean, var = target_moments(
+            np.array([0.8]), np.array([1e-30]), np.array([0.8]), *step_vars(s, 1)
         )
-        t = aux_target(state, s)
-        assert t.mean[0] == pytest.approx(0.0, abs=1e-12)
+        assert mean[0] == pytest.approx(0.0, abs=1e-12)
         expect_var = float(tails[2] * s.sigma_sq[1] / tails[1])
-        assert t.var[0] == pytest.approx(expect_var, rel=1e-9)
+        assert var[0] == pytest.approx(expect_var, rel=1e-9)
 
     def test_matches_marginal_of_conditional_prior(self):
         # MC oracle: z ~ q, a1 ~ p(a1 | z) must reproduce the closed form.
-        rng = np.random.default_rng(5)
         q = uni(3.0, math.sqrt(0.1))
-        kl = kl_divergence(q, DiagGaussian.standard(1))
-        s = build_schedule(kl, 3.0, 0.2)
+        s = build_schedule(kl_divergence(q, DiagGaussian.standard(1)), 3.0, 0.2)
         assert s.K == 2
-        state = ChainState.initial(q)
-        n = 100_000
-        z = rng.normal(q.mean[0], q.std[0], size=n)
-        tails = s.tail_var()
-        sig_sq = float(s.sigma_sq[0])
-        cond_mean = z * sig_sq / tails[0]
-        cond_std = math.sqrt(tails[1] * sig_sq / tails[0])
-        a1 = rng.normal(cond_mean, cond_std)
-        t = aux_target(state, s)
-        se_mean = t.std[0] / math.sqrt(n)
-        assert abs(a1.mean() - t.mean[0]) <= 3 * se_mean
-        se_var = t.var[0] * math.sqrt(2.0 / n)
-        assert abs(a1.var() - t.var[0]) <= 3 * se_var
-
-    def test_chain_exhausted_error(self):
-        q = DiagGaussian.standard(1)
-        s = build_schedule(0.0, 3.0, 0.2)
-        state = posterior_update(ChainState.initial(q), s, np.array([0.3]))
-        with pytest.raises(UsageError):
-            aux_target(state, s)
+        rng = np.random.default_rng(5)
+        assert check_target_moments(rng, lambda rng: (q, s, 0), 1, 100_000).passed
 
 
 class TestConditionalPrior:
     def test_equal_split_two_steps(self):
         s = AuxSchedule(K=2, sigma_sq=np.array([0.5, 0.5]), omega=3.0, epsilon=0.2, M=37)
-        state = ChainState.initial(DiagGaussian.standard(1))
-        p = conditional_prior(state, s, np.array([2.0]))
-        assert p.mean[0] == pytest.approx(1.0, abs=1e-12)
-        assert p.var[0] == pytest.approx(0.25, abs=1e-12)
+        mean, var = conditional_prior(np.array([2.0]), np.zeros(1), *step_vars(s, 0))
+        assert mean[0] == pytest.approx(1.0, abs=1e-12)
+        assert var == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_sum_split_formula(self):
         # X ~ N(0, vx), Y ~ N(0, vy): p(x | x + y = z) = N(z vx/(vx+vy), vx vy/(vx+vy)).
         s = schedule_from_steps(2, 3.0, 0.2)
         vx, vy = float(s.sigma_sq[0]), float(s.sigma_sq[1])
         z = 1.7
-        p = conditional_prior(ChainState.initial(DiagGaussian.standard(1)), s, np.array([z]))
-        assert p.mean[0] == pytest.approx(z * vx / (vx + vy), rel=1e-12)
-        assert p.var[0] == pytest.approx(vx * vy / (vx + vy), rel=1e-9)
+        mean, var = conditional_prior(np.array([z]), np.zeros(1), *step_vars(s, 0))
+        assert mean[0] == pytest.approx(z * vx / (vx + vy), rel=1e-12)
+        assert var == pytest.approx(vx * vy / (vx + vy), rel=1e-9)
 
     def test_zero_gap_zero_mean(self):
         s = AuxSchedule(K=2, sigma_sq=np.array([0.5, 0.5]), omega=3.0, epsilon=0.2, M=37)
-        state = ChainState.initial(DiagGaussian.standard(1))
-        p = conditional_prior(state, s, state.b)
-        assert p.mean[0] == 0.0
+        b = np.array([0.6])
+        mean, _ = conditional_prior(b, b, *step_vars(s, 0))
+        assert mean[0] == 0.0
 
 
 class TestPosteriorUpdate:
@@ -217,36 +200,37 @@ class TestPosteriorUpdate:
         q = DiagGaussian(np.array([0.4]), np.array([0.9]))
         s = build_schedule(0.1, 3.0, 0.2)
         a1 = np.array([0.77])
-        state = posterior_update(ChainState.initial(q), s, a1)
-        assert state.nu[0] == pytest.approx(0.77, abs=1e-9)
-        assert state.b[0] == 0.77
-        assert state.rho_sq[0] <= 1e-9
+        nu, rho_sq, b = posterior_moments(*start(q), a1, *step_vars(s, 0))
+        assert nu[0] == pytest.approx(0.77, abs=1e-9)
+        assert b[0] == 0.77
+        assert rho_sq[0] <= 1e-9
 
     def test_full_chain_reconstruction(self):
         rng = np.random.default_rng(2)
         q = DiagGaussian(rng.normal(size=3), rng.uniform(0.3, 1.0, size=3))
         s = schedule_from_steps(4, 3.0, 0.2)
-        state = ChainState.initial(q)
+        nu, rho_sq, b = start(q)
         total = np.zeros(3)
-        for _ in range(s.K):
-            t = aux_target(state, s)
-            a = rng.normal(t.mean, t.std)
+        for k in range(s.K):
+            mean, var = target_moments(nu, rho_sq, b, *step_vars(s, k))
+            a = rng.normal(mean, np.sqrt(var))
             total += a
-            state = posterior_update(state, s, a)
-        assert np.allclose(state.b, total)
-        assert np.all(state.rho_sq <= 1e-9)
+            nu, rho_sq, b = posterior_moments(nu, rho_sq, b, a, *step_vars(s, k))
+        assert np.allclose(b, total)
+        assert np.all(rho_sq <= 1e-9)
 
     def test_prior_target_matches_marginal_each_step(self):
         # q == coding prior: every conditional target is the step marginal.
         rng = np.random.default_rng(3)
         q = DiagGaussian.standard(2)
         s = schedule_from_steps(5, 3.0, 0.2)
-        state = ChainState.initial(q)
+        nu, rho_sq, b = start(q)
         for k in range(s.K):
-            t = aux_target(state, s)
-            assert np.allclose(t.mean, 0.0, atol=1e-9)
-            assert np.allclose(t.var, s.sigma_sq[k], atol=1e-9)
-            state = posterior_update(state, s, rng.normal(0, math.sqrt(s.sigma_sq[k]), 2))
+            mean, var = target_moments(nu, rho_sq, b, *step_vars(s, k))
+            assert np.allclose(mean, 0.0, atol=1e-9)
+            assert np.allclose(var, s.sigma_sq[k], atol=1e-9)
+            a = rng.normal(0, math.sqrt(s.sigma_sq[k]), 2)
+            nu, rho_sq, b = posterior_moments(nu, rho_sq, b, a, *step_vars(s, k))
 
     def test_marginalization_recovers_q(self):
         # Ancestral chain samples are distributed as q.
@@ -254,18 +238,13 @@ class TestPosteriorUpdate:
         q = uni(1.3, 0.6)
         s = schedule_from_steps(3, 3.0, 0.2)
         n = 100_000
-        tails = s.tail_var()
         nu = np.full(n, q.mean[0])
         rho_sq = np.full(n, q.var[0])
         b = np.zeros(n)
         for k in range(s.K):
-            sig_sq = float(s.sigma_sq[k])
-            s_prev, s_next = float(tails[k]), float(tails[k + 1])
-            mean, var = chain.target_moments(nu, rho_sq, b, sig_sq, s_prev, s_next)
+            mean, var = target_moments(nu, rho_sq, b, *step_vars(s, k))
             a = rng.normal(mean, np.sqrt(var))
-            nu, rho_sq, b = chain.posterior_moments(
-                nu, rho_sq, b, a, sig_sq, s_prev, s_next
-            )
+            nu, rho_sq, b = posterior_moments(nu, rho_sq, b, a, *step_vars(s, k))
         se_mean = q.std[0] / math.sqrt(n)
         assert abs(b.mean() - q.mean[0]) <= 3 * se_mean
         se_var = q.var[0] * math.sqrt(2.0 / n)
@@ -278,17 +257,18 @@ class TestPosteriorUpdate:
             d = int(rng.integers(1, 5))
             q = DiagGaussian(rng.normal(size=d), rng.uniform(0.3, 1.5, size=d))
             s = schedule_from_steps(int(rng.integers(1, 7)), 3.0, 0.2)
-            state = ChainState.initial(q)
+            nu, rho_sq, b = start(q)
             cum = 0.0
             for k in range(s.K):
-                t = aux_target(state, s)
+                mean, var = target_moments(nu, rho_sq, b, *step_vars(s, k))
+                t = DiagGaussian(mean, np.sqrt(var))
                 a = rng.normal(t.mean, t.std)
                 step_prior = DiagGaussian(
                     np.zeros(d), np.full(d, math.sqrt(float(s.sigma_sq[k])))
                 )
                 cum += log_density(t, a) - log_density(step_prior, a)
-                state = posterior_update(state, s, a)
-            final = log_density_ratio(q, DiagGaussian.standard(d), state.b)
+                nu, rho_sq, b = posterior_moments(nu, rho_sq, b, a, *step_vars(s, k))
+            final = log_density_ratio(q, DiagGaussian.standard(d), b)
             assert cum == pytest.approx(final, abs=1e-9)
 
 
@@ -303,8 +283,7 @@ class TestKLProfile:
         kl = kl_divergence(q, DiagGaussian.standard(1))
         assert kl == pytest.approx(5.2013, abs=1e-4)
         s = build_schedule(kl, 3.0, 0.2)
-        profile = chain_kl_profile(q, s, trials=100_000, seed=1)
-        assert abs(float(profile.sum()) - kl) / kl <= 0.02
+        assert check_chain_rule([(q, s, 1)], trials=100_000).passed
 
     def test_rejects_tiny_trial_counts(self):
         with pytest.raises(UsageError):

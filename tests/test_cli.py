@@ -186,6 +186,8 @@ class TestValidate:
             "encode-determinism",
         ):
             assert name in out
+        # Every check prints its measured value next to its bound.
+        assert out.count("bound") == 5
         assert csv.exists()
         assert csv.read_text().startswith("step,mean_kl_nats,omega")
         # At seed 0 every check passes; the per-step KL check sees each mean

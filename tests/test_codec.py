@@ -1,5 +1,4 @@
 import inspect
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from irec import codec, stream
 from irec.chain import build_schedule, schedule_from_steps
 from irec.codec import IndexTuple, RecConfig, decode, encode, importance_select
 from irec.errors import ConfigError, CorruptStreamError, NumericError, UsageError
-from irec.gauss import DiagGaussian, kl_divergence
+from irec.gauss import DiagGaussian
 from irec.synthetic import synthetic_target
 
 CFG = RecConfig(omega=3.0, epsilon=0.2, beams=4)

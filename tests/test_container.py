@@ -1,9 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from irec import container
 from irec.codec import IndexTuple
 from irec.container import (
     HEADER_SIZE,
@@ -32,6 +32,14 @@ def header(omega=3.0, epsilon=0.2, blocks=1, latent=4, **kw):
     )
     base.update(kw)
     return ContainerHeader(**base)
+
+
+def relabel(data, blocks, width, height):
+    """Overwrite block_count, image_width and image_height of a packed file."""
+    out = bytearray(data)
+    struct.pack_into("<I", out, 38, blocks)
+    struct.pack_into("<II", out, 46, width, height)
+    return bytes(out)
 
 
 class TestVarint:
@@ -105,11 +113,13 @@ class TestPackUnpack:
             assert res2 == (residual if use_res else None)
 
     def test_empty_block_list(self):
-        # No image has zero patches, so a header-only file is malformed.
-        data = pack(header(blocks=0), [])
-        assert len(data) == HEADER_SIZE
+        # No image has zero patches: such a header cannot be built, and a
+        # hand-built header-only file is malformed.
+        with pytest.raises(UsageError):
+            header(blocks=0)
+        data = pack(header(), [IndexTuple((0,))])[:HEADER_SIZE]
         with pytest.raises(FormatError):
-            unpack(data)
+            unpack(relabel(data, 0, 8, 0))
 
     def test_block_count_mismatch(self):
         with pytest.raises(UsageError):
@@ -147,10 +157,12 @@ class TestCorruptInput:
         [(16, 16, 1), (8, 8, 4), (9, 8, 1), (17, 17, 4), (0, 8, 0), (8, 0, 0), (0, 0, 1)],
     )
     def test_block_count_must_tile_image(self, width, height, blocks):
-        h = header(blocks=blocks, image_width=width, image_height=height)
-        data = pack(h, [IndexTuple((1,))] * blocks)
+        with pytest.raises(UsageError):
+            header(blocks=blocks, image_width=width, image_height=height)
+        n = max(blocks, 1)
+        data = pack(header(blocks=n), [IndexTuple((1,))] * n)
         with pytest.raises(FormatError):
-            unpack(data)
+            unpack(relabel(data, blocks, width, height))
 
     @pytest.mark.parametrize("width,height,blocks", [(1, 1, 1), (9, 8, 2), (17, 17, 9)])
     def test_partial_patches_count(self, width, height, blocks):

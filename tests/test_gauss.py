@@ -124,15 +124,13 @@ class TestLogDensityRatio:
 
 class TestWhiten:
     def test_identity(self):
-        q_std, m = whiten(DiagGaussian.standard(2), DiagGaussian.standard(2))
+        q_std = whiten(DiagGaussian.standard(2), DiagGaussian.standard(2))
         assert np.all(q_std.mean == 0) and np.all(q_std.std == 1)
-        assert np.array_equal(m.apply(np.array([1.5, -2.0])), [1.5, -2.0])
 
     def test_affine_example(self):
-        q_std, m = whiten(g(2, 1), g(2, 2))
+        q_std = whiten(g(2, 1), g(2, 2))
         assert q_std.mean[0] == 0.0
         assert q_std.std[0] == 0.5
-        assert m.apply(q_std.mean)[0] == 2.0
 
     def test_kl_invariance(self):
         rng = np.random.default_rng(11)
@@ -140,11 +138,11 @@ class TestWhiten:
         for _ in range(1000):
             q = DiagGaussian(rng.normal(size=5), rng.uniform(0.2, 3, size=5))
             p = DiagGaussian(rng.normal(size=5), rng.uniform(0.2, 3, size=5))
-            q_std, _ = whiten(q, p)
+            q_std = whiten(q, p)
             assert abs(kl_divergence(q, p) - kl_divergence(q_std, prior)) <= 1e-9
 
     def test_inverse_map_recovers_moments(self):
         q, p = g([3.0, -1.0], [0.5, 2.0]), g([1.0, 1.0], [2.0, 4.0])
-        q_std, m = whiten(q, p)
-        assert np.allclose(m.apply(q_std.mean), q.mean)
-        assert np.allclose(m.scale * q_std.std, q.std)
+        q_std = whiten(q, p)
+        assert np.allclose(p.std * q_std.mean + p.mean, q.mean)
+        assert np.allclose(p.std * q_std.std, q.std)

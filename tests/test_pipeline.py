@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_training_patches, sample_image
-from irec import container, pipeline
+from irec import container
 from irec.codec import RecConfig
 from irec.errors import (
     CorruptStreamError,
