@@ -11,7 +11,7 @@ from .errors import (
     NumericError,
     UsageError,
 )
-from .gauss import DiagGaussian, kl_divergence, log_density_ratio, whiten
+from .gauss import DiagGaussian, kl_divergence, whiten
 from .model import ImageGray8, LinearGaussianModel, fit_ppca
 from .pipeline import (
     CompressionResult,
@@ -46,7 +46,6 @@ __all__ = [
     "fit_ppca",
     "importance_select",
     "kl_divergence",
-    "log_density_ratio",
     "schedule_from_steps",
     "whiten",
 ]

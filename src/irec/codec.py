@@ -59,14 +59,11 @@ class IndexTuple:
         return len(self.indices)
 
 
-def importance_select(
-    weights: np.ndarray, mode: str = "greedy", u: float | None = None
-) -> int:
-    """Select a sample index from nonnegative importance weights.
+def importance_select(weights: np.ndarray, u: float) -> int:
+    """Pick a sample index with probability proportional to its weight.
 
-    Greedy returns the smallest argmax; stochastic picks proportionally to
-    weight, driven by the caller-supplied uniform so selection stays
-    reproducible, and never returns an index of zero weight.
+    The caller supplies the uniform u in [0, 1), so selection stays
+    reproducible; an index of zero weight is never returned.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.size == 0 or np.any(np.isnan(weights)) or np.any(weights < 0):
@@ -74,17 +71,13 @@ def importance_select(
     total = float(weights.sum())
     if total <= 0 or not np.isfinite(total):
         raise NumericError("weights sum to zero or overflow")
-    if mode == "greedy":
-        return int(np.argmax(weights))
-    if mode == "stochastic":
-        if u is None or not 0.0 <= u < 1.0:
-            raise UsageError("stochastic mode needs a uniform u in [0, 1)")
-        cdf = np.cumsum(weights)
-        pick = int(np.searchsorted(cdf, u * total, side="right"))
-        # u * total (a pairwise sum) can reach past cdf[-1] (a running sum);
-        # such a draw belongs to the last index with any weight.
-        return min(pick, int(np.flatnonzero(weights)[-1]))
-    raise UsageError(f"unknown mode {mode!r}")
+    if not 0.0 <= u < 1.0:
+        raise UsageError("u must lie in [0, 1)")
+    cdf = np.cumsum(weights)
+    pick = int(np.searchsorted(cdf, u * total, side="right"))
+    # u * total (a pairwise sum) can reach past cdf[-1] (a running sum);
+    # such a draw belongs to the last index with any weight.
+    return min(pick, int(np.flatnonzero(weights)[-1]))
 
 
 def top_b(scores: np.ndarray, keep: int) -> np.ndarray:
@@ -222,9 +215,7 @@ def _encode_chunk(mean, std, schedule, cfg, seed, blocks, scratch):
             w_log = cand[:, 0]
             w = np.exp(w_log - np.max(w_log, axis=1, keepdims=True))
             u = stream.draw_uniforms(seed, blocks, k, m)
-            order = np.array(
-                [[importance_select(w[i], "stochastic", u[i])] for i in range(g)]
-            )
+            order = np.array([[importance_select(w[i], u[i])] for i in range(g)])
         else:
             # Candidate order is lexicographic (beam-major), so ties resolve
             # to the smallest tuple.

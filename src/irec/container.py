@@ -3,8 +3,9 @@
 Layout (see docs/FORMAT.md for the hex-annotated example):
 
 * header, 54 bytes, little-endian: magic "IREC", version u8 (1 or 2; it
-  names the step schedule, see chain.py), flags u8
-  (bit 0 = residual section present), seed u64, omega f64, epsilon f64,
+  names the step schedule, see chain.py), flags u8 (bit 0 = residual
+  section present; bits 1-7 are reserved, never written, and rejected with
+  FormatError), seed u64, omega f64, epsilon f64,
   model_id u64, block_count u32, latent_dim u32, image_width u32,
   image_height u32. ContainerHeader requires a nonempty image and
   block_count = ceil(width / 8) * ceil(height / 8), so pack refuses such a
@@ -48,7 +49,6 @@ class ContainerHeader:
     latent_dim: int
     image_width: int
     image_height: int
-    flags: int = 0
     version: int = VERSION
 
     def __post_init__(self):
@@ -116,14 +116,11 @@ def pack(
             f"block_count {header.block_count} != number of blocks {len(blocks)}"
         )
     m = header.M
-    flags = (header.flags & ~FLAG_RESIDUAL) | (
-        FLAG_RESIDUAL if residual is not None else 0
-    )
     out = bytearray(
         _HEADER.pack(
             MAGIC,
             header.version,
-            flags,
+            0 if residual is None else FLAG_RESIDUAL,
             header.seed,
             header.omega,
             header.epsilon,
@@ -170,6 +167,8 @@ def unpack(data: bytes) -> tuple[ContainerHeader, list[IndexTuple], bytes | None
         raise FormatError(f"bad magic {magic!r}")
     if version not in VERSIONS:
         raise FormatError(f"unsupported version {version}")
+    if flags & ~FLAG_RESIDUAL:
+        raise FormatError(f"reserved flag bits set in {flags:#04x}")
     if not omega > 0 or epsilon < 0 or not math.isfinite(omega + epsilon):
         raise FormatError("invalid omega/epsilon in header")
     try:
@@ -182,7 +181,6 @@ def unpack(data: bytes) -> tuple[ContainerHeader, list[IndexTuple], bytes | None
             latent_dim=latent_dim,
             image_width=width,
             image_height=height,
-            flags=flags,
             version=version,
         )
     except (UsageError, ConfigError) as exc:

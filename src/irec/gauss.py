@@ -1,4 +1,4 @@
-"""Diagonal Gaussian algebra: densities, KL divergence, prior whitening.
+"""Diagonal Gaussian algebra: KL divergence and prior whitening.
 
 All probability arithmetic is float64 and in nats; bits appear only at
 serialization boundaries.
@@ -14,8 +14,6 @@ from .errors import UsageError
 
 # Collapsed posterior dimensions are clamped here so log-densities stay finite.
 STD_FLOOR = 1e-6
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -66,26 +64,6 @@ def kl_divergence(q: DiagGaussian, p: DiagGaussian) -> float:
     ratio = q.var / p.var
     delta = (q.mean - p.mean) / p.std
     return float(0.5 * np.sum(ratio + delta * delta - 1.0 - np.log(ratio)))
-
-
-def log_density_ratio(q: DiagGaussian, p: DiagGaussian, z: np.ndarray) -> float:
-    """log q(z) - log p(z) in nats."""
-    _check_dims(q, p)
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != q.mean.shape:
-        raise UsageError(f"point dimension mismatch: {z.shape}")
-    dq = (z - q.mean) / q.std
-    dp = (z - p.mean) / p.std
-    return float(
-        np.sum(np.log(p.std) - np.log(q.std) + 0.5 * (dp * dp - dq * dq))
-    )
-
-
-def log_density(g: DiagGaussian, z: np.ndarray) -> float:
-    """log density of z under g, in nats."""
-    z = np.asarray(z, dtype=np.float64)
-    d = (z - g.mean) / g.std
-    return float(np.sum(-np.log(g.std) - 0.5 * (d * d + _LOG_2PI)))
 
 
 def whiten(q: DiagGaussian, p: DiagGaussian) -> DiagGaussian:

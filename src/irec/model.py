@@ -6,8 +6,8 @@ largest-magnitude component of each column is positive). Pixels are modeled
 in raw [0, 255] units, mean-centered by mu.
 
 Model files use the "LGM1" format: magic, D u32, L u32, mu (D f64 LE),
-W (D*L f64 LE row-major), noise variance f64 LE. model_id is FNV-1a-64 over
-the file bytes.
+W (D*L f64 LE row-major), noise variance f64 LE, all finite. model_id is
+FNV-1a-64 over the file bytes.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class LinearGaussianModel:
     W: np.ndarray  # (D, L)
     mu: np.ndarray  # (D,)
     noise_var: float
-    patch: int = PATCH_SIDE
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=np.float64)
@@ -116,6 +115,8 @@ def load_model(path) -> LinearGaussianModel:
     noise_var = float(
         np.frombuffer(data, dtype="<f8", count=1, offset=12 + 8 * d * (1 + latent))[0]
     )
+    if not (np.isfinite(mu).all() and np.isfinite(w).all() and math.isfinite(noise_var)):
+        raise FormatError("model file holds a non-finite parameter")
     return LinearGaussianModel(W=w.reshape(d, latent), mu=mu, noise_var=noise_var)
 
 

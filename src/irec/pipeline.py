@@ -7,7 +7,9 @@ same step count K share it and are index coded together
 (codec.encode_blocks); version-1 files decode with the power-law schedule.
 The lossless path appends a range-coded residual of x minus the quantized
 reconstruction, using the decoded (possibly biased) latent on both sides so
-encoder and decoder stay synchronized.
+encoder and decoder stay synchronized; a decoded residual that takes a pixel
+outside [0, 255] can only come from a corrupt file. Lossy and lossless share
+one body per direction (_compress, _decompress).
 """
 
 from __future__ import annotations
@@ -79,35 +81,48 @@ def _reconstruct_image(
     return ImageGray8(width=width, height=height, pixels=plane.astype(np.uint8))
 
 
-def _header_for(
-    img: ImageGray8, model: LinearGaussianModel, cfg: RecConfig, seed: int, nblocks: int
-) -> ContainerHeader:
-    return ContainerHeader(
+def compress_lossy(
+    img: ImageGray8, model: LinearGaussianModel, cfg: RecConfig, seed: int
+) -> CompressionResult:
+    return _compress(img, model, cfg, seed, lossless=False)
+
+
+def compress_lossless(
+    img: ImageGray8, model: LinearGaussianModel, cfg: RecConfig, seed: int
+) -> CompressionResult:
+    return _compress(img, model, cfg, seed, lossless=True)
+
+
+def _compress(
+    img: ImageGray8, model: LinearGaussianModel, cfg: RecConfig, seed: int, lossless: bool
+) -> CompressionResult:
+    t0 = time.perf_counter()
+    blocks, kls, zs = _encode_blocks(img, model, cfg, seed)
+    recon = _reconstruct_image(zs, model, img.width, img.height)
+    section = None
+    if lossless:
+        residuals = (
+            img.pixels.astype(np.int64) - recon.pixels.astype(np.int64)
+        ).reshape(-1)
+        coded = residual_mod.encode_residuals(residuals, math.sqrt(model.noise_var))
+        section = len(residuals).to_bytes(4, "little") + coded
+    header = ContainerHeader(
         seed=seed,
         omega=cfg.omega,
         epsilon=cfg.epsilon,
         model_id=model.model_id,
-        block_count=nblocks,
+        block_count=len(blocks),
         latent_dim=model.latent_dim,
         image_width=img.width,
         image_height=img.height,
     )
-
-
-def compress_lossy(
-    img: ImageGray8, model: LinearGaussianModel, cfg: RecConfig, seed: int
-) -> CompressionResult:
-    t0 = time.perf_counter()
-    blocks, kls, zs = _encode_blocks(img, model, cfg, seed)
-    header = _header_for(img, model, cfg, seed, len(blocks))
-    data = container.pack(header, blocks)
-    recon = _reconstruct_image(zs, model, img.width, img.height)
+    data = container.pack(header, blocks, residual=section)
     report = container.codelength_report(header, blocks, kls)
     return CompressionResult(
         data=data,
         kl_per_block=kls,
         payload_bits=report["payload_bits"] + report["varint_bits"],
-        residual_bits=0,
+        residual_bits=0 if section is None else 8 * len(section),
         bpp=8.0 * len(data) / (img.width * img.height),
         psnr=model_mod.psnr(img, recon),
         seconds=time.perf_counter() - t0,
@@ -132,64 +147,37 @@ def _decode_blocks(header: ContainerHeader, blocks, model: LinearGaussianModel):
 
 
 def decompress_lossy(data: bytes, model: LinearGaussianModel) -> ImageGray8:
-    header, blocks, _ = container.unpack(data)
-    zs = _decode_blocks(header, blocks, model)
-    return _reconstruct_image(zs, model, header.image_width, header.image_height)
-
-
-def _residual_model(model: LinearGaussianModel) -> residual_mod.DiscretizedGaussian:
-    return residual_mod.DiscretizedGaussian(
-        mu=0.0, sigma=math.sqrt(model.noise_var), lo=-255, hi=255
-    )
-
-
-def compress_lossless(
-    img: ImageGray8, model: LinearGaussianModel, cfg: RecConfig, seed: int
-) -> CompressionResult:
-    t0 = time.perf_counter()
-    blocks, kls, zs = _encode_blocks(img, model, cfg, seed)
-    recon = _reconstruct_image(zs, model, img.width, img.height)
-    residuals = (
-        img.pixels.astype(np.int64) - recon.pixels.astype(np.int64)
-    ).reshape(-1)
-    coded = residual_mod.encode_residuals(residuals, _residual_model(model))
-    section = len(residuals).to_bytes(4, "little") + coded
-    header = _header_for(img, model, cfg, seed, len(blocks))
-    data = container.pack(header, blocks, residual=section)
-    report = container.codelength_report(header, blocks, kls)
-    return CompressionResult(
-        data=data,
-        kl_per_block=kls,
-        payload_bits=report["payload_bits"] + report["varint_bits"],
-        residual_bits=8 * len(section),
-        bpp=8.0 * len(data) / (img.width * img.height),
-        psnr=model_mod.psnr(img, recon),
-        seconds=time.perf_counter() - t0,
-    )
+    return _decompress(data, model, lossless=False)
 
 
 def decompress_lossless(data: bytes, model: LinearGaussianModel) -> ImageGray8:
+    return _decompress(data, model, lossless=True)
+
+
+def _decompress(data: bytes, model: LinearGaussianModel, lossless: bool) -> ImageGray8:
     header, blocks, section = container.unpack(data)
-    if section is None:
+    if lossless and section is None:
         raise FormatError("container has no residual section")
     zs = _decode_blocks(header, blocks, model)
-    recon = _reconstruct_image(zs, model, header.image_width, header.image_height)
+    width, height = header.image_width, header.image_height
+    recon = _reconstruct_image(zs, model, width, height)
+    if not lossless:
+        return recon
     if len(section) < 4:
         raise CorruptStreamError("residual section shorter than its count field")
     count = int.from_bytes(section[:4], "little")
-    npix = header.image_width * header.image_height
-    if count != npix:
-        raise CorruptStreamError(f"residual count {count} != pixel count {npix}")
+    if count != width * height:
+        raise CorruptStreamError(
+            f"residual count {count} != pixel count {width * height}"
+        )
     residuals = residual_mod.decode_residuals(
-        section[4:], _residual_model(model), count
+        section[4:], math.sqrt(model.noise_var), count
     )
-    pixels = recon.pixels.astype(np.int64) + residuals.reshape(
-        header.image_height, header.image_width
-    )
-    pixels = np.clip(pixels, 0, 255).astype(np.uint8)
-    return ImageGray8(
-        width=header.image_width, height=header.image_height, pixels=pixels
-    )
+    pixels = recon.pixels.astype(np.int64) + residuals.reshape(height, width)
+    # A valid file's residuals are x - x_hat, so this sum is x itself.
+    if pixels.min() < 0 or pixels.max() > 255:
+        raise CorruptStreamError("residual moves a pixel outside [0, 255]")
+    return ImageGray8(width=width, height=height, pixels=pixels.astype(np.uint8))
 
 
 def model_elbo_bits(img: ImageGray8, model: LinearGaussianModel) -> float:
@@ -203,7 +191,7 @@ def model_elbo_bits(img: ImageGray8, model: LinearGaussianModel) -> float:
         kl_divergence(model_mod.posterior(model, p), prior)
         for p in model_mod.patchify(img)
     )
-    freq = residual_mod.pmf_quantized(_residual_model(model))
+    freq = residual_mod.pmf_quantized(math.sqrt(model.noise_var))
     p = freq / freq.sum()
     entropy_bits = float(-np.sum(p * np.log2(p)))
     return kl_total / _LN2 + entropy_bits * img.width * img.height

@@ -1,11 +1,14 @@
-"""Lossless residual channel: range coder over discretized-Gaussian symbols.
+"""Lossless residual channel: range coder over one discretized-Gaussian model.
 
+Every residual is coded under the same symbol model (FORMAT.md §6): a
+Gaussian with mean 0 and standard deviation sigma, discretized on the
+support [LO, HI] = [-255, 255] into 16-bit frequencies. The Gaussian CDF is
+a fixed rational approximation, so encoder and decoder derive identical
+frequency tables from the same sigma, and each sigma's table is built once
+and cached.
 The coder is the classic carry-propagating byte-renormalized range coder
-(32-bit range, 64-bit low with cache/carry), with 16-bit symbol frequencies.
-Its per-symbol loops run on Python ints, and each symbol model's frequency
-table is built once and cached.
-The Gaussian CDF is a fixed rational approximation so encoder and decoder
-always derive identical frequency tables from the same (mu, sigma).
+(32-bit range, 64-bit low with cache/carry); its per-symbol loops run on
+Python ints.
 """
 
 from __future__ import annotations
@@ -13,14 +16,13 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CorruptStreamError, UsageError
+from .errors import CorruptStreamError, UsageError
 
-PRECISION_BITS = 16
-TOTAL_FREQ = 1 << PRECISION_BITS
+LO, HI = -255, 255
+TOTAL_FREQ = 1 << 16
 
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
@@ -44,48 +46,29 @@ def norm_cdf(x) -> np.ndarray:
     return np.where(x >= 0, upper, 1.0 - upper)
 
 
-@dataclass(frozen=True)
-class DiscretizedGaussian:
-    """Integer symbol model: pmf(r) from the Gaussian CDF over [lo, hi]."""
+def pmf_quantized(sigma: float) -> np.ndarray:
+    """Frequencies of the symbols LO..HI, summing exactly to TOTAL_FREQ.
 
-    mu: float
-    sigma: float
-    lo: int = -255
-    hi: int = 255
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise UsageError("sigma must be positive")
-        if self.hi < self.lo:
-            raise UsageError("empty support")
-
-
-def pmf_quantized(model: DiscretizedGaussian, precision_bits: int = PRECISION_BITS) -> np.ndarray:
-    """Integer frequency table summing exactly to 2**precision_bits.
-
-    Every in-support symbol keeps at least one tick; the rounding surplus or
-    deficit is absorbed by the most probable symbols.
+    Every symbol keeps at least one tick; the rounding surplus or deficit is
+    absorbed by the most probable symbols.
     """
-    total = 1 << precision_bits
-    support = model.hi - model.lo + 1
-    if support > total:
-        raise ConfigError(f"support {support} wider than {total} symbols")
-    r = np.arange(model.lo, model.hi + 1, dtype=np.float64)
-    upper = norm_cdf((r + 0.5 - model.mu) / model.sigma)
-    lower = norm_cdf((r - 0.5 - model.mu) / model.sigma)
-    p = np.maximum(upper - lower, 0.0)
+    if not sigma > 0:
+        raise UsageError("sigma must be positive")
+    r = np.arange(LO, HI + 1, dtype=np.float64)
+    p = np.maximum(norm_cdf((r + 0.5) / sigma) - norm_cdf((r - 0.5) / sigma), 0.0)
     mass = p.sum()
     if mass <= 0:
-        # Degenerate model entirely outside the support: nearest edge wins.
-        p[np.argmin(np.abs(r - model.mu))] = 1.0
+        # So wide that every symbol's mass rounds to zero (a model file can
+        # hold such a noise variance): the centre symbol takes it all.
+        p[-LO] = 1.0
         mass = 1.0
-    freq = np.maximum(np.rint(p / mass * total).astype(np.int64), 1)
-    excess = int(freq.sum()) - total
+    freq = np.maximum(np.rint(p / mass * TOTAL_FREQ).astype(np.int64), 1)
+    excess = int(freq.sum()) - TOTAL_FREQ
     while excess > 0:
+        # The largest of HI - LO + 1 < TOTAL_FREQ frequencies summing past
+        # TOTAL_FREQ is above 1, so every pass takes at least one tick.
         i = int(np.argmax(freq))
         take = min(excess, int(freq[i]) - 1)
-        if take == 0:
-            raise ConfigError("cannot normalize frequency table")
         freq[i] -= take
         excess -= take
     if excess < 0:
@@ -94,13 +77,13 @@ def pmf_quantized(model: DiscretizedGaussian, precision_bits: int = PRECISION_BI
 
 
 @functools.lru_cache(maxsize=64)
-def _table(model: DiscretizedGaussian) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(frequencies, cumulative frequencies) of one symbol model, as ints.
+def _table(sigma: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(frequencies, cumulative frequencies) of one sigma's model, as ints.
 
-    Built once per model; pmf_quantized is looked up as a module global so a
+    Built once per sigma; pmf_quantized is looked up as a module global so a
     cache miss is visible to anything that wraps it.
     """
-    freq = pmf_quantized(model).tolist()
+    freq = pmf_quantized(sigma).tolist()
     return tuple(freq), tuple(itertools.accumulate(freq, initial=0))
 
 
@@ -115,30 +98,15 @@ def _shift_low(low: int, cache: int, cache_size: int, out: bytearray):
     return (low << 8) & _MASK32, cache, cache_size + 1
 
 
-def _model_list(models, count: int):
-    if isinstance(models, DiscretizedGaussian):
-        return [models] * count
-    models = list(models)
-    if len(models) != count:
-        raise UsageError(f"expected {count} symbol models, got {len(models)}")
-    return models
-
-
-def encode_residuals(residuals, models) -> bytes:
-    """Range-code integer residuals under their per-symbol Gaussian models."""
-    residuals = np.asarray(residuals, dtype=np.int64)
-    models = _model_list(models, residuals.size)
+def encode_residuals(residuals, sigma: float) -> bytes:
+    """Range-code integer residuals in [LO, HI] under the model of sigma."""
+    freq, cum = _table(sigma)
     low, rng, cache, cache_size = 0, _MASK32, 0, 1
     out = bytearray()
-    model = None
-    for value, next_model in zip(residuals.tolist(), models):
-        if next_model is not model:
-            model = next_model
-            freq, cum = _table(model)
-            lo, hi = model.lo, model.hi
-        if not lo <= value <= hi:
-            raise UsageError(f"residual {value} outside [{lo}, {hi}]")
-        sym = value - lo
+    for value in np.asarray(residuals, dtype=np.int64).tolist():
+        if not LO <= value <= HI:
+            raise UsageError(f"residual {value} outside [{LO}, {HI}]")
+        sym = value - LO
         r = rng // TOTAL_FREQ
         low += cum[sym] * r
         rng = r * freq[sym]
@@ -150,23 +118,18 @@ def encode_residuals(residuals, models) -> bytes:
     return bytes(out)
 
 
-def decode_residuals(data: bytes, models, count: int) -> np.ndarray:
-    """Exact inverse of encode_residuals given identical models."""
-    models = _model_list(models, count)
+def decode_residuals(data: bytes, sigma: float, count: int) -> np.ndarray:
+    """Exact inverse of encode_residuals given the same sigma."""
     if count == 0:
         return np.zeros(0, dtype=np.int64)
     if len(data) < 5:
         raise CorruptStreamError("range coder input exhausted")
+    freq, cum = _table(sigma)
     code = int.from_bytes(data[:5], "big") & _MASK32
     pos, end = 5, len(data)
     rng = _MASK32
     out = []
-    model = None
-    for next_model in models:
-        if next_model is not model:
-            model = next_model
-            freq, cum = _table(model)
-            lo = model.lo
+    for _ in range(count):
         rng //= TOTAL_FREQ
         sym = bisect.bisect_right(cum, min(code // rng, TOTAL_FREQ - 1)) - 1
         code -= cum[sym] * rng
@@ -177,5 +140,5 @@ def decode_residuals(data: bytes, models, count: int) -> np.ndarray:
             code = ((code << 8) | data[pos]) & _MASK32
             pos += 1
             rng = (rng << 8) & _MASK32
-        out.append(sym + lo)
+        out.append(sym + LO)
     return np.array(out, dtype=np.int64)

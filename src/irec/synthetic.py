@@ -61,15 +61,12 @@ class BiasRow:
 
 
 def bias_study(
-    beam_list,
-    kl_target: float,
-    dims: int,
-    trials: int,
-    seed: int,
-    omega: float = 3.0,
-    epsilon: float = 0.2,
+    beam_list, kl_target: float, dims: int, trials: int, seed: int
 ) -> list[BiasRow]:
-    """Mean final log q(z)/p(z) per beam count over a fixed problem set."""
+    """Mean final log q(z)/p(z) per beam count over a fixed problem set.
+
+    Runs at the published omega = 3 and epsilon = 0.2 (RecConfig's defaults).
+    """
     if trials < 30:
         raise UsageError("trials must be >= 30")
     rng = np.random.default_rng(seed)
@@ -79,10 +76,10 @@ def bias_study(
     ]
     rows = []
     for beams in beam_list:
-        cfg = RecConfig(omega=omega, epsilon=epsilon, beams=beams)
+        cfg = RecConfig(beams=beams)
         ratios = np.empty(trials)
         for t, (q, s) in enumerate(problems):
-            schedule = build_schedule(kl_target, omega, epsilon, q.var)
+            schedule = build_schedule(kl_target, cfg.omega, cfg.epsilon, q.var)
             _, _, ratios[t] = codec.encode(q, schedule, cfg, s, block=0)
         rows.append(
             BiasRow(

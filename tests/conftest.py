@@ -1,8 +1,11 @@
 """Shared fixtures and helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
+from irec.errors import UsageError
 from irec.model import (
     PATCH_DIM,
     ImageGray8,
@@ -35,6 +38,25 @@ def sample_image(model: LinearGaussianModel, rng, width: int, height: int) -> Im
         patches.append(quantize_clamp(x).astype(np.float64))
     plane = unpatchify(patches, width, height)
     return ImageGray8(width=width, height=height, pixels=plane.astype(np.uint8))
+
+
+def log_density(g, z) -> float:
+    """log density of z under the diagonal Gaussian g, in nats."""
+    z = np.asarray(z, dtype=np.float64)
+    d = (z - g.mean) / g.std
+    return float(np.sum(-np.log(g.std) - 0.5 * (d * d + math.log(2.0 * math.pi))))
+
+
+def log_density_ratio(q, p, z) -> float:
+    """log q(z) - log p(z) in nats, for diagonal Gaussians q and p."""
+    z = np.asarray(z, dtype=np.float64)
+    if not z.shape == q.mean.shape == p.mean.shape:
+        raise UsageError(f"dimension mismatch: {z.shape}, {q.mean.shape}, {p.mean.shape}")
+    dq = (z - q.mean) / q.std
+    dp = (z - p.mean) / p.std
+    return float(
+        np.sum(np.log(p.std) - np.log(q.std) + 0.5 * (dp * dp - dq * dq))
+    )
 
 
 @pytest.fixture(scope="session")

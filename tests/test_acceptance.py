@@ -25,7 +25,7 @@ from irec.codec import RecConfig
 from irec.errors import IrecError
 from irec.gauss import DiagGaussian
 from irec.model import ImageGray8, fit_ppca
-from irec.residual import TOTAL_FREQ, DiscretizedGaussian
+from irec.residual import LO, TOTAL_FREQ
 from irec.synthetic import synthetic_target
 
 _LN2 = math.log(2.0)
@@ -198,13 +198,12 @@ def test_criterion_09_residual_optimality():
     rng = np.random.default_rng(4)
     worst = 0.0
     for sigma in (1.5, 4.0, 12.0):
-        model = DiscretizedGaussian(mu=0.0, sigma=sigma)
-        freq = residual.pmf_quantized(model)
+        freq = residual.pmf_quantized(sigma)
         p = freq / float(TOTAL_FREQ)
         r = np.clip(np.rint(rng.normal(0, sigma, size=10_000)).astype(np.int64), -255, 255)
-        data = residual.encode_residuals(r, model)
-        assert np.array_equal(residual.decode_residuals(data, model, r.size), r)
-        ideal = float(-np.sum(np.log2(p[r - model.lo])))
+        data = residual.encode_residuals(r, sigma)
+        assert np.array_equal(residual.decode_residuals(data, sigma, r.size), r)
+        ideal = float(-np.sum(np.log2(p[r - LO])))
         excess = 8 * len(data) - ideal
         worst = max(worst, excess - 0.01 * ideal)
     report(9, worst <= 64.0, f"worst excess beyond 1% slack: {worst:.1f} bits (limit 64)")

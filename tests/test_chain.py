@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import log_density, log_density_ratio
 from irec.chain import (
     AuxSchedule,
     build_schedule,
@@ -16,7 +17,7 @@ from irec.chain import (
     target_moments,
 )
 from irec.errors import ConfigError, UsageError
-from irec.gauss import DiagGaussian, kl_divergence, log_density, log_density_ratio
+from irec.gauss import DiagGaussian, kl_divergence
 from irec.synthetic import check_chain_rule, check_target_moments, synthetic_target
 
 

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -110,6 +111,28 @@ class TestCompressDecompress:
             "--in", str(out), "--out", str(tmp / "y.pgm"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["mu", "W", "noise_var"])
+    def test_non_finite_model_exit_code(self, workspace, fitted_model, field, value):
+        tmp, model_path, img_path = workspace
+        good = tmp / "img.irec"
+        cli.main([
+            "compress", "--model", str(model_path),
+            "--in", str(img_path), "--out", str(good),
+        ])
+        d, latent = fitted_model.W.shape
+        offset = {"mu": 12, "W": 12 + 8 * d, "noise_var": 12 + 8 * d * (1 + latent)}
+        data = bytearray(model_path.read_bytes())
+        struct.pack_into("<d", data, offset[field], value)
+        bad_path = tmp / "bad.lgm"
+        bad_path.write_bytes(bytes(data))
+        for command, src in (("compress", img_path), ("decompress", good)):
+            code = cli.main([
+                command, "--model", str(bad_path),
+                "--in", str(src), "--out", str(tmp / "out"),
+            ])
+            assert code == 3
 
     def test_model_mismatch_exit_code(self, workspace, fitted_model):
         tmp, model_path, img_path = workspace

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import log_density_ratio
 from irec import codec, stream
 from irec.chain import build_schedule, schedule_from_steps
 from irec.codec import IndexTuple, RecConfig, decode, encode, importance_select
@@ -16,20 +17,15 @@ CFG = RecConfig(omega=3.0, epsilon=0.2, beams=4)
 
 
 class TestImportanceSelect:
-    def test_all_equal_greedy_picks_first(self):
-        assert importance_select(np.ones(7), "greedy") == 0
-
     def test_single_spike_both_modes(self):
         w = np.array([0.0, 0.0, 0.0, 1.0])
-        assert importance_select(w, "greedy") == 3
-        assert importance_select(w, "stochastic", u=0.5) == 3
+        for u in (0.0, 0.5, 1.0 - 2.0**-53):
+            assert importance_select(w, u) == 3
 
     def test_stochastic_frequency(self):
         rng = np.random.default_rng(8)
         w = np.array([1.0, 3.0])
-        hits = sum(
-            importance_select(w, "stochastic", u=float(u)) for u in rng.random(100_000)
-        )
+        hits = sum(importance_select(w, float(u)) for u in rng.random(100_000))
         assert 0.745 <= hits / 100_000 <= 0.755
 
     def test_stochastic_stays_in_range_at_largest_u(self):
@@ -39,25 +35,24 @@ class TestImportanceSelect:
         u = 1.0 - 2.0**-53
         for _ in range(2000):
             w = rng.random(37)
-            assert importance_select(w, "stochastic", u=u) == 36
+            assert importance_select(w, u) == 36
         w = np.array([0.0, 2.0, 0.5, 0.0, 0.0])
-        assert importance_select(w, "stochastic", u=u) == 2
+        assert importance_select(w, u) == 2
 
     def test_rejects_bad_weights(self):
         with pytest.raises(NumericError):
-            importance_select(np.array([1.0, np.nan]))
+            importance_select(np.array([1.0, np.nan]), 0.5)
         with pytest.raises(NumericError):
-            importance_select(np.zeros(3))
+            importance_select(np.zeros(3), 0.5)
         with pytest.raises(NumericError):
-            importance_select(np.array([1.0, -0.5]))
+            importance_select(np.array([1.0, -0.5]), 0.5)
         with pytest.raises(NumericError):
-            importance_select(np.array([]))
+            importance_select(np.array([]), 0.5)
 
     def test_rejects_bad_mode_and_missing_u(self):
-        with pytest.raises(UsageError):
-            importance_select(np.ones(2), "bogus")
-        with pytest.raises(UsageError):
-            importance_select(np.ones(2), "stochastic")
+        for u in (-0.25, 1.0, float("nan")):
+            with pytest.raises(UsageError):
+                importance_select(np.ones(2), u)
 
 
 class TestEncode:
@@ -148,8 +143,6 @@ class TestEncode:
         q = synthetic_target(5, 11.0, rng)
         schedule = build_schedule(11.0, 3.0, 0.2)
         indices, z, ratio = encode(q, schedule, CFG, seed=9, block=0)
-        from irec.gauss import log_density_ratio
-
         assert ratio == pytest.approx(
             log_density_ratio(q, DiagGaussian.standard(5), z), abs=1e-9
         )

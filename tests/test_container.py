@@ -146,6 +146,16 @@ class TestCorruptInput:
         with pytest.raises(FormatError):
             unpack(bytes(data))
 
+    @pytest.mark.parametrize("residual", [None, b"\x00" * 5])
+    def test_reserved_flag_bits_rejected(self, residual):
+        data = pack(header(), [IndexTuple((1,))], residual=residual)
+        assert data[5] == (residual is not None)
+        for bit in range(1, 8):
+            mutated = bytearray(data)
+            mutated[5] ^= 1 << bit
+            with pytest.raises(FormatError):
+                unpack(bytes(mutated))
+
     def test_writes_version_2_reads_both(self):
         data = bytearray(pack(header(), [IndexTuple((1,))]))
         assert data[4] == 2

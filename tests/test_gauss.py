@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import log_density, log_density_ratio
 from irec.errors import UsageError
-from irec.gauss import (
-    STD_FLOOR,
-    DiagGaussian,
-    kl_divergence,
-    log_density,
-    log_density_ratio,
-    whiten,
-)
+from irec.gauss import STD_FLOOR, DiagGaussian, kl_divergence, whiten
 
 
 def g(mean, std):

@@ -1,10 +1,11 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from conftest import make_training_patches, sample_image
-from irec import container
+from irec import container, residual
 from irec.codec import RecConfig
 from irec.errors import (
     CorruptStreamError,
@@ -152,6 +153,21 @@ class TestLossless:
         result = compress_lossless(small_image, fitted_model, CFG, seed=0)
         with pytest.raises((CorruptStreamError, FormatError)):
             decompress_lossless(result.data[:-8], fitted_model)
+
+    def test_residual_outside_pixel_range_is_corrupt(self, fitted_model, small_image):
+        # Re-encode one residual so that reconstruction plus residual is 256:
+        # a valid file cannot hold it, and decoding must not clip it to 255.
+        data = compress_lossless(small_image, fitted_model, CFG, seed=0).data
+        header, blocks, section = container.unpack(data)
+        sigma = math.sqrt(fitted_model.noise_var)
+        residuals = residual.decode_residuals(section[4:], sigma, 256)
+        recon = int(small_image.pixels[0, 0]) - int(residuals[0])
+        assert recon >= 1
+        residuals[0] = 256 - recon
+        coded = residual.encode_residuals(residuals, sigma)
+        bad = container.pack(header, blocks, residual=section[:4] + coded)
+        with pytest.raises(CorruptStreamError):
+            decompress_lossless(bad, fitted_model)
 
     def test_model_mismatch(self, fitted_model, small_image):
         result = compress_lossless(small_image, fitted_model, CFG, seed=0)
