@@ -38,9 +38,10 @@ _MAX_INDEX = 1 << 32
 
 def samples_per_step(omega: float, epsilon: float) -> int:
     """Number of shared draws per step, ceil(exp(omega * (1 + epsilon)))."""
-    if omega <= 0:
+    # Negated comparisons so that NaN fails them too.
+    if not omega > 0:
         raise UsageError("omega must be positive")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise UsageError("epsilon must be nonnegative")
     exponent = omega * (1.0 + epsilon)
     if exponent > math.log(_MAX_INDEX):
@@ -172,7 +173,7 @@ def build_schedule(
     """
     if total_kl < 0 or not math.isfinite(total_kl):
         raise UsageError("total_kl must be finite and nonnegative")
-    if omega <= 0:
+    if not omega > 0:
         raise UsageError("omega must be positive")
     k = max(1, math.ceil(total_kl / omega))
     return schedule_from_steps(k, omega, epsilon, variances)

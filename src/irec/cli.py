@@ -1,26 +1,22 @@
 """Command-line interface: compress/decompress plus the study harness.
 
-Exit codes: 0 success, 1 usage, 2 I/O, 3 format or corrupt stream,
-4 model mismatch, 5 validation failure.
+Argument parsing uses the stdlib argparse; every argv problem (unknown
+command or option, missing required option, unparseable value) is a usage
+error. Exit codes: 0 success (also for --help), 1 usage, 2 I/O (including a
+missing input file), 3 format or corrupt stream, 4 model mismatch,
+5 validation failure.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 
-import click
-
 from . import pipeline, synthetic
 from .codec import RecConfig
-from .errors import (
-    ConfigError,
-    CorruptStreamError,
-    FormatError,
-    IrecError,
-    ModelMismatchError,
-    UsageError,
-)
+from .errors import ConfigError, CorruptStreamError, FormatError, ModelMismatchError
+from .errors import UsageError
 from .model import load_model, read_pgm, write_pgm
 
 EXIT_USAGE = 1
@@ -30,108 +26,71 @@ EXIT_MODEL = 4
 EXIT_VALIDATE = 5
 
 
-@click.group()
-def cli():
-    """Relative-entropy-coding image codec."""
+class _Parser(argparse.ArgumentParser):
+    """Reports argv problems as UsageError instead of exiting the process."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
-def _stats_line(result, extra=None):
-    record = {
+def _list_of(kind):
+    """argparse type for a comma-separated list of `kind` values."""
+    def convert(text):
+        return [kind(x) for x in text.split(",")]
+
+    convert.__name__ = f"comma-separated {kind.__name__}"
+    return convert
+
+
+def cmd_compress(args):
+    """Compress a PGM image to an IREC container."""
+    lossless = args.mode == "lossless"
+    epsilon = args.epsilon if args.epsilon is not None else (0.2 if lossless else 0.0)
+    beams = args.beams if args.beams is not None else (20 if lossless else 10)
+    model = load_model(args.model_path)
+    img = read_pgm(args.in_path)
+    cfg = RecConfig(omega=args.omega, epsilon=epsilon, beams=beams)
+    compress = pipeline.compress_lossless if lossless else pipeline.compress_lossy
+    result = compress(img, model, cfg, args.seed)
+    with open(args.out_path, "wb") as fh:
+        fh.write(result.data)
+    print(json.dumps({
         "bpp": result.bpp,
         "kl_nats": sum(result.kl_per_block),
         "bits": 8 * len(result.data),
         "psnr": result.psnr,
         "seconds": result.seconds,
-    }
-    if extra:
-        record.update(extra)
-    click.echo(json.dumps(record))
+        "mode": args.mode,
+    }))
 
 
-@cli.command("compress")
-@click.option("--mode", type=click.Choice(["lossy", "lossless"]), default="lossless")
-@click.option("--model", "model_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--omega", type=float, default=3.0, show_default=True)
-@click.option("--epsilon", type=float, default=None,
-              help="Oversampling rate; defaults to 0.2 lossless, 0.0 lossy.")
-@click.option("--beams", type=int, default=None,
-              help="Beam count; defaults to 20 lossless, 10 lossy.")
-@click.option("--in", "in_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_path", required=True, type=click.Path())
-def cmd_compress(mode, model_path, seed, omega, epsilon, beams, in_path, out_path):
-    """Compress a PGM image to an IREC container."""
-    if epsilon is None:
-        epsilon = 0.2 if mode == "lossless" else 0.0
-    if beams is None:
-        beams = 20 if mode == "lossless" else 10
-    model = load_model(model_path)
-    img = read_pgm(in_path)
-    cfg = RecConfig(omega=omega, epsilon=epsilon, beams=beams)
-    if mode == "lossless":
-        result = pipeline.compress_lossless(img, model, cfg, seed)
-    else:
-        result = pipeline.compress_lossy(img, model, cfg, seed)
-    with open(out_path, "wb") as fh:
-        fh.write(result.data)
-    _stats_line(result, {"mode": mode})
-
-
-@cli.command("decompress")
-@click.option("--mode", type=click.Choice(["lossy", "lossless"]), default="lossless")
-@click.option("--model", "model_path", required=True, type=click.Path(exists=True))
-@click.option("--in", "in_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_path", required=True, type=click.Path())
-def cmd_decompress(mode, model_path, in_path, out_path):
+def cmd_decompress(args):
     """Decompress an IREC container back to a PGM image."""
-    model = load_model(model_path)
-    with open(in_path, "rb") as fh:
+    model = load_model(args.model_path)
+    with open(args.in_path, "rb") as fh:
         data = fh.read()
-    if mode == "lossless":
-        img = pipeline.decompress_lossless(data, model)
-    else:
-        img = pipeline.decompress_lossy(data, model)
-    write_pgm(img, out_path)
+    lossless = args.mode == "lossless"
+    decompress = pipeline.decompress_lossless if lossless else pipeline.decompress_lossy
+    write_pgm(decompress(data, model), args.out_path)
 
 
-@cli.command("bias-study")
-@click.option("--beams", "beam_list", default="1,5,20", show_default=True,
-              help="Comma-separated beam counts.")
-@click.option("--kl", "kl_target", type=float, default=30.0, show_default=True)
-@click.option("--dims", type=int, default=16, show_default=True)
-@click.option("--trials", type=int, default=200, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_path", default="-", show_default=True)
-def cmd_bias_study(beam_list, kl_target, dims, trials, seed, out_path):
+def cmd_bias_study(args):
     """Mean final log-importance-weight per beam count, as CSV."""
-    beams = [int(b) for b in beam_list.split(",")]
-    rows = synthetic.bias_study(beams, kl_target, dims, trials, seed)
+    rows = synthetic.bias_study(
+        args.beam_list, args.kl_target, args.dims, args.trials, args.seed
+    )
     lines = ["beams,mean_log_ratio,stderr,kl_nats"]
     lines += [
         f"{r.beams},{r.mean_log_ratio:.6f},{r.stderr:.6f},{r.kl:.6f}" for r in rows
     ]
-    _write_csv(out_path, lines)
+    _write_csv(args.out_path, lines)
 
 
-@cli.command("sweep")
-@click.option("--omega-grid", default="3,4,5", show_default=True)
-@click.option("--epsilon-grid", default="0.2", show_default=True)
-@click.option("--beam-grid", default="1,5,20", show_default=True)
-@click.option("--trials", type=int, default=50, show_default=True)
-@click.option("--kl", "kl_target", type=float, default=30.0, show_default=True)
-@click.option("--dims", type=int, default=16, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_path", default="-", show_default=True)
-def cmd_sweep(omega_grid, epsilon_grid, beam_grid, trials, kl_target, dims, seed, out_path):
+def cmd_sweep(args):
     """Hyperparameter grid: codelength overhead and wall time, as CSV."""
     cells = synthetic.sweep(
-        [float(x) for x in omega_grid.split(",")],
-        [float(x) for x in epsilon_grid.split(",")],
-        [int(x) for x in beam_grid.split(",")],
-        trials=trials,
-        kl_target=kl_target,
-        dims=dims,
-        seed=seed,
+        args.omega_grid, args.epsilon_grid, args.beam_grid, trials=args.trials,
+        kl_target=args.kl_target, dims=args.dims, seed=args.seed,
     )
     lines = ["omega,epsilon,beams,overhead_ratio,seconds,failures"]
     lines += [
@@ -139,61 +98,102 @@ def cmd_sweep(omega_grid, epsilon_grid, beam_grid, trials, kl_target, dims, seed
         f"{c.seconds:.3f},{c.failures}"
         for c in cells
     ]
-    _write_csv(out_path, lines)
+    _write_csv(args.out_path, lines)
 
 
-@cli.command("validate")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--csv", "csv_path", default=None,
-              help="Where to write the per-step KL histogram CSV.")
-def cmd_validate(seed, csv_path):
+def cmd_validate(args):
     """Run the oracle suite; nonzero exit on any failed check."""
-    results = synthetic.run_validation(seed=seed, csv_path=csv_path)
-    failed = False
+    results = synthetic.run_validation(seed=args.seed, csv_path=args.csv_path)
     for r in results:
-        status = "ok" if r.passed else "FAIL"
-        click.echo(f"{status:4s} {r.name}: {r.detail}")
-        failed = failed or not r.passed
-    if failed:
-        raise ValidationFailure()
-
-
-class ValidationFailure(IrecError):
-    pass
+        print(f"{'ok' if r.passed else 'FAIL':4s} {r.name}: {r.detail}")
+    return 0 if all(r.passed for r in results) else EXIT_VALIDATE
 
 
 def _write_csv(out_path, lines):
     text = "\n".join(lines) + "\n"
     if out_path == "-":
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     else:
         with open(out_path, "w") as fh:
             fh.write(text)
 
 
+def _parser() -> _Parser:
+    parser = _Parser(prog="irec", description="Relative-entropy-coding image codec.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, func):
+        sub = commands.add_parser(
+            name, help=func.__doc__, description=func.__doc__, allow_abbrev=False
+        )
+        sub.set_defaults(func=func)
+
+        def option(flag, dest=None, help=None, **kwargs):
+            if kwargs.get("default") is not None:
+                help = f"{help or ''} [default: %(default)s]".lstrip()
+            # A renamed destination keeps the flag's name in usage and help.
+            metavar = flag[2:].upper() if dest else None
+            sub.add_argument(flag, dest=dest, metavar=metavar, help=help, **kwargs)
+
+        return option
+
+    for name, func in (("compress", cmd_compress), ("decompress", cmd_decompress)):
+        option = command(name, func)
+        option("--mode", choices=("lossy", "lossless"), default="lossless")
+        option("--model", "model_path", required=True)
+        if func is cmd_compress:
+            option("--seed", type=int, default=0)
+            option("--omega", type=float, default=3.0)
+            option("--epsilon", type=float,
+                   help="Oversampling rate; defaults to 0.2 lossless, 0.0 lossy.")
+            option("--beams", type=int,
+                   help="Beam count; defaults to 20 lossless, 10 lossy.")
+        option("--in", "in_path", required=True)
+        option("--out", "out_path", required=True)
+
+    option = command("bias-study", cmd_bias_study)
+    option("--beams", "beam_list", type=_list_of(int), default="1,5,20",
+           help="Comma-separated beam counts.")
+    option("--kl", "kl_target", type=float, default=30.0)
+    option("--dims", type=int, default=16)
+    option("--trials", type=int, default=200)
+    option("--seed", type=int, default=0)
+    option("--out", "out_path", default="-")
+
+    option = command("sweep", cmd_sweep)
+    option("--omega-grid", type=_list_of(float), default="3,4,5")
+    option("--epsilon-grid", type=_list_of(float), default="0.2")
+    option("--beam-grid", type=_list_of(int), default="1,5,20")
+    option("--trials", type=int, default=50)
+    option("--kl", "kl_target", type=float, default=30.0)
+    option("--dims", type=int, default=16)
+    option("--seed", type=int, default=0)
+    option("--out", "out_path", default="-")
+
+    option = command("validate", cmd_validate)
+    option("--seed", type=int, default=0)
+    option("--csv", "csv_path", help="Where to write the per-step KL histogram CSV.")
+    return parser
+
+
 def main(argv=None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except (click.UsageError, UsageError, ConfigError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_USAGE
-    except click.ClickException as exc:
-        exc.show()
-        return EXIT_USAGE
-    except click.exceptions.Abort:
+        args = _parser().parse_args(argv)
+        return args.func(args) or 0
+    except SystemExit as exc:  # --help
+        return exc.code
+    except (UsageError, ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
+        print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (FormatError, CorruptStreamError) as exc:
-        click.echo(f"format error: {exc}", err=True)
+        print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except ModelMismatchError as exc:
-        click.echo(f"model mismatch: {exc}", err=True)
+        print(f"model mismatch: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except ValidationFailure:
-        return EXIT_VALIDATE
-    return 0
 
 
 if __name__ == "__main__":

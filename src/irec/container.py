@@ -169,8 +169,6 @@ def unpack(data: bytes) -> tuple[ContainerHeader, list[IndexTuple], bytes | None
         raise FormatError(f"unsupported version {version}")
     if flags & ~FLAG_RESIDUAL:
         raise FormatError(f"reserved flag bits set in {flags:#04x}")
-    if not omega > 0 or epsilon < 0 or not math.isfinite(omega + epsilon):
-        raise FormatError("invalid omega/epsilon in header")
     try:
         header = ContainerHeader(
             seed=seed,

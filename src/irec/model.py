@@ -117,6 +117,10 @@ def load_model(path) -> LinearGaussianModel:
     )
     if not (np.isfinite(mu).all() and np.isfinite(w).all() and math.isfinite(noise_var)):
         raise FormatError("model file holds a non-finite parameter")
+    if noise_var < NOISE_FLOOR:
+        # The constructor would raise it to the floor, and model_id would then
+        # hash other bytes than the file's.
+        raise FormatError(f"model noise variance {noise_var} is below {NOISE_FLOOR}")
     return LinearGaussianModel(W=w.reshape(d, latent), mu=mu, noise_var=noise_var)
 
 
@@ -248,7 +252,10 @@ def read_pgm(path) -> ImageGray8:
             pos += 1
         if start == pos:
             raise FormatError("truncated PGM header")
-        fields.append(int(data[start:pos]))
+        token = data[start:pos]
+        if not token.isdigit():
+            raise FormatError(f"non-numeric PGM header field {token!r}")
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
     if maxval != 255:

@@ -35,6 +35,10 @@ class TestSamplesPerStep:
             samples_per_step(0.0, 0.2)
         with pytest.raises(UsageError):
             samples_per_step(3.0, -0.1)
+        with pytest.raises(UsageError):
+            samples_per_step(math.nan, 0.2)
+        with pytest.raises(UsageError):
+            samples_per_step(3.0, math.nan)
 
     def test_index_width_overflow(self):
         with pytest.raises(ConfigError):
@@ -92,6 +96,10 @@ class TestSchedule:
             AuxSchedule(K=2, sigma_sq=np.array([0.5, 0.6]), omega=3.0, epsilon=0.2, M=37)
         with pytest.raises(UsageError):
             build_schedule(-1.0, 3.0, 0.2)
+
+    def test_rejects_nan_omega(self):
+        with pytest.raises(UsageError):
+            build_schedule(3.0, math.nan, 0.2)
 
 
 class TestEqualKLSchedule:

@@ -134,6 +134,55 @@ class TestCompressDecompress:
             ])
             assert code == 3
 
+    @pytest.mark.parametrize("noise_var", [-5.0, 0.0, 1e-9])
+    def test_sub_floor_noise_variance_exit_code(self, workspace, noise_var):
+        tmp, model_path, img_path = workspace
+        good = tmp / "img.irec"
+        cli.main([
+            "compress", "--model", str(model_path),
+            "--in", str(img_path), "--out", str(good),
+        ])
+        bad_path = tmp / "low.lgm"
+        bad_path.write_bytes(model_path.read_bytes()[:-8] + struct.pack("<d", noise_var))
+        for command, src in (("compress", img_path), ("decompress", good)):
+            code = cli.main([
+                command, "--model", str(bad_path),
+                "--in", str(src), "--out", str(tmp / "out"),
+            ])
+            assert code == 3
+
+    @pytest.mark.parametrize("command", ["compress", "decompress"])
+    @pytest.mark.parametrize("missing", ["--model", "--in"])
+    def test_missing_input_file_is_io_error(self, workspace, command, missing, capsys):
+        tmp, model_path, img_path = workspace
+        paths = {"--model": str(model_path), "--in": str(img_path)}
+        paths[missing] = str(tmp / "absent")
+        code = cli.main([
+            command, "--model", paths["--model"],
+            "--in", paths["--in"], "--out", str(tmp / "out"),
+        ])
+        assert code == 2
+        assert "absent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--omega", "--epsilon"])
+    def test_nan_parameter_is_usage_error(self, workspace, option):
+        tmp, model_path, img_path = workspace
+        code = cli.main([
+            "compress", "--model", str(model_path), option, "nan",
+            "--in", str(img_path), "--out", str(tmp / "x.irec"),
+        ])
+        assert code == 1
+
+    def test_non_numeric_pgm_header_exit_code(self, workspace):
+        tmp, model_path, _ = workspace
+        bad = tmp / "bad.pgm"
+        bad.write_bytes(b"P5\nabc 16\n255\n")
+        code = cli.main([
+            "compress", "--model", str(model_path),
+            "--in", str(bad), "--out", str(tmp / "x.irec"),
+        ])
+        assert code == 3
+
     def test_model_mismatch_exit_code(self, workspace, fitted_model):
         tmp, model_path, img_path = workspace
         out = tmp / "img.irec"
@@ -157,6 +206,13 @@ class TestCompressDecompress:
 
     def test_unknown_command(self):
         assert cli.main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "command", [None, "compress", "decompress", "bias-study", "sweep", "validate"]
+    )
+    def test_help_exits_zero(self, command, capsys):
+        assert cli.main([command, "--help"] if command else ["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: irec")
 
 
 class TestStudyCommands:
@@ -191,6 +247,16 @@ class TestStudyCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "omega,epsilon,beams,overhead_ratio,seconds,failures"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("args", [
+        ["bias-study", "--beams", "1,x"],
+        ["sweep", "--omega-grid", "3,abc"],
+        ["sweep", "--epsilon-grid", "0.2,"],
+        ["sweep", "--beam-grid", "1.5"],
+    ])
+    def test_bad_list_value_is_usage_error(self, args, capsys):
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err.startswith(f"error: argument {args[1]}")
 
     def test_bad_trial_count_is_usage_error(self):
         assert cli.main(["bias-study", "--trials", "5"]) == 1

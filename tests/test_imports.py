@@ -1,17 +1,24 @@
-"""Every module under src/irec and tests uses each name it imports.
+"""Import hygiene, checked by reading each file with the stdlib ast module.
 
-The check reads each file with the stdlib ast module. A name counts as used
-when it appears as a name anywhere in the module; `from __future__` imports
-and names listed in the module's `__all__` are exempt.
+Every module under src/irec and tests uses each name it imports. A name
+counts as used when it appears as a name anywhere in the module;
+`from __future__` imports and names listed in the module's `__all__` are
+exempt.
+
+Every module under src/irec imports only the stdlib, numpy or irec itself,
+so numpy stays the package's only runtime dependency.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*ROOT.glob("src/irec/*.py"), *ROOT.glob("tests/*.py")])
+SOURCES = sorted(ROOT.glob("src/irec/*.py"))
+MODULES = sorted([*SOURCES, *ROOT.glob("tests/*.py")])
+RUNTIME_ALLOWED = sys.stdlib_module_names | {"numpy", "irec"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -57,3 +64,37 @@ def test_future_and_reexported_names_are_exempt():
         "__all__ = ['sep']\n"
     )
     assert unused_imports(source) == ["line 2: path"]
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports in `source` outside the stdlib, numpy and irec."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [
+            f"line {node.lineno}: {name}"
+            for name in names
+            if name.split(".")[0] not in RUNTIME_ALLOWED
+        ]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_runtime_imports_are_stdlib_or_numpy(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_runtime_check_flags_an_injected_import():
+    source = (ROOT / "src" / "irec" / "cli.py").read_text()
+    assert foreign_imports(source) == []
+    injected = source + "import hypothesis\nfrom scipy.stats import norm\n"
+    lines = source.count(chr(10))
+    assert foreign_imports(injected) == [
+        f"line {lines + 1}: hypothesis",
+        f"line {lines + 2}: scipy.stats",
+    ]

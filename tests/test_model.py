@@ -225,6 +225,15 @@ class TestModelFile:
         with pytest.raises(FormatError):
             load_model(path)
 
+    @pytest.mark.parametrize("noise_var", [-5.0, 0.0, 1e-9])
+    def test_rejects_sub_floor_noise_variance(self, tmp_path, fitted_model, noise_var):
+        # The constructor would floor it, so model_id would not hash the file.
+        data = fitted_model.to_bytes()[:-8] + np.array(noise_var, dtype="<f8").tobytes()
+        path = tmp_path / "low.lgm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError):
+            load_model(path)
+
     def test_fnv_reference_value(self):
         # FNV-1a 64-bit published test vector.
         assert fnv1a64(b"") == 0xCBF29CE484222325
@@ -256,6 +265,12 @@ class TestPgm:
     def test_rejects_truncated_raster(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
+        with pytest.raises(FormatError):
+            read_pgm(path)
+
+    def test_rejects_non_numeric_header_field(self, tmp_path):
+        path = tmp_path / "n.pgm"
+        path.write_bytes(b"P5\nabc 16\n255\n")
         with pytest.raises(FormatError):
             read_pgm(path)
 
