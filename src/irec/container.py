@@ -7,13 +7,15 @@ Layout (see docs/FORMAT.md for the hex-annotated example):
   section present; bits 1-7 are reserved, never written, and rejected with
   FormatError), seed u64, omega f64, epsilon f64,
   model_id u64, block_count u32, latent_dim u32, image_width u32,
-  image_height u32. ContainerHeader requires a nonempty image and
-  block_count = ceil(width / 8) * ceil(height / 8), so pack refuses such a
+  image_height u32. ContainerHeader requires a nonempty image and a
+  block_count equal to model.tile_grid's tile count, so pack refuses such a
   header with UsageError and unpack rejects it with FormatError.
 * one block per latent: K as LEB128 varint, then the index tuple packed as
   the mixed-radix integer sum_k i_k * M^k written big-endian in
   ceil(K * log2(M)) bits, zero-padded up to a byte boundary.
-* if flags bit 0 is set, the residual section occupies the rest of the file.
+* if flags bit 0 is set, the residual section fills the rest of the file: a
+  u32 count, which pack writes and unpack checks to be width * height, then
+  the residual coder's bytes, which are all that pack and unpack pass.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from .chain import samples_per_step
 from .codec import IndexTuple
 from .errors import ConfigError, CorruptStreamError, FormatError, UsageError
+from .model import tile_grid
 
 MAGIC = b"IREC"
 # Version 1 files use the power-law step schedule, version 2 the equal-KL
@@ -56,8 +59,8 @@ class ContainerHeader:
             raise FormatError(f"unsupported version {self.version}")
         if self.image_width == 0 or self.image_height == 0:
             raise UsageError(f"empty image {self.image_width}x{self.image_height}")
-        tiles = -(-self.image_width // 8) * -(-self.image_height // 8)
-        if self.block_count != tiles:
+        rows, cols = tile_grid(self.image_width, self.image_height)
+        if self.block_count != rows * cols:
             raise UsageError(
                 f"block_count {self.block_count} does not tile a "
                 f"{self.image_width}x{self.image_height} image"
@@ -110,7 +113,7 @@ def pack(
     blocks: list[IndexTuple],
     residual: bytes | None = None,
 ) -> bytes:
-    """Serialize a container. Sets the residual flag from the argument."""
+    """Serialize a container; a residual (coder bytes) sets the residual flag."""
     if header.block_count != len(blocks):
         raise UsageError(
             f"block_count {header.block_count} != number of blocks {len(blocks)}"
@@ -142,6 +145,7 @@ def pack(
         out += write_varint(k)
         out += value.to_bytes((nbits + 7) // 8, "big")
     if residual is not None:
+        out += (header.image_width * header.image_height).to_bytes(4, "little")
         out += residual
     return bytes(out)
 
@@ -211,7 +215,12 @@ def unpack(data: bytes) -> tuple[ContainerHeader, list[IndexTuple], bytes | None
 
     residual = None
     if flags & FLAG_RESIDUAL:
-        residual = bytes(data[pos:])
+        if len(data) - pos < 4:
+            raise CorruptStreamError("residual section shorter than its count field")
+        count = int.from_bytes(data[pos : pos + 4], "little")
+        if count != width * height:
+            raise CorruptStreamError(f"residual count {count} != pixel count {width * height}")
+        residual = bytes(data[pos + 4 :])
     elif pos != len(data):
         raise CorruptStreamError("trailing bytes after last block")
     return header, blocks, residual

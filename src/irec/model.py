@@ -201,35 +201,28 @@ def psnr(a: ImageGray8, b: ImageGray8) -> float:
     return min(10.0 * math.log10(255.0**2 / mse), _PSNR_CAP)
 
 
-def patchify(img: ImageGray8) -> list[np.ndarray]:
-    """Non-overlapping 8x8 tiles in row-major order, edges zero-padded."""
+def tile_grid(width: int, height: int) -> tuple[int, int]:
+    """Rows and columns of the 8x8 tiles that cover a width x height image."""
+    return -(-height // PATCH_SIDE), -(-width // PATCH_SIDE)
+
+
+def patchify(img: ImageGray8) -> np.ndarray:
+    """Non-overlapping 8x8 tiles in row-major order, edges zero-padded, as rows."""
     side = PATCH_SIDE
-    rows = (img.height + side - 1) // side
-    cols = (img.width + side - 1) // side
+    rows, cols = tile_grid(img.width, img.height)
     plane = np.zeros((rows * side, cols * side))
     plane[: img.height, : img.width] = img.pixels
-    patches = []
-    for r in range(rows):
-        for c in range(cols):
-            tile = plane[r * side : (r + 1) * side, c * side : (c + 1) * side]
-            patches.append(tile.reshape(-1).copy())
-    return patches
+    return plane.reshape(rows, side, cols, side).swapaxes(1, 2).reshape(-1, PATCH_DIM)
 
 
 def unpatchify(patches, width: int, height: int) -> np.ndarray:
-    """Reassemble real-valued patches; crops edge padding. Returns float plane."""
+    """Reassemble real-valued patches (rows or a list); crops edge padding."""
     side = PATCH_SIDE
-    rows = (height + side - 1) // side
-    cols = (width + side - 1) // side
+    rows, cols = tile_grid(width, height)
     if len(patches) != rows * cols:
         raise UsageError(f"expected {rows * cols} patches, got {len(patches)}")
-    plane = np.zeros((rows * side, cols * side))
-    for i, patch in enumerate(patches):
-        r, c = divmod(i, cols)
-        plane[r * side : (r + 1) * side, c * side : (c + 1) * side] = np.reshape(
-            patch, (side, side)
-        )
-    return plane[:height, :width]
+    tiles = np.asarray(patches, dtype=np.float64).reshape(rows, cols, side, side)
+    return tiles.swapaxes(1, 2).reshape(rows * side, cols * side)[:height, :width]
 
 
 def read_pgm(path) -> ImageGray8:

@@ -5,11 +5,11 @@ coding. The step schedule is the v2 equal-KL schedule built from the model's
 posterior variances, which are the same for every patch, so blocks with the
 same step count K share it and are index coded together
 (codec.encode_blocks); version-1 files decode with the power-law schedule.
-The lossless path appends a range-coded residual of x minus the quantized
-reconstruction, using the decoded (possibly biased) latent on both sides so
-encoder and decoder stay synchronized; a decoded residual that takes a pixel
-outside [0, 255] can only come from a corrupt file. Lossy and lossless share
-one body per direction (_compress, _decompress).
+The lossless path adds the range-coded residual of x minus the quantized
+reconstruction (container frames it), using the decoded (possibly biased)
+latent on both sides so encoder and decoder stay synchronized; a decoded
+residual that takes a pixel outside [0, 255] can only come from a corrupt
+file. Lossy and lossless share one body per direction (_compress, _decompress).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class CompressionResult:
     data: bytes
     kl_per_block: list[float]
     payload_bits: int
-    residual_bits: int
     bpp: float
     psnr: float
     seconds: float
@@ -59,25 +58,21 @@ def _encode_blocks(img: ImageGray8, model: LinearGaussianModel, cfg: RecConfig, 
         kls.append(kl)
         groups.setdefault(schedule.K, (schedule, []))[1].append(i)
     blocks: list[IndexTuple] = [None] * len(targets)
-    zs: list[np.ndarray] = [None] * len(targets)
+    zs = np.empty((len(targets), model.latent_dim))
     for schedule, group in groups.values():
-        indices, z, _ = codec.encode_blocks(
+        indices, zs[group], _ = codec.encode_blocks(
             [targets[i] for i in group], schedule, cfg, seed, group
         )
-        for j, i in enumerate(group):
-            blocks[i] = indices[j]
-            zs[i] = z[j]
+        for i, tup in zip(group, indices):
+            blocks[i] = tup
     return blocks, kls, zs
 
 
 def _reconstruct_image(
-    zs: list[np.ndarray], model: LinearGaussianModel, width: int, height: int
+    zs: np.ndarray, model: LinearGaussianModel, width: int, height: int
 ) -> ImageGray8:
-    patches = [
-        model_mod.quantize_clamp(model_mod.reconstruct(model, z)).astype(np.float64)
-        for z in zs
-    ]
-    plane = model_mod.unpatchify(patches, width, height)
+    recon = np.array([model_mod.reconstruct(model, z) for z in zs])
+    plane = model_mod.unpatchify(model_mod.quantize_clamp(recon), width, height)
     return ImageGray8(width=width, height=height, pixels=plane.astype(np.uint8))
 
 
@@ -99,13 +94,12 @@ def _compress(
     t0 = time.perf_counter()
     blocks, kls, zs = _encode_blocks(img, model, cfg, seed)
     recon = _reconstruct_image(zs, model, img.width, img.height)
-    section = None
+    coded = None
     if lossless:
         residuals = (
             img.pixels.astype(np.int64) - recon.pixels.astype(np.int64)
         ).reshape(-1)
         coded = residual_mod.encode_residuals(residuals, math.sqrt(model.noise_var))
-        section = len(residuals).to_bytes(4, "little") + coded
     header = ContainerHeader(
         seed=seed,
         omega=cfg.omega,
@@ -116,13 +110,12 @@ def _compress(
         image_width=img.width,
         image_height=img.height,
     )
-    data = container.pack(header, blocks, residual=section)
+    data = container.pack(header, blocks, residual=coded)
     report = container.codelength_report(header, blocks, kls)
     return CompressionResult(
         data=data,
         kl_per_block=kls,
         payload_bits=report["payload_bits"] + report["varint_bits"],
-        residual_bits=0 if section is None else 8 * len(section),
         bpp=8.0 * len(data) / (img.width * img.height),
         psnr=model_mod.psnr(img, recon),
         seconds=time.perf_counter() - t0,
@@ -137,12 +130,10 @@ def _decode_blocks(header: ContainerHeader, blocks, model: LinearGaussianModel):
     if header.latent_dim != model.latent_dim:
         raise ModelMismatchError("latent dimension mismatch")
     s_sq = None if header.version == 1 else model_mod.posterior_var(model)
-    zs = []
+    zs = np.empty((len(blocks), header.latent_dim))
     for i, indices in enumerate(blocks):
         schedule = schedule_from_steps(len(indices), header.omega, header.epsilon, s_sq)
-        zs.append(
-            codec.decode(indices, schedule, header.seed, block=i, dims=header.latent_dim)
-        )
+        zs[i] = codec.decode(indices, schedule, header.seed, block=i, dims=header.latent_dim)
     return zs
 
 
@@ -155,23 +146,16 @@ def decompress_lossless(data: bytes, model: LinearGaussianModel) -> ImageGray8:
 
 
 def _decompress(data: bytes, model: LinearGaussianModel, lossless: bool) -> ImageGray8:
-    header, blocks, section = container.unpack(data)
-    if lossless and section is None:
+    header, blocks, coded = container.unpack(data)
+    if lossless and coded is None:
         raise FormatError("container has no residual section")
     zs = _decode_blocks(header, blocks, model)
     width, height = header.image_width, header.image_height
     recon = _reconstruct_image(zs, model, width, height)
     if not lossless:
         return recon
-    if len(section) < 4:
-        raise CorruptStreamError("residual section shorter than its count field")
-    count = int.from_bytes(section[:4], "little")
-    if count != width * height:
-        raise CorruptStreamError(
-            f"residual count {count} != pixel count {width * height}"
-        )
     residuals = residual_mod.decode_residuals(
-        section[4:], math.sqrt(model.noise_var), count
+        coded, math.sqrt(model.noise_var), width * height
     )
     pixels = recon.pixels.astype(np.int64) + residuals.reshape(height, width)
     # A valid file's residuals are x - x_hat, so this sum is x itself.

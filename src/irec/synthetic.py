@@ -3,11 +3,12 @@
 The benchmark target generator draws means ~ N(0, (0.5 * scale)^2) and
 log-stds ~ U[-1, 0], then bisects on the mean scale until the total KL to the
 standard normal hits the requested value, so study numbers are reproducible
-from a seed alone.
+from a seed alone; every study draws its problems with problem_set.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -25,6 +26,8 @@ _LN2 = math.log(2.0)
 
 def synthetic_target(dims: int, total_kl: float, rng: np.random.Generator) -> DiagGaussian:
     """Random whitened target with an exact analytic KL to N(0, I)."""
+    if dims < 1:
+        raise UsageError("dims must be >= 1")
     if total_kl <= 0:
         raise UsageError("total_kl must be positive")
     unit_mean = rng.normal(size=dims)
@@ -52,6 +55,27 @@ def synthetic_target(dims: int, total_kl: float, rng: np.random.Generator) -> Di
     return DiagGaussian(0.5 * hi * unit_mean, std)
 
 
+def problem_set(dims: int, kl: float, trials: int, seed: int) -> list[tuple[DiagGaussian, int]]:
+    """The studies' problems: `trials` (target, encoder seed) pairs from seed."""
+    if trials < 30:
+        raise UsageError("trials must be >= 30")
+    rng = np.random.default_rng(seed)
+    return [
+        (synthetic_target(dims, kl, rng), int(rng.integers(0, 2**63)))
+        for _ in range(trials)
+    ]
+
+
+def log_ratios(problems, kl: float, cfg: RecConfig) -> np.ndarray:
+    """Final log q(z)/p(z) of each problem, encoded as block 0 with the
+    equal-KL schedule of its own variances, as the pipeline schedules a block."""
+    ratios = np.empty(len(problems))
+    for t, (q, seed) in enumerate(problems):
+        schedule = build_schedule(kl, cfg.omega, cfg.epsilon, q.var)
+        ratios[t] = codec.encode(q, schedule, cfg, seed, block=0)[2]
+    return ratios
+
+
 @dataclass
 class BiasRow:
     beams: int
@@ -67,20 +91,10 @@ def bias_study(
 
     Runs at the published omega = 3 and epsilon = 0.2 (RecConfig's defaults).
     """
-    if trials < 30:
-        raise UsageError("trials must be >= 30")
-    rng = np.random.default_rng(seed)
-    problems = [
-        (synthetic_target(dims, kl_target, rng), int(rng.integers(0, 2**63)))
-        for _ in range(trials)
-    ]
+    problems = problem_set(dims, kl_target, trials, seed)
     rows = []
     for beams in beam_list:
-        cfg = RecConfig(beams=beams)
-        ratios = np.empty(trials)
-        for t, (q, s) in enumerate(problems):
-            schedule = build_schedule(kl_target, cfg.omega, cfg.epsilon, q.var)
-            _, _, ratios[t] = codec.encode(q, schedule, cfg, s, block=0)
+        ratios = log_ratios(problems, kl_target, RecConfig(beams=beams))
         rows.append(
             BiasRow(
                 beams=beams,
@@ -118,46 +132,37 @@ def sweep(
     information the selected sample failed to carry (it reappears as residual
     cost in a full pipeline). Configuration rejections count as failures.
     """
-    if trials < 30:
-        raise UsageError("trials must be >= 30")
     if not (omega_grid and epsilon_grid and beam_grid):
         raise UsageError("grids must be nonempty")
+    problems = problem_set(dims, kl_target, trials, seed)
+    ideal = kl_target / _LN2
     cells = []
-    for omega in omega_grid:
-        for epsilon in epsilon_grid:
-            for beams in beam_grid:
-                rng = np.random.default_rng(seed)
-                problems = [
-                    (synthetic_target(dims, kl_target, rng), int(rng.integers(0, 2**63)))
-                    for _ in range(trials)
-                ]
-                t0 = time.perf_counter()
-                failures = 0
-                overheads = []
-                try:
-                    cfg = RecConfig(omega=omega, epsilon=epsilon, beams=beams)
-                    ideal = kl_target / _LN2
-                    for q, s in problems:
-                        schedule = build_schedule(kl_target, omega, epsilon, q.var)
-                        _, _, ratio = codec.encode(q, schedule, cfg, s, block=0)
-                        bits = (
-                            container.index_bits(schedule.K, schedule.M)
-                            + 8 * len(container.write_varint(schedule.K))
-                            + max(0.0, kl_target - ratio) / _LN2
-                        )
-                        overheads.append(bits / ideal)
-                except ConfigError:
-                    failures += 1
-                cells.append(
-                    SweepCell(
-                        omega=omega,
-                        epsilon=epsilon,
-                        beams=beams,
-                        overhead_ratio=float(np.mean(overheads)) if overheads else math.nan,
-                        seconds=time.perf_counter() - t0,
-                        failures=failures,
-                    )
-                )
+    for omega, epsilon, beams in itertools.product(omega_grid, epsilon_grid, beam_grid):
+        t0 = time.perf_counter()
+        overhead, failures = math.nan, 0
+        try:
+            cfg = RecConfig(omega=omega, epsilon=epsilon, beams=beams)
+            ratios = log_ratios(problems, kl_target, cfg)
+            # K and M do not depend on the variances, so every problem
+            # pays the same framing bits.
+            schedule = build_schedule(kl_target, omega, epsilon)
+            framing = container.index_bits(schedule.K, schedule.M) + 8 * len(
+                container.write_varint(schedule.K)
+            )
+            bits = framing + np.maximum(0.0, kl_target - ratios) / _LN2
+            overhead = float(np.mean(bits / ideal))
+        except ConfigError:
+            failures = 1
+        cells.append(
+            SweepCell(
+                omega=omega,
+                epsilon=epsilon,
+                beams=beams,
+                overhead_ratio=overhead,
+                seconds=time.perf_counter() - t0,
+                failures=failures,
+            )
+        )
     return cells
 
 

@@ -53,24 +53,13 @@ def test_criterion_01_codelength_bound():
 
 
 def test_criterion_02_beam_bias():
-    kl, dims, trials = 30.0, 16, 200
-    rng = np.random.default_rng(0)
-    problems = [
-        (synthetic_target(dims, kl, rng), int(rng.integers(0, 2**63)))
-        for _ in range(trials)
-    ]
-    # Each problem gets the equal-KL schedule of its own variances, as the
-    # pipeline gives each block the schedule of its model's variances.
-    schedules = [build_schedule(kl, 3.0, 0.2, q.var) for q, _ in problems]
-    ratios = {}
-    for beams in (1, 5, 20):
-        cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams)
-        ratios[beams] = np.array(
-            [
-                codec.encode(q, schedule, cfg, s, 0)[2]
-                for (q, s), schedule in zip(problems, schedules)
-            ]
-        )
+    # The problem set of `irec bias-study` at its defaults.
+    kl, trials = 30.0, 200
+    problems = synthetic.problem_set(dims=16, kl=kl, trials=trials, seed=0)
+    ratios = {
+        beams: synthetic.log_ratios(problems, kl, RecConfig(beams=beams))
+        for beams in (1, 5, 20)
+    }
     ordered = True
     for lo, hi in ((1, 5), (5, 20)):
         diff = ratios[hi] - ratios[lo]
@@ -176,13 +165,12 @@ def test_criterion_08_round_trip_exactness(fitted_model):
         if not np.array_equal(out.pixels, img.pixels):
             report(8, False, f"lossless mismatch on image {i}")
 
-    # Part 3: single-bit-flip fuzz never crashes.
+    # Part 3: no single-bit flip crashes the decoder; each bit is flipped once.
     img = sample_image(fitted_model, rng, 16, 16)
     data = pipeline.compress_lossless(img, fitted_model, cfg, seed=99).data
-    nbits = 8 * len(data)
+    flips = 8 * len(data)
     crashes = 0
-    for case in range(10_000):
-        pos = int(rng.integers(0, nbits))
+    for pos in range(flips):
         mutated = bytearray(data)
         mutated[pos // 8] ^= 1 << (pos % 8)
         try:
@@ -191,7 +179,9 @@ def test_criterion_08_round_trip_exactness(fitted_model):
             pass
         except Exception:
             crashes += 1
-    report(8, crashes == 0, f"1000 z round trips, 20 images, {crashes} fuzz crashes")
+    report(
+        8, crashes == 0, f"1000 z round trips, 20 images, {crashes} crashes in {flips} bit flips"
+    )
 
 
 def test_criterion_09_residual_optimality():

@@ -112,6 +112,25 @@ class TestCompressDecompress:
         ])
         assert code == 3
 
+    def test_wrong_residual_count_exit_code(self, workspace):
+        tmp, model_path, img_path = workspace
+        out = tmp / "img.irec"
+        cli.main([
+            "compress", "--model", str(model_path),
+            "--in", str(img_path), "--out", str(out),
+        ])
+        data = bytearray(out.read_bytes())
+        header, blocks, _ = container.unpack(bytes(data))
+        # The residual section starts where a file without one would end.
+        struct.pack_into("<I", data, len(container.pack(header, blocks)), 16 * 16 + 1)
+        out.write_bytes(bytes(data))
+        for mode in ("lossless", "lossy"):
+            code = cli.main([
+                "decompress", "--mode", mode, "--model", str(model_path),
+                "--in", str(out), "--out", str(tmp / "y.pgm"),
+            ])
+            assert code == 3
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("field", ["mu", "W", "noise_var"])
     def test_non_finite_model_exit_code(self, workspace, fitted_model, field, value):
@@ -257,6 +276,12 @@ class TestStudyCommands:
     def test_bad_list_value_is_usage_error(self, args, capsys):
         assert cli.main(args) == 1
         assert capsys.readouterr().err.startswith(f"error: argument {args[1]}")
+
+    @pytest.mark.parametrize("dims", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["bias-study", "sweep"])
+    def test_nonpositive_dims_is_usage_error(self, command, dims, capsys):
+        assert cli.main([command, "--dims", dims]) == 1
+        assert capsys.readouterr().err.startswith("error: dims must be >= 1")
 
     def test_bad_trial_count_is_usage_error(self):
         assert cli.main(["bias-study", "--trials", "5"]) == 1

@@ -184,6 +184,22 @@ class TestCorruptInput:
         with pytest.raises(CorruptStreamError):
             unpack(data[:-2])
 
+    def test_residual_count_must_be_pixel_count(self):
+        data = pack(header(), [IndexTuple((1,))], residual=b"\x07")
+        count_at = len(data) - 5
+        assert data[count_at:-1] == (8 * 8).to_bytes(4, "little")
+        assert unpack(data)[2] == b"\x07"
+        for count in (0, 63, 65, 2**32 - 1):
+            bad = data[:count_at] + count.to_bytes(4, "little") + data[-1:]
+            with pytest.raises(CorruptStreamError, match="residual count"):
+                unpack(bad)
+
+    def test_residual_section_shorter_than_count(self):
+        data = pack(header(), [IndexTuple((1,))], residual=b"")
+        for cut in range(1, 5):
+            with pytest.raises(CorruptStreamError, match="count field"):
+                unpack(data[:-cut])
+
     def test_trailing_bytes(self):
         data = pack(header(), [IndexTuple((1,))])
         with pytest.raises(CorruptStreamError):

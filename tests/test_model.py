@@ -18,6 +18,7 @@ from irec.model import (
     read_pgm,
     reconstruct,
     save_model,
+    tile_grid,
     unpatchify,
     write_pgm,
 )
@@ -173,6 +174,27 @@ class TestPatchify:
     def test_rectangular_count(self):
         img = ImageGray8(16, 24, np.zeros((24, 16), dtype=np.uint8))
         assert len(patchify(img)) == 6
+
+    @pytest.mark.parametrize(
+        "width,height,grid",
+        [(1, 1, (1, 1)), (8, 8, (1, 1)), (9, 8, (1, 2)), (16, 24, (3, 2)), (17, 10, (2, 3))],
+    )
+    def test_tile_grid(self, width, height, grid):
+        assert tile_grid(width, height) == grid
+
+    def test_matches_tile_slices(self):
+        # Reference: tile i is the 8x8 slice at divmod(i, cols) of the
+        # zero-padded plane, flattened in raster order.
+        rng = np.random.default_rng(7)
+        img = ImageGray8(17, 10, rng.integers(0, 256, size=(10, 17), dtype=np.uint8))
+        plane = np.zeros((16, 24))
+        plane[:10, :17] = img.pixels
+        patches = patchify(img)
+        assert patches.shape == (6, PATCH_DIM)
+        for i, patch in enumerate(patches):
+            r, c = divmod(i, 3)
+            assert np.array_equal(patch, plane[8 * r : 8 * r + 8, 8 * c : 8 * c + 8].reshape(-1))
+        assert np.array_equal(unpatchify(list(patches), 17, 10), img.pixels)
 
     def test_unpatchify_count_check(self):
         with pytest.raises(UsageError):

@@ -4,6 +4,7 @@ from scipy import stats
 
 from irec import chain, synthetic
 from irec.chain import AuxSchedule, build_schedule
+from irec.errors import UsageError
 from irec.synthetic import ks_statistic
 
 
@@ -30,6 +31,13 @@ class TestKsStatistic:
     def test_extremes(self):
         assert ks_statistic([1.0, 2.0], [2.0, 1.0]) == 0.0
         assert ks_statistic([0.0, 0.0], [1.0]) == 1.0
+
+
+@pytest.mark.parametrize("dims", [0, -1])
+def test_synthetic_target_rejects_nonpositive_dims(dims):
+    # dims = 0 used to double the bisection bracket forever.
+    with pytest.raises(UsageError, match="dims"):
+        synthetic.synthetic_target(dims, 5.0, np.random.default_rng(0))
 
 
 def _moment_problem(rng):
