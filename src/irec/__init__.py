@@ -1,7 +1,7 @@
 """Relative-entropy-coding codec and image compression pipeline."""
 
 from .chain import AuxSchedule, build_schedule, schedule_from_steps
-from .codec import IndexTuple, RecConfig, decode, encode, importance_select
+from .codec import RecConfig, decode, encode, importance_select
 from .errors import (
     ConfigError,
     CorruptStreamError,
@@ -29,7 +29,6 @@ __all__ = [
     "DiagGaussian",
     "FormatError",
     "ImageGray8",
-    "IndexTuple",
     "IrecError",
     "LinearGaussianModel",
     "ModelMismatchError",

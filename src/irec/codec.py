@@ -43,20 +43,9 @@ class RecConfig:
     def __post_init__(self):
         if self.beams < 1:
             raise UsageError("beams must be >= 1")
+        if self.stochastic_final and self.beams != 1:
+            raise UsageError("stochastic_final needs a single beam")
         samples_per_step(self.omega, self.epsilon)  # validates omega/epsilon/M
-
-
-@dataclass(frozen=True)
-class IndexTuple:
-    """The transmitted code for one block: one sample index per step."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 def importance_select(weights: np.ndarray, u: float) -> int:
@@ -117,12 +106,12 @@ def encode(
     cfg: RecConfig,
     seed: int,
     block: int,
-) -> tuple[IndexTuple, np.ndarray, float]:
+) -> tuple[tuple[int, ...], np.ndarray, float]:
     """Encode a whitened target; returns (indices, decoded z, log q(z)/p(z)).
 
-    Deterministic in all arguments unless cfg.stochastic_final is set with a
-    single beam, in which case each step's index is sampled proportionally to
-    its importance weight using a reserved stream address.
+    Deterministic in all arguments unless cfg.stochastic_final is set (it
+    needs a single beam), in which case each step's index is sampled
+    proportionally to its importance weight using a reserved stream address.
     """
     indices, zs, ratios = encode_blocks([q], schedule, cfg, seed, [block])
     return indices[0], zs[0], float(ratios[0])
@@ -134,7 +123,7 @@ def encode_blocks(
     cfg: RecConfig,
     seed: int,
     blocks: Sequence[int],
-) -> tuple[list[IndexTuple], np.ndarray, np.ndarray]:
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
     """Encode blocks that share one schedule, step by step across blocks.
 
     Returns (indices per block, decoded z of shape (G, D), log q(z)/p(z) of
@@ -158,14 +147,14 @@ def encode_blocks(
     chunk = min(len(qs), max(1, MAX_CHUNK_FLOATS // per_block))
     scratch = np.empty(chunk * per_block)
     blocks = np.asarray(blocks)
-    indices: list[IndexTuple] = []
+    indices: list[tuple[int, ...]] = []
     zs, ratios = [], []
     for lo in range(0, len(blocks), chunk):
         part = slice(lo, lo + chunk)
         prefixes, z, ratio = _encode_chunk(
             mean[part], std[part], schedule, cfg, seed, blocks[part], scratch
         )
-        indices += [IndexTuple(p) for p in prefixes.tolist()]
+        indices += [tuple(p) for p in prefixes.tolist()]
         zs.append(z)
         ratios.append(ratio)
     return indices, np.concatenate(zs), np.concatenate(ratios)
@@ -179,7 +168,6 @@ def _encode_chunk(mean, std, schedule, cfg, seed, blocks, scratch):
     """
     g = len(blocks)
     rows = np.arange(g)[:, None]
-    stochastic = cfg.stochastic_final and cfg.beams == 1
     m = schedule.M
     d = mean.shape[1]
     tails = schedule.tail_var()
@@ -211,7 +199,7 @@ def _encode_chunk(mean, std, schedule, cfg, seed, blocks, scratch):
         cand = log_w[:, :, None] + norm[:, :, None] - quad_q + quad_p[:, None, :]
         flat = cand.reshape(g, -1)
 
-        if stochastic:
+        if cfg.stochastic_final:
             w_log = cand[:, 0]
             w = np.exp(w_log - np.max(w_log, axis=1, keepdims=True))
             u = stream.draw_uniforms(seed, blocks, k, m)
@@ -240,7 +228,7 @@ def _encode_chunk(mean, std, schedule, cfg, seed, blocks, scratch):
 
 
 def decode(
-    indices: IndexTuple,
+    indices: tuple[int, ...],
     schedule: AuxSchedule,
     seed: int,
     block: int,
@@ -252,7 +240,7 @@ def decode(
             f"index tuple length {len(indices)} != schedule steps {schedule.K}"
         )
     z = np.zeros(dims)
-    for k, idx in enumerate(indices.indices):
+    for k, idx in enumerate(indices):
         if not 0 <= idx < schedule.M:
             raise CorruptStreamError(f"index {idx} out of range [0, {schedule.M})")
         sig = np.sqrt(float(schedule.sigma_sq[k]))

@@ -1,5 +1,7 @@
 """The IREC container: header, per-block index payloads, optional residual.
 
+It depends on no codec type: a block's code is a plain tuple of ints.
+
 Layout (see docs/FORMAT.md for the hex-annotated example):
 
 * header, 54 bytes, little-endian: magic "IREC", version u8 (1 or 2; it
@@ -7,9 +9,11 @@ Layout (see docs/FORMAT.md for the hex-annotated example):
   section present; bits 1-7 are reserved, never written, and rejected with
   FormatError), seed u64, omega f64, epsilon f64,
   model_id u64, block_count u32, latent_dim u32, image_width u32,
-  image_height u32. ContainerHeader requires a nonempty image and a
-  block_count equal to model.tile_grid's tile count, so pack refuses such a
-  header with UsageError and unpack rejects it with FormatError.
+  image_height u32. ContainerHeader holds each header rule once (a known
+  version, a nonempty image, valid omega/epsilon), so pack refuses a bad
+  header with UsageError and unpack rejects it with FormatError. Its
+  block_count is derived, model.tile_grid's tile count: pack writes it and
+  unpack rejects a file whose field differs with FormatError.
 * one block per latent: K as LEB128 varint, then the index tuple packed as
   the mixed-radix integer sum_k i_k * M^k written big-endian in
   ceil(K * log2(M)) bits, zero-padded up to a byte boundary.
@@ -25,7 +29,6 @@ import struct
 from dataclasses import dataclass
 
 from .chain import samples_per_step
-from .codec import IndexTuple
 from .errors import ConfigError, CorruptStreamError, FormatError, UsageError
 from .model import tile_grid
 
@@ -42,13 +45,12 @@ HEADER_SIZE = _HEADER.size
 _LN2 = math.log(2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContainerHeader:
     seed: int
     omega: float
     epsilon: float
     model_id: int
-    block_count: int
     latent_dim: int
     image_width: int
     image_height: int
@@ -56,21 +58,21 @@ class ContainerHeader:
 
     def __post_init__(self):
         if self.version not in VERSIONS:
-            raise FormatError(f"unsupported version {self.version}")
+            raise UsageError(f"unsupported version {self.version}")
         if self.image_width == 0 or self.image_height == 0:
             raise UsageError(f"empty image {self.image_width}x{self.image_height}")
-        rows, cols = tile_grid(self.image_width, self.image_height)
-        if self.block_count != rows * cols:
-            raise UsageError(
-                f"block_count {self.block_count} does not tile a "
-                f"{self.image_width}x{self.image_height} image"
-            )
         # Validates omega/epsilon and the index width bound.
         samples_per_step(self.omega, self.epsilon)
 
     @property
     def M(self) -> int:
         return samples_per_step(self.omega, self.epsilon)
+
+    @property
+    def block_count(self) -> int:
+        """One block per 8x8 tile of the image."""
+        rows, cols = tile_grid(self.image_width, self.image_height)
+        return rows * cols
 
 
 def write_varint(n: int) -> bytes:
@@ -110,7 +112,7 @@ def index_bits(k: int, m: int) -> int:
 
 def pack(
     header: ContainerHeader,
-    blocks: list[IndexTuple],
+    blocks: list[tuple[int, ...]],
     residual: bytes | None = None,
 ) -> bytes:
     """Serialize a container; a residual (coder bytes) sets the residual flag."""
@@ -135,22 +137,20 @@ def pack(
         )
     )
     for tup in blocks:
-        k = len(tup)
         value = 0
-        for pos, idx in enumerate(tup.indices):
+        for idx in map(int, reversed(tup)):
             if not 0 <= idx < m:
                 raise UsageError(f"index {idx} overflows radix {m}")
-            value += idx * m**pos
-        nbits = index_bits(k, m)
-        out += write_varint(k)
-        out += value.to_bytes((nbits + 7) // 8, "big")
+            value = value * m + idx
+        out += write_varint(len(tup))
+        out += value.to_bytes((index_bits(len(tup), m) + 7) // 8, "big")
     if residual is not None:
         out += (header.image_width * header.image_height).to_bytes(4, "little")
         out += residual
     return bytes(out)
 
 
-def unpack(data: bytes) -> tuple[ContainerHeader, list[IndexTuple], bytes | None]:
+def unpack(data: bytes) -> tuple[ContainerHeader, list[tuple[int, ...]], bytes | None]:
     """Parse a container; exact inverse of pack on valid input."""
     if len(data) < HEADER_SIZE:
         raise FormatError("container shorter than header")
@@ -169,8 +169,6 @@ def unpack(data: bytes) -> tuple[ContainerHeader, list[IndexTuple], bytes | None
     ) = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}")
-    if version not in VERSIONS:
-        raise FormatError(f"unsupported version {version}")
     if flags & ~FLAG_RESIDUAL:
         raise FormatError(f"reserved flag bits set in {flags:#04x}")
     try:
@@ -179,7 +177,6 @@ def unpack(data: bytes) -> tuple[ContainerHeader, list[IndexTuple], bytes | None
             omega=omega,
             epsilon=epsilon,
             model_id=model_id,
-            block_count=block_count,
             latent_dim=latent_dim,
             image_width=width,
             image_height=height,
@@ -187,6 +184,10 @@ def unpack(data: bytes) -> tuple[ContainerHeader, list[IndexTuple], bytes | None
         )
     except (UsageError, ConfigError) as exc:
         raise FormatError(str(exc)) from exc
+    if block_count != header.block_count:
+        raise FormatError(
+            f"block_count {block_count} does not tile a {width}x{height} image"
+        )
     m = header.M
 
     pos = HEADER_SIZE
@@ -209,9 +210,9 @@ def unpack(data: bytes) -> tuple[ContainerHeader, list[IndexTuple], bytes | None
             raise CorruptStreamError("block payload exceeds index range")
         indices = []
         for _ in range(k):
-            indices.append(value % m)
-            value //= m
-        blocks.append(IndexTuple(tuple(indices)))
+            value, idx = divmod(value, m)
+            indices.append(idx)
+        blocks.append(tuple(indices))
 
     residual = None
     if flags & FLAG_RESIDUAL:
@@ -228,7 +229,7 @@ def unpack(data: bytes) -> tuple[ContainerHeader, list[IndexTuple], bytes | None
 
 def codelength_report(
     header: ContainerHeader,
-    blocks: list[IndexTuple],
+    blocks: list[tuple[int, ...]],
     kl_nats: list[float],
 ) -> dict:
     """Payload accounting against the ideal KL codelength (encoder side)."""

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import codec, container, model as model_mod, residual as residual_mod
 from .chain import AuxSchedule, build_schedule, schedule_from_steps
-from .codec import IndexTuple, RecConfig
+from .codec import RecConfig
 from .container import ContainerHeader
 from .errors import CorruptStreamError, FormatError, ModelMismatchError
 from .gauss import DiagGaussian, kl_divergence, whiten
@@ -57,7 +57,7 @@ def _encode_blocks(img: ImageGray8, model: LinearGaussianModel, cfg: RecConfig, 
         targets.append(q_std)
         kls.append(kl)
         groups.setdefault(schedule.K, (schedule, []))[1].append(i)
-    blocks: list[IndexTuple] = [None] * len(targets)
+    blocks: list[tuple[int, ...]] = [()] * len(targets)
     zs = np.empty((len(targets), model.latent_dim))
     for schedule, group in groups.values():
         indices, zs[group], _ = codec.encode_blocks(
@@ -105,7 +105,6 @@ def _compress(
         omega=cfg.omega,
         epsilon=cfg.epsilon,
         model_id=model.model_id,
-        block_count=len(blocks),
         latent_dim=model.latent_dim,
         image_width=img.width,
         image_height=img.height,

@@ -12,6 +12,7 @@ from irec.model import (
     LinearGaussianModel,
     fit_ppca,
     quantize_clamp,
+    tile_grid,
     unpatchify,
 )
 
@@ -27,8 +28,7 @@ def make_training_patches(rng, n=600, latent=8, noise_var=4.0):
 
 def sample_image(model: LinearGaussianModel, rng, width: int, height: int) -> ImageGray8:
     """Draw an image from the model's own generative process."""
-    rows = (height + 7) // 8
-    cols = (width + 7) // 8
+    rows, cols = tile_grid(width, height)
     patches = []
     for _ in range(rows * cols):
         z = rng.normal(size=model.latent_dim)

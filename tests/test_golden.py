@@ -76,5 +76,5 @@ def test_stochastic_encode():
     schedule = build_schedule(kl_divergence(q, DiagGaussian.standard(6)), 3.0, 0.0, q.var)
     cfg = RecConfig(omega=3.0, epsilon=0.0, beams=1, stochastic_final=True)
     indices, z, ratio = codec.encode(q, schedule, cfg, seed=5, block=9)
-    code = struct.pack(f"<{len(indices)}I", *indices.indices)
+    code = struct.pack(f"<{len(indices)}I", *indices)
     assert _sha(code + z.tobytes() + struct.pack("<d", ratio)) == STOCHASTIC_ENCODE_GOLDEN

@@ -103,11 +103,8 @@ class TestLossy:
             decompress_lossy(result.data, other)
 
     def test_bit_flip_fuzz_never_crashes(self, fitted_model, small_image):
-        rng = np.random.default_rng(12)
         data = compress_lossy(small_image, fitted_model, CFG, seed=2).data
-        nbits = 8 * len(data)
-        for _ in range(200):
-            pos = int(rng.integers(0, nbits))
+        for pos in range(8 * len(data)):
             mutated = bytearray(data)
             mutated[pos // 8] ^= 1 << (pos % 8)
             try:
