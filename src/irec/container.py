@@ -10,7 +10,8 @@ Layout (see docs/FORMAT.md for the hex-annotated example):
   FormatError), seed u64, omega f64, epsilon f64,
   model_id u64, block_count u32, latent_dim u32, image_width u32,
   image_height u32. ContainerHeader holds each header rule once (a known
-  version, a nonempty image, valid omega/epsilon), so pack refuses a bad
+  version, integer fields within their u64/u32 widths, a nonempty image
+  whose tile count fits u32, valid omega/epsilon), so pack refuses a bad
   header with UsageError and unpack rejects it with FormatError. Its
   block_count is derived, model.tile_grid's tile count: pack writes it and
   unpack rejects a file whose field differs with FormatError.
@@ -25,6 +26,7 @@ Layout (see docs/FORMAT.md for the hex-annotated example):
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -43,6 +45,23 @@ _HEADER = struct.Struct("<4sBBQddQIIII")
 HEADER_SIZE = _HEADER.size
 
 _LN2 = math.log(2.0)
+# The header's integer fields and their widths; block_count is derived.
+_FIELD_BITS = (
+    ("seed", 64),
+    ("model_id", 64),
+    ("latent_dim", 32),
+    ("image_width", 32),
+    ("image_height", 32),
+)
+
+
+def _check_uint(name: str, value, bits: int) -> None:
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    if not 0 <= value < 1 << bits:
+        raise UsageError(f"{name} {value} out of u{bits} range")
 
 
 @dataclass(frozen=True)
@@ -59,8 +78,11 @@ class ContainerHeader:
     def __post_init__(self):
         if self.version not in VERSIONS:
             raise UsageError(f"unsupported version {self.version}")
+        for name, bits in _FIELD_BITS:
+            _check_uint(name, getattr(self, name), bits)
         if self.image_width == 0 or self.image_height == 0:
             raise UsageError(f"empty image {self.image_width}x{self.image_height}")
+        _check_uint("block_count", self.block_count, 32)
         # Validates omega/epsilon and the index width bound.
         samples_per_step(self.omega, self.epsilon)
 

@@ -92,6 +92,44 @@ class TestPackUnpack:
         with pytest.raises(dataclasses.FrozenInstanceError):
             h.seed = 0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", -1),
+            ("seed", 2**64),
+            ("seed", 1.0),
+            ("model_id", -1),
+            ("model_id", 2**64),
+            ("latent_dim", -1),
+            ("latent_dim", 2**32),
+            ("image_width", -8),
+            ("image_width", 2**32),
+            ("image_height", -8),
+            ("image_height", 2**32),
+        ],
+    )
+    def test_integer_field_out_of_range(self, field, value):
+        with pytest.raises(UsageError, match=field):
+            header(**{field: value})
+        with pytest.raises(UsageError, match=field):
+            dataclasses.replace(header(), **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 2**64 - 1), ("model_id", 2**64 - 1), ("latent_dim", 2**32 - 1)],
+    )
+    def test_integer_field_extremes_round_trip(self, field, value):
+        h = header(**{field: value})
+        assert unpack(pack(h, [(1,)]))[0] == h
+
+    def test_tile_count_must_fit_u32(self):
+        # 2^19 x 2^19 tiles: each side fits u32, the block count does not.
+        with pytest.raises(UsageError, match="block_count"):
+            header(image_width=2**22, image_height=2**22)
+        data = pack(header(), [(1,)])
+        with pytest.raises(FormatError, match="block_count"):
+            unpack(relabel(data, 1, 2**32 - 1, 2**32 - 1))
+
     def test_single_zero_index(self):
         data = pack(header(epsilon=0.0), [(0,)])
         assert data[HEADER_SIZE:] == b"\x01\x00"  # varint K=1, 5-bit payload byte

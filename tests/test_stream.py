@@ -21,11 +21,17 @@ class TestDeterminism:
         assert stream.draw_uniform(5, 0, 0, 0) == stream.draw_uniform(5, 0, 0, 0)
 
     def test_pinned_values(self):
-        # Wire-format regression anchor: these values must never change.
-        v = stream.draw_vector(0, 0, 0, 0, 2)
-        again = stream.draw_vector(0, 0, 0, 0, 2)
-        assert v.tobytes() == again.tobytes()
-        assert np.all(np.isfinite(v))
+        # Wire-format regression anchor: the float64 bytes of these draws
+        # (even dims, odd dims, a seed with its high word set) must never change.
+        pinned = {
+            (0, 0, 0, 0, 2): "011c138c6273d9bf0ee791ff84ddd3bf",
+            (77, 5, 3, 9, 3): "a10a6d7d1deff1bf5e2c028cdbebf43fbe72ff0660eac73f",
+            (2**32 + 0x1234, 7, 1, 2, 4): (
+                "9435625a9419cebfa0e2ea9a9d0bea3f412aa28ea67af93f3f5b010963a1e13f"
+            ),
+        }
+        for address, expected in pinned.items():
+            assert stream.draw_vector(*address).tobytes().hex() == expected
 
 
 class TestBatchedDraws:
@@ -69,6 +75,119 @@ class TestBatchedDraws:
     def test_non_integer_address(self):
         with pytest.raises(UsageError):
             stream.draw_normals(0, np.array([0.0, 1.0]), 0, 0, 2)
+
+
+# Philox4x32-10 known-answer vectors from Random123 (kat_vectors):
+# counter (c0, c1, c2, c3), key (k0, k1), output (r0, r1, r2, r3).
+KNOWN_ANSWERS = [
+    ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    (
+        (0xFFFFFFFF,) * 4,
+        (0xFFFFFFFF,) * 2,
+        (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD),
+    ),
+    (
+        (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+        (0xA4093822, 0x299F31D0),
+        (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+    ),
+]
+
+
+def words_at(path, seed, block, step, sample, lanes):
+    """raw_words at one address, on the Python-int path or on the NumPy path
+    (the same address given as 1-element arrays)."""
+    if path == "array":
+        block, step, sample = (np.array([a]) for a in (block, step, sample))
+    return stream.raw_words(seed, block, step, sample, lanes)
+
+
+class TestPhilox:
+    @pytest.mark.parametrize("path", ["int", "array"])
+    @pytest.mark.parametrize("counter, key, expected", KNOWN_ANSWERS)
+    def test_known_answers(self, path, counter, key, expected):
+        # Counter words are (lane, sample, step, block); key = (seed low, seed high).
+        c0, c1, c2, c3 = counter
+        w_lo, w_hi = words_at(path, key[0] | key[1] << 32, c3, c2, c1, np.array([c0]))
+        lo, hi = int(w_lo[0]), int(w_hi[0])
+        assert (lo & 0xFFFFFFFF, lo >> 32, hi & 0xFFFFFFFF, hi >> 32) == expected
+
+    def test_paths_agree_on_every_lane_count(self):
+        rng = np.random.default_rng(7)
+        u32_max = 2**32 - 1
+        for n in range(1, stream._INT_PATH_MAX_INVOCATIONS + 3):
+            seed = int(rng.integers(2**32, 2**64, dtype=np.uint64))
+            block, step, sample = rng.choice([0, 1, u32_max - 1, u32_max], size=3)
+            first = int(rng.integers(0, 2**32 - n + 1))
+            lanes = np.arange(first, first + n, dtype=np.uint64)
+            if n % 3 == 0:
+                lanes[-1] = u32_max
+            ints = words_at("int", seed, int(block), int(step), int(sample), lanes)
+            arrays = words_at("array", seed, int(block), int(step), int(sample), lanes)
+            for a, b in zip(ints, arrays):
+                assert a.dtype == b.dtype == np.uint64
+                assert a.shape == b.shape == (n,)
+                assert a.tolist() == b.tolist()
+
+    def test_path_follows_invocation_count(self, monkeypatch):
+        calls = []
+        packed = stream._philox_packed
+        monkeypatch.setattr(
+            stream, "_philox_packed", lambda *a: calls.append(1) or packed(*a)
+        )
+        limit = stream._INT_PATH_MAX_INVOCATIONS
+        stream.raw_words(3, 1, 2, 3, 0)
+        stream.raw_words(3, 1, 2, 3, np.arange(limit).reshape(2, -1))
+        assert len(calls) == 2
+        stream.raw_words(3, 1, 2, 3, np.arange(limit + 1))
+        stream.raw_words(3, np.array([1]), 2, 3, 0)
+        assert len(calls) == 2
+
+    def test_lane_grid_shape(self):
+        lanes = np.arange(6, dtype=np.uint64).reshape(2, 3)
+        ints = words_at("int", 2**40 + 1, 4, 5, 6, lanes)
+        arrays = words_at("array", 2**40 + 1, 4, 5, 6, lanes)
+        for a, b in zip(ints, arrays):
+            assert a.shape == b.shape == (2, 3)
+            assert np.array_equal(a, b)
+
+    def test_numpy_integer_scalars(self):
+        seed = 2**63 + 5
+        expected = stream.raw_words(seed, 9, 4, 11, 2)
+        got = stream.raw_words(
+            np.uint64(seed), np.uint32(9), np.int64(4), np.uint16(11), np.int8(2)
+        )
+        assert got == expected
+        assert stream.draw_vector(seed, np.int32(9), np.uint8(4), np.int64(11), 8).tobytes() == (
+            stream.draw_vector(seed, 9, 4, 11, 8).tobytes()
+        )
+
+    def test_scalar_lanes_give_numpy_scalars(self):
+        w_lo, w_hi = stream.raw_words(17, 1, 2, 3, 4)
+        assert type(w_lo) is np.uint64 and type(w_hi) is np.uint64
+        a_lo, a_hi = words_at("array", 17, 1, 2, 3, 4)
+        assert [w_lo, w_hi] == [a_lo[0], a_hi[0]]
+
+    @pytest.mark.parametrize("path", ["int", "array"])
+    @pytest.mark.parametrize("address", ["block", "step", "sample"])
+    @pytest.mark.parametrize("bad", [-1, 2**32, 1.5])
+    def test_bad_address_on_both_paths(self, path, address, bad):
+        kwargs = {"block": 1, "step": 2, "sample": 3}
+        kwargs[address] = bad
+        with pytest.raises(UsageError, match=address):
+            words_at(path, 5, **kwargs, lanes=np.arange(4))
+
+    @pytest.mark.parametrize("path", ["int", "array"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_bad_seed_on_both_paths(self, path, seed):
+        with pytest.raises(UsageError, match="seed"):
+            words_at(path, seed, 1, 2, 3, np.arange(4))
+
+    @pytest.mark.parametrize("path", ["int", "array"])
+    @pytest.mark.parametrize("lanes", [-1, 2**32, np.array([0, -1]), np.array([2**32]), np.array([0.0])])
+    def test_bad_lane_on_both_paths(self, path, lanes):
+        with pytest.raises(UsageError, match="lane"):
+            words_at(path, 5, 1, 2, 3, lanes)
 
 
 class TestStatistics:
