@@ -1,12 +1,16 @@
 """End-to-end acceptance criteria for the codec.
 
 Each test covers one numbered criterion and prints a single pass/fail line
-with the measured value, so a full run doubles as a report. Criteria 2 and 6
-run on the 30-nat, 16-dimensional synthetic benchmark with the equal-KL
-schedule of container version 2, built for each target from its variances:
+with the measured value, so a full run doubles as a report. Criteria 4-6
+check the chain identities in closed form (the chain is linear-Gaussian), so
+their values repeat exactly and their bound is rounding error; criterion 7
+tests sampling on the real sample stream and stays statistical. Criteria 2
+and 6 run on the 30-nat, 16-dimensional synthetic benchmark with the
+equal-KL schedule of container version 2, built for each target from its
+variances:
 
-* criterion 6: every mean per-step KL is 3.00 nats (budget 3.6), on
-  problem seeds 0-5 alike; the power-law schedule of version 1 gave 70%.
+* criterion 6: every expected per-step KL is 3.000 nats (budget 3.6); the
+  power-law schedule of version 1 gave 70% of steps within budget.
 * criterion 2: the B=20 mean log weight is 24.06 +/- 0.29 nats against a
   band that starts at 24, a margin below one standard error. Over problem
   seeds 0-5 it ranges from 23.67 to 24.54. The shortfall from the 30-nat
@@ -94,19 +98,14 @@ def test_criterion_04_chain_rule_identity():
     problems = []
     for _ in range(20):
         kl = float(rng.uniform(2.0, 8.0))
-        q = synthetic_target(1, kl, rng)
-        problems.append((q, build_schedule(kl, 3.0, 0.2), int(rng.integers(2**31))))
+        problems.append((synthetic_target(1, kl, rng), build_schedule(kl, 3.0, 0.2)))
     for _ in range(20):
-        q = synthetic_target(16, 30.0, rng)
-        problems.append((q, build_schedule(30.0, 3.0, 0.2), int(rng.integers(2**31))))
-    result = synthetic.check_chain_rule(problems, trials=100_000)
+        problems.append((synthetic_target(16, 30.0, rng), build_schedule(30.0, 3.0, 0.2)))
+    result = synthetic.check_chain_rule(problems)
     report(4, result.passed, result.detail)
 
 
 def test_criterion_05_conditional_moments():
-    # The 3-SE bound applies per comparison; with 50 configs times up to 5
-    # dimensions the max deviation is an order statistic that sits near 3 by
-    # construction, so the run is pinned to a representative seed.
     def draw_problem(rng):
         dims = int(rng.integers(1, 6))
         kl = float(rng.uniform(4.0, 20.0))
@@ -114,9 +113,7 @@ def test_criterion_05_conditional_moments():
         schedule = build_schedule(kl, 3.0, 0.2)
         return q, schedule, int(rng.integers(0, schedule.K))
 
-    result = synthetic.check_target_moments(
-        np.random.default_rng(8), draw_problem, configs=50, samples=100_000
-    )
+    result = synthetic.check_target_moments(np.random.default_rng(8), draw_problem, configs=50)
     report(5, result.passed, result.detail)
 
 
@@ -125,10 +122,11 @@ def test_criterion_06_per_step_kl_histogram(tmp_path):
     problems = []
     for _ in range(20):
         q = synthetic_target(16, 30.0, rng)
-        problems.append((q, build_schedule(30.0, 3.0, 0.2, q.var), int(rng.integers(2**31))))
-    result = synthetic.check_step_kl(problems, trials=2_000, csv_path=tmp_path / "steps.csv")
-    assert (tmp_path / "steps.csv").exists()
-    report(6, result.passed, result.detail)
+        problems.append((q, build_schedule(30.0, 3.0, 0.2, q.var)))
+    csv = tmp_path / "steps.csv"
+    result = synthetic.check_step_kl(problems, csv_path=csv)
+    step_kls = {row.split(",")[1] for row in csv.read_text().splitlines()[1:]}
+    report(6, result.passed and step_kls == {"3.000000"}, result.detail)
 
 
 def test_criterion_07_stochastic_fidelity():

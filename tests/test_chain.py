@@ -134,8 +134,7 @@ class TestEqualKLSchedule:
         q = synthetic_target(dims, kl, rng)
         s = build_schedule(kl, 3.0, 0.2, q.var)
         assert s.K * 3.0 == kl
-        profile = chain_kl_profile(q, s, trials=20_000, seed=2)
-        assert np.allclose(profile, 3.0, atol=0.05)
+        assert np.allclose(chain_kl_profile(q, s), 3.0, rtol=0, atol=1e-9)
 
     def test_rejects_bad_variances(self):
         for bad in ([], [0.5, -1.0], [np.nan], [np.inf], [[0.5]]):
@@ -173,12 +172,12 @@ class TestAuxTarget:
         assert var[0] == pytest.approx(expect_var, rel=1e-9)
 
     def test_matches_marginal_of_conditional_prior(self):
-        # MC oracle: z ~ q, a1 ~ p(a1 | z) must reproduce the closed form.
+        # z ~ q, a1 ~ p(a1 | z) must marginalize to the closed form.
         q = uni(3.0, math.sqrt(0.1))
         s = build_schedule(kl_divergence(q, DiagGaussian.standard(1)), 3.0, 0.2)
         assert s.K == 2
         rng = np.random.default_rng(5)
-        assert check_target_moments(rng, lambda rng: (q, s, 0), 1, 100_000).passed
+        assert check_target_moments(rng, lambda rng: (q, s, 0), 1).passed
 
 
 class TestConditionalPrior:
@@ -202,6 +201,35 @@ class TestConditionalPrior:
         b = np.array([0.6])
         mean, _ = conditional_prior(b, b, *step_vars(s, 0))
         assert mean[0] == 0.0
+
+
+class TestKernelsAreAffine:
+    """The exact oracles rest on this: target mean, posterior nu and b, and
+    the conditional prior mean are affine in (nu, b, a, z), and no variance
+    depends on them."""
+
+    def test_convex_combination_commutes_with_kernels(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            d = int(rng.integers(1, 6))
+            s = schedule_from_steps(int(rng.integers(1, 8)), 3.0, 0.2)
+            step = step_vars(s, int(rng.integers(0, s.K)))
+            rho_sq = rng.uniform(0.01, 1.0, d)
+
+            def kernels(nu, b, a, z):
+                mean, var = target_moments(nu, rho_sq, b, *step)
+                nu_new, rho_new, b_new = posterior_moments(nu, rho_sq, b, a, *step)
+                prior_mean, prior_var = conditional_prior(z, b, *step)
+                affine = np.stack([mean, nu_new, b_new, prior_mean])
+                return affine, np.stack([var, rho_new, np.broadcast_to(prior_var, d)])
+
+            x, y = rng.normal(size=(2, 4, d))
+            lam = float(rng.uniform())
+            fx, vx = kernels(*x)
+            fy, vy = kernels(*y)
+            fm, vm = kernels(*(lam * x + (1.0 - lam) * y))
+            np.testing.assert_allclose(fm, lam * fx + (1.0 - lam) * fy, rtol=1e-12)
+            assert np.array_equal(vm, vx) and np.array_equal(vm, vy)
 
 
 class TestPosteriorUpdate:
@@ -284,7 +312,7 @@ class TestPosteriorUpdate:
 class TestKLProfile:
     def test_prior_target_all_zero(self):
         s = schedule_from_steps(4, 3.0, 0.2)
-        profile = chain_kl_profile(DiagGaussian.standard(2), s, trials=200, seed=0)
+        profile = chain_kl_profile(DiagGaussian.standard(2), s)
         assert np.allclose(profile, 0.0, atol=1e-12)
 
     def test_sums_to_total_kl(self):
@@ -292,8 +320,4 @@ class TestKLProfile:
         kl = kl_divergence(q, DiagGaussian.standard(1))
         assert kl == pytest.approx(5.2013, abs=1e-4)
         s = build_schedule(kl, 3.0, 0.2)
-        assert check_chain_rule([(q, s, 1)], trials=100_000).passed
-
-    def test_rejects_tiny_trial_counts(self):
-        with pytest.raises(UsageError):
-            chain_kl_profile(DiagGaussian.standard(1), schedule_from_steps(1, 3.0, 0.2), trials=99)
+        assert check_chain_rule([(q, s)]).passed

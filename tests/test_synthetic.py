@@ -40,37 +40,56 @@ def test_synthetic_target_rejects_nonpositive_dims(dims):
         synthetic.synthetic_target(dims, 5.0, np.random.default_rng(0))
 
 
-def _moment_problem(rng):
-    q = synthetic.synthetic_target(4, 12.0, rng)
-    schedule = build_schedule(12.0, 3.0, 0.2, q.var)
-    return q, schedule, int(rng.integers(0, schedule.K))
+def _moment_check():
+    return synthetic.check_target_moments(np.random.default_rng(0), synthetic.moment_problem, 10)
+
+
+def _scaled_target(mean_scale, var_scale, kernel=chain.target_moments):
+    def scaled(*args):
+        mean, var = kernel(*args)
+        return mean_scale * mean, var_scale * var
+
+    return scaled
 
 
 class TestOraclePower:
     """Each shared check passes on the chain and fails on a known fault."""
 
     def test_moment_check_fails_on_a_scaled_target_mean(self, monkeypatch):
-        def check():
-            rng = np.random.default_rng(0)
-            return synthetic.check_target_moments(rng, _moment_problem, 3, 20_000)
+        assert _moment_check().passed
+        # The exact check reads about 0.13 and 0.052 target SDs.
+        for scale in (1.05, 1.02):
+            monkeypatch.setattr(chain, "target_moments", _scaled_target(scale, 1.0))
+            result = _moment_check()
+            assert not result.passed and result.value > 0.04
+            assert result.bound == synthetic.IDENTITY_BOUND
 
-        assert check().passed
-        kernel = chain.target_moments
-
-        def scaled(*args):
-            mean, var = kernel(*args)
-            return 1.05 * mean, var
-
-        monkeypatch.setattr(chain, "target_moments", scaled)
-        result = check()
-        assert not result.passed and result.value > result.bound == synthetic.MOMENT_BOUND
+    def test_moment_check_fails_on_a_scaled_target_variance(self, monkeypatch):
+        # Within 3 SE of a 100,000-sample estimate; only an exact check sees it.
+        monkeypatch.setattr(chain, "target_moments", _scaled_target(1.0, 1.001))
+        result = _moment_check()
+        assert not result.passed
+        assert result.value == pytest.approx(0.001 / 1.001, rel=1e-6)
 
     def test_chain_rule_check_fails_when_step_kls_miss_the_total(self):
         q = synthetic.synthetic_target(2, 9.0, np.random.default_rng(0))
         schedule = build_schedule(9.0, 3.0, 0.2, q.var)
-        assert synthetic.check_chain_rule([(q, schedule, 0)], trials=20_000).passed
+        assert synthetic.check_chain_rule([(q, schedule)]).passed
         # Step variances summing to 1.2: the constructor refuses them.
         bad = object.__new__(AuxSchedule)
         bad.__dict__.update(vars(schedule), sigma_sq=1.2 * schedule.sigma_sq)
-        result = synthetic.check_chain_rule([(q, bad, 0)], trials=20_000)
-        assert not result.passed and result.value > result.bound == synthetic.CHAIN_RULE_BOUND
+        result = synthetic.check_chain_rule([(q, bad)])
+        assert not result.passed and result.value > result.bound == synthetic.IDENTITY_BOUND
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_exact_oracles_pass_on_validate_draws(seed):
+    # Working code passes at every seed; a sampled bound would fail some by chance.
+    moments = synthetic.check_target_moments(
+        np.random.default_rng(seed), synthetic.moment_problem, 10
+    )
+    assert moments.passed, moments.detail
+    rng = np.random.default_rng(seed)
+    problems = [synthetic.moment_problem(rng)[:2] for _ in range(10)]
+    chain_rule = synthetic.check_chain_rule(problems)
+    assert chain_rule.passed, chain_rule.detail
