@@ -9,6 +9,18 @@ independent of evaluation order; the B best are found in linear time
 as one array operation over a block axis; a block's code is the same as when
 it is encoded alone. The decoder only replays the chosen draws and never sees
 the target distribution.
+
+The step kernel fixes its floating-point order so that its codes do not
+depend on how blocks and steps are batched:
+
+* Scores are computed dimension-major, in a (D, G, B, M) buffer, and summed
+  over D by _sum_dims, which adds whole (G, B, M) arrays in the order np.sum
+  adds one contiguous row of D floats. Each score therefore equals np.sum
+  over that candidate's own row, bit for bit.
+* The shared draws of several steps come from one stream call: a slab of
+  at most MAX_CHUNK_FLOATS // 8 floats, scaled by each step's sigma_k.
+* A step keeps only back-pointers, each surviving beam's parent beam and
+  sample; the code is traced back once, from each block's best final beam.
 """
 
 from __future__ import annotations
@@ -27,7 +39,8 @@ from .gauss import DiagGaussian
 MAX_CANDIDATE_FLOATS = 1 << 24
 # Blocks encoded together score G x B x M x D candidate floats per step, in
 # one buffer that is reused for every step and chunk; G is the largest count
-# whose buffer fits this many floats, and at least 1.
+# whose buffer fits this many floats, and at least 1. The draws of as many
+# steps as fit an eighth of it (at least one) come from one stream call.
 MAX_CHUNK_FLOATS = 1 << 17
 
 
@@ -151,50 +164,105 @@ def encode_blocks(
     zs, ratios = [], []
     for lo in range(0, len(blocks), chunk):
         part = slice(lo, lo + chunk)
-        prefixes, z, ratio = _encode_chunk(
+        codes, z, ratio = _encode_chunk(
             mean[part], std[part], schedule, cfg, seed, blocks[part], scratch
         )
-        indices += [tuple(p) for p in prefixes.tolist()]
+        indices += [tuple(c) for c in codes.tolist()]
         zs.append(z)
         ratios.append(ratio)
     return indices, np.concatenate(zs), np.concatenate(ratios)
+
+
+def _sum_dims(x: np.ndarray) -> np.ndarray:
+    """np.sum over axis 0 of x, bit for bit as if that axis were last.
+
+    np.sum adds a contiguous axis of n terms by pairwise summation, here
+    spelled out over whole arrays x[i]: fewer than 8 terms are added one at
+    a time; up to 128 go into 8 running sums r0..r7 (term i into r[i % 8],
+    up to the last full group of 8), which combine as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the remaining terms are added
+    one at a time; more than 128 split at half of n rounded down to a
+    multiple of 8, and the two halves' sums are added. The total is then
+    added to the reduction's start value +0.0, so a sum of -0.0 terms reads
+    +0.0. Overwrites x; returns a view of x[0].
+    """
+    total = _pairwise(x)
+    return np.add(total, 0.0, out=total)
+
+
+def _pairwise(x: np.ndarray) -> np.ndarray:
+    """NumPy's pairwise sum over axis 0, without the start value; in place."""
+    n = len(x)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        head, tail = _pairwise(x[:half]), _pairwise(x[half:])
+        return np.add(head, tail, out=head)
+    total = x[0]
+    rest = range(1, n)
+    if n >= 8:
+        full = n - n % 8
+        acc = x[:8]
+        for i in range(8, full, 8):
+            np.add(acc, x[i : i + 8], out=acc)
+        np.add(acc[0::2], acc[1::2], out=acc[0::2])  # r0+r1, r2+r3, r4+r5, r6+r7
+        np.add(acc[0::4], acc[2::4], out=acc[0::4])
+        np.add(total, acc[4], out=total)
+        rest = range(full, n)
+    for i in rest:
+        np.add(total, x[i], out=total)
+    return total
 
 
 def _encode_chunk(mean, std, schedule, cfg, seed, blocks, scratch):
     """Beam search for G blocks at once; beam state has shape (G, beams, D).
 
     Candidates are scored in place in `scratch`, a flat float64 buffer of at
-    least G*B*M*D elements.
+    least G*B*M*D elements, laid out dimension-major as (D, G, B, M). The
+    draws of `span` steps at a time come from one stream call. Returns the
+    codes as a (G, K) array, z and log q(z)/p(z).
     """
     g = len(blocks)
     rows = np.arange(g)[:, None]
     m = schedule.M
     d = mean.shape[1]
     tails = schedule.tail_var()
+    span = max(1, MAX_CHUNK_FLOATS // 8 // (g * m * d))
     # Beam state, kept sorted by lexicographic index prefix within each block.
     nu = mean[:, None, :].copy()
     rho_sq = (std * std)[:, None, :]
     b = np.zeros_like(nu)
     log_w = np.zeros((g, 1))
-    prefixes = np.zeros((g, 1, 0), dtype=np.int64)
+    trail = []  # (beam_idx, pick) per step: each beam's parent and sample
 
     for k in range(schedule.K):
+        j = k % span
+        if j == 0:
+            steps = np.arange(k, min(k + span, schedule.K))
+            var = schedule.sigma_sq[steps]
+            slab = stream.draw_normals(
+                seed, blocks[:, None, None], steps[:, None], np.arange(m), d
+            )  # (G, steps, M, D), shared across each block's beams
+            slab *= np.sqrt(var)[:, None, None]  # sigma_k * u, as the decoder scales
+            slab_quad_p = np.sum(slab * slab, axis=3) / (2.0 * var[:, None])  # -log p(a) + c
+            slab_dims = np.ascontiguousarray(slab.transpose(1, 3, 0, 2))
+            if cfg.stochastic_final:
+                slab_u = stream.draw_uniforms(seed, blocks[:, None], steps, m)
+        a = slab[:, j]
         sig_sq = float(schedule.sigma_sq[k])
         s_prev, s_next = float(tails[k]), float(tails[k + 1])
-        a = stream.scale_to_aux(
-            stream.draw_matrix(seed, blocks, k, m, d), np.sqrt(sig_sq)
-        )  # (G, M, D), shared across each block's beams
 
         mean_t, var_t = target_moments(nu, rho_sq, b, sig_sq, s_prev, s_next)
         # log q(a | beam) - log p(a), for every block x beam x sample. The
-        # in-place ufuncs are those of (a - mean)**2 / (2 var), in that order,
-        # on a contiguous view, so the scores are bit for bit the same.
-        diff = scratch[: g * nu.shape[1] * m * d].reshape(g, -1, m, d)
-        np.subtract(a[:, None, :, :], mean_t[:, :, None, :], out=diff)
+        # ufuncs are those of (a - mean)**2 / (2 var), in that order, and
+        # _sum_dims adds over D in np.sum's order, so the scores are bit for
+        # bit those of summing each candidate's contiguous row of D floats.
+        beams = nu.shape[1]
+        diff = scratch[: d * g * beams * m].reshape(d, g, beams, m)
+        np.subtract(slab_dims[j][:, :, None, :], _dims_first(mean_t), out=diff)
         np.multiply(diff, diff, out=diff)
-        np.divide(diff, 2.0 * var_t[:, :, None, :], out=diff)
-        quad_q = np.sum(diff, axis=3)
-        quad_p = np.sum(a * a, axis=2) / (2.0 * sig_sq)
+        np.divide(diff, 2.0 * _dims_first(var_t), out=diff)
+        quad_q = _sum_dims(diff)
+        quad_p = slab_quad_p[:, j]
         norm = -0.5 * np.sum(np.log(var_t / sig_sq), axis=2)
         cand = log_w[:, :, None] + norm[:, :, None] - quad_q + quad_p[:, None, :]
         flat = cand.reshape(g, -1)
@@ -202,7 +270,7 @@ def _encode_chunk(mean, std, schedule, cfg, seed, blocks, scratch):
         if cfg.stochastic_final:
             w_log = cand[:, 0]
             w = np.exp(w_log - np.max(w_log, axis=1, keepdims=True))
-            u = stream.draw_uniforms(seed, blocks, k, m)
+            u = slab_u[:, j]
             order = np.array([[importance_select(w[i], u[i])] for i in range(g)])
         else:
             # Candidate order is lexicographic (beam-major), so ties resolve
@@ -210,11 +278,9 @@ def _encode_chunk(mean, std, schedule, cfg, seed, blocks, scratch):
             order = top_b(flat, min(cfg.beams, flat.shape[1]))
         beam_idx = order // m
         pick = order % m
+        trail.append((beam_idx, pick))
 
         log_w = flat[rows, order]
-        prefixes = np.concatenate(
-            [prefixes[rows, beam_idx], pick[:, :, None]], axis=2
-        )
         nu, rho_sq, b = posterior_moments(
             nu[rows, beam_idx], rho_sq[rows, beam_idx], b[rows, beam_idx],
             a[rows, pick], sig_sq, s_prev, s_next,
@@ -223,8 +289,19 @@ def _encode_chunk(mean, std, schedule, cfg, seed, blocks, scratch):
     # Final selection: highest log q(z)/p(z) over each block's surviving beams.
     dq = (b - mean[:, None, :]) / std[:, None, :]
     ratios = np.sum(-np.log(std)[:, None, :] + 0.5 * (b * b - dq * dq), axis=2)
-    best = (rows[:, 0], np.argmax(ratios, axis=1))
-    return prefixes[best], b[best], ratios[best]
+    best = np.argmax(ratios, axis=1)
+    codes = np.empty((g, schedule.K), dtype=np.int64)
+    beam = best
+    for k in reversed(range(schedule.K)):
+        beam_idx, pick = trail[k]
+        codes[:, k] = pick[rows[:, 0], beam]
+        beam = beam_idx[rows[:, 0], beam]
+    return codes, b[rows[:, 0], best], ratios[rows[:, 0], best]
+
+
+def _dims_first(x: np.ndarray) -> np.ndarray:
+    """A (G, B, D) beam array as a (D, G, B, 1) view, to broadcast over M."""
+    return x.transpose(2, 0, 1)[..., None]
 
 
 def decode(

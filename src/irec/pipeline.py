@@ -129,9 +129,14 @@ def _decode_blocks(header: ContainerHeader, blocks, model: LinearGaussianModel):
     if header.latent_dim != model.latent_dim:
         raise ModelMismatchError("latent dimension mismatch")
     s_sq = None if header.version == 1 else model_mod.posterior_var(model)
+    schedules: dict[int, AuxSchedule] = {}  # K fixes the schedule, as in _encode_blocks
     zs = np.empty((len(blocks), header.latent_dim))
     for i, indices in enumerate(blocks):
-        schedule = schedule_from_steps(len(indices), header.omega, header.epsilon, s_sq)
+        schedule = schedules.get(len(indices))
+        if schedule is None:
+            schedule = schedules[len(indices)] = schedule_from_steps(
+                len(indices), header.omega, header.epsilon, s_sq
+            )
         zs[i] = codec.decode(indices, schedule, header.seed, block=i, dims=header.latent_dim)
     return zs
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import log_density_ratio
 from irec import codec, stream
@@ -174,18 +175,66 @@ class TestTopB:
         assert np.array_equal(codec.top_b(scores, keep), _top_b_reference(scores, keep))
 
 
-def _check_blocks_match_lone_encodes(beams, stochastic, per_chunk, monkeypatch):
-    # 13 blocks run in chunks of per_chunk blocks, or at the module's own cap
-    # when per_chunk is None; each must equal its lone encode.
+# Every special value next to arbitrary floats (subnormals and magnitudes
+# up to 1e308 among them); no NaN, whose payload np.sum does not fix.
+_TERMS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e300, 1e300, np.inf, -np.inf]
+) | st.floats(allow_nan=False, allow_infinity=True)
+
+
+def _np_sum_rows(x):
+    # x is (D, G, B, M); np.sum over each candidate's contiguous row of D.
+    return np.sum(np.ascontiguousarray(np.moveaxis(x, 0, -1)), axis=-1)
+
+
+class TestSumDims:
+    @pytest.mark.parametrize("dims", range(1, 41))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_equals_np_sum(self, dims, data):
+        shape = (dims,) + tuple(data.draw(st.integers(1, 3)) for _ in range(3))
+        x = data.draw(hnp.arrays(np.float64, shape, elements=_TERMS))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 + 1e308
+            expect = _np_sum_rows(x)
+            got = codec._sum_dims(x.copy())
+        assert got.tobytes() == expect.tobytes()
+        zeros = np.full((dims, 2, 1, 1), -0.0)  # np.sum starts from +0.0
+        assert codec._sum_dims(zeros).tobytes() == _np_sum_rows(zeros).tobytes()
+
+    @pytest.mark.parametrize("dims", [128, 129, 300, 1000])
+    def test_equals_np_sum_on_long_axes(self, dims):
+        # Past 128 terms NumPy splits the axis in two and sums the halves.
+        rng = np.random.default_rng(dims)
+        x = rng.normal(size=(dims, 2, 3, 5)) * 10.0 ** rng.uniform(-300, 300, (dims, 2, 3, 5))
+        assert codec._sum_dims(x.copy()).tobytes() == _np_sum_rows(x).tobytes()
+
+
+def _thirteen_blocks():
+    # 13 blocks of 16 dims at KL 25: K = 9 steps of M = 37 samples.
     rng = np.random.default_rng(8)
     dims = 16
     qs = [synthetic_target(dims, 25.0, rng) for _ in range(13)]
     schedule = build_schedule(25.0, 3.0, 0.2)
+    blocks = [int(b) for b in rng.choice(5000, size=len(qs), replace=False)]
+    return qs, schedule, blocks
+
+
+def _check_blocks_match_lone_encodes(beams, stochastic, monkeypatch, per_chunk=None, span=None):
+    # 13 blocks run in chunks of per_chunk blocks; or in one chunk whose
+    # draws come `span` steps per stream call (the budget holds 13 blocks'
+    # draws of `span` steps, which is a chunk of all 13 when 8 * span >=
+    # beams); or at the module's own budget when neither is given. Each
+    # block must equal its lone encode under the same budget.
+    qs, schedule, blocks = _thirteen_blocks()
+    dims = qs[0].dim
     cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams, stochastic_final=stochastic)
     if per_chunk is not None:
         cap = per_chunk * beams * schedule.M * dims
         monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", cap)
-    blocks = [int(b) for b in rng.choice(5000, size=len(qs), replace=False)]
+    if span is not None:
+        assert 8 * span >= beams
+        cap = 8 * span * len(qs) * schedule.M * dims
+        monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", cap)
     indices, zs, ratios = codec.encode_blocks(qs, schedule, cfg, 21, blocks)
     for q, block, idx, z, ratio in zip(qs, blocks, indices, zs, ratios):
         alone = encode(q, schedule, cfg, seed=21, block=block)
@@ -201,13 +250,43 @@ class TestEncodeBlocks:
     @pytest.mark.parametrize("beams,stochastic", _BEAM_CASES)
     def test_matches_one_block_at_a_time(self, beams, stochastic, monkeypatch):
         # Chunks of 4, 4, 4 and 1.
-        _check_blocks_match_lone_encodes(beams, stochastic, 4, monkeypatch)
+        _check_blocks_match_lone_encodes(beams, stochastic, monkeypatch, per_chunk=4)
 
     @pytest.mark.parametrize("per_chunk", [1, None])
     @pytest.mark.parametrize("beams,stochastic", _BEAM_CASES)
     def test_matches_at_other_chunk_sizes(self, beams, stochastic, per_chunk, monkeypatch):
         # One block per chunk, or as many as the module's cap allows.
-        _check_blocks_match_lone_encodes(beams, stochastic, per_chunk, monkeypatch)
+        _check_blocks_match_lone_encodes(beams, stochastic, monkeypatch, per_chunk=per_chunk)
+
+    @pytest.mark.parametrize("span", [1, 2, 9, 30])
+    @pytest.mark.parametrize("beams,stochastic", [(1, False), (4, False), (1, True)])
+    def test_matches_across_draw_slabs(self, beams, stochastic, span, monkeypatch):
+        # Slabs of 1 step, of 2 (which do not divide K = 9), of exactly K and
+        # of 30 > K steps; under these budgets a lone encode draws all 9 at once.
+        assert _thirteen_blocks()[1].K == 9
+        _check_blocks_match_lone_encodes(beams, stochastic, monkeypatch, span=span)
+
+    @pytest.mark.parametrize("per_chunk,calls", [(None, 5), (4, 3 * 9 + 5)])
+    def test_one_stream_call_per_draw_slab(self, per_chunk, calls, monkeypatch):
+        # A chunk of G blocks draws span = max(1, (MAX_CHUNK_FLOATS // 8) //
+        # (G * M * D)) steps per call, so ceil(K / span) calls. At the
+        # module's budget one chunk of 13 blocks draws 2 steps per call: 5
+        # calls. Chunks of 4, 4, 4 and 1 blocks draw 1, 1, 1 and 2 steps.
+        qs, schedule, blocks = _thirteen_blocks()
+        cfg = RecConfig(omega=3.0, epsilon=0.2, beams=4)
+        if per_chunk is not None:
+            cap = per_chunk * cfg.beams * schedule.M * qs[0].dim
+            monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", cap)
+        raw_words = stream.raw_words
+        seen = []
+
+        def counting(*args):
+            seen.append(args)
+            return raw_words(*args)
+
+        monkeypatch.setattr(stream, "raw_words", counting)
+        codec.encode_blocks(qs, schedule, cfg, 21, blocks)
+        assert len(seen) == calls
 
     def test_rejects_mismatched_inputs(self):
         schedule = build_schedule(5.0, 3.0, 0.2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_training_patches, sample_image
-from irec import container, residual
+from irec import container, pipeline, residual
 from irec.codec import RecConfig
 from irec.errors import (
     CorruptStreamError,
@@ -173,6 +173,23 @@ class TestLossless:
         )
         with pytest.raises(ModelMismatchError):
             decompress_lossless(result.data, other)
+
+    def test_one_schedule_per_step_count(self, fitted_model, monkeypatch):
+        # The schedule depends on K alone, so decoding builds it once per K.
+        img = sample_image(fitted_model, np.random.default_rng(23), 32, 32)
+        data = compress_lossless(img, fitted_model, CFG, seed=0).data
+        step_counts = [len(b) for b in container.unpack(data)[1]]
+        built = []
+        schedule_from_steps = pipeline.schedule_from_steps
+
+        def counting(K, *args):
+            built.append(K)
+            return schedule_from_steps(K, *args)
+
+        monkeypatch.setattr(pipeline, "schedule_from_steps", counting)
+        assert np.array_equal(decompress_lossless(data, fitted_model).pixels, img.pixels)
+        assert len(step_counts) == 16 and len(set(step_counts)) > 1
+        assert sorted(built) == sorted(set(step_counts))
 
     def test_stats_accounting(self, fitted_model, small_image):
         result = compress_lossless(small_image, fitted_model, CFG, seed=0)
