@@ -126,12 +126,13 @@ def encode(
     needs a single beam), in which case each step's index is sampled
     proportionally to its importance weight using a reserved stream address.
     """
-    indices, zs, ratios = encode_blocks([q], schedule, cfg, seed, [block])
+    indices, zs, ratios = encode_blocks(q.mean[None], q.std, schedule, cfg, seed, [block])
     return indices[0], zs[0], float(ratios[0])
 
 
 def encode_blocks(
-    qs: Sequence[DiagGaussian],
+    mean: np.ndarray,
+    std: np.ndarray,
     schedule: AuxSchedule,
     cfg: RecConfig,
     seed: int,
@@ -139,6 +140,7 @@ def encode_blocks(
 ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
     """Encode blocks that share one schedule, step by step across blocks.
 
+    The targets are a (G, D) mean and a (G, D) std, or one (D,) std for all.
     Returns (indices per block, decoded z of shape (G, D), log q(z)/p(z) of
     shape (G,)). Block g's outputs are exactly those of encoding it alone:
     blocks run in chunks whose candidates fit one scoring buffer of at most
@@ -148,16 +150,16 @@ def encode_blocks(
     """
     if schedule.M != samples_per_step(cfg.omega, cfg.epsilon):
         raise UsageError("schedule and config disagree on samples per step")
-    if len(qs) != len(blocks):
-        raise UsageError(f"{len(qs)} targets for {len(blocks)} blocks")
-    if not qs or len({q.dim for q in qs}) != 1:
-        raise UsageError("targets must be nonempty and share one dimension")
-    mean = np.array([q.mean for q in qs])
-    std = np.array([q.std for q in qs])
+    mean, std = np.asarray(mean, dtype=np.float64), np.asarray(std, dtype=np.float64)
+    if mean.ndim != 2 or not mean.size or std.shape not in (mean.shape, mean.shape[1:]):
+        raise UsageError(f"targets of shape {mean.shape}, {std.shape}: need (G, D), (D,)")
+    if len(mean) != len(blocks):
+        raise UsageError(f"{len(mean)} targets for {len(blocks)} blocks")
+    std = np.broadcast_to(std, mean.shape)
     d = mean.shape[1]
     _check_budget(cfg, schedule, d)
     per_block = cfg.beams * schedule.M * d
-    chunk = min(len(qs), max(1, MAX_CHUNK_FLOATS // per_block))
+    chunk = min(len(mean), max(1, MAX_CHUNK_FLOATS // per_block))
     scratch = np.empty(chunk * per_block)
     blocks = np.asarray(blocks)
     indices: list[tuple[int, ...]] = []

@@ -18,7 +18,7 @@ STD_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class DiagGaussian:
-    """Diagonal Gaussian given by per-dimension mean and standard deviation."""
+    """Diagonal Gaussian, or a batch sharing one std: mean (..., D), std (D,)."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -26,12 +26,8 @@ class DiagGaussian:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
         std = np.asarray(self.std, dtype=np.float64)
-        if mean.ndim != 1 or std.ndim != 1:
-            raise UsageError("mean and std must be 1-D vectors")
-        if mean.shape != std.shape or mean.size < 1:
-            raise UsageError(
-                f"mean/std shape mismatch: {mean.shape} vs {std.shape}"
-            )
+        if std.ndim != 1 or mean.shape[-1:] != std.shape or mean.size < 1:
+            raise UsageError(f"mean/std shape mismatch: {mean.shape} vs {std.shape}")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
             raise UsageError("non-finite Gaussian parameters")
         std = np.maximum(std, STD_FLOOR)
@@ -42,7 +38,7 @@ class DiagGaussian:
 
     @property
     def dim(self) -> int:
-        return self.mean.size
+        return self.std.size
 
     @property
     def var(self) -> np.ndarray:
@@ -58,12 +54,12 @@ def _check_dims(q: DiagGaussian, p: DiagGaussian) -> None:
         raise UsageError(f"dimension mismatch: {q.dim} vs {p.dim}")
 
 
-def kl_divergence(q: DiagGaussian, p: DiagGaussian) -> float:
-    """Analytic KL(q || p) in nats, summed over dimensions."""
+def kl_divergence(q: DiagGaussian, p: DiagGaussian) -> np.float64 | np.ndarray:
+    """Analytic KL(q || p) in nats, summed over the last axis (one per row)."""
     _check_dims(q, p)
     ratio = q.var / p.var
     delta = (q.mean - p.mean) / p.std
-    return float(0.5 * np.sum(ratio + delta * delta - 1.0 - np.log(ratio)))
+    return 0.5 * np.sum(ratio + delta * delta - 1.0 - np.log(ratio), axis=-1)
 
 
 def whiten(q: DiagGaussian, p: DiagGaussian) -> DiagGaussian:

@@ -5,9 +5,11 @@ column-orthogonal (eigenbasis, descending eigenvalues, sign fixed so the
 largest-magnitude component of each column is positive). Pixels are modeled
 in raw [0, 255] units, mean-centered by mu.
 
+posterior and reconstruct map all patches at once, in a stated summation order.
+
 Model files use the "LGM1" format: magic, D u32, L u32, mu (D f64 LE),
-W (D*L f64 LE row-major), noise variance f64 LE, all finite. model_id is
-FNV-1a-64 over the file bytes.
+W (D*L f64 LE row-major), noise variance f64 LE, all finite, with D = 64
+(one 8x8 patch) and L >= 1. model_id is FNV-1a-64 over the file bytes.
 """
 
 from __future__ import annotations
@@ -107,6 +109,8 @@ def load_model(path) -> LinearGaussianModel:
         raise FormatError("not an LGM1 model file")
     d = int.from_bytes(data[4:8], "little")
     latent = int.from_bytes(data[8:12], "little")
+    if d != PATCH_DIM or latent == 0:
+        raise FormatError(f"model D = {d}, L = {latent}; 8x8 patches need 64 and >= 1")
     expected = 12 + 8 * (d + d * latent + 1)
     if len(data) != expected:
         raise FormatError(f"model file length {len(data)} != expected {expected}")
@@ -156,15 +160,16 @@ def fit_ppca(patches, latent_dim: int) -> LinearGaussianModel:
 
 
 def posterior(model: LinearGaussianModel, x: np.ndarray) -> DiagGaussian:
-    """Exact posterior over latents; diagonal because W is column-orthogonal."""
+    """Exact posterior of patches x (..., D), diagonal as W is column-orthogonal:
+    the mean sums (x_i - mu_i) W[i] over i = 0..D-1 in order, times var / sigma^2."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.data_dim,):
+    if x.shape[-1:] != (model.data_dim,):
         raise UsageError(f"expected data vector of length {model.data_dim}")
-    wtw = np.sum(model.W * model.W, axis=0)
-    m_diag = wtw + model.noise_var
-    mean = (model.W.T @ (x - model.mu)) / m_diag
-    var = model.noise_var / m_diag
-    return DiagGaussian(mean, np.sqrt(var))
+    var = posterior_var(model)
+    mean = np.zeros(x.shape[:-1] + var.shape)
+    for term in np.moveaxis((x - model.mu)[..., None] * model.W, -2, 0):
+        mean += term
+    return DiagGaussian(mean * (var / model.noise_var), np.sqrt(var))
 
 
 def posterior_var(model: LinearGaussianModel) -> np.ndarray:
@@ -178,10 +183,14 @@ def posterior_var(model: LinearGaussianModel) -> np.ndarray:
 
 
 def reconstruct(model: LinearGaussianModel, z: np.ndarray) -> np.ndarray:
+    """x_hat = ((mu + z_0 W[:, 0]) + z_1 W[:, 1]) + ... for z (..., L), FORMAT.md §6."""
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (model.latent_dim,):
+    if z.shape[-1:] != (model.latent_dim,):
         raise UsageError(f"expected latent vector of length {model.latent_dim}")
-    return model.W @ z + model.mu
+    x_hat = np.broadcast_to(model.mu, z.shape[:-1] + model.mu.shape).copy()
+    for z_j, w_col in zip(np.moveaxis(z, -1, 0)[..., None], model.W.T):
+        x_hat += z_j * w_col
+    return x_hat
 
 
 def quantize_clamp(v: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
 """End-to-end lossy and lossless image compression.
 
-Each 8x8 patch is one coded block: posterior -> whiten -> schedule -> index
-coding. The step schedule is the v2 equal-KL schedule built from the model's
+Each 8x8 patch is one coded block. One posterior, whiten and KL call cover
+every patch of an image, then each block gets its schedule and index code.
+The step schedule is the v2 equal-KL schedule built from the model's
 posterior variances, which are the same for every patch, so blocks with the
 same step count K share it and are index coded together
 (codec.encode_blocks); version-1 files decode with the power-law schedule.
+One reconstruct call maps all decoded latents back to pixels.
 The lossless path adds the range-coded residual of x minus the quantized
 reconstruction (container frames it), using the decoded (possibly biased)
 latent on both sides so encoder and decoder stay synchronized; a decoded
@@ -44,24 +46,19 @@ class CompressionResult:
 def _encode_blocks(img: ImageGray8, model: LinearGaussianModel, cfg: RecConfig, seed: int):
     """Encode every patch; blocks that share a step count K are encoded together."""
     prior = DiagGaussian.standard(model.latent_dim)
-    targets: list[DiagGaussian] = []
-    kls: list[float] = []
+    q = whiten(model_mod.posterior(model, model_mod.patchify(img)), prior)
+    kls = kl_divergence(q, prior).tolist()
     # Every block's schedule comes from the same variances, so K fixes it.
     groups: dict[int, tuple[AuxSchedule, list[int]]] = {}
     s_sq = model_mod.posterior_var(model)
-    for i, patch in enumerate(model_mod.patchify(img)):
-        q = model_mod.posterior(model, patch)
-        q_std = whiten(q, prior)
-        kl = kl_divergence(q_std, prior)
+    for i, kl in enumerate(kls):
         schedule = build_schedule(kl, cfg.omega, cfg.epsilon, s_sq)
-        targets.append(q_std)
-        kls.append(kl)
         groups.setdefault(schedule.K, (schedule, []))[1].append(i)
-    blocks: list[tuple[int, ...]] = [()] * len(targets)
-    zs = np.empty((len(targets), model.latent_dim))
+    blocks: list[tuple[int, ...]] = [()] * len(kls)
+    zs = np.empty_like(q.mean)
     for schedule, group in groups.values():
         indices, zs[group], _ = codec.encode_blocks(
-            [targets[i] for i in group], schedule, cfg, seed, group
+            q.mean[group], q.std, schedule, cfg, seed, group
         )
         for i, tup in zip(group, indices):
             blocks[i] = tup
@@ -71,7 +68,7 @@ def _encode_blocks(img: ImageGray8, model: LinearGaussianModel, cfg: RecConfig, 
 def _reconstruct_image(
     zs: np.ndarray, model: LinearGaussianModel, width: int, height: int
 ) -> ImageGray8:
-    recon = np.array([model_mod.reconstruct(model, z) for z in zs])
+    recon = model_mod.reconstruct(model, zs)
     plane = model_mod.unpatchify(model_mod.quantize_clamp(recon), width, height)
     return ImageGray8(width=width, height=height, pixels=plane.astype(np.uint8))
 
@@ -128,6 +125,8 @@ def _decode_blocks(header: ContainerHeader, blocks, model: LinearGaussianModel):
         )
     if header.latent_dim != model.latent_dim:
         raise ModelMismatchError("latent dimension mismatch")
+    if model.data_dim != model_mod.PATCH_DIM:
+        raise ModelMismatchError(f"model patch dimension {model.data_dim} != 64")
     s_sq = None if header.version == 1 else model_mod.posterior_var(model)
     schedules: dict[int, AuxSchedule] = {}  # K fixes the schedule, as in _encode_blocks
     zs = np.empty((len(blocks), header.latent_dim))
@@ -174,11 +173,8 @@ def model_elbo_bits(img: ImageGray8, model: LinearGaussianModel) -> float:
     The residual term uses the entropy of the discretized per-pixel noise
     model, matching what the lossless residual coder can achieve.
     """
-    prior = DiagGaussian.standard(model.latent_dim)
-    kl_total = sum(
-        kl_divergence(model_mod.posterior(model, p), prior)
-        for p in model_mod.patchify(img)
-    )
+    q = model_mod.posterior(model, model_mod.patchify(img))
+    kl_total = sum(kl_divergence(q, DiagGaussian.standard(model.latent_dim)).tolist())
     freq = residual_mod.pmf_quantized(math.sqrt(model.noise_var))
     p = freq / freq.sum()
     entropy_bits = float(-np.sum(p * np.log2(p)))

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import sample_image
 from irec import cli, container
-from irec.model import read_pgm, save_model, write_pgm
+from irec.model import LinearGaussianModel, read_pgm, save_model, write_pgm
 
 
 @pytest.fixture()
@@ -222,6 +222,24 @@ class TestCompressDecompress:
             "--in", str(out), "--out", str(tmp / "z.pgm"),
         ])
         assert code == 4
+
+    def test_model_of_other_patch_size_exit_code(self, tmp_path):
+        # A 16-pixel model file and a container that names it: the loader
+        # refuses the model before any block is decoded.
+        model = LinearGaussianModel(W=np.ones((16, 2)), mu=np.zeros(16), noise_var=1.0)
+        model_path = tmp_path / "d16.lgm"
+        save_model(model, model_path)
+        header = container.ContainerHeader(
+            seed=0, omega=3.0, epsilon=0.2, model_id=model.model_id,
+            latent_dim=2, image_width=8, image_height=8,
+        )
+        data_path = tmp_path / "d16.irec"
+        data_path.write_bytes(container.pack(header, [(0,)]))
+        code = cli.main([
+            "decompress", "--mode", "lossy", "--model", str(model_path),
+            "--in", str(data_path), "--out", str(tmp_path / "z.pgm"),
+        ])
+        assert code == 3
 
     def test_unknown_command(self):
         assert cli.main(["frobnicate"]) == 1

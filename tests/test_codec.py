@@ -219,6 +219,10 @@ def _thirteen_blocks():
     return qs, schedule, blocks
 
 
+def _stacked(qs):
+    return np.array([q.mean for q in qs]), np.array([q.std for q in qs])
+
+
 def _check_blocks_match_lone_encodes(beams, stochastic, monkeypatch, per_chunk=None, span=None):
     # 13 blocks run in chunks of per_chunk blocks; or in one chunk whose
     # draws come `span` steps per stream call (the budget holds 13 blocks'
@@ -235,7 +239,7 @@ def _check_blocks_match_lone_encodes(beams, stochastic, monkeypatch, per_chunk=N
         assert 8 * span >= beams
         cap = 8 * span * len(qs) * schedule.M * dims
         monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", cap)
-    indices, zs, ratios = codec.encode_blocks(qs, schedule, cfg, 21, blocks)
+    indices, zs, ratios = codec.encode_blocks(*_stacked(qs), schedule, cfg, 21, blocks)
     for q, block, idx, z, ratio in zip(qs, blocks, indices, zs, ratios):
         alone = encode(q, schedule, cfg, seed=21, block=block)
         assert idx == alone[0]
@@ -285,18 +289,18 @@ class TestEncodeBlocks:
             return raw_words(*args)
 
         monkeypatch.setattr(stream, "raw_words", counting)
-        codec.encode_blocks(qs, schedule, cfg, 21, blocks)
+        codec.encode_blocks(*_stacked(qs), schedule, cfg, 21, blocks)
         assert len(seen) == calls
 
     def test_rejects_mismatched_inputs(self):
         schedule = build_schedule(5.0, 3.0, 0.2)
-        two = [DiagGaussian.standard(2), DiagGaussian.standard(3)]
+        two = np.zeros((2, 2))
         with pytest.raises(UsageError):
-            codec.encode_blocks(two, schedule, CFG, 0, [0, 1])
+            codec.encode_blocks(two, np.ones(3), schedule, CFG, 0, [0, 1])
         with pytest.raises(UsageError):
-            codec.encode_blocks(two[:1], schedule, CFG, 0, [0, 1])
+            codec.encode_blocks(two[:1], np.ones(2), schedule, CFG, 0, [0, 1])
         with pytest.raises(UsageError):
-            codec.encode_blocks([], schedule, CFG, 0, [])
+            codec.encode_blocks(two[:0], np.ones(2), schedule, CFG, 0, [])
 
 
 class TestDecode:

@@ -140,3 +140,31 @@ class TestWhiten:
         q_std = whiten(q, p)
         assert np.allclose(p.std * q_std.mean + p.mean, q.mean)
         assert np.allclose(p.std * q_std.std, q.std)
+
+
+class TestBatch:
+    def test_shapes(self):
+        q = DiagGaussian(np.zeros((4, 3, 2)), np.ones(2))
+        assert q.dim == 2 and q.mean.shape == (4, 3, 2) and q.std.shape == (2,)
+        with pytest.raises(UsageError):
+            DiagGaussian(np.zeros((4, 2)), np.ones((4, 2)))
+        with pytest.raises(UsageError):
+            DiagGaussian(np.zeros((4, 2)), np.ones(3))
+        with pytest.raises(UsageError):
+            DiagGaussian(np.zeros((0, 2)), np.ones(2))
+
+    @pytest.mark.parametrize("dims", [1, 3, 8, 9, 16, 17, 40])
+    def test_rows_equal_single_gaussians(self, dims):
+        # A row-wise sum over the contiguous last axis is the 1-D sum, bit for bit.
+        rng = np.random.default_rng(dims)
+        mean, std = rng.normal(size=(256, dims)), rng.uniform(0.2, 3, size=dims)
+        p = DiagGaussian(rng.normal(size=dims), rng.uniform(0.2, 3, size=dims))
+        batch = DiagGaussian(mean, std)
+        kls = kl_divergence(batch, p)
+        white = whiten(batch, p)
+        assert kls.shape == (256,)
+        for k in (0, 1, 100, 255):
+            alone = DiagGaussian(mean[k], std)
+            assert kls[k].tobytes() == kl_divergence(alone, p).tobytes()
+            assert white.mean[k].tobytes() == whiten(alone, p).mean.tobytes()
+        assert white.std.tobytes() == whiten(DiagGaussian(mean[0], std), p).std.tobytes()

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -260,6 +265,130 @@ class TestModelFile:
         # FNV-1a 64-bit published test vector.
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+
+    @pytest.mark.parametrize("d,latent", [(16, 2), (63, 4), (65, 4), (64, 0)])
+    def test_rejects_models_that_cannot_code_8x8_patches(self, tmp_path, d, latent):
+        model = LinearGaussianModel(W=np.ones((d, latent)), mu=np.zeros(d), noise_var=1.0)
+        path = tmp_path / "wrong.lgm"
+        save_model(model, path)
+        with pytest.raises(FormatError):
+            load_model(path)
+
+
+def _random_model(latent, seed):
+    rng = np.random.default_rng(seed)
+    return LinearGaussianModel(
+        W=rng.normal(0.0, 20.0, size=(PATCH_DIM, latent)),
+        mu=rng.uniform(0.0, 255.0, size=PATCH_DIM),
+        noise_var=rng.uniform(0.5, 8.0),
+    )
+
+
+def _posterior_mean_reference(model, x):
+    """Pure-Python floats: sum_i (x_i - mu_i) W[i, j] for i = 0..63 in order,
+    from 0.0, times posterior_var_j / sigma^2."""
+    W, mu = model.W.tolist(), model.mu.tolist()
+    gains = [v / model.noise_var for v in irec.model.posterior_var(model).tolist()]
+    out = []
+    for row in x.tolist():
+        means = []
+        for j, gain in enumerate(gains):
+            acc = 0.0
+            for i in range(PATCH_DIM):
+                acc += (row[i] - mu[i]) * W[i][j]
+            means.append(acc * gain)
+        out.append(means)
+    return np.array(out)
+
+
+def _reconstruct_reference(model, z):
+    """Pure-Python floats: ((mu_i + z_0 W[i,0]) + z_1 W[i,1]) + ... in order."""
+    W, mu = model.W.tolist(), model.mu.tolist()
+    out = []
+    for row in z.tolist():
+        pixels = []
+        for i in range(PATCH_DIM):
+            acc = mu[i]
+            for j, z_j in enumerate(row):
+                acc += z_j * W[i][j]
+            pixels.append(acc)
+        out.append(pixels)
+    return np.array(out)
+
+
+# Run in a child process: the batched maps of the inputs in argv[1], saved to argv[2].
+_MAPS_CHILD = """
+import sys
+import numpy as np
+from irec.model import load_model, posterior, reconstruct
+model = load_model(sys.argv[1] + "/model.lgm")
+x, z = np.load(sys.argv[1] + "/x.npy"), np.load(sys.argv[1] + "/z.npy")
+np.save(sys.argv[2], np.concatenate([posterior(model, x).mean.ravel(),
+                                     reconstruct(model, z).ravel()]))
+"""
+
+
+class TestFixedOrderMaps:
+    """posterior's mean and reconstruct's x_hat are sums in a stated order
+    of correctly rounded operations, so their bits do not depend on the
+    batch or on the host's BLAS."""
+
+    @pytest.mark.parametrize("latent", [1, 8, 16])
+    def test_match_pure_python_reference(self, latent):
+        model = _random_model(latent, latent)
+        rng = np.random.default_rng(100 + latent)
+        x = rng.uniform(0.0, 255.0, size=(6, PATCH_DIM))
+        z = rng.normal(size=(6, latent))
+        mean = posterior(model, x).mean
+        assert mean.tobytes() == _posterior_mean_reference(model, x).tobytes()
+        assert reconstruct(model, z).tobytes() == _reconstruct_reference(model, z).tobytes()
+
+    @pytest.mark.parametrize("latent", [1, 8, 16])
+    def test_row_alone_equals_row_in_batch(self, latent):
+        model = _random_model(latent, 50 + latent)
+        rng = np.random.default_rng(latent)
+        x = rng.uniform(0.0, 255.0, size=(256, PATCH_DIM))
+        z = rng.normal(size=(256, latent))
+        means, x_hat = posterior(model, x).mean, reconstruct(model, z)
+        for k in (0, 1, 77, 255):
+            assert posterior(model, x[k]).mean.tobytes() == means[k].tobytes()
+            assert reconstruct(model, z[k]).tobytes() == x_hat[k].tobytes()
+        assert posterior(model, x.reshape(16, 16, PATCH_DIM)).mean.tobytes() == means.tobytes()
+        assert reconstruct(model, z.reshape(4, 64, latent)).tobytes() == x_hat.tobytes()
+
+    def test_shapes_and_shared_std(self, fitted_model):
+        x = np.zeros((3, 5, PATCH_DIM))
+        q = posterior(fitted_model, x)
+        assert q.mean.shape == (3, 5, fitted_model.latent_dim)
+        assert q.std.tobytes() == np.sqrt(irec.model.posterior_var(fitted_model)).tobytes()
+        assert reconstruct(fitted_model, q.mean).shape == x.shape
+        with pytest.raises(UsageError):
+            posterior(fitted_model, np.zeros((3, PATCH_DIM - 1)))
+        with pytest.raises(UsageError):
+            reconstruct(fitted_model, np.zeros((3, fitted_model.latent_dim + 1)))
+
+    def test_same_bytes_under_other_blas_kernels(self, tmp_path):
+        # Each OPENBLAS_CORETYPE acts on its child process only. A BLAS
+        # matvec per patch gives other posterior means under Haswell and
+        # another x_hat under Prescott.
+        model = _random_model(8, 3)
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0.0, 255.0, size=(256, PATCH_DIM))
+        z = rng.normal(size=(256, 8))
+        save_model(model, tmp_path / "model.lgm")
+        np.save(tmp_path / "x.npy", x)
+        np.save(tmp_path / "z.npy", z)
+        here = np.concatenate([posterior(model, x).mean.ravel(), reconstruct(model, z).ravel()])
+        src = str(Path(irec.model.__file__).resolve().parent.parent)
+        for coretype in ("Haswell", "Prescott"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"{coretype}.npy"
+            subprocess.run(
+                [sys.executable, "-c", _MAPS_CHILD, str(tmp_path), str(out)],
+                env=env, check=True, timeout=120,
+            )
+            assert np.load(out).tobytes() == here.tobytes(), coretype
 
 
 class TestPgm:

@@ -102,6 +102,17 @@ class TestLossy:
         with pytest.raises(ModelMismatchError):
             decompress_lossy(result.data, other)
 
+    def test_model_of_other_patch_size_is_a_mismatch(self):
+        # Its model_id and latent_dim match the file, but it cannot make 8x8 patches.
+        model = LinearGaussianModel(W=np.ones((16, 2)), mu=np.zeros(16), noise_var=1.0)
+        header = container.ContainerHeader(
+            seed=0, omega=3.0, epsilon=0.2, model_id=model.model_id,
+            latent_dim=2, image_width=8, image_height=8,
+        )
+        data = container.pack(header, [(0,)])
+        with pytest.raises(ModelMismatchError):
+            decompress_lossy(data, model)
+
     def test_bit_flip_fuzz_never_crashes(self, fitted_model, small_image):
         data = compress_lossy(small_image, fitted_model, CFG, seed=2).data
         for pos in range(8 * len(data)):
