@@ -14,9 +14,8 @@ The step kernel fixes its floating-point order so that its codes do not
 depend on how blocks and steps are batched:
 
 * Scores are computed dimension-major, in a (D, G, B, M) buffer, and summed
-  over D by _sum_dims, which adds whole (G, B, M) arrays in the order np.sum
-  adds one contiguous row of D floats. Each score therefore equals np.sum
-  over that candidate's own row, bit for bit.
+  over D in index order, one whole (G, B, M) array at a time. Each score is
+  therefore the in-order sum of its own candidate's D terms.
 * The shared draws of several steps come from one stream call: a slab of
   at most MAX_CHUNK_FLOATS // 8 floats, scaled by each step's sigma_k.
 * A step keeps only back-pointers, each surviving beam's parent beam and
@@ -175,46 +174,6 @@ def encode_blocks(
     return indices, np.concatenate(zs), np.concatenate(ratios)
 
 
-def _sum_dims(x: np.ndarray) -> np.ndarray:
-    """np.sum over axis 0 of x, bit for bit as if that axis were last.
-
-    np.sum adds a contiguous axis of n terms by pairwise summation, here
-    spelled out over whole arrays x[i]: fewer than 8 terms are added one at
-    a time; up to 128 go into 8 running sums r0..r7 (term i into r[i % 8],
-    up to the last full group of 8), which combine as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the remaining terms are added
-    one at a time; more than 128 split at half of n rounded down to a
-    multiple of 8, and the two halves' sums are added. The total is then
-    added to the reduction's start value +0.0, so a sum of -0.0 terms reads
-    +0.0. Overwrites x; returns a view of x[0].
-    """
-    total = _pairwise(x)
-    return np.add(total, 0.0, out=total)
-
-
-def _pairwise(x: np.ndarray) -> np.ndarray:
-    """NumPy's pairwise sum over axis 0, without the start value; in place."""
-    n = len(x)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        head, tail = _pairwise(x[:half]), _pairwise(x[half:])
-        return np.add(head, tail, out=head)
-    total = x[0]
-    rest = range(1, n)
-    if n >= 8:
-        full = n - n % 8
-        acc = x[:8]
-        for i in range(8, full, 8):
-            np.add(acc, x[i : i + 8], out=acc)
-        np.add(acc[0::2], acc[1::2], out=acc[0::2])  # r0+r1, r2+r3, r4+r5, r6+r7
-        np.add(acc[0::4], acc[2::4], out=acc[0::4])
-        np.add(total, acc[4], out=total)
-        rest = range(full, n)
-    for i in rest:
-        np.add(total, x[i], out=total)
-    return total
-
-
 def _encode_chunk(mean, std, schedule, cfg, seed, blocks, scratch):
     """Beam search for G blocks at once; beam state has shape (G, beams, D).
 
@@ -255,15 +214,17 @@ def _encode_chunk(mean, std, schedule, cfg, seed, blocks, scratch):
 
         mean_t, var_t = target_moments(nu, rho_sq, b, sig_sq, s_prev, s_next)
         # log q(a | beam) - log p(a), for every block x beam x sample. The
-        # ufuncs are those of (a - mean)**2 / (2 var), in that order, and
-        # _sum_dims adds over D in np.sum's order, so the scores are bit for
-        # bit those of summing each candidate's contiguous row of D floats.
+        # ufuncs are those of (a - mean)**2 / (2 var), in that order, and the
+        # terms are added over dimensions i = 0..D-1 in index order, so each
+        # score depends only on its own candidate's D terms.
         beams = nu.shape[1]
         diff = scratch[: d * g * beams * m].reshape(d, g, beams, m)
         np.subtract(slab_dims[j][:, :, None, :], _dims_first(mean_t), out=diff)
         np.multiply(diff, diff, out=diff)
         np.divide(diff, 2.0 * _dims_first(var_t), out=diff)
-        quad_q = _sum_dims(diff)
+        quad_q = diff[0]
+        for i in range(1, d):
+            np.add(quad_q, diff[i], out=quad_q)
         quad_p = slab_quad_p[:, j]
         norm = -0.5 * np.sum(np.log(var_t / sig_sq), axis=2)
         cand = log_w[:, :, None] + norm[:, :, None] - quad_q + quad_p[:, None, :]

@@ -173,12 +173,13 @@ def posterior(model: LinearGaussianModel, x: np.ndarray) -> DiagGaussian:
 
 
 def posterior_var(model: LinearGaussianModel) -> np.ndarray:
-    """Posterior variance of each latent, sigma^2 / (|w_j|^2 + sigma^2).
+    """Posterior variance of each latent, sigma^2 / (|w_j|^2 + sigma^2),
+    with |w_j|^2 the sum of W[i][j]^2 over i = 0..D-1 in order.
 
     It does not depend on the patch, so a decoder knows it from the model
     alone; container v2 builds its step schedule from it (FORMAT.md §5).
     """
-    wtw = np.sum(model.W * model.W, axis=0)
+    wtw = np.cumsum(model.W * model.W, axis=0)[-1]  # np.sum adds pairwise when L = 1
     return model.noise_var / (wtw + model.noise_var)
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +12,16 @@ from irec.model import (
     ImageGray8,
     LinearGaussianModel,
     fit_ppca,
+    load_model,
     quantize_clamp,
     tile_grid,
     unpatchify,
 )
+
+# fit_golden_model(L) for L = 8 and 16, saved once as LGM1 files: an
+# eigendecomposition's last bits depend on the host's BLAS, and the golden
+# containers on those bits.
+GOLDEN_MODEL_PATHS = {L: Path(__file__).with_name("data") / f"model_l{L}.lgm" for L in (8, 16)}
 
 
 def make_training_patches(rng, n=600, latent=8, noise_var=4.0):
@@ -24,6 +31,12 @@ def make_training_patches(rng, n=600, latent=8, noise_var=4.0):
     z = rng.normal(size=(n, latent))
     noise = rng.normal(scale=np.sqrt(noise_var), size=(n, PATCH_DIM))
     return z @ w_true.T + mu_true + noise
+
+
+def fit_golden_model(latent: int) -> LinearGaussianModel:
+    """The model of GOLDEN_MODEL_PATHS[latent], fitted on this host."""
+    patches = make_training_patches(np.random.default_rng(2024), latent=latent)
+    return fit_ppca(patches, latent_dim=latent)
 
 
 def sample_image(model: LinearGaussianModel, rng, width: int, height: int) -> ImageGray8:
@@ -61,8 +74,7 @@ def log_density_ratio(q, p, z) -> float:
 
 @pytest.fixture(scope="session")
 def fitted_model() -> LinearGaussianModel:
-    rng = np.random.default_rng(2024)
-    return fit_ppca(make_training_patches(rng), latent_dim=8)
+    return load_model(GOLDEN_MODEL_PATHS[8])
 
 
 @pytest.fixture(scope="session")

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from conftest import log_density_ratio
 from irec import codec, stream
-from irec.chain import build_schedule, schedule_from_steps
+from irec.chain import build_schedule, schedule_from_steps, target_moments
 from irec.codec import RecConfig, decode, encode, importance_select
 from irec.errors import ConfigError, CorruptStreamError, NumericError, UsageError
-from irec.gauss import DiagGaussian
+from irec.gauss import DiagGaussian, kl_divergence
 from irec.synthetic import synthetic_target
 
 CFG = RecConfig(omega=3.0, epsilon=0.2, beams=4)
@@ -175,38 +174,43 @@ class TestTopB:
         assert np.array_equal(codec.top_b(scores, keep), _top_b_reference(scores, keep))
 
 
-# Every special value next to arbitrary floats (subnormals and magnitudes
-# up to 1e308 among them); no NaN, whose payload np.sum does not fix.
-_TERMS = st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e300, 1e300, np.inf, -np.inf]
-) | st.floats(allow_nan=False, allow_infinity=True)
+class _FirstStepScored(Exception):
+    pass
 
 
-def _np_sum_rows(x):
-    # x is (D, G, B, M); np.sum over each candidate's contiguous row of D.
-    return np.sum(np.ascontiguousarray(np.moveaxis(x, 0, -1)), axis=-1)
-
-
-class TestSumDims:
-    @pytest.mark.parametrize("dims", range(1, 41))
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_equals_np_sum(self, dims, data):
-        shape = (dims,) + tuple(data.draw(st.integers(1, 3)) for _ in range(3))
-        x = data.draw(hnp.arrays(np.float64, shape, elements=_TERMS))
-        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 + 1e308
-            expect = _np_sum_rows(x)
-            got = codec._sum_dims(x.copy())
-        assert got.tobytes() == expect.tobytes()
-        zeros = np.full((dims, 2, 1, 1), -0.0)  # np.sum starts from +0.0
-        assert codec._sum_dims(zeros).tobytes() == _np_sum_rows(zeros).tobytes()
-
-    @pytest.mark.parametrize("dims", [128, 129, 300, 1000])
-    def test_equals_np_sum_on_long_axes(self, dims):
-        # Past 128 terms NumPy splits the axis in two and sums the halves.
+class TestScores:
+    @pytest.mark.parametrize("dims", [*range(1, 41), 128, 129, 300, 1000])
+    def test_sum_dims_in_index_order(self, dims, monkeypatch):
+        # The first step's scores against pure-Python floats: each
+        # candidate's D terms (a_i - m_i)^2 / (2 v_i) added for i = 0..D-1 in
+        # order, with the code's other terms and the order it adds them in.
         rng = np.random.default_rng(dims)
-        x = rng.normal(size=(dims, 2, 3, 5)) * 10.0 ** rng.uniform(-300, 300, (dims, 2, 3, 5))
-        assert codec._sum_dims(x.copy()).tobytes() == _np_sum_rows(x).tobytes()
+        q = DiagGaussian(rng.normal(0.0, 3.0, dims), 10.0 ** rng.uniform(-3.0, 0.0, dims))
+        schedule = build_schedule(kl_divergence(q, DiagGaussian.standard(dims)), 3.0, 0.2)
+        seen = []
+
+        def first_step(scores, keep):
+            seen.append(scores.copy())
+            raise _FirstStepScored
+
+        monkeypatch.setattr(codec, "top_b", first_step)
+        with pytest.raises(_FirstStepScored):
+            encode(q, schedule, CFG, seed=3, block=7)
+        sig_sq = float(schedule.sigma_sq[0])
+        tails = schedule.tail_var()
+        a = stream.draw_normals(3, 7, 0, np.arange(schedule.M), dims) * np.sqrt(sig_sq)
+        quad_p = np.sum(a * a, axis=1) / (2.0 * sig_sq)
+        mean_t, var_t = target_moments(
+            q.mean, q.std * q.std, np.zeros(dims), sig_sq, float(tails[0]), float(tails[1])
+        )
+        norm = float(-0.5 * np.sum(np.log(var_t / sig_sq)))
+        expect = []
+        for row, p_term in zip(a.tolist(), quad_p.tolist()):
+            quad_q = 0.0
+            for a_i, m_i, v_i in zip(row, mean_t.tolist(), var_t.tolist()):
+                quad_q += (a_i - m_i) * (a_i - m_i) / (2.0 * v_i)
+            expect.append(((0.0 + norm) - quad_q) + p_term)
+        assert seen[0].tobytes() == np.array([expect]).tobytes()
 
 
 def _thirteen_blocks():

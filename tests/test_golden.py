@@ -10,17 +10,21 @@ encoder chunks per K.
 """
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_training_patches, sample_image
+from conftest import GOLDEN_MODEL_PATHS, sample_image
 from irec import codec, pipeline
 from irec.chain import build_schedule
 from irec.codec import RecConfig
 from irec.gauss import DiagGaussian, kl_divergence
-from irec.model import fit_ppca
+from irec.model import load_model
 
 SMALL_GOLDEN = {
     ("lossless", 1): "7b84ded2aba0f17a709eb00e4f8e3c96f40ddfcdbffa277ec3b964c3d31979a1",
@@ -46,8 +50,7 @@ def _compress(lossless: bool, img, model, cfg: RecConfig) -> bytes:
 
 @pytest.fixture(scope="module")
 def model_l16():
-    rng = np.random.default_rng(2024)
-    return fit_ppca(make_training_patches(rng, latent=16), latent_dim=16)
+    return load_model(GOLDEN_MODEL_PATHS[16])
 
 
 @pytest.mark.parametrize("mode,beams", sorted(SMALL_GOLDEN))
@@ -56,6 +59,21 @@ def test_small_image(fitted_model, small_image, mode, beams):
     cfg = RecConfig(omega=3.0, epsilon=0.2 if lossless else 0.0, beams=beams)
     data = _compress(lossless, small_image, fitted_model, cfg)
     assert _sha(data) == SMALL_GOLDEN[(mode, beams)]
+
+
+def test_small_images_under_other_blas_kernel():
+    # The golden models are files, and the codec fixes its own summation
+    # orders, so the containers do not depend on the host's BLAS kernels.
+    # OPENBLAS_CORETYPE acts on the child process only.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::test_small_image"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stdout + child.stderr
 
 
 def test_lossless_128(fitted_model):

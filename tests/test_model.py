@@ -27,7 +27,7 @@ from irec.model import (
     unpatchify,
     write_pgm,
 )
-from conftest import make_training_patches
+from conftest import GOLDEN_MODEL_PATHS, fit_golden_model, make_training_patches
 
 
 class TestFitPpca:
@@ -61,6 +61,14 @@ class TestFitPpca:
         d1 = np.sort(np.sum(model.W * model.W, axis=0))
         d2 = np.sort(np.sum(refit.W * refit.W, axis=0))
         assert np.allclose(d1, d2, rtol=0.05)
+
+    @pytest.mark.parametrize("latent", sorted(GOLDEN_MODEL_PATHS))
+    def test_reproduces_committed_models(self, latent):
+        model = fit_golden_model(latent)
+        saved = load_model(GOLDEN_MODEL_PATHS[latent])
+        assert np.allclose(model.W, saved.W)
+        assert np.allclose(model.mu, saved.mu)
+        assert np.allclose(model.noise_var, saved.noise_var)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(UsageError):
@@ -284,11 +292,24 @@ def _random_model(latent, seed):
     )
 
 
+def _posterior_var_reference(model):
+    """Pure-Python floats: sigma^2 / (n_j + sigma^2), n_j the sum of
+    W[i, j]^2 for i = 0..63 in order (FORMAT.md §5)."""
+    W = model.W.tolist()
+    out = []
+    for j in range(model.latent_dim):
+        n_j = 0.0
+        for i in range(PATCH_DIM):
+            n_j += W[i][j] * W[i][j]
+        out.append(model.noise_var / (n_j + model.noise_var))
+    return np.array(out)
+
+
 def _posterior_mean_reference(model, x):
     """Pure-Python floats: sum_i (x_i - mu_i) W[i, j] for i = 0..63 in order,
     from 0.0, times posterior_var_j / sigma^2."""
     W, mu = model.W.tolist(), model.mu.tolist()
-    gains = [v / model.noise_var for v in irec.model.posterior_var(model).tolist()]
+    gains = [v / model.noise_var for v in _posterior_var_reference(model).tolist()]
     out = []
     for row in x.tolist():
         means = []
@@ -342,6 +363,14 @@ class TestFixedOrderMaps:
         mean = posterior(model, x).mean
         assert mean.tobytes() == _posterior_mean_reference(model, x).tobytes()
         assert reconstruct(model, z).tobytes() == _reconstruct_reference(model, z).tobytes()
+
+    @pytest.mark.parametrize("latent", [1, 8, 16])
+    def test_posterior_var_matches_pure_python_reference(self, latent):
+        # At L = 1, np.sum over the (64, 1) squares would add them pairwise.
+        for seed in range(3):
+            model = _random_model(latent, 200 + seed)
+            expect = _posterior_var_reference(model)
+            assert irec.model.posterior_var(model).tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("latent", [1, 8, 16])
     def test_row_alone_equals_row_in_batch(self, latent):
