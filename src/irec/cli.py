@@ -57,6 +57,7 @@ def cmd_compress(args):
     print(json.dumps({
         "bpp": result.bpp,
         "kl_nats": sum(result.kl_per_block),
+        "log_w_nats": sum(result.log_w_per_block),
         "bits": 8 * len(result.data),
         "psnr": result.psnr,
         "seconds": result.seconds,

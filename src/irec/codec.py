@@ -5,10 +5,11 @@ scores every (beam, sample) pair by the cumulative log importance weight
 sum_j log q(a_j | a_1:j-1) / p(a_j) and keeps the top B. Ties are broken
 toward the lexicographically smallest index tuple, which keeps the output
 independent of evaluation order; the B best are found in linear time
-(top_b), not by sorting. Blocks that share a schedule run each step together,
-as one array operation over a block axis; a block's code is the same as when
-it is encoded alone. The decoder only replays the chosen draws and never sees
-the target distribution.
+(top_b), not by sorting. Blocks of any step counts K run each step together,
+as one array operation over a block axis, in order of K, largest first; a
+block leaves the step arrays when its K runs out, and its code is the same
+as when it is encoded alone. The decoder only replays the chosen draws and
+never sees the target distribution.
 
 The step kernel fixes its floating-point order so that its codes do not
 depend on how blocks and steps are batched:
@@ -17,7 +18,9 @@ depend on how blocks and steps are batched:
   over D in index order, one whole (G, B, M) array at a time. Each score is
   therefore the in-order sum of its own candidate's D terms.
 * The shared draws of several steps come from one stream call: a slab of
-  at most MAX_CHUNK_FLOATS // 8 floats, scaled by each step's sigma_k.
+  at most MAX_CHUNK_FLOATS // 8 floats, scaled by each block's sigma_k.
+* Where blocks of different K share a step, its scalars are (G, 1, 1)
+  arrays: elementwise IEEE operations on the same operands give the same bits.
 * A step keeps only back-pointers, each surviving beam's parent beam and
   sample; the code is traced back once, from each block's best final beam.
 """
@@ -104,14 +107,6 @@ def top_b(scores: np.ndarray, keep: int) -> np.ndarray:
     return np.nonzero(take)[1].reshape(len(scores), keep)
 
 
-def _check_budget(cfg: RecConfig, schedule: AuxSchedule, dims: int) -> None:
-    if cfg.beams * schedule.M * dims > MAX_CANDIDATE_FLOATS:
-        raise ConfigError(
-            f"candidate volume B*M*D = {cfg.beams * schedule.M * dims} "
-            f"exceeds budget {MAX_CANDIDATE_FLOATS}"
-        )
-
-
 def encode(
     q: DiagGaussian,
     schedule: AuxSchedule,
@@ -125,116 +120,134 @@ def encode(
     needs a single beam), in which case each step's index is sampled
     proportionally to its importance weight using a reserved stream address.
     """
-    indices, zs, ratios = encode_blocks(q.mean[None], q.std, schedule, cfg, seed, [block])
+    indices, zs, ratios = encode_blocks(q.mean[None], q.std, [schedule], cfg, seed, [block])
     return indices[0], zs[0], float(ratios[0])
 
 
 def encode_blocks(
     mean: np.ndarray,
     std: np.ndarray,
-    schedule: AuxSchedule,
+    schedules: Sequence[AuxSchedule],
     cfg: RecConfig,
     seed: int,
     blocks: Sequence[int],
 ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """Encode blocks that share one schedule, step by step across blocks.
+    """Encode blocks, one schedule each, step by step across blocks.
 
-    The targets are a (G, D) mean and a (G, D) std, or one (D,) std for all.
+    The targets are a (G, D) mean and a (G, D) std, or one (D,) std for all;
+    the schedules may differ in K but must agree on M, omega and epsilon.
     Returns (indices per block, decoded z of shape (G, D), log q(z)/p(z) of
     shape (G,)). Block g's outputs are exactly those of encoding it alone:
-    blocks run in chunks whose candidates fit one scoring buffer of at most
-    MAX_CHUNK_FLOATS floats (one block's B*M*D if that is more), allocated
-    here once, and every reduction and selection runs along one block's own
-    row.
+    blocks run in order of K, largest first, in chunks whose candidates fit
+    one scoring buffer of at most MAX_CHUNK_FLOATS floats (one block's B*M*D
+    if that is more), allocated here once, and every reduction and selection
+    runs along one block's own row.
     """
-    if schedule.M != samples_per_step(cfg.omega, cfg.epsilon):
+    if len({(s.M, s.omega, s.epsilon) for s in schedules}) != 1:
+        raise UsageError("schedules disagree on samples per step, omega or epsilon")
+    if schedules[0].M != samples_per_step(cfg.omega, cfg.epsilon):
         raise UsageError("schedule and config disagree on samples per step")
     mean, std = np.asarray(mean, dtype=np.float64), np.asarray(std, dtype=np.float64)
     if mean.ndim != 2 or not mean.size or std.shape not in (mean.shape, mean.shape[1:]):
         raise UsageError(f"targets of shape {mean.shape}, {std.shape}: need (G, D), (D,)")
-    if len(mean) != len(blocks):
-        raise UsageError(f"{len(mean)} targets for {len(blocks)} blocks")
+    if not len(mean) == len(blocks) == len(schedules):
+        raise UsageError(f"{len(mean)} targets, {len(blocks)} blocks, {len(schedules)} schedules")
     std = np.broadcast_to(std, mean.shape)
     d = mean.shape[1]
-    _check_budget(cfg, schedule, d)
-    per_block = cfg.beams * schedule.M * d
+    per_block = cfg.beams * schedules[0].M * d
+    if per_block > MAX_CANDIDATE_FLOATS:
+        raise ConfigError(f"candidate volume B*M*D = {per_block} exceeds {MAX_CANDIDATE_FLOATS}")
     chunk = min(len(mean), max(1, MAX_CHUNK_FLOATS // per_block))
     scratch = np.empty(chunk * per_block)
     blocks = np.asarray(blocks)
-    indices: list[tuple[int, ...]] = []
-    zs, ratios = [], []
+    order = np.argsort([-s.K for s in schedules], kind="stable")
+    indices: list[tuple[int, ...]] = [()] * len(blocks)
+    zs, ratios = np.empty_like(mean), np.empty(len(mean))
     for lo in range(0, len(blocks), chunk):
-        part = slice(lo, lo + chunk)
-        codes, z, ratio = _encode_chunk(
-            mean[part], std[part], schedule, cfg, seed, blocks[part], scratch
+        part = order[lo : lo + chunk]
+        codes, zs[part], ratios[part] = _encode_chunk(
+            mean[part], std[part], [schedules[i] for i in part], cfg, seed, blocks[part], scratch
         )
-        indices += [tuple(c) for c in codes.tolist()]
-        zs.append(z)
-        ratios.append(ratio)
-    return indices, np.concatenate(zs), np.concatenate(ratios)
+        for i, code in zip(part.tolist(), codes):
+            indices[i] = code
+    return indices, zs, ratios
 
 
-def _encode_chunk(mean, std, schedule, cfg, seed, blocks, scratch):
-    """Beam search for G blocks at once; beam state has shape (G, beams, D).
+def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
+    """Beam search for G blocks in order of K, largest first; beam state is (G, beams, D).
 
-    Candidates are scored in place in `scratch`, a flat float64 buffer of at
-    least G*B*M*D elements, laid out dimension-major as (D, G, B, M). The
-    draws of `span` steps at a time come from one stream call. Returns the
-    codes as a (G, K) array, z and log q(z)/p(z).
+    The blocks live at step k are the prefix whose K > k. Candidates are
+    scored in place in `scratch`, a flat float64 buffer of at least G*B*M*D
+    elements, laid out dimension-major as (D, G, B, M). The draws of `span`
+    steps at a time come from one stream call. Returns each block's code, z
+    and log q(z)/p(z), the last two taken when the block's K runs out.
     """
     g = len(blocks)
     rows = np.arange(g)[:, None]
-    m = schedule.M
+    m = schedules[0].M
     d = mean.shape[1]
-    tails = schedule.tail_var()
+    k_of = np.array([s.K for s in schedules])
+    lives = np.count_nonzero(k_of > np.arange(k_of[0] + 1)[:, None], axis=1).tolist()
+    # sigma_k^2, s_{k-1}^2 and s_k^2 per block and step; the tails are as in
+    # AuxSchedule.tail_var(), as zeros past K add exactly. sigma_k^2 past K is 1.
+    coef = np.zeros((3, g, k_of[0]))
+    for i, s in enumerate(schedules):
+        coef[0, i, : s.K] = s.sigma_sq
+    coef[1] = np.cumsum(coef[0, :, ::-1], axis=1)[:, ::-1]
+    coef[2, :, :-1] = coef[1, :, 1:]
+    coef[1, :, 0] = 1.0
+    coef[0][coef[1] == 0.0] = 1.0
+    shared = [(coef[:, :n, k] == coef[:, :1, k]).all() for k, n in enumerate(lives[:-1])]
     span = max(1, MAX_CHUNK_FLOATS // 8 // (g * m * d))
     # Beam state, kept sorted by lexicographic index prefix within each block.
+    # rho_sq does not depend on the draws, so it is one (G, 1, D) row for
+    # all of a block's beams, and so are var_t and norm.
     nu = mean[:, None, :].copy()
     rho_sq = (std * std)[:, None, :]
     b = np.zeros_like(nu)
     log_w = np.zeros((g, 1))
-    trail = []  # (beam_idx, pick) per step: each beam's parent and sample
+    best, z, ratio = np.empty(g, dtype=np.int64), np.empty((g, d)), np.empty(g)
+    trail = []  # (beam_idx, pick) per step: each live beam's parent and sample
 
-    for k in range(schedule.K):
+    for k in range(k_of[0]):
+        live = lives[k]
         j = k % span
         if j == 0:
-            steps = np.arange(k, min(k + span, schedule.K))
-            var = schedule.sigma_sq[steps]
+            steps = np.arange(k, min(k + span, k_of[0]))
+            var = coef[0, :live, k : k + span]
             slab = stream.draw_normals(
-                seed, blocks[:, None, None], steps[:, None], np.arange(m), d
+                seed, blocks[:live, None, None], steps[:, None], np.arange(m), d
             )  # (G, steps, M, D), shared across each block's beams
-            slab *= np.sqrt(var)[:, None, None]  # sigma_k * u, as the decoder scales
-            slab_quad_p = np.sum(slab * slab, axis=3) / (2.0 * var[:, None])  # -log p(a) + c
-            slab_dims = np.ascontiguousarray(slab.transpose(1, 3, 0, 2))
+            slab *= np.sqrt(var)[:, :, None, None]  # sigma_k * u, as the decoder scales
+            slab_dims = np.ascontiguousarray(slab.transpose(1, 3, 0, 2))  # (steps, D, G, M)
+            slab_quad_p = _sum_dims((slab_dims * slab_dims).swapaxes(0, 1))
+            slab_quad_p /= 2.0 * var.T[:, :, None]  # -log p(a) + c, (steps, G, M)
             if cfg.stochastic_final:
-                slab_u = stream.draw_uniforms(seed, blocks[:, None], steps, m)
-        a = slab[:, j]
-        sig_sq = float(schedule.sigma_sq[k])
-        s_prev, s_next = float(tails[k]), float(tails[k + 1])
+                slab_u = stream.draw_uniforms(seed, blocks[:live, None], steps, m)
+        nu, rho_sq, b, log_w = nu[:live], rho_sq[:live], b[:live], log_w[:live]
+        a = slab[:live, j]
+        step = coef[:, :live, k]
+        sig_sq, s_prev, s_next = step[:, 0].tolist() if shared[k] else step[..., None, None]
 
         mean_t, var_t = target_moments(nu, rho_sq, b, sig_sq, s_prev, s_next)
         # log q(a | beam) - log p(a), for every block x beam x sample. The
         # ufuncs are those of (a - mean)**2 / (2 var), in that order, and the
         # terms are added over dimensions i = 0..D-1 in index order, so each
         # score depends only on its own candidate's D terms.
-        beams = nu.shape[1]
-        diff = scratch[: d * g * beams * m].reshape(d, g, beams, m)
-        np.subtract(slab_dims[j][:, :, None, :], _dims_first(mean_t), out=diff)
+        diff = scratch[: d * live * nu.shape[1] * m].reshape(d, live, -1, m)
+        np.subtract(slab_dims[j][:, :live, None, :], _dims_first(mean_t), out=diff)
         np.multiply(diff, diff, out=diff)
         np.divide(diff, 2.0 * _dims_first(var_t), out=diff)
-        quad_q = diff[0]
-        for i in range(1, d):
-            np.add(quad_q, diff[i], out=quad_q)
-        quad_p = slab_quad_p[:, j]
-        norm = -0.5 * np.sum(np.log(var_t / sig_sq), axis=2)
-        cand = log_w[:, :, None] + norm[:, :, None] - quad_q + quad_p[:, None, :]
-        flat = cand.reshape(g, -1)
+        quad_q = _sum_dims(diff)
+        norm = -0.5 * np.cumsum(np.log(var_t / sig_sq), axis=2)[..., -1:]
+        cand = log_w[:, :, None] + norm - quad_q + slab_quad_p[j, :live, None, :]
+        flat = cand.reshape(live, -1)
 
         if cfg.stochastic_final:
             w_log = cand[:, 0]
             w = np.exp(w_log - np.max(w_log, axis=1, keepdims=True))
-            u = slab_u[:, j]
-            order = np.array([[importance_select(w[i], u[i])] for i in range(g)])
+            u = slab_u[:live, j]
+            order = np.array([[importance_select(w[i], u[i])] for i in range(live)])
         else:
             # Candidate order is lexicographic (beam-major), so ties resolve
             # to the smallest tuple.
@@ -243,23 +256,38 @@ def _encode_chunk(mean, std, schedule, cfg, seed, blocks, scratch):
         pick = order % m
         trail.append((beam_idx, pick))
 
-        log_w = flat[rows, order]
+        here = rows[:live]
+        log_w = flat[here, order]
         nu, rho_sq, b = posterior_moments(
-            nu[rows, beam_idx], rho_sq[rows, beam_idx], b[rows, beam_idx],
-            a[rows, pick], sig_sq, s_prev, s_next,
+            nu[here, beam_idx], rho_sq, b[here, beam_idx],
+            a[here, pick], sig_sq, s_prev, s_next,
         )
+        # Blocks whose K is k + 1 are done: the highest log q(z)/p(z) over
+        # their surviving beams picks the final one.
+        done = slice(lives[k + 1], live)
+        if done.start < live:
+            b_done = b[done]
+            dq = (b_done - mean[done, None, :]) / std[done, None, :]
+            terms = -np.log(std[done])[:, None, :] + 0.5 * (b_done * b_done - dq * dq)
+            ratios = np.cumsum(terms, axis=2)[..., -1]
+            best[done] = np.argmax(ratios, axis=1)
+            pos = rows[: len(ratios), 0]
+            z[done], ratio[done] = b_done[pos, best[done]], ratios[pos, best[done]]
 
-    # Final selection: highest log q(z)/p(z) over each block's surviving beams.
-    dq = (b - mean[:, None, :]) / std[:, None, :]
-    ratios = np.sum(-np.log(std)[:, None, :] + 0.5 * (b * b - dq * dq), axis=2)
-    best = np.argmax(ratios, axis=1)
-    codes = np.empty((g, schedule.K), dtype=np.int64)
-    beam = best
-    for k in reversed(range(schedule.K)):
-        beam_idx, pick = trail[k]
-        codes[:, k] = pick[rows[:, 0], beam]
-        beam = beam_idx[rows[:, 0], beam]
-    return codes, b[rows[:, 0], best], ratios[rows[:, 0], best]
+    codes, beam = np.empty((g, k_of[0]), dtype=np.int64), best
+    for k, (beam_idx, pick) in reversed(list(enumerate(trail))):
+        live = rows[: len(pick), 0]
+        codes[live, k] = pick[live, beam[live]]
+        beam[live] = beam_idx[live, beam[live]]
+    return [tuple(c[:k]) for c, k in zip(codes.tolist(), k_of.tolist())], z, ratio
+
+
+def _sum_dims(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... in index order, accumulated in terms[0]."""
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 def _dims_first(x: np.ndarray) -> np.ndarray:

@@ -55,11 +55,11 @@ def _check_dims(q: DiagGaussian, p: DiagGaussian) -> None:
 
 
 def kl_divergence(q: DiagGaussian, p: DiagGaussian) -> np.float64 | np.ndarray:
-    """Analytic KL(q || p) in nats, summed over the last axis (one per row)."""
+    """Analytic KL(q || p) in nats, summed over the last axis in index order."""
     _check_dims(q, p)
     ratio = q.var / p.var
     delta = (q.mean - p.mean) / p.std
-    return 0.5 * np.sum(ratio + delta * delta - 1.0 - np.log(ratio), axis=-1)
+    return 0.5 * np.cumsum(ratio + delta * delta - 1.0 - np.log(ratio), axis=-1)[..., -1]
 
 
 def whiten(q: DiagGaussian, p: DiagGaussian) -> DiagGaussian:

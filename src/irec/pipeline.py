@@ -3,9 +3,9 @@
 Each 8x8 patch is one coded block. One posterior, whiten and KL call cover
 every patch of an image, then each block gets its schedule and index code.
 The step schedule is the v2 equal-KL schedule built from the model's
-posterior variances, which are the same for every patch, so blocks with the
-same step count K share it and are index coded together
-(codec.encode_blocks); version-1 files decode with the power-law schedule.
+posterior variances, which are the same for every patch, so the step count K
+fixes it. All blocks of an image, whatever their K, are index coded in one
+call (codec.encode_blocks); version-1 files decode with the power-law schedule.
 One reconstruct call maps all decoded latents back to pixels.
 The lossless path adds the range-coded residual of x minus the quantized
 reconstruction (container frames it), using the decoded (possibly biased)
@@ -37,6 +37,7 @@ _LN2 = math.log(2.0)
 class CompressionResult:
     data: bytes
     kl_per_block: list[float]
+    log_w_per_block: list[float]  # achieved log q(z)/p(z), nats
     payload_bits: int
     bpp: float
     psnr: float
@@ -44,25 +45,14 @@ class CompressionResult:
 
 
 def _encode_blocks(img: ImageGray8, model: LinearGaussianModel, cfg: RecConfig, seed: int):
-    """Encode every patch; blocks that share a step count K are encoded together."""
+    """Encode every patch, all blocks in one beam search whatever their K."""
     prior = DiagGaussian.standard(model.latent_dim)
     q = whiten(model_mod.posterior(model, model_mod.patchify(img)), prior)
     kls = kl_divergence(q, prior).tolist()
-    # Every block's schedule comes from the same variances, so K fixes it.
-    groups: dict[int, tuple[AuxSchedule, list[int]]] = {}
     s_sq = model_mod.posterior_var(model)
-    for i, kl in enumerate(kls):
-        schedule = build_schedule(kl, cfg.omega, cfg.epsilon, s_sq)
-        groups.setdefault(schedule.K, (schedule, []))[1].append(i)
-    blocks: list[tuple[int, ...]] = [()] * len(kls)
-    zs = np.empty_like(q.mean)
-    for schedule, group in groups.values():
-        indices, zs[group], _ = codec.encode_blocks(
-            q.mean[group], q.std, schedule, cfg, seed, group
-        )
-        for i, tup in zip(group, indices):
-            blocks[i] = tup
-    return blocks, kls, zs
+    schedules = [build_schedule(kl, cfg.omega, cfg.epsilon, s_sq) for kl in kls]
+    blocks, zs, log_w = codec.encode_blocks(q.mean, q.std, schedules, cfg, seed, range(len(kls)))
+    return blocks, kls, zs, log_w.tolist()
 
 
 def _reconstruct_image(
@@ -89,7 +79,7 @@ def _compress(
     img: ImageGray8, model: LinearGaussianModel, cfg: RecConfig, seed: int, lossless: bool
 ) -> CompressionResult:
     t0 = time.perf_counter()
-    blocks, kls, zs = _encode_blocks(img, model, cfg, seed)
+    blocks, kls, zs, log_w = _encode_blocks(img, model, cfg, seed)
     recon = _reconstruct_image(zs, model, img.width, img.height)
     coded = None
     if lossless:
@@ -111,6 +101,7 @@ def _compress(
     return CompressionResult(
         data=data,
         kl_per_block=kls,
+        log_w_per_block=log_w,
         payload_bits=report["payload_bits"] + report["varint_bits"],
         bpp=8.0 * len(data) / (img.width * img.height),
         psnr=model_mod.psnr(img, recon),
@@ -128,7 +119,7 @@ def _decode_blocks(header: ContainerHeader, blocks, model: LinearGaussianModel):
     if model.data_dim != model_mod.PATCH_DIM:
         raise ModelMismatchError(f"model patch dimension {model.data_dim} != 64")
     s_sq = None if header.version == 1 else model_mod.posterior_var(model)
-    schedules: dict[int, AuxSchedule] = {}  # K fixes the schedule, as in _encode_blocks
+    schedules: dict[int, AuxSchedule] = {}  # the schedule depends on K alone
     zs = np.empty((len(blocks), header.latent_dim))
     for i, indices in enumerate(blocks):
         schedule = schedules.get(len(indices))

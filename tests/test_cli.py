@@ -32,6 +32,7 @@ class TestCompressDecompress:
         stats = json.loads(capsys.readouterr().out.strip())
         assert stats["mode"] == "lossless"
         assert stats["bpp"] > 0
+        assert np.isfinite(stats["log_w_nats"]) and stats["kl_nats"] > 0
         assert cli.main([
             "decompress", "--mode", "lossless", "--model", str(model_path),
             "--in", str(out), "--out", str(back),

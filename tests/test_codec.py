@@ -182,8 +182,9 @@ class TestScores:
     @pytest.mark.parametrize("dims", [*range(1, 41), 128, 129, 300, 1000])
     def test_sum_dims_in_index_order(self, dims, monkeypatch):
         # The first step's scores against pure-Python floats: each
-        # candidate's D terms (a_i - m_i)^2 / (2 v_i) added for i = 0..D-1 in
-        # order, with the code's other terms and the order it adds them in.
+        # candidate's D terms (a_i - m_i)^2 / (2 v_i), a_i^2 and
+        # log(v_i / sigma^2) each added for i = 0..D-1 in order, with the
+        # code's other terms and the order it adds them in.
         rng = np.random.default_rng(dims)
         q = DiagGaussian(rng.normal(0.0, 3.0, dims), 10.0 ** rng.uniform(-3.0, 0.0, dims))
         schedule = build_schedule(kl_divergence(q, DiagGaussian.standard(dims)), 3.0, 0.2)
@@ -199,17 +200,20 @@ class TestScores:
         sig_sq = float(schedule.sigma_sq[0])
         tails = schedule.tail_var()
         a = stream.draw_normals(3, 7, 0, np.arange(schedule.M), dims) * np.sqrt(sig_sq)
-        quad_p = np.sum(a * a, axis=1) / (2.0 * sig_sq)
         mean_t, var_t = target_moments(
             q.mean, q.std * q.std, np.zeros(dims), sig_sq, float(tails[0]), float(tails[1])
         )
-        norm = float(-0.5 * np.sum(np.log(var_t / sig_sq)))
+        log_ratio = 0.0
+        for term in np.log(var_t / sig_sq).tolist():
+            log_ratio += term
+        norm = -0.5 * log_ratio
         expect = []
-        for row, p_term in zip(a.tolist(), quad_p.tolist()):
-            quad_q = 0.0
+        for row in a.tolist():
+            quad_q = quad_p = 0.0
             for a_i, m_i, v_i in zip(row, mean_t.tolist(), var_t.tolist()):
                 quad_q += (a_i - m_i) * (a_i - m_i) / (2.0 * v_i)
-            expect.append(((0.0 + norm) - quad_q) + p_term)
+                quad_p += a_i * a_i
+            expect.append(((0.0 + norm) - quad_q) + quad_p / (2.0 * sig_sq))
         assert seen[0].tobytes() == np.array([expect]).tobytes()
 
 
@@ -223,17 +227,36 @@ def _thirteen_blocks():
     return qs, schedule, blocks
 
 
+def _mixed_blocks():
+    # 13 blocks of 16 dims, of K = 1..9 steps and four repeats, in shuffled
+    # order; each schedule is the equal-KL one for its own target.
+    rng = np.random.default_rng(9)
+    qs = [synthetic_target(16, 25.0, rng) for _ in range(13)]
+    steps = rng.permutation([*range(1, 10), 2, 5, 7, 9]).tolist()
+    schedules = [schedule_from_steps(k, 3.0, 0.2, q.var) for k, q in zip(steps, qs)]
+    blocks = [int(b) for b in rng.choice(5000, size=len(qs), replace=False)]
+    return qs, schedules, blocks
+
+
 def _stacked(qs):
     return np.array([q.mean for q in qs]), np.array([q.std for q in qs])
 
 
-def _check_blocks_match_lone_encodes(beams, stochastic, monkeypatch, per_chunk=None, span=None):
+def _check_blocks_match_lone_encodes(
+    beams, stochastic, monkeypatch, per_chunk=None, span=None, mixed=False
+):
     # 13 blocks run in chunks of per_chunk blocks; or in one chunk whose
     # draws come `span` steps per stream call (the budget holds 13 blocks'
     # draws of `span` steps, which is a chunk of all 13 when 8 * span >=
     # beams); or at the module's own budget when neither is given. Each
-    # block must equal its lone encode under the same budget.
-    qs, schedule, blocks = _thirteen_blocks()
+    # block must equal its lone encode under the same budget. The blocks
+    # share one schedule, or with `mixed` have schedules of K = 1..9.
+    if mixed:
+        qs, schedules, blocks = _mixed_blocks()
+    else:
+        qs, schedule, blocks = _thirteen_blocks()
+        schedules = [schedule] * len(qs)
+    schedule = schedules[0]
     dims = qs[0].dim
     cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams, stochastic_final=stochastic)
     if per_chunk is not None:
@@ -243,8 +266,8 @@ def _check_blocks_match_lone_encodes(beams, stochastic, monkeypatch, per_chunk=N
         assert 8 * span >= beams
         cap = 8 * span * len(qs) * schedule.M * dims
         monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", cap)
-    indices, zs, ratios = codec.encode_blocks(*_stacked(qs), schedule, cfg, 21, blocks)
-    for q, block, idx, z, ratio in zip(qs, blocks, indices, zs, ratios):
+    indices, zs, ratios = codec.encode_blocks(*_stacked(qs), schedules, cfg, 21, blocks)
+    for q, schedule, block, idx, z, ratio in zip(qs, schedules, blocks, indices, zs, ratios):
         alone = encode(q, schedule, cfg, seed=21, block=block)
         assert idx == alone[0]
         assert z.tobytes() == alone[1].tobytes()
@@ -274,6 +297,22 @@ class TestEncodeBlocks:
         assert _thirteen_blocks()[1].K == 9
         _check_blocks_match_lone_encodes(beams, stochastic, monkeypatch, span=span)
 
+    @pytest.mark.parametrize(
+        "beams,stochastic,budget",
+        [
+            (beams, stochastic, budget)
+            for beams, stochastic in _BEAM_CASES
+            for budget in [{"per_chunk": 1}, {"per_chunk": 4}, {}, {"span": 1}, {"span": 2}, {"span": 30}]
+            if 8 * budget.get("span", beams) >= beams
+        ],
+    )
+    def test_matches_across_step_counts(self, beams, stochastic, budget, monkeypatch):
+        # Blocks of K = 1..9 in one call: chunks of 1 or 4 blocks or as many
+        # as the module's budget allows, or one chunk drawing 1, 2 or 30
+        # steps per stream call, so that blocks retire inside a slab. (B = 20
+        # takes no slab of 1 or 2 steps: its chunks would not hold all 13.)
+        _check_blocks_match_lone_encodes(beams, stochastic, monkeypatch, mixed=True, **budget)
+
     @pytest.mark.parametrize("per_chunk,calls", [(None, 5), (4, 3 * 9 + 5)])
     def test_one_stream_call_per_draw_slab(self, per_chunk, calls, monkeypatch):
         # A chunk of G blocks draws span = max(1, (MAX_CHUNK_FLOATS // 8) //
@@ -293,18 +332,29 @@ class TestEncodeBlocks:
             return raw_words(*args)
 
         monkeypatch.setattr(stream, "raw_words", counting)
-        codec.encode_blocks(*_stacked(qs), schedule, cfg, 21, blocks)
+        codec.encode_blocks(*_stacked(qs), [schedule] * 13, cfg, 21, blocks)
         assert len(seen) == calls
 
     def test_rejects_mismatched_inputs(self):
         schedule = build_schedule(5.0, 3.0, 0.2)
         two = np.zeros((2, 2))
         with pytest.raises(UsageError):
-            codec.encode_blocks(two, np.ones(3), schedule, CFG, 0, [0, 1])
+            codec.encode_blocks(two, np.ones(3), [schedule] * 2, CFG, 0, [0, 1])
         with pytest.raises(UsageError):
-            codec.encode_blocks(two[:1], np.ones(2), schedule, CFG, 0, [0, 1])
+            codec.encode_blocks(two[:1], np.ones(2), [schedule] * 2, CFG, 0, [0, 1])
         with pytest.raises(UsageError):
-            codec.encode_blocks(two[:0], np.ones(2), schedule, CFG, 0, [])
+            codec.encode_blocks(two[:0], np.ones(2), [schedule], CFG, 0, [])
+
+    @pytest.mark.parametrize("omega,epsilon,m", [(3.0, 0.0, 21), (3.0001, 0.2, 37), (3.0, 0.2000001, 37)])
+    def test_rejects_schedules_that_disagree(self, omega, epsilon, m):
+        # On M, or on omega or epsilon alone.
+        schedule = schedule_from_steps(2, 3.0, 0.2)
+        other = schedule_from_steps(2, omega, epsilon)
+        assert (schedule.M, other.M) == (37, m)
+        with pytest.raises(UsageError):
+            codec.encode_blocks(np.zeros((2, 2)), np.ones(2), [schedule, other], CFG, 0, [0, 1])
+        with pytest.raises(UsageError):
+            codec.encode_blocks(np.zeros((2, 2)), np.ones(2), [other, schedule], CFG, 0, [0, 1])
 
 
 class TestDecode:

@@ -81,6 +81,19 @@ class TestKLDivergence:
             )
             assert total == pytest.approx(parts, abs=1e-12)
 
+    @pytest.mark.parametrize("dims", range(1, 41))
+    def test_sums_dims_in_index_order(self, dims):
+        # The per-dimension terms added for i = 0..D-1 in pure Python.
+        rng = np.random.default_rng(dims)
+        q = DiagGaussian(rng.normal(0.0, 3.0, dims), 10.0 ** rng.uniform(-3.0, 1.0, dims))
+        p = DiagGaussian(rng.normal(size=dims), rng.uniform(0.2, 3.0, dims))
+        ratio = q.var / p.var
+        delta = (q.mean - p.mean) / p.std
+        total = 0.0
+        for r, d, log_r in zip(ratio.tolist(), delta.tolist(), np.log(ratio).tolist()):
+            total += r + d * d - 1.0 - log_r
+        assert kl_divergence(q, p).tobytes() == np.float64(0.5 * total).tobytes()
+
     def test_monte_carlo_consistency(self):
         # E_q[log q/p] is the KL divergence.
         rng = np.random.default_rng(3)

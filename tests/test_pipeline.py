@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import make_training_patches, sample_image
-from irec import container, pipeline, residual
+from irec import codec, container, pipeline, residual
+from irec.chain import build_schedule
 from irec.codec import RecConfig
 from irec.errors import (
     CorruptStreamError,
@@ -13,10 +14,13 @@ from irec.errors import (
     IrecError,
     ModelMismatchError,
 )
+from irec.gauss import DiagGaussian, whiten
 from irec.model import (
     ImageGray8,
     LinearGaussianModel,
     fit_ppca,
+    patchify,
+    posterior,
     posterior_var,
     psnr,
     quantize_clamp,
@@ -201,6 +205,34 @@ class TestLossless:
         assert np.array_equal(decompress_lossless(data, fitted_model).pixels, img.pixels)
         assert len(step_counts) == 16 and len(set(step_counts)) > 1
         assert sorted(built) == sorted(set(step_counts))
+
+    def test_one_encode_call_per_image(self, fitted_model, monkeypatch):
+        # Blocks of every K share one beam search.
+        img = sample_image(fitted_model, np.random.default_rng(23), 32, 32)
+        calls = []
+        encode_blocks = codec.encode_blocks
+
+        def counting(*args):
+            calls.append(args)
+            return encode_blocks(*args)
+
+        monkeypatch.setattr(codec, "encode_blocks", counting)
+        data = compress_lossless(img, fitted_model, CFG, seed=0).data
+        step_counts = [len(b) for b in container.unpack(data)[1]]
+        assert len(step_counts) == 16 and len(set(step_counts)) > 1
+        assert len(calls) == 1
+
+    def test_log_w_per_block_matches_lone_encodes(self, fitted_model):
+        img = sample_image(fitted_model, np.random.default_rng(23), 32, 32)
+        result = compress_lossless(img, fitted_model, CFG, seed=0)
+        prior = DiagGaussian.standard(fitted_model.latent_dim)
+        q = whiten(posterior(fitted_model, patchify(img)), prior)
+        s_sq = posterior_var(fitted_model)
+        assert len(result.log_w_per_block) == len(result.kl_per_block) == 16
+        for i, (kl, log_w) in enumerate(zip(result.kl_per_block, result.log_w_per_block)):
+            schedule = build_schedule(kl, CFG.omega, CFG.epsilon, s_sq)
+            alone = codec.encode(DiagGaussian(q.mean[i], q.std), schedule, CFG, 0, i)
+            assert log_w == alone[2]
 
     def test_stats_accounting(self, fitted_model, small_image):
         result = compress_lossless(small_image, fitted_model, CFG, seed=0)
