@@ -188,8 +188,8 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
     d = mean.shape[1]
     k_of = np.array([s.K for s in schedules])
     lives = np.count_nonzero(k_of > np.arange(k_of[0] + 1)[:, None], axis=1).tolist()
-    # sigma_k^2, s_{k-1}^2 and s_k^2 per block and step; the tails are as in
-    # AuxSchedule.tail_var(), as zeros past K add exactly. sigma_k^2 past K is 1.
+    # sigma_k^2, s_{k-1}^2 and s_k^2 per block and step; tails as in AuxSchedule.tail_var()
+    # (zeros past K add exactly). Past K, sigma_k^2 = 1 keeps the unused draws finite.
     coef = np.zeros((3, g, k_of[0]))
     for i, s in enumerate(schedules):
         coef[0, i, : s.K] = s.sigma_sq

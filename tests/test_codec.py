@@ -275,6 +275,14 @@ def _check_blocks_match_lone_encodes(
 
 
 _BEAM_CASES = [(1, False), (4, False), (20, False), (1, True)]
+_BUDGETS = {
+    "chunk1": {"per_chunk": 1},
+    "chunk4": {"per_chunk": 4},
+    "module": {},
+    "span1": {"span": 1},
+    "span2": {"span": 2},
+    "span30": {"span": 30},
+}
 
 
 class TestEncodeBlocks:
@@ -300,9 +308,9 @@ class TestEncodeBlocks:
     @pytest.mark.parametrize(
         "beams,stochastic,budget",
         [
-            (beams, stochastic, budget)
+            pytest.param(beams, stochastic, budget, id=f"{beams}-{stochastic}-{name}")
             for beams, stochastic in _BEAM_CASES
-            for budget in [{"per_chunk": 1}, {"per_chunk": 4}, {}, {"span": 1}, {"span": 2}, {"span": 30}]
+            for name, budget in _BUDGETS.items()
             if 8 * budget.get("span", beams) >= beams
         ],
     )
@@ -345,16 +353,18 @@ class TestEncodeBlocks:
         with pytest.raises(UsageError):
             codec.encode_blocks(two[:0], np.ones(2), [schedule], CFG, 0, [])
 
-    @pytest.mark.parametrize("omega,epsilon,m", [(3.0, 0.0, 21), (3.0001, 0.2, 37), (3.0, 0.2000001, 37)])
+    @pytest.mark.parametrize(
+        "omega,epsilon,m", [(3.0, 0.0, 21), (3.0001, 0.2, 37), (3.0, 0.2000001, 37)]
+    )
     def test_rejects_schedules_that_disagree(self, omega, epsilon, m):
         # On M, or on omega or epsilon alone.
         schedule = schedule_from_steps(2, 3.0, 0.2)
         other = schedule_from_steps(2, omega, epsilon)
         assert (schedule.M, other.M) == (37, m)
-        with pytest.raises(UsageError):
-            codec.encode_blocks(np.zeros((2, 2)), np.ones(2), [schedule, other], CFG, 0, [0, 1])
-        with pytest.raises(UsageError):
-            codec.encode_blocks(np.zeros((2, 2)), np.ones(2), [other, schedule], CFG, 0, [0, 1])
+        two = np.zeros((2, 2))
+        for pair in ([schedule, other], [other, schedule]):
+            with pytest.raises(UsageError):
+                codec.encode_blocks(two, np.ones(2), pair, CFG, 0, [0, 1])
 
 
 class TestDecode:
