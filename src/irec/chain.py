@@ -76,13 +76,15 @@ class AuxSchedule:
             raise UsageError("step variances must be positive")
         if abs(float(sigma_sq.sum()) - 1.0) > 1e-12:
             raise UsageError("step variances must sum to 1")
+        tails = np.zeros(self.K + 1)
+        tails[:-1] = np.cumsum(sigma_sq[::-1])[::-1]
+        tails[0] = 1.0
+        tails.setflags(write=False)
+        object.__setattr__(self, "_tails", tails)
 
     def tail_var(self) -> np.ndarray:
-        """tail_var[k] = sum of sigma_sq[k:]; tail_var[K] == 0 exactly."""
-        tails = np.zeros(self.K + 1)
-        tails[:-1] = np.cumsum(self.sigma_sq[::-1])[::-1]
-        tails[0] = 1.0
-        return tails
+        """tail_var[k] = sum of sigma_sq[k:]; tail_var[K] == 0 exactly (read-only)."""
+        return self._tails
 
 
 def _power_law(K: int) -> np.ndarray:

@@ -188,15 +188,12 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
     d = mean.shape[1]
     k_of = np.array([s.K for s in schedules])
     lives = np.count_nonzero(k_of > np.arange(k_of[0] + 1)[:, None], axis=1).tolist()
-    # sigma_k^2, s_{k-1}^2 and s_k^2 per block and step; tails as in AuxSchedule.tail_var()
-    # (zeros past K add exactly). Past K, sigma_k^2 = 1 keeps the unused draws finite.
-    coef = np.zeros((3, g, k_of[0]))
+    # sigma_k^2, s_{k-1}^2 and s_k^2 per block and step; 1 past a block's K,
+    # which keeps the slab's unused draws finite.
+    coef = np.ones((3, g, k_of[0]))
     for i, s in enumerate(schedules):
-        coef[0, i, : s.K] = s.sigma_sq
-    coef[1] = np.cumsum(coef[0, :, ::-1], axis=1)[:, ::-1]
-    coef[2, :, :-1] = coef[1, :, 1:]
-    coef[1, :, 0] = 1.0
-    coef[0][coef[1] == 0.0] = 1.0
+        tails = s.tail_var()
+        coef[0, i, : s.K], coef[1, i, : s.K], coef[2, i, : s.K] = s.sigma_sq, tails[:-1], tails[1:]
     shared = [(coef[:, :n, k] == coef[:, :1, k]).all() for k, n in enumerate(lives[:-1])]
     span = max(1, MAX_CHUNK_FLOATS // 8 // (g * m * d))
     # Beam state, kept sorted by lexicographic index prefix within each block.
