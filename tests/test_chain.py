@@ -76,6 +76,8 @@ class TestSchedule:
         assert tails[0] == 1.0
         assert tails[s.K] == 0.0
         assert np.all(np.diff(tails) < 0)
+        # Computed once per schedule and shared by every caller.
+        assert s.tail_var() is tails and not tails.flags.writeable
 
     def test_decoder_side_rebuild_matches(self):
         enc = build_schedule(17.0, 3.0, 0.2)
