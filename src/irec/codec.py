@@ -19,8 +19,9 @@ depend on how blocks and steps are batched:
   therefore the in-order sum of its own candidate's D terms.
 * The shared draws of several steps come from one stream call: a slab of
   at most MAX_CHUNK_FLOATS // 8 floats, scaled by each block's sigma_k.
-* Where blocks of different K share a step, its scalars are (G, 1, 1)
-  arrays: elementwise IEEE operations on the same operands give the same bits.
+* Each step's scalars are (G, 1, 1) arrays, one value per block, so blocks
+  of different K share a step: elementwise IEEE operations on the same
+  operands give the same bits.
 * A step keeps only back-pointers, each surviving beam's parent beam and
   sample; the code is traced back once, from each block's best final beam.
 """
@@ -194,7 +195,6 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
     for i, s in enumerate(schedules):
         tails = s.tail_var()
         coef[0, i, : s.K], coef[1, i, : s.K], coef[2, i, : s.K] = s.sigma_sq, tails[:-1], tails[1:]
-    shared = [(coef[:, :n, k] == coef[:, :1, k]).all() for k, n in enumerate(lives[:-1])]
     span = max(1, MAX_CHUNK_FLOATS // 8 // (g * m * d))
     # Beam state, kept sorted by lexicographic index prefix within each block.
     # rho_sq does not depend on the draws, so it is one (G, 1, D) row for
@@ -223,8 +223,7 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
                 slab_u = stream.draw_uniforms(seed, blocks[:live, None], steps, m)
         nu, rho_sq, b, log_w = nu[:live], rho_sq[:live], b[:live], log_w[:live]
         a = slab[:live, j]
-        step = coef[:, :live, k]
-        sig_sq, s_prev, s_next = step[:, 0].tolist() if shared[k] else step[..., None, None]
+        sig_sq, s_prev, s_next = coef[:, :live, k][..., None, None]
 
         mean_t, var_t = target_moments(nu, rho_sq, b, sig_sq, s_prev, s_next)
         # log q(a | beam) - log p(a), for every block x beam x sample. The
