@@ -14,11 +14,16 @@ never sees the target distribution.
 The step kernel fixes its floating-point order so that its codes do not
 depend on how blocks and steps are batched:
 
-* Scores are computed dimension-major, in a (D, G, B, M) buffer, and summed
-  over D in index order, one whole (G, B, M) array at a time. Each score is
-  therefore the in-order sum of its own candidate's D terms.
+* Scores expand the square, since rho_sq, and so the target variance v,
+  is shared by a block's beams: -sum (a - m)^2 / (2v) + sum a^2 / (2 sigma^2)
+  is a per-beam term -sum m (m / v) / 2, a per-sample term
+  sum a^2 (1 / (2 sigma^2) - 1 / (2v)) and the cross term sum a (m / v).
+  Each sum adds its D terms in index order: the cross term by multiply-adds
+  into one (G, B, M) buffer, dimension by dimension. No BLAS call is made,
+  so the codes do not depend on the host's BLAS kernels.
 * The shared draws of several steps come from one stream call: a slab of
-  at most MAX_CHUNK_FLOATS // 8 floats, scaled by each block's sigma_k.
+  the live (block, step) pairs only, step-major, scaled by each sigma_k.
+  MAX_CHUNK_FLOATS bounds both the scoring buffer and the slab.
 * Each step's scalars are (G, 1, 1) arrays, one value per block, so blocks
   of different K share a step: elementwise IEEE operations on the same
   operands give the same bits.
@@ -38,13 +43,15 @@ from .chain import AuxSchedule, posterior_moments, samples_per_step, target_mome
 from .errors import ConfigError, CorruptStreamError, NumericError, UsageError
 from .gauss import DiagGaussian
 
-# Candidate arrays are B x M x D floats per step; reject configs beyond this.
+# Reject configs whose per-block step draws B x M x D floats beyond this.
 MAX_CANDIDATE_FLOATS = 1 << 24
-# Blocks encoded together score G x B x M x D candidate floats per step, in
-# one buffer that is reused for every step and chunk; G is the largest count
-# whose buffer fits this many floats, and at least 1. The draws of as many
-# steps as fit an eighth of it (at least one) come from one stream call.
-MAX_CHUNK_FLOATS = 1 << 17
+# Blocks encoded together score G x B x M candidates per step, in one buffer
+# (and one of the products added into it) reused for every step and chunk;
+# G is the largest count whose buffer fits this many floats, and at least 1.
+# The draws of as many steps as fit G x M x D floats each in this many (at
+# least one step) come from one stream call. Sized by peak memory: 2**14
+# holds lossless-128's 22 blocks and 2 steps; 2**16 added 7 MB of peak RSS.
+MAX_CHUNK_FLOATS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -91,21 +98,27 @@ def top_b(scores: np.ndarray, keep: int) -> np.ndarray:
     Equal to np.sort(np.argsort(-scores, axis=1, kind="stable")[:, :keep]):
     higher scores win, NaN ranks below -inf, and ties (0.0 and -0.0 among
     them) go to the lowest index. Runs in linear time: partition finds each
-    row's keep-th best value, every strictly better score is kept, and the
-    places left go to the tied scores of lowest index.
+    row's keep-th best value and one compare keeps every score at least as
+    good. Only rows where that is not exactly `keep` scores are settled
+    again: ties at the cut keep the strictly better scores and the tied ones
+    of lowest index, and a row with fewer than keep non-NaN scores fills the
+    rest with its NaNs of lowest index.
     """
     neg = -scores
     kth = np.partition(neg, keep - 1, axis=1)[:, keep - 1 : keep]
-    better = neg < kth
-    tied = neg == kth
-    lost = np.isnan(kth[:, 0])
-    if lost.any():  # fewer than keep non-NaN scores: NaNs fill the rest
-        nan = np.isnan(neg[lost])
-        better[lost] = ~nan
-        tied[lost] = nan
-    need = keep - np.count_nonzero(better, axis=1)[:, None]
-    take = better | (tied & (np.cumsum(tied, axis=1) <= need))
-    return np.nonzero(take)[1].reshape(len(scores), keep)
+    take = neg <= kth
+    fix = np.flatnonzero(np.count_nonzero(take, axis=1) != keep)
+    if fix.size:
+        neg, kth = neg[fix], kth[fix]
+        better, tied = neg < kth, neg == kth
+        lost = np.isnan(kth[:, 0])  # fewer than keep non-NaN scores
+        if lost.any():
+            nan = np.isnan(neg[lost])
+            better[lost] = ~nan
+            tied[lost] = nan
+        need = keep - np.count_nonzero(better, axis=1)[:, None]
+        take[fix] = better | (tied & (np.cumsum(tied, axis=1) <= need))
+    return (np.flatnonzero(take) % take.shape[1]).reshape(len(scores), keep)
 
 
 def encode(
@@ -140,7 +153,7 @@ def encode_blocks(
     Returns (indices per block, decoded z of shape (G, D), log q(z)/p(z) of
     shape (G,)). Block g's outputs are exactly those of encoding it alone:
     blocks run in order of K, largest first, in chunks whose candidates fit
-    one scoring buffer of at most MAX_CHUNK_FLOATS floats (one block's B*M*D
+    one scoring buffer of at most MAX_CHUNK_FLOATS floats (one block's B*M
     if that is more), allocated here once, and every reduction and selection
     runs along one block's own row.
     """
@@ -158,8 +171,9 @@ def encode_blocks(
     per_block = cfg.beams * schedules[0].M * d
     if per_block > MAX_CANDIDATE_FLOATS:
         raise ConfigError(f"candidate volume B*M*D = {per_block} exceeds {MAX_CANDIDATE_FLOATS}")
-    chunk = min(len(mean), max(1, MAX_CHUNK_FLOATS // per_block))
-    scratch = np.empty(chunk * per_block)
+    scores = cfg.beams * schedules[0].M
+    chunk = min(len(mean), max(1, MAX_CHUNK_FLOATS // scores))
+    scratch = np.empty((2, chunk * scores))
     blocks = np.asarray(blocks)
     order = np.argsort([-s.K for s in schedules], kind="stable")
     indices: list[tuple[int, ...]] = [()] * len(blocks)
@@ -178,10 +192,11 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
     """Beam search for G blocks in order of K, largest first; beam state is (G, beams, D).
 
     The blocks live at step k are the prefix whose K > k. Candidates are
-    scored in place in `scratch`, a flat float64 buffer of at least G*B*M*D
-    elements, laid out dimension-major as (D, G, B, M). The draws of `span`
-    steps at a time come from one stream call. Returns each block's code, z
-    and log q(z)/p(z), the last two taken when the block's K runs out.
+    scored in `scratch`, two (G, B, M) float64 buffers: the running cross
+    term and the product added to it next. The draws of `span` steps at a
+    time come from one stream call, which addresses only the live (block,
+    step) pairs. Returns each block's code, z and log q(z)/p(z), the last
+    two taken when the block's K runs out.
     """
     g = len(blocks)
     rows = np.arange(g)[:, None]
@@ -189,13 +204,19 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
     d = mean.shape[1]
     k_of = np.array([s.K for s in schedules])
     lives = np.count_nonzero(k_of > np.arange(k_of[0] + 1)[:, None], axis=1).tolist()
-    # sigma_k^2, s_{k-1}^2 and s_k^2 per block and step; 1 past a block's K,
-    # which keeps the slab's unused draws finite.
-    coef = np.ones((3, g, k_of[0]))
+    # The live (block, step) pairs, step-major: step k's are the rows
+    # starts[k]..starts[k+1]-1, of blocks 0..lives[k]-1. coef holds each
+    # pair's sigma_k^2, s_{k-1}^2 and s_k^2.
+    starts = np.cumsum([0, *lives])
+    pairs = np.stack([
+        blocks[np.concatenate([np.arange(n) for n in lives])],
+        np.repeat(np.arange(len(lives)), lives),
+    ])
+    coef = np.empty((3, starts[-1]))
     for i, s in enumerate(schedules):
         tails = s.tail_var()
-        coef[0, i, : s.K], coef[1, i, : s.K], coef[2, i, : s.K] = s.sigma_sq, tails[:-1], tails[1:]
-    span = max(1, MAX_CHUNK_FLOATS // 8 // (g * m * d))
+        coef[:, starts[: s.K] + i] = s.sigma_sq, tails[:-1], tails[1:]
+    span = max(1, MAX_CHUNK_FLOATS // (g * m * d))
     # Beam state, kept sorted by lexicographic index prefix within each block.
     # rho_sq does not depend on the draws, so it is one (G, 1, D) row for
     # all of a block's beams, and so are var_t and norm.
@@ -208,41 +229,41 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
 
     for k in range(k_of[0]):
         live = lives[k]
-        j = k % span
-        if j == 0:
-            steps = np.arange(k, min(k + span, k_of[0]))
-            var = coef[0, :live, k : k + span]
-            slab = stream.draw_normals(
-                seed, blocks[:live, None, None], steps[:, None], np.arange(m), d
-            )  # (G, steps, M, D), shared across each block's beams
-            slab *= np.sqrt(var)[:, :, None, None]  # sigma_k * u, as the decoder scales
-            slab_dims = np.ascontiguousarray(slab.transpose(1, 3, 0, 2))  # (steps, D, G, M)
-            slab_quad_p = _sum_dims((slab_dims * slab_dims).swapaxes(0, 1))
-            slab_quad_p /= 2.0 * var.T[:, :, None]  # -log p(a) + c, (steps, G, M)
+        if k % span == 0:
+            lo = starts[k]
+            at = slice(lo, starts[min(k + span, k_of[0])])
+            slab = stream.draw_normals(seed, *pairs[:, at, None], np.arange(m), d)
+            slab *= np.sqrt(coef[0, at])[:, None, None]  # sigma_k * u, as the decoder scales
+            slab_dims = np.ascontiguousarray(slab.transpose(2, 0, 1))  # (D, rows, M)
+            slab_sq = slab_dims * slab_dims
             if cfg.stochastic_final:
-                slab_u = stream.draw_uniforms(seed, blocks[:live, None], steps, m)
+                slab_u = stream.draw_uniforms(seed, *pairs[:, at], m)
+        own = slice(starts[k] - lo, starts[k + 1] - lo)  # this step's rows of the slab
         nu, rho_sq, b, log_w = nu[:live], rho_sq[:live], b[:live], log_w[:live]
-        a = slab[:live, j]
-        sig_sq, s_prev, s_next = coef[:, :live, k][..., None, None]
+        sig_sq, s_prev, s_next = coef[:, starts[k] : starts[k + 1], None, None]
 
         mean_t, var_t = target_moments(nu, rho_sq, b, sig_sq, s_prev, s_next)
-        # log q(a | beam) - log p(a), for every block x beam x sample. The
-        # ufuncs are those of (a - mean)**2 / (2 var), in that order, and the
-        # terms are added over dimensions i = 0..D-1 in index order, so each
-        # score depends only on its own candidate's D terms.
-        diff = scratch[: d * live * nu.shape[1] * m].reshape(d, live, -1, m)
-        np.subtract(slab_dims[j][:, :live, None, :], _dims_first(mean_t), out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.divide(diff, 2.0 * _dims_first(var_t), out=diff)
-        quad_q = _sum_dims(diff)
-        norm = -0.5 * np.cumsum(np.log(var_t / sig_sq), axis=2)[..., -1:]
-        cand = log_w[:, :, None] + norm - quad_q + slab_quad_p[j, :live, None, :]
+        # log q(a | beam) - log p(a) by the expanded square (module docstring):
+        # each score is its own candidate's terms, added over i = 0..D-1 in order.
+        ratio_t = mean_t / var_t
+        norm = -0.5 * np.cumsum(np.log(var_t / sig_sq), axis=2)[..., -1]
+        beam_term = log_w + norm - 0.5 * np.cumsum(mean_t * ratio_t, axis=2)[..., -1]
+        sq_coef = (0.5 / sig_sq - 0.5 / var_t).transpose(2, 0, 1)  # (D, G, 1)
+        sample_term = np.cumsum(slab_sq[:, own] * sq_coef, axis=0)[-1]
+        cand = scratch[0, : live * nu.shape[1] * m].reshape(live, -1, m)
+        term = scratch[1, : cand.size].reshape(cand.shape)
+        a_dims, r_dims = slab_dims[:, own, None, :], ratio_t.transpose(2, 0, 1)[..., None]
+        np.multiply(r_dims[0], a_dims[0], out=cand)
+        for i in range(1, d):
+            cand += np.multiply(r_dims[i], a_dims[i], out=term)
+        cand += beam_term[:, :, None]
+        cand += sample_term[:, None, :]
         flat = cand.reshape(live, -1)
 
         if cfg.stochastic_final:
             w_log = cand[:, 0]
             w = np.exp(w_log - np.max(w_log, axis=1, keepdims=True))
-            u = slab_u[:live, j]
+            u = slab_u[own]
             order = np.array([[importance_select(w[i], u[i])] for i in range(live)])
         else:
             # Candidate order is lexicographic (beam-major), so ties resolve
@@ -256,7 +277,7 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
         log_w = flat[here, order]
         nu, rho_sq, b = posterior_moments(
             nu[here, beam_idx], rho_sq, b[here, beam_idx],
-            a[here, pick], sig_sq, s_prev, s_next,
+            slab[own][here, pick], sig_sq, s_prev, s_next,
         )
         # Blocks whose K is k + 1 are done: the highest log q(z)/p(z) over
         # their surviving beams picks the final one.
@@ -276,19 +297,6 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
         codes[live, k] = pick[live, beam[live]]
         beam[live] = beam_idx[live, beam[live]]
     return [tuple(c[:k]) for c, k in zip(codes.tolist(), k_of.tolist())], z, ratio
-
-
-def _sum_dims(terms: np.ndarray) -> np.ndarray:
-    """terms[0] + terms[1] + ... in index order, accumulated in terms[0]."""
-    total = terms[0]
-    for term in terms[1:]:
-        total += term
-    return total
-
-
-def _dims_first(x: np.ndarray) -> np.ndarray:
-    """A (G, B, D) beam array as a (D, G, B, 1) view, to broadcast over M."""
-    return x.transpose(2, 0, 1)[..., None]
 
 
 def decode(

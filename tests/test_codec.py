@@ -181,10 +181,12 @@ class _FirstStepScored(Exception):
 class TestScores:
     @pytest.mark.parametrize("dims", [*range(1, 41), 128, 129, 300, 1000])
     def test_sum_dims_in_index_order(self, dims, monkeypatch):
-        # The first step's scores against pure-Python floats: each
-        # candidate's D terms (a_i - m_i)^2 / (2 v_i), a_i^2 and
-        # log(v_i / sigma^2) each added for i = 0..D-1 in order, with the
-        # code's other terms and the order it adds them in.
+        # The first step's scores against pure-Python floats. The code
+        # expands the square: a cross term sum a_i (m_i / v_i), a per-beam
+        # term -sum m_i (m_i / v_i) / 2, a per-sample term
+        # sum a_i^2 (1 / (2 sigma^2) - 1 / (2 v_i)) and the norm
+        # -sum log(v_i / sigma^2) / 2, each added for i = 0..D-1 in order
+        # from its first term, then combined in the order the code adds them.
         rng = np.random.default_rng(dims)
         q = DiagGaussian(rng.normal(0.0, 3.0, dims), 10.0 ** rng.uniform(-3.0, 0.0, dims))
         schedule = build_schedule(kl_divergence(q, DiagGaussian.standard(dims)), 3.0, 0.2)
@@ -203,17 +205,23 @@ class TestScores:
         mean_t, var_t = target_moments(
             q.mean, q.std * q.std, np.zeros(dims), sig_sq, float(tails[0]), float(tails[1])
         )
-        log_ratio = 0.0
-        for term in np.log(var_t / sig_sq).tolist():
-            log_ratio += term
-        norm = -0.5 * log_ratio
+
+        def in_order(terms):
+            total = terms[0]
+            for term in terms[1:]:
+                total += term
+            return total
+
+        m, v = mean_t.tolist(), var_t.tolist()
+        r = [m_i / v_i for m_i, v_i in zip(m, v)]
+        c = [0.5 / sig_sq - 0.5 / v_i for v_i in v]
+        norm = -0.5 * in_order(np.log(var_t / sig_sq).tolist())
+        head = (0.0 + norm) - 0.5 * in_order([m_i * r_i for m_i, r_i in zip(m, r)])
         expect = []
         for row in a.tolist():
-            quad_q = quad_p = 0.0
-            for a_i, m_i, v_i in zip(row, mean_t.tolist(), var_t.tolist()):
-                quad_q += (a_i - m_i) * (a_i - m_i) / (2.0 * v_i)
-                quad_p += a_i * a_i
-            expect.append(((0.0 + norm) - quad_q) + quad_p / (2.0 * sig_sq))
+            cross = in_order([a_i * r_i for a_i, r_i in zip(row, r)])
+            tail = in_order([a_i * a_i * c_i for a_i, c_i in zip(row, c)])
+            expect.append((cross + head) + tail)
         assert seen[0].tobytes() == np.array([expect]).tobytes()
 
 
@@ -242,31 +250,55 @@ def _stacked(qs):
     return np.array([q.mean for q in qs]), np.array([q.std for q in qs])
 
 
+def _set_budget(monkeypatch, beams, schedule, dims, per_chunk=None, span=None):
+    # A chunk of G blocks scores G * B * M floats and draws G * span * M * D
+    # per stream call, both within MAX_CHUNK_FLOATS. A budget of
+    # per_chunk * B * M gives chunks of per_chunk blocks; one of
+    # span * 13 * M * D gives the 13 blocks one chunk (if span * D >= B)
+    # that draws `span` steps per call. Neither keeps the module's budget.
+    if per_chunk is not None:
+        monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", per_chunk * beams * schedule.M)
+    if span is not None:
+        monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", span * 13 * schedule.M * dims)
+
+
 def _check_blocks_match_lone_encodes(
     beams, stochastic, monkeypatch, per_chunk=None, span=None, mixed=False
 ):
     # 13 blocks run in chunks of per_chunk blocks; or in one chunk whose
-    # draws come `span` steps per stream call (the budget holds 13 blocks'
-    # draws of `span` steps, which is a chunk of all 13 when 8 * span >=
-    # beams); or at the module's own budget when neither is given. Each
-    # block must equal its lone encode under the same budget. The blocks
-    # share one schedule, or with `mixed` have schedules of K = 1..9.
+    # draws come `span` steps per stream call; or at the module's own budget
+    # when neither is given. Each block must equal its lone encode under the
+    # same budget. The blocks share one schedule of K = 9, or with `mixed`
+    # have schedules of K = 1..9.
     if mixed:
         qs, schedules, blocks = _mixed_blocks()
     else:
         qs, schedule, blocks = _thirteen_blocks()
         schedules = [schedule] * len(qs)
-    schedule = schedules[0]
     dims = qs[0].dim
     cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams, stochastic_final=stochastic)
+    _set_budget(monkeypatch, beams, schedules[0], dims, per_chunk, span)
+    chunks, slab_steps = [], []
+    encode_chunk, draw_normals = codec._encode_chunk, stream.draw_normals
+
+    def counting_chunk(*args):
+        chunks.append(len(args[5]))
+        return encode_chunk(*args)
+
+    def counting_draws(seed, block, step, *args):
+        slab_steps.append(len(np.unique(step)))
+        return draw_normals(seed, block, step, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "_encode_chunk", counting_chunk)
+        patch.setattr(stream, "draw_normals", counting_draws)
+        indices, zs, ratios = codec.encode_blocks(*_stacked(qs), schedules, cfg, 21, blocks)
     if per_chunk is not None:
-        cap = per_chunk * beams * schedule.M * dims
-        monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", cap)
+        assert chunks == [min(per_chunk, 13 - lo) for lo in range(0, 13, per_chunk)]
     if span is not None:
-        assert 8 * span >= beams
-        cap = 8 * span * len(qs) * schedule.M * dims
-        monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", cap)
-    indices, zs, ratios = codec.encode_blocks(*_stacked(qs), schedules, cfg, 21, blocks)
+        assert max(s.K for s in schedules) == 9
+        assert chunks == [13]
+        assert slab_steps == [min(span, 9 - k) for k in range(0, 9, span)]
     for q, schedule, block, idx, z, ratio in zip(qs, schedules, blocks, indices, zs, ratios):
         alone = encode(q, schedule, cfg, seed=21, block=block)
         assert idx == alone[0]
@@ -301,7 +333,8 @@ class TestEncodeBlocks:
     @pytest.mark.parametrize("beams,stochastic", [(1, False), (4, False), (1, True)])
     def test_matches_across_draw_slabs(self, beams, stochastic, span, monkeypatch):
         # Slabs of 1 step, of 2 (which do not divide K = 9), of exactly K and
-        # of 30 > K steps; under these budgets a lone encode draws all 9 at once.
+        # of 30 > K steps; under these budgets a lone encode draws at least
+        # 13 steps, so all 9 at once.
         assert _thirteen_blocks()[1].K == 9
         _check_blocks_match_lone_encodes(beams, stochastic, monkeypatch, span=span)
 
@@ -311,27 +344,65 @@ class TestEncodeBlocks:
             pytest.param(beams, stochastic, budget, id=f"{beams}-{stochastic}-{name}")
             for beams, stochastic in _BEAM_CASES
             for name, budget in _BUDGETS.items()
-            if 8 * budget.get("span", beams) >= beams
+            if budget.get("span", beams) * 16 >= beams
         ],
     )
     def test_matches_across_step_counts(self, beams, stochastic, budget, monkeypatch):
         # Blocks of K = 1..9 in one call: chunks of 1 or 4 blocks or as many
         # as the module's budget allows, or one chunk drawing 1, 2 or 30
         # steps per stream call, so that blocks retire inside a slab. (B = 20
-        # takes no slab of 1 or 2 steps: its chunks would not hold all 13.)
+        # takes no slab of 1 step: span * D = 16 < B, so its chunks would not
+        # hold all 13.)
         _check_blocks_match_lone_encodes(beams, stochastic, monkeypatch, mixed=True, **budget)
 
-    @pytest.mark.parametrize("per_chunk,calls", [(None, 5), (4, 3 * 9 + 5)])
+    @pytest.mark.parametrize(
+        "beams,stochastic,budget",
+        [
+            pytest.param(beams, stochastic, budget, id=f"{beams}-{stochastic}-{name}")
+            for beams, stochastic in _BEAM_CASES
+            for name, budget in _BUDGETS.items()
+        ],
+    )
+    def test_draws_exactly_what_it_uses(self, beams, stochastic, budget, monkeypatch):
+        # Blocks of K = 1..9: the normal draws address each live (block,
+        # step), k < K, at samples 0..M-1 exactly once, and nothing else; a
+        # stochastic encode adds one uniform per live (block, step), at the
+        # reserved sample M. Each Philox invocation gives one word of
+        # raw_words' output: ceil(D / 2) per normal vector, one per uniform.
+        qs, schedules, blocks = _mixed_blocks()
+        m, dims = schedules[0].M, qs[0].dim
+        cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams, stochastic_final=stochastic)
+        _set_budget(monkeypatch, beams, schedules[0], dims, **budget)
+        raw_words = stream.raw_words
+        normals, uniforms, words = [], [], []
+
+        def counting(seed, block, step, samples, lanes):
+            result = raw_words(seed, block, step, samples, lanes)
+            grid = np.broadcast_arrays(block, step, samples)
+            drawn = normals if isinstance(lanes, np.ndarray) else uniforms
+            drawn += zip(*(np.ravel(x).tolist() for x in grid))
+            words.append(result[0].size)
+            return result
+
+        monkeypatch.setattr(stream, "raw_words", counting)
+        codec.encode_blocks(*_stacked(qs), schedules, cfg, 21, blocks)
+        live = [(block, k) for block, s in zip(blocks, schedules) for k in range(s.K)]
+        assert sorted(normals) == sorted((*pair, i) for pair in live for i in range(m))
+        assert sorted(uniforms) == (sorted((*pair, m) for pair in live) if stochastic else [])
+        assert sum(words) == len(live) * (m * -(-dims // 2) + stochastic)
+
+    @pytest.mark.parametrize("per_chunk,calls", [(None, 5), (4, 4 * 9)])
     def test_one_stream_call_per_draw_slab(self, per_chunk, calls, monkeypatch):
-        # A chunk of G blocks draws span = max(1, (MAX_CHUNK_FLOATS // 8) //
-        # (G * M * D)) steps per call, so ceil(K / span) calls. At the
-        # module's budget one chunk of 13 blocks draws 2 steps per call: 5
-        # calls. Chunks of 4, 4, 4 and 1 blocks draw 1, 1, 1 and 2 steps.
+        # A chunk of G blocks draws span = max(1, MAX_CHUNK_FLOATS // (G * M
+        # * D)) steps per call, so ceil(K / span) calls. At the module's
+        # budget of 2**14 floats one chunk of 13 blocks (13 * B * M = 1,924
+        # scores) draws 2 steps per call (13 * M * D = 7,696 floats a step):
+        # 5 calls. A budget of 4 * B * M = 592 floats gives chunks of 4, 4, 4
+        # and 1 blocks, and each draws 1 step per call (M * D = 592 floats
+        # for one block): 4 * 9 calls.
         qs, schedule, blocks = _thirteen_blocks()
         cfg = RecConfig(omega=3.0, epsilon=0.2, beams=4)
-        if per_chunk is not None:
-            cap = per_chunk * cfg.beams * schedule.M * qs[0].dim
-            monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", cap)
+        _set_budget(monkeypatch, cfg.beams, schedule, qs[0].dim, per_chunk)
         raw_words = stream.raw_words
         seen = []
 
