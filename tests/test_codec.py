@@ -255,7 +255,8 @@ def _set_budget(monkeypatch, beams, schedule, dims, per_chunk=None, span=None):
     # per stream call, both within MAX_CHUNK_FLOATS. A budget of
     # per_chunk * B * M gives chunks of per_chunk blocks; one of
     # span * 13 * M * D gives the 13 blocks one chunk (if span * D >= B)
-    # that draws `span` steps per call. Neither keeps the module's budget.
+    # that draws `span` steps per call. With neither, the module's budget
+    # stays.
     if per_chunk is not None:
         monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", per_chunk * beams * schedule.M)
     if span is not None:
