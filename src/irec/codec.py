@@ -43,7 +43,7 @@ from .chain import AuxSchedule, posterior_moments, samples_per_step, target_mome
 from .errors import ConfigError, CorruptStreamError, NumericError, UsageError
 from .gauss import DiagGaussian
 
-# Reject configs whose per-block step draws B x M x D floats beyond this.
+# Reject configs whose per-step candidate volume B x M x D exceeds this.
 MAX_CANDIDATE_FLOATS = 1 << 24
 # Blocks encoded together score G x B x M candidates per step, in one buffer
 # (and one of the products added into it) reused for every step and chunk;
