@@ -99,25 +99,17 @@ def top_b(scores: np.ndarray, keep: int) -> np.ndarray:
     higher scores win, NaN ranks below -inf, and ties (0.0 and -0.0 among
     them) go to the lowest index. Runs in linear time: partition finds each
     row's keep-th best value and one compare keeps every score at least as
-    good. Only rows where that is not exactly `keep` scores are settled
-    again: ties at the cut keep the strictly better scores and the tied ones
-    of lowest index, and a row with fewer than keep non-NaN scores fills the
-    rest with its NaNs of lowest index.
+    good. Only rows where that is not exactly `keep` scores (ties at the
+    cut, or fewer than keep non-NaN scores) are settled again, by the
+    definition's stable argsort.
     """
     neg = -scores
     kth = np.partition(neg, keep - 1, axis=1)[:, keep - 1 : keep]
     take = neg <= kth
     fix = np.flatnonzero(np.count_nonzero(take, axis=1) != keep)
     if fix.size:
-        neg, kth = neg[fix], kth[fix]
-        better, tied = neg < kth, neg == kth
-        lost = np.isnan(kth[:, 0])  # fewer than keep non-NaN scores
-        if lost.any():
-            nan = np.isnan(neg[lost])
-            better[lost] = ~nan
-            tied[lost] = nan
-        need = keep - np.count_nonzero(better, axis=1)[:, None]
-        take[fix] = better | (tied & (np.cumsum(tied, axis=1) <= need))
+        take[fix] = False
+        take[fix[:, None], np.argsort(neg[fix], axis=1, kind="stable")[:, :keep]] = True
     return (np.flatnonzero(take) % take.shape[1]).reshape(len(scores), keep)
 
 
@@ -143,19 +135,20 @@ def encode_blocks(
     std: np.ndarray,
     schedules: Sequence[AuxSchedule],
     cfg: RecConfig,
-    seed: int,
+    seed,
     blocks: Sequence[int],
 ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
     """Encode blocks, one schedule each, step by step across blocks.
 
     The targets are a (G, D) mean and a (G, D) std, or one (D,) std for all;
     the schedules may differ in K but must agree on M, omega and epsilon.
+    seed is one stream seed for all blocks, or G seeds, one per block.
     Returns (indices per block, decoded z of shape (G, D), log q(z)/p(z) of
-    shape (G,)). Block g's outputs are exactly those of encoding it alone:
-    blocks run in order of K, largest first, in chunks whose candidates fit
-    one scoring buffer of at most MAX_CHUNK_FLOATS floats (one block's B*M
-    if that is more), allocated here once, and every reduction and selection
-    runs along one block's own row.
+    shape (G,)). Block g's outputs are exactly those of encoding it alone
+    under its seed: blocks run in order of K, largest first, in chunks whose
+    candidates fit one scoring buffer of at most MAX_CHUNK_FLOATS floats (one
+    block's B*M if that is more), allocated here once, and every reduction
+    and selection runs along one block's own row.
     """
     if len({(s.M, s.omega, s.epsilon) for s in schedules}) != 1:
         raise UsageError("schedules disagree on samples per step, omega or epsilon")
@@ -164,8 +157,12 @@ def encode_blocks(
     mean, std = np.asarray(mean, dtype=np.float64), np.asarray(std, dtype=np.float64)
     if mean.ndim != 2 or not mean.size or std.shape not in (mean.shape, mean.shape[1:]):
         raise UsageError(f"targets of shape {mean.shape}, {std.shape}: need (G, D), (D,)")
-    if not len(mean) == len(blocks) == len(schedules):
-        raise UsageError(f"{len(mean)} targets, {len(blocks)} blocks, {len(schedules)} schedules")
+    seeds = np.asarray(seed)
+    if not len(mean) == len(blocks) == len(schedules) or seeds.shape not in ((), (len(mean),)):
+        raise UsageError(
+            f"{len(mean)} targets, {len(blocks)} blocks, {len(schedules)} schedules, "
+            f"{seeds.size} seeds"
+        )
     std = np.broadcast_to(std, mean.shape)
     d = mean.shape[1]
     per_block = cfg.beams * schedules[0].M * d
@@ -181,7 +178,8 @@ def encode_blocks(
     for lo in range(0, len(blocks), chunk):
         part = order[lo : lo + chunk]
         codes, zs[part], ratios[part] = _encode_chunk(
-            mean[part], std[part], [schedules[i] for i in part], cfg, seed, blocks[part], scratch
+            mean[part], std[part], [schedules[i] for i in part], cfg,
+            seeds[part] if seeds.ndim else seeds[()], blocks[part], scratch,
         )
         for i, code in zip(part.tolist(), codes):
             indices[i] = code
@@ -195,8 +193,9 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
     scored in `scratch`, two (G, B, M) float64 buffers: the running cross
     term and the product added to it next. The draws of `span` steps at a
     time come from one stream call, which addresses only the live (block,
-    step) pairs. Returns each block's code, z and log q(z)/p(z), the last
-    two taken when the block's K runs out.
+    step) pairs, each under its block's seed if `seed` is an array of G.
+    Returns each block's code, z and log q(z)/p(z), the last two taken when
+    the block's K runs out.
     """
     g = len(blocks)
     rows = np.arange(g)[:, None]
@@ -208,10 +207,10 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
     # starts[k]..starts[k+1]-1, of blocks 0..lives[k]-1. coef holds each
     # pair's sigma_k^2, s_{k-1}^2 and s_k^2.
     starts = np.cumsum([0, *lives])
-    pairs = np.stack([
-        blocks[np.concatenate([np.arange(n) for n in lives])],
-        np.repeat(np.arange(len(lives)), lives),
-    ])
+    live_rows = np.concatenate([np.arange(n) for n in lives])
+    pairs = np.stack([blocks[live_rows], np.repeat(np.arange(len(lives)), lives)])
+    # One seed per pair, shaped like pairs[:, :, None], if blocks have their own.
+    seeds = seed[live_rows, None] if isinstance(seed, np.ndarray) else seed
     coef = np.empty((3, starts[-1]))
     for i, s in enumerate(schedules):
         tails = s.tail_var()
@@ -232,12 +231,13 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
         if k % span == 0:
             lo = starts[k]
             at = slice(lo, starts[min(k + span, k_of[0])])
-            slab = stream.draw_normals(seed, *pairs[:, at, None], np.arange(m), d)
+            seed_at = seeds[at] if isinstance(seeds, np.ndarray) else seeds
+            slab = stream.draw_normals(seed_at, *pairs[:, at, None], np.arange(m), d)
             slab *= np.sqrt(coef[0, at])[:, None, None]  # sigma_k * u, as the decoder scales
             slab_dims = np.ascontiguousarray(slab.transpose(2, 0, 1))  # (D, rows, M)
             slab_sq = slab_dims * slab_dims
             if cfg.stochastic_final:
-                slab_u = stream.draw_uniforms(seed, *pairs[:, at], m)
+                slab_u = stream.draw_uniforms(seed_at, *pairs[:, at, None], m)[:, 0]
         own = slice(starts[k] - lo, starts[k + 1] - lo)  # this step's rows of the slab
         nu, rho_sq, b, log_w = nu[:live], rho_sq[:live], b[:live], log_w[:live]
         sig_sq, s_prev, s_next = coef[:, starts[k] : starts[k + 1], None, None]

@@ -26,7 +26,9 @@ both give the same words:
 * any other call (every encoder call covers a grid of samples) runs the
   rounds as NumPy uint64 array arithmetic.
 
-Both read the ten round keys of a seed from one per-seed cache. See
+The seed broadcasts with the addresses: a seed array always takes the NumPy
+rounds, its round keys computed per call; a scalar seed reads its ten round
+keys from one per-seed cache. Both come from one key schedule. See
 docs/FORMAT.md for the normative statement of these rules.
 """
 
@@ -63,47 +65,49 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer))
 
 
-def _u32(name: str, value) -> int:
-    """An integer scalar as a Python int, after checking that it lies in u32."""
+def _uint(name: str, value, top: int = _U32_MAX) -> int:
+    """An integer scalar as a Python int, checked to lie in u32 (or u64)."""
     value = int(value)
-    if not 0 <= value <= _U32_MAX:
-        raise UsageError(f"{name} out of u32 range: {value}")
+    if not 0 <= value <= top:
+        raise UsageError(f"{name} out of u{top.bit_length()} range: {value}")
     return value
 
 
-def _check_u32(name: str, value):
-    """The address as uint64 after checking that it lies in u32.
+def _check_uint(name: str, value, top: int = _U32_MAX):
+    """The address as uint64 after checking that it lies in u32 (or u64).
 
     Python and NumPy integer scalars stay scalars; arrays are checked
     elementwise and must hold integers.
     """
     if _is_int(value):
-        return np.uint64(_u32(name, value))
+        return np.uint64(_uint(name, value, top))
     arr = np.asarray(value)
     if arr.dtype.kind not in "iu":
         raise UsageError(f"{name} must be integers, got {arr.dtype}")
-    if arr.size and (arr.min() < 0 or arr.max() > _U32_MAX):
-        raise UsageError(f"{name} out of u32 range: [{arr.min()}, {arr.max()}]")
+    if arr.size and (arr.min() < 0 or arr.max() > top):
+        raise UsageError(f"{name} out of u{top.bit_length()} range: [{arr.min()}, {arr.max()}]")
     return arr.astype(np.uint64, copy=False)
 
 
-def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if not 0 <= seed <= _U64_MAX:
-        raise UsageError(f"seed out of u64 range: {seed}")
-    return seed
+def _check_seed(seed):
+    """An integer seed as a Python int, or a seed array as uint64, checked to lie in u64."""
+    return (_uint if _is_int(seed) else _check_uint)("seed", seed, _U64_MAX)
+
+
+def _key_schedule(seed):
+    """The ten Philox round keys (k0 + r W0, k1 + r W1) mod 2^32, r = 0..9,
+    of a seed given as a Python int or as uint64."""
+    k0, k1 = seed & _U32_MAX, seed >> 32
+    return tuple(
+        ((k0 + r * _PHILOX_W0) & _U32_MAX, (k1 + r * _PHILOX_W1) & _U32_MAX)
+        for r in range(10)
+    )
 
 
 @lru_cache(maxsize=64)
 def _round_keys(seed: int):
-    """The ten Philox round keys of a seed: as Python ints, and as uint64."""
-    k0, k1 = seed & _U32_MAX, seed >> 32
-    keys = []
-    for _ in range(10):
-        keys.append((k0, k1))
-        k0 = (k0 + _PHILOX_W0) & _U32_MAX
-        k1 = (k1 + _PHILOX_W1) & _U32_MAX
-    return tuple(keys), tuple((np.uint64(a), np.uint64(b)) for a, b in keys)
+    """The round keys of a scalar seed: as Python ints, and as uint64."""
+    return _key_schedule(seed), _key_schedule(np.uint64(seed))
 
 
 @lru_cache(maxsize=_INT_PATH_MAX_INVOCATIONS)
@@ -159,11 +163,11 @@ def _int_path(lanes) -> bool:
 def _raw_words_ints(block: int, step: int, sample: int, lanes, keys):
     """raw_words at one address on Python ints, all lanes in one pass."""
     if _is_int(lanes):
-        w_lo, w_hi = _philox_packed(_u32("lane", lanes), sample, step, block, 1, keys)
+        w_lo, w_hi = _philox_packed(_uint("lane", lanes), sample, step, block, 1, keys)
         return np.uint64(w_lo), np.uint64(w_hi)
     lane_list = lanes.ravel().tolist()
     if lanes.dtype.kind not in "iu" or min(lane_list) < 0 or max(lane_list) > _U32_MAX:
-        _check_u32("lane", lanes)  # raises the array path's UsageError
+        _check_uint("lane", lanes)  # raises the array path's UsageError
     ones = _fields(lanes.size)
     packed = _philox_packed(
         int.from_bytes(lanes.astype("<u8").tobytes(), "little"),
@@ -178,26 +182,28 @@ def _unpacked(words: int, lanes: np.ndarray) -> np.ndarray:
     return fields.astype(np.uint64).reshape(lanes.shape)
 
 
-def raw_words(seed: int, block, step, samples, lanes):
+def raw_words(seed, block, step, samples, lanes):
     """64-bit output words for a broadcast grid of addresses.
 
-    block, step, samples and lanes are u32 integers or integer arrays.
-    Returns two uint64 arrays of shape broadcast(block, step, samples,
-    lanes), NumPy scalars if every input is a scalar: the low and high
-    64-bit words of each Philox invocation.
+    seed is a u64 integer or integer array; block, step, samples and lanes
+    are u32 integers or integer arrays. Returns two uint64 arrays of shape
+    broadcast(seed, block, step, samples, lanes), NumPy scalars if every
+    input is a scalar: the low and high 64-bit words of each Philox
+    invocation.
     """
-    int_keys, array_keys = _round_keys(_check_seed(seed))
-    if _is_int(block) and _is_int(step) and _is_int(samples) and _int_path(lanes):
+    seed = _check_seed(seed)
+    int_keys, array_keys = _round_keys(seed) if _is_int(seed) else (None, _key_schedule(seed))
+    if int_keys and _is_int(block) and _is_int(step) and _is_int(samples) and _int_path(lanes):
         return _raw_words_ints(
-            _u32("block", block), _u32("step", step), _u32("sample", samples),
+            _uint("block", block), _uint("step", step), _uint("sample", samples),
             lanes, int_keys,
         )
-    block = _check_u32("block", block)
-    step = _check_u32("step", step)
-    samples = _check_u32("sample", samples)
+    block = _check_uint("block", block)
+    step = _check_uint("step", step)
+    samples = _check_uint("sample", samples)
     # No explicit broadcast: after four rounds every output word depends on
-    # all four counter words, so the arithmetic itself broadcasts them.
-    return _philox_arrays(_check_u32("lane", lanes), samples, step, block, array_keys)
+    # all four counter words and the keys, so the arithmetic broadcasts them.
+    return _philox_arrays(_check_uint("lane", lanes), samples, step, block, array_keys)
 
 
 def _to_uniform(words: np.ndarray) -> np.ndarray:
@@ -220,17 +226,17 @@ def _lanes(dims: int) -> np.ndarray:
     return lanes
 
 
-def draw_normals(seed: int, block, step, sample, dims: int) -> np.ndarray:
-    """Standard-normal vectors at every broadcast (block, step, sample) address.
+def draw_normals(seed, block, step, sample, dims: int) -> np.ndarray:
+    """Standard-normal vectors at every broadcast (seed, block, step, sample) address.
 
-    Returns shape broadcast(block, step, sample) + (dims,). Each vector is
-    the same as a single-address draw at its address (FORMAT.md §4).
+    Returns shape broadcast(seed, block, step, sample) + (dims,). Each vector
+    is the same as a single-address draw at its address (FORMAT.md §4).
     """
     if dims < 1:
         raise UsageError("dims must be >= 1")
     lanes = _lanes(dims)
     w_lo, w_hi = raw_words(
-        seed, _per_lane(block), _per_lane(step), _per_lane(sample), lanes
+        _per_lane(seed), _per_lane(block), _per_lane(step), _per_lane(sample), lanes
     )
     r = np.sqrt(-2.0 * np.log(_to_uniform(w_lo)))
     theta = _TWO_PI * _to_uniform(w_hi)
@@ -240,7 +246,7 @@ def draw_normals(seed: int, block, step, sample, dims: int) -> np.ndarray:
     return out[..., :dims]
 
 
-def draw_uniforms(seed: int, block, step, sample) -> np.ndarray:
+def draw_uniforms(seed, block, step, sample) -> np.ndarray:
     """Uniforms in (0,1) at every broadcast address (lane 0, low word)."""
     w_lo, _ = raw_words(seed, block, step, sample, 0)
     return _to_uniform(w_lo)

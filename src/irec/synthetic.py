@@ -67,13 +67,13 @@ def problem_set(dims: int, kl: float, trials: int, seed: int) -> list[tuple[Diag
 
 
 def log_ratios(problems, kl: float, cfg: RecConfig) -> np.ndarray:
-    """Final log q(z)/p(z) of each problem, encoded as block 0 with the
-    equal-KL schedule of its own variances, as the pipeline schedules a block."""
-    ratios = np.empty(len(problems))
-    for t, (q, seed) in enumerate(problems):
-        schedule = build_schedule(kl, cfg.omega, cfg.epsilon, q.var)
-        ratios[t] = codec.encode(q, schedule, cfg, seed, block=0)[2]
-    return ratios
+    """Final log q(z)/p(z) of each problem, encoded as block 0 under its own
+    seed with the equal-KL schedule of its own variances, as the pipeline
+    schedules a block."""
+    qs, seeds = zip(*problems)
+    schedules = [build_schedule(kl, cfg.omega, cfg.epsilon, q.var) for q in qs]
+    mean, std = np.array([q.mean for q in qs]), np.array([q.std for q in qs])
+    return codec.encode_blocks(mean, std, schedules, cfg, seeds, [0] * len(qs))[2]
 
 
 @dataclass
@@ -282,9 +282,12 @@ def check_stochastic_ks(q: DiagGaussian, samples: int, seed: int) -> CheckResult
     kl = kl_divergence(q, DiagGaussian.standard(1))
     cfg = RecConfig(omega=3.0, epsilon=0.0, beams=1, stochastic_final=True)
     schedule = build_schedule(kl, 3.0, 0.0, q.var)
-    decoded = [
-        codec.encode(q, schedule, cfg, seed=seed + i, block=0)[1][0] for i in range(samples)
-    ]
+    if not 0 <= seed <= 2**64 - samples:
+        raise UsageError(f"seeds {seed}..{seed + samples - 1} out of u64 range")
+    seeds = np.array(range(seed, seed + samples), dtype=np.uint64)
+    decoded = codec.encode_blocks(
+        np.tile(q.mean, (samples, 1)), q.std, [schedule] * samples, cfg, seeds, [0] * samples
+    )[1][:, 0]
     direct = np.random.default_rng(seed).normal(q.mean[0], q.std[0], size=samples)
     d = ks_statistic(decoded, direct)
     detail = f"KS distance {d:.4f}, bound <= {KS_BOUND}"
@@ -296,9 +299,9 @@ def _check_determinism(seed: int) -> CheckResult:
     q = synthetic_target(8, 12.0, rng)
     schedule = build_schedule(12.0, 3.0, 0.2, q.var)
     cfg = RecConfig(omega=3.0, epsilon=0.2, beams=5)
-    first = codec.encode(q, schedule, cfg, seed=7, block=3)
-    second = codec.encode(q, schedule, cfg, seed=7, block=3)
-    differ = int(not (first[0] == second[0] and np.array_equal(first[1], second[1])))
+    twice = np.stack([q.mean] * 2)
+    indices, zs, _ = codec.encode_blocks(twice, q.std, [schedule] * 2, cfg, 7, [3, 3])
+    differ = int(not (indices[0] == indices[1] and np.array_equal(zs[0], zs[1])))
     detail = f"{differ} of 1 repeat encodes differ, bound <= 0"
     return CheckResult("encode-determinism", differ, 0, differ == 0, detail)
 

@@ -264,18 +264,23 @@ def _set_budget(monkeypatch, beams, schedule, dims, per_chunk=None, span=None):
 
 
 def _check_blocks_match_lone_encodes(
-    beams, stochastic, monkeypatch, per_chunk=None, span=None, mixed=False
+    beams, stochastic, monkeypatch, per_chunk=None, span=None, mixed=False, own_seeds=False
 ):
     # 13 blocks run in chunks of per_chunk blocks; or in one chunk whose
     # draws come `span` steps per stream call; or at the module's own budget
     # when neither is given. Each block must equal its lone encode under the
     # same budget. The blocks share one schedule of K = 9, or with `mixed`
-    # have schedules of K = 1..9.
+    # have schedules of K = 1..9. They share seed 21, or with `own_seeds`
+    # are all block 0, each under its own seed, as the studies encode.
     if mixed:
         qs, schedules, blocks = _mixed_blocks()
     else:
         qs, schedule, blocks = _thirteen_blocks()
         schedules = [schedule] * len(qs)
+    seeds = [21] * len(qs)
+    if own_seeds:
+        seeds = [21 + 2**59 * i for i in range(12)] + [2**64 - 1]
+        blocks = [0] * len(qs)
     dims = qs[0].dim
     cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams, stochastic_final=stochastic)
     _set_budget(monkeypatch, beams, schedules[0], dims, per_chunk, span)
@@ -293,15 +298,18 @@ def _check_blocks_match_lone_encodes(
     with monkeypatch.context() as patch:
         patch.setattr(codec, "_encode_chunk", counting_chunk)
         patch.setattr(stream, "draw_normals", counting_draws)
-        indices, zs, ratios = codec.encode_blocks(*_stacked(qs), schedules, cfg, 21, blocks)
+        seed = np.array(seeds, dtype=np.uint64) if own_seeds else 21
+        indices, zs, ratios = codec.encode_blocks(*_stacked(qs), schedules, cfg, seed, blocks)
     if per_chunk is not None:
         assert chunks == [min(per_chunk, 13 - lo) for lo in range(0, 13, per_chunk)]
     if span is not None:
         assert max(s.K for s in schedules) == 9
         assert chunks == [13]
         assert slab_steps == [min(span, 9 - k) for k in range(0, 9, span)]
-    for q, schedule, block, idx, z, ratio in zip(qs, schedules, blocks, indices, zs, ratios):
-        alone = encode(q, schedule, cfg, seed=21, block=block)
+    for q, schedule, seed, block, idx, z, ratio in zip(
+        qs, schedules, seeds, blocks, indices, zs, ratios
+    ):
+        alone = encode(q, schedule, cfg, seed=seed, block=block)
         assert idx == alone[0]
         assert z.tobytes() == alone[1].tobytes()
         assert ratio == alone[2]
@@ -355,6 +363,16 @@ class TestEncodeBlocks:
         # takes no slab of 1 step: span * D = 16 < B, so its chunks would not
         # hold all 13.)
         _check_blocks_match_lone_encodes(beams, stochastic, monkeypatch, mixed=True, **budget)
+
+    @pytest.mark.parametrize("budget", [{"per_chunk": 4}, {"span": 2}], ids=["chunk4", "span2"])
+    @pytest.mark.parametrize("beams,stochastic", _BEAM_CASES)
+    def test_matches_with_a_seed_per_block(self, beams, stochastic, budget, monkeypatch):
+        # Blocks of K = 1..9, all block 0, each under its own seed: chunks
+        # of 4 blocks taken in order of K, or one chunk whose slabs of 2
+        # steps hold rows of several seeds and blocks that retire inside.
+        _check_blocks_match_lone_encodes(
+            beams, stochastic, monkeypatch, mixed=True, own_seeds=True, **budget
+        )
 
     @pytest.mark.parametrize(
         "beams,stochastic,budget",
@@ -424,6 +442,12 @@ class TestEncodeBlocks:
             codec.encode_blocks(two[:1], np.ones(2), [schedule] * 2, CFG, 0, [0, 1])
         with pytest.raises(UsageError):
             codec.encode_blocks(two[:0], np.ones(2), [schedule], CFG, 0, [])
+
+    @pytest.mark.parametrize("seeds", [[0], [0, 1, 2], [[0, 1]], [0, -1], [0.0, 1.0]])
+    def test_rejects_seeds_not_one_u64_per_block(self, seeds):
+        schedule = build_schedule(5.0, 3.0, 0.2)
+        with pytest.raises(UsageError, match="seed"):
+            codec.encode_blocks(np.zeros((2, 2)), np.ones(2), [schedule] * 2, CFG, seeds, [0, 1])
 
     @pytest.mark.parametrize(
         "omega,epsilon,m", [(3.0, 0.0, 21), (3.0001, 0.2, 37), (3.0, 0.2000001, 37)]

@@ -96,14 +96,17 @@ KNOWN_ANSWERS = [
 
 def words_at(path, seed, block, step, sample, lanes):
     """raw_words at one address, on the Python-int path or on the NumPy path
-    (the same address given as 1-element arrays)."""
+    (the same address given as 1-element arrays, or the seed given as a
+    1-element array)."""
     if path == "array":
         block, step, sample = (np.array([a]) for a in (block, step, sample))
+    if path == "seeds":
+        seed = np.array([seed])
     return stream.raw_words(seed, block, step, sample, lanes)
 
 
 class TestPhilox:
-    @pytest.mark.parametrize("path", ["int", "array"])
+    @pytest.mark.parametrize("path", ["int", "array", "seeds"])
     @pytest.mark.parametrize("counter, key, expected", KNOWN_ANSWERS)
     def test_known_answers(self, path, counter, key, expected):
         # Counter words are (lane, sample, step, block); key = (seed low, seed high).
@@ -111,6 +114,23 @@ class TestPhilox:
         w_lo, w_hi = words_at(path, key[0] | key[1] << 32, c3, c2, c1, np.array([c0]))
         lo, hi = int(w_lo[0]), int(w_hi[0])
         assert (lo & 0xFFFFFFFF, lo >> 32, hi & 0xFFFFFFFF, hi >> 32) == expected
+
+    def test_seed_grid_matches_scalar_seeds(self):
+        # A seed array broadcasts like an address: every word, normal and
+        # uniform equals the draw under that one scalar seed.
+        seeds = np.array([0, 5, 2**32 - 1, 2**32, 2**40 + 3, 2**63, 2**64 - 1], dtype=np.uint64)
+        blocks = np.array([0, 7, 2**32 - 1])
+        lanes = np.arange(3, dtype=np.uint64)
+        w_lo, w_hi = stream.raw_words(seeds[:, None, None], blocks[:, None], 4, 9, lanes)
+        normals = stream.draw_normals(seeds[:, None], blocks, 4, 9, 5)
+        uniforms = stream.draw_uniforms(seeds[:, None], blocks, 4, 9)
+        assert w_lo.shape == w_hi.shape == (7, 3, 3) and normals.shape == (7, 3, 5)
+        for i, seed in enumerate(seeds.tolist()):
+            for j, block in enumerate(blocks.tolist()):
+                lo, hi = stream.raw_words(seed, block, 4, 9, lanes)
+                assert w_lo[i, j].tolist() == lo.tolist() and w_hi[i, j].tolist() == hi.tolist()
+                assert normals[i, j].tobytes() == stream.draw_vector(seed, block, 4, 9, 5).tobytes()
+                assert uniforms[i, j] == stream.draw_uniform(seed, block, 4, 9)
 
     def test_paths_agree_on_every_lane_count(self):
         rng = np.random.default_rng(7)
@@ -177,8 +197,8 @@ class TestPhilox:
         with pytest.raises(UsageError, match=address):
             words_at(path, 5, **kwargs, lanes=np.arange(4))
 
-    @pytest.mark.parametrize("path", ["int", "array"])
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("path", ["int", "array", "seeds"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, np.array([1.0])])
     def test_bad_seed_on_both_paths(self, path, seed):
         with pytest.raises(UsageError, match="seed"):
             words_at(path, seed, 1, 2, 3, np.arange(4))

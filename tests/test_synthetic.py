@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from irec import chain, synthetic
+from irec import chain, codec, synthetic
 from irec.chain import AuxSchedule, build_schedule
+from irec.codec import RecConfig
 from irec.errors import UsageError
+from irec.gauss import DiagGaussian, kl_divergence
 from irec.synthetic import ks_statistic
 
 
@@ -93,3 +95,37 @@ def test_exact_oracles_pass_on_validate_draws(seed):
     problems = [synthetic.moment_problem(rng)[:2] for _ in range(10)]
     chain_rule = synthetic.check_chain_rule(problems)
     assert chain_rule.passed, chain_rule.detail
+
+
+class TestStudiesMatchLoneEncodes:
+    """The studies encode all their problems in one call; each value must be
+    that of encoding its problem alone, one codec.encode call per seed."""
+
+    @pytest.mark.parametrize("beams", [1, 5])
+    def test_log_ratios(self, beams):
+        cfg = RecConfig(beams=beams)
+        problems = synthetic.problem_set(8, 12.0, 30, seed=4)
+        expected = np.array([
+            codec.encode(q, build_schedule(12.0, cfg.omega, cfg.epsilon, q.var), cfg, seed, 0)[2]
+            for q, seed in problems
+        ])
+        assert synthetic.log_ratios(problems, 12.0, cfg).tobytes() == expected.tobytes()
+
+    def test_stochastic_ks_decodes(self, monkeypatch):
+        # Seeds 2^63 - 100 .. 2^63 + 99 straddle the int64 limit.
+        q, seed, samples = DiagGaussian(np.array([0.5]), np.array([0.8])), 2**63 - 100, 200
+        cfg = RecConfig(omega=3.0, epsilon=0.0, beams=1, stochastic_final=True)
+        schedule = build_schedule(kl_divergence(q, DiagGaussian.standard(1)), 3.0, 0.0, q.var)
+        expected = np.array([
+            codec.encode(q, schedule, cfg, seed + i, 0)[1][0] for i in range(samples)
+        ])
+        seen = []
+        monkeypatch.setattr(synthetic, "ks_statistic", lambda a, b: seen.append(a) or 0.0)
+        synthetic.check_stochastic_ks(q, samples, seed)
+        assert np.asarray(seen[0]).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64 - 9])
+    def test_stochastic_ks_rejects_seeds_past_u64(self, seed):
+        q = DiagGaussian(np.array([0.5]), np.array([0.8]))
+        with pytest.raises(UsageError, match="seed"):
+            synthetic.check_stochastic_ks(q, 10, seed)
