@@ -50,6 +50,27 @@ V1_LOSSLESS_B4_SHA256 = (
     "471e5401d129a3f34adb97dac11b93df7f50de3c04ba28d25c39629cbc5c33aa"
 )
 
+# Version-2 (equal-KL schedule) containers of the same image, model, config
+# and seed, lossless (187 bytes) and lossy (81 bytes), written by the last
+# encoder of version 2. The lossy file decodes to the pixels of
+# V2_LOSSY_B4_PIXELS_SHA256.
+V2_LOSSLESS_B4_HEX = (
+    "495245430201000000000000000000000000000008409a9999999999c93fc449e97bd5fc"
+    "479d0400000008000000100000001000000007132d70adf208003529c8fa4d0800ccb450"
+    "b6cb0802ea3d0b58120001000000266c7d75ab1c410b55c2fe1cab8b53563bd6c050cc55"
+    "7dd55f98669abdd7f5c44d961c132f3352cc694024dd06dd801c8b09706d5cab2e8ab014"
+    "76f4b7a0c0d24ae7215096f79a3280eded6613e3a106ada67c694f59b697022d790d3dbc"
+    "33ddbc200545b4"
+)
+V2_LOSSY_B4_HEX = (
+    "495245430200000000000000000000000000000008409a9999999999c93fc449e97bd5fc"
+    "479d0400000008000000100000001000000007132d70adf208003529c8fa4d0800ccb450"
+    "b6cb0802ea3d0b5812"
+)
+V2_LOSSY_B4_PIXELS_SHA256 = (
+    "15d7360286755616eb6508e51bcddfab89e2cdd4d8a8b78ceb53d914d0d0fc0d"
+)
+
 
 def pruned_model(noise_var=4.0):
     return LinearGaussianModel(
@@ -257,6 +278,18 @@ class TestContainerVersions:
         assert data[4] == 1
         out = decompress_lossless(data, fitted_model)
         assert np.array_equal(out.pixels, small_image.pixels)
+
+    def test_version_2_decodes_bit_exactly(self, fitted_model, small_image):
+        lossless = bytes.fromhex(V2_LOSSLESS_B4_HEX)
+        lossy = bytes.fromhex(V2_LOSSY_B4_HEX)
+        assert (len(lossless), len(lossy)) == (187, 81)
+        assert lossless[4] == lossy[4] == 2
+        out = decompress_lossless(lossless, fitted_model)
+        assert np.array_equal(out.pixels, small_image.pixels)
+        out = decompress_lossy(lossy, fitted_model)
+        assert hashlib.sha256(out.pixels.tobytes()).hexdigest() == V2_LOSSY_B4_PIXELS_SHA256
+        # Both files hold the same blocks; only the residual section differs.
+        assert container.unpack(lossless)[1] == container.unpack(lossy)[1]
 
     def test_version_byte_selects_the_schedule(self, fitted_model, small_image):
         # The same bytes read as version 2 decode other latents, so the
