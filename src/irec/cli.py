@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import pipeline, synthetic
+from . import container, pipeline, synthetic
 from .codec import RecConfig
 from .errors import ConfigError, CorruptStreamError, FormatError, ModelMismatchError
 from .errors import UsageError
@@ -75,6 +75,41 @@ def cmd_decompress(args):
     write_pgm(decompress(data, model), args.out_path)
 
 
+def cmd_inspect(args):
+    """Print what an IREC container holds; needs no model."""
+    with open(args.file, "rb") as fh:
+        data = fh.read()
+    header, blocks, residual = container.unpack(data)
+    m = header.M
+    checksummed = header.version == container.VERSION
+    lines = [
+        f"bytes {len(data)}",
+        f"version {header.version}",
+        f"flags {data[5]:#04x}",
+        f"seed {header.seed}",
+        f"omega {header.omega!r}",
+        f"epsilon {header.epsilon!r}",
+        f"samples_per_step {m}",
+        f"model_id {header.model_id:#018x}",
+        f"image {header.image_width}x{header.image_height}",
+        f"blocks {len(blocks)}",
+    ]
+    if checksummed:
+        k_min, width = container.k_field(blocks)
+        lines += [f"k_min {k_min}", f"k_width {width}"]
+    else:
+        lines += [f"latent_dim {header.latent_dim}", "k_field varint"]
+    lines += [
+        f"block {i} K {len(b)} index_bits {container.index_bits(len(b), m)}"
+        for i, b in enumerate(blocks)
+    ]
+    lines.append(f"residual_bytes {'none' if residual is None else len(residual)}")
+    # unpack has checked the CRC32 of a version-3 file; versions 1 and 2 have none.
+    crc = int.from_bytes(data[-4:], "little")
+    lines.append(f"crc32 {crc:#010x} ok" if checksummed else "crc32 none")
+    print("\n".join(lines))
+
+
 def cmd_bias_study(args):
     """Mean final log-importance-weight per beam count, as CSV."""
     rows = synthetic.bias_study(
@@ -132,9 +167,10 @@ def _parser() -> _Parser:
         def option(flag, dest=None, help=None, **kwargs):
             if kwargs.get("default") is not None:
                 help = f"{help or ''} [default: %(default)s]".lstrip()
-            # A renamed destination keeps the flag's name in usage and help.
-            metavar = flag[2:].upper() if dest else None
-            sub.add_argument(flag, dest=dest, metavar=metavar, help=help, **kwargs)
+            if dest:
+                # A renamed destination keeps the flag's name in usage and help.
+                kwargs.update(dest=dest, metavar=flag[2:].upper())
+            sub.add_argument(flag, help=help, **kwargs)
 
         return option
 
@@ -151,6 +187,9 @@ def _parser() -> _Parser:
                    help="Beam count; defaults to 20 lossless, 10 lossy.")
         option("--in", "in_path", required=True)
         option("--out", "out_path", required=True)
+
+    option = command("inspect", cmd_inspect)
+    option("file", metavar="FILE", help="An IREC container of any version.")
 
     option = command("bias-study", cmd_bias_study)
     option("--beams", "beam_list", type=_list_of(int), default="1,5,20",

@@ -8,10 +8,10 @@ fixes it. All blocks of an image, whatever their K, are index coded in one
 call (codec.encode_blocks); version-1 files decode with the power-law schedule.
 One reconstruct call maps all decoded latents back to pixels.
 The lossless path adds the range-coded residual of x minus the quantized
-reconstruction (container frames it), using the decoded (possibly biased)
-latent on both sides so encoder and decoder stay synchronized; a decoded
-residual that takes a pixel outside [0, 255] can only come from a corrupt
-file. Lossy and lossless share one body per direction (_compress, _decompress).
+reconstruction (container frames it; versions 1 and 2 hold the coder's full
+byte stream), using the decoded (possibly biased) latent on both sides so
+encoder and decoder stay synchronized; a decoded residual that takes a pixel
+outside [0, 255] can only come from a corrupt file. Lossy and lossless share one body per direction (_compress, _decompress).
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ def _compress(
         omega=cfg.omega,
         epsilon=cfg.epsilon,
         model_id=model.model_id,
-        latent_dim=model.latent_dim,
         image_width=img.width,
         image_height=img.height,
     )
@@ -114,20 +113,21 @@ def _decode_blocks(header: ContainerHeader, blocks, model: LinearGaussianModel):
         raise ModelMismatchError(
             f"container model id {header.model_id:#x} != model {model.model_id:#x}"
         )
-    if header.latent_dim != model.latent_dim:
+    # Only versions 1 and 2 store the latent dimension; model_id fixes it.
+    if header.latent_dim not in (None, model.latent_dim):
         raise ModelMismatchError("latent dimension mismatch")
     if model.data_dim != model_mod.PATCH_DIM:
         raise ModelMismatchError(f"model patch dimension {model.data_dim} != 64")
     s_sq = None if header.version == 1 else model_mod.posterior_var(model)
     schedules: dict[int, AuxSchedule] = {}  # the schedule depends on K alone
-    zs = np.empty((len(blocks), header.latent_dim))
+    zs = np.empty((len(blocks), model.latent_dim))
     for i, indices in enumerate(blocks):
         schedule = schedules.get(len(indices))
         if schedule is None:
             schedule = schedules[len(indices)] = schedule_from_steps(
                 len(indices), header.omega, header.epsilon, s_sq
             )
-        zs[i] = codec.decode(indices, schedule, header.seed, block=i, dims=header.latent_dim)
+        zs[i] = codec.decode(indices, schedule, header.seed, block=i, dims=model.latent_dim)
     return zs
 
 
@@ -149,7 +149,7 @@ def _decompress(data: bytes, model: LinearGaussianModel, lossless: bool) -> Imag
     if not lossless:
         return recon
     residuals = residual_mod.decode_residuals(
-        coded, math.sqrt(model.noise_var), width * height
+        coded, math.sqrt(model.noise_var), width * height, full=header.version in (1, 2)
     )
     pixels = recon.pixels.astype(np.int64) + residuals.reshape(height, width)
     # A valid file's residuals are x - x_hat, so this sum is x itself.

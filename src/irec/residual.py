@@ -8,7 +8,8 @@ frequency tables from the same sigma, and each sigma's table is built once
 and cached.
 The coder is the classic carry-propagating byte-renormalized range coder
 (32-bit range, 64-bit low with cache/carry); its per-symbol loops run on
-Python ints.
+Python ints. Its byte stream drops what the decoder can restore: the first
+byte, always 0, and the trailing zero bytes of the flush.
 """
 
 from __future__ import annotations
@@ -99,7 +100,12 @@ def _shift_low(low: int, cache: int, cache_size: int, out: bytearray):
 
 
 def encode_residuals(residuals, sigma: float) -> bytes:
-    """Range-code integer residuals in [LO, HI] under the model of sigma."""
+    """Range-code integer residuals in [LO, HI] under the model of sigma.
+
+    The coder's first byte is always 0 and is not written. The flush writes
+    the value in the final interval with the most trailing zero bytes and
+    drops those bytes, since decode_residuals reads zeros past the end.
+    """
     freq, cum = _table(sigma)
     low, rng, cache, cache_size = 0, _MASK32, 0, 1
     out = bytearray()
@@ -113,15 +119,30 @@ def encode_residuals(residuals, sigma: float) -> bytes:
         while rng < _TOP:
             rng = (rng << 8) & _MASK32
             low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+    # Pin the final interval [low, top]: rng >= 2^24, so it holds a multiple
+    # of 2^24; take a multiple of 2^32 where it holds one.
+    top = low + rng - 1
+    low = top >> 32 << 32 if top >> 32 << 32 >= low else top >> 24 << 24
     for _ in range(5):
         low, cache, cache_size = _shift_low(low, cache, cache_size, out)
-    return bytes(out)
+    # The last four bytes are the pinned value's; drop its trailing zeros.
+    end = len(out)
+    while end > len(out) - 4 and not out[end - 1]:
+        end -= 1
+    return bytes(out[1:end])
 
 
-def decode_residuals(data: bytes, sigma: float, count: int) -> np.ndarray:
-    """Exact inverse of encode_residuals given the same sigma."""
+def decode_residuals(data: bytes, sigma: float, count: int, full: bool = False) -> np.ndarray:
+    """Exact inverse of encode_residuals given the same sigma.
+
+    With full=True, data is the coder's full byte stream, as versions 1 and 2
+    of the container store it: the leading 0 and a 5-byte flush, with no
+    byte read past the end.
+    """
     if count == 0:
         return np.zeros(0, dtype=np.int64)
+    if not full:
+        data = b"\0" + data + bytes(4)
     if len(data) < 5:
         raise CorruptStreamError("range coder input exhausted")
     freq, cum = _table(sigma)

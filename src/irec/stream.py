@@ -82,7 +82,12 @@ def _check_uint(name: str, value, top: int = _U32_MAX):
     if _is_int(value):
         return np.uint64(_uint(name, value, top))
     arr = np.asarray(value)
-    if arr.dtype.kind not in "iu":
+    if isinstance(value, (list, tuple)) and arr.dtype.kind in "fO":
+        # NumPy infers float64 (or object) for Python ints that span 2^63.
+        arr = np.asarray(value, dtype=object)
+        if not all(map(_is_int, arr.flat)):
+            raise UsageError(f"{name} must be integers, got {value!r}")
+    elif arr.dtype.kind not in "iu":
         raise UsageError(f"{name} must be integers, got {arr.dtype}")
     if arr.size and (arr.min() < 0 or arr.max() > top):
         raise UsageError(f"{name} out of u{top.bit_length()} range: [{arr.min()}, {arr.max()}]")

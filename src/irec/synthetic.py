@@ -55,11 +55,18 @@ def synthetic_target(dims: int, total_kl: float, rng: np.random.Generator) -> Di
     return DiagGaussian(0.5 * hi * unit_mean, std)
 
 
+def _seed_rng(seed: int) -> np.random.Generator:
+    """The generator of a study seed, which must be a nonnegative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise UsageError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def problem_set(dims: int, kl: float, trials: int, seed: int) -> list[tuple[DiagGaussian, int]]:
     """The studies' problems: `trials` (target, encoder seed) pairs from seed."""
     if trials < 30:
         raise UsageError("trials must be >= 30")
-    rng = np.random.default_rng(seed)
+    rng = _seed_rng(seed)
     return [
         (synthetic_target(dims, kl, rng), int(rng.integers(0, 2**63)))
         for _ in range(trials)
@@ -288,14 +295,14 @@ def check_stochastic_ks(q: DiagGaussian, samples: int, seed: int) -> CheckResult
     decoded = codec.encode_blocks(
         np.tile(q.mean, (samples, 1)), q.std, [schedule] * samples, cfg, seeds, [0] * samples
     )[1][:, 0]
-    direct = np.random.default_rng(seed).normal(q.mean[0], q.std[0], size=samples)
+    direct = _seed_rng(seed).normal(q.mean[0], q.std[0], size=samples)
     d = ks_statistic(decoded, direct)
     detail = f"KS distance {d:.4f}, bound <= {KS_BOUND}"
     return CheckResult("stochastic-ks", d, KS_BOUND, d <= KS_BOUND, detail)
 
 
 def _check_determinism(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
+    rng = _seed_rng(seed)
     q = synthetic_target(8, 12.0, rng)
     schedule = build_schedule(12.0, 3.0, 0.2, q.var)
     cfg = RecConfig(omega=3.0, epsilon=0.2, beams=5)
@@ -320,13 +327,13 @@ def moment_problem(rng):
 
 def run_validation(seed: int = 0, csv_path=None) -> list[CheckResult]:
     """The full oracle suite behind the validate command."""
-    rng = np.random.default_rng(seed)
+    rng = _seed_rng(seed)
     chain_rule = [_problem(dims, kl, rng) for dims, kl in [(1, 5.0), (16, 30.0)]]
-    rng = np.random.default_rng(seed)
+    rng = _seed_rng(seed)
     step_kl = [_problem(16, 30.0, rng) for _ in range(20)]
     return [
         check_chain_rule(chain_rule),
-        check_target_moments(np.random.default_rng(seed), moment_problem, 10),
+        check_target_moments(_seed_rng(seed), moment_problem, 10),
         check_stochastic_ks(DiagGaussian(np.array([0.5]), np.array([0.8])), 10_000, seed),
         check_step_kl(step_kl, csv_path=csv_path),
         _check_determinism(seed),

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import sample_image
 from irec import cli, container
+from test_pipeline import V2_LOSSLESS_B4_HEX
 from irec.model import LinearGaussianModel, read_pgm, save_model, write_pgm
 
 
@@ -97,7 +98,7 @@ class TestCompressDecompress:
 
     def test_relabelled_image_size_exit_code(self, workspace):
         # A 16x16 file (4 blocks) relabelled as 8x8 is malformed, not a usage
-        # error.
+        # error: version 3 fails its CRC32, version 2 its block count.
         tmp, model_path, img_path = workspace
         out = tmp / "img.irec"
         cli.main([
@@ -105,25 +106,26 @@ class TestCompressDecompress:
             "--in", str(img_path), "--out", str(out),
         ])
         data = bytearray(out.read_bytes())
-        data[46:54] = (8).to_bytes(4, "little") * 2  # image_width, image_height
-        out.write_bytes(bytes(data))
-        code = cli.main([
-            "decompress", "--model", str(model_path),
-            "--in", str(out), "--out", str(tmp / "y.pgm"),
-        ])
-        assert code == 3
+        sides_at = 6 + 1 + 24  # after the one-byte seed varint and omega, epsilon, model_id
+        assert data[sides_at : sides_at + 2] == b"\x10\x10"
+        data[sides_at : sides_at + 2] = b"\x08\x08"
+        legacy = bytearray.fromhex(V2_LOSSLESS_B4_HEX)
+        legacy[46:54] = (8).to_bytes(4, "little") * 2  # image_width, image_height
+        for relabelled in (data, legacy):
+            out.write_bytes(bytes(relabelled))
+            code = cli.main([
+                "decompress", "--model", str(model_path),
+                "--in", str(out), "--out", str(tmp / "y.pgm"),
+            ])
+            assert code == 3
 
     def test_wrong_residual_count_exit_code(self, workspace):
-        tmp, model_path, img_path = workspace
+        # Versions 1 and 2 store the count; version 3 does not.
+        tmp, model_path, _ = workspace
         out = tmp / "img.irec"
-        cli.main([
-            "compress", "--model", str(model_path),
-            "--in", str(img_path), "--out", str(out),
-        ])
-        data = bytearray(out.read_bytes())
-        header, blocks, _ = container.unpack(bytes(data))
-        # The residual section starts where a file without one would end.
-        struct.pack_into("<I", data, len(container.pack(header, blocks)), 16 * 16 + 1)
+        data = bytearray.fromhex(V2_LOSSLESS_B4_HEX)
+        _, _, section = container.unpack(bytes(data))
+        struct.pack_into("<I", data, len(data) - len(section) - 4, 16 * 16 + 1)
         out.write_bytes(bytes(data))
         for mode in ("lossless", "lossy"):
             code = cli.main([
@@ -232,7 +234,7 @@ class TestCompressDecompress:
         save_model(model, model_path)
         header = container.ContainerHeader(
             seed=0, omega=3.0, epsilon=0.2, model_id=model.model_id,
-            latent_dim=2, image_width=8, image_height=8,
+            image_width=8, image_height=8,
         )
         data_path = tmp_path / "d16.irec"
         data_path.write_bytes(container.pack(header, [(0,)]))
@@ -246,7 +248,7 @@ class TestCompressDecompress:
         assert cli.main(["frobnicate"]) == 1
 
     @pytest.mark.parametrize(
-        "command", [None, "compress", "decompress", "bias-study", "sweep", "validate"]
+        "command", [None, "compress", "decompress", "inspect", "bias-study", "sweep", "validate"]
     )
     def test_help_exits_zero(self, command, capsys):
         assert cli.main([command, "--help"] if command else ["--help"]) == 0
@@ -304,6 +306,68 @@ class TestStudyCommands:
 
     def test_bad_trial_count_is_usage_error(self):
         assert cli.main(["bias-study", "--trials", "5"]) == 1
+
+    @pytest.mark.parametrize("command", ["validate", "bias-study", "sweep"])
+    def test_negative_seed_is_usage_error(self, command, capsys):
+        assert cli.main([command, "--seed", "-1"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+
+
+class TestInspect:
+    def test_version_3_layout(self, workspace, capsys):
+        tmp, model_path, img_path = workspace
+        out = tmp / "img.irec"
+        cli.main([
+            "compress", "--model", str(model_path),
+            "--in", str(img_path), "--out", str(out),
+        ])
+        capsys.readouterr()
+        data = out.read_bytes()
+        header, blocks, residual = container.unpack(data)
+        assert cli.main(["inspect", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        k_min, width = container.k_field(blocks)
+        assert lines[:2] == [f"bytes {len(data)}", "version 3"]
+        for line in (
+            "flags 0x01", "seed 0", "omega 3.0", "epsilon 0.2", "samples_per_step 37",
+            f"model_id {header.model_id:#018x}", "image 16x16", "blocks 4",
+            f"k_min {k_min}", f"k_width {width}", f"residual_bytes {len(residual)}",
+            f"crc32 {int.from_bytes(data[-4:], 'little'):#010x} ok",
+        ):
+            assert line in lines
+        assert [line for line in lines if line.startswith("block ")] == [
+            f"block {i} K {len(b)} index_bits {container.index_bits(len(b), 37)}"
+            for i, b in enumerate(blocks)
+        ]
+
+    def test_version_2_layout(self, tmp_path, capsys):
+        path = tmp_path / "v2.irec"
+        path.write_bytes(bytes.fromhex(V2_LOSSLESS_B4_HEX))
+        assert cli.main(["inspect", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in ("bytes 187", "version 2", "latent_dim 8", "k_field varint",
+                     "block 0 K 7 index_bits 37", "residual_bytes 102", "crc32 none"):
+            assert line in lines
+
+    def test_malformed_file_exit_codes(self, workspace, capsys):
+        tmp, model_path, img_path = workspace
+        out = tmp / "img.irec"
+        cli.main([
+            "compress", "--model", str(model_path),
+            "--in", str(img_path), "--out", str(out),
+        ])
+        data = out.read_bytes()
+        bad = tmp / "bad.irec"
+        capsys.readouterr()
+        for broken, message in (
+            (data[:-1], "CRC32 mismatch"),
+            (b"XREC" + data[4:], "bad magic"),
+            (data[:4] + b"\x03" + data[5:], "unsupported version"),
+        ):
+            bad.write_bytes(broken)
+            assert cli.main(["inspect", str(bad)]) == cli.EXIT_FORMAT
+            assert message in capsys.readouterr().err
+        assert cli.main(["inspect", str(tmp / "absent")]) == cli.EXIT_IO
 
 
 class TestValidate:

@@ -1,31 +1,48 @@
 import dataclasses
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irec.container import (
     HEADER_SIZE,
+    VERSION_BYTE,
     ContainerHeader,
     codelength_report,
     index_bits,
+    k_field,
     pack,
     read_varint,
     unpack,
     write_varint,
 )
-from irec.errors import CorruptStreamError, FormatError, UsageError
+from irec.errors import ConfigError, CorruptStreamError, FormatError, UsageError
+
+# Version-2 files of a 16x8 image (2 blocks, latent_dim 4) holding the blocks
+# (3, 1, 4) and (1, 5), without and with the residual section b"\x07",
+# written by the last version-2 encoder.
+V2_LOSSY_HEX = (
+    "495245430200393000000000000000000000000008409a9999999999c93fefbeadde0000"
+    "00000200000004000000100000000800000003158c0200ba"
+)
+V2_LOSSLESS_HEX = (
+    "495245430201393000000000000000000000000008409a9999999999c93fefbeadde0000"
+    "00000200000004000000100000000800000003158c0200ba8000000007"
+)
+V2_BLOCKS = [(3, 1, 4), (1, 5)]
 
 
-def header(omega=3.0, epsilon=0.2, blocks=1, latent=4, **kw):
+def header(omega=3.0, epsilon=0.2, blocks=1, **kw):
     # An (8 * blocks) x 8 image is tiled by exactly `blocks` patches.
     base = dict(
         seed=12345,
         omega=omega,
         epsilon=epsilon,
         model_id=0xDEADBEEF,
-        latent_dim=latent,
         image_width=8 * blocks,
         image_height=8,
     )
@@ -33,8 +50,50 @@ def header(omega=3.0, epsilon=0.2, blocks=1, latent=4, **kw):
     return ContainerHeader(**base)
 
 
+def pack_v2(h, blocks, residual=None, version=2, latent=4):
+    """The version-1/2 layout of docs/FORMAT.md, as its encoders wrote it."""
+    m = h.M
+    out = bytearray(struct.pack(
+        "<4sBBQddQIIII", b"IREC", version, residual is not None, h.seed, h.omega,
+        h.epsilon, h.model_id, len(blocks), latent, h.image_width, h.image_height,
+    ))
+    for tup in blocks:
+        value = sum(i * m**k for k, i in enumerate(tup))
+        out += write_varint(len(tup)) + value.to_bytes((index_bits(len(tup), m) + 7) // 8, "big")
+    if residual is not None:
+        out += struct.pack("<I", h.image_width * h.image_height) + residual
+    return bytes(out)
+
+
+def raw_v3(blocks, m, seed=12345, omega=3.0, epsilon=0.2, model_id=0xDEADBEEF,
+           width=8, height=8, residual=None, flags=None, k_min=None, k_width=None):
+    """The version-3 layout of docs/FORMAT.md, written field by field."""
+    ks = [len(t) for t in blocks]
+    k_min = min(ks) if k_min is None else k_min
+    k_width = (max(ks) - k_min).bit_length() if k_width is None else k_width
+    bits = "".join(format(k - k_min, "b").zfill(k_width) for k in ks) if k_width else ""
+    for t in blocks:
+        value = sum(i * m**k for k, i in enumerate(t))
+        bits += format(value, "b").zfill(index_bits(len(t), m))
+    bits += "0" * (-len(bits) % 8)
+    if flags is None:
+        flags = residual is not None
+    body = (
+        b"IREC" + bytes([0x83, flags]) + write_varint(seed)
+        + struct.pack("<ddQ", omega, epsilon, model_id)
+        + write_varint(width) + write_varint(height) + write_varint(k_min) + bytes([k_width])
+        + int(bits or "0", 2).to_bytes(len(bits) // 8, "big") + (residual or b"")
+    )
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def reseal(data):
+    """The file with its CRC32 recomputed, as a deliberate edit would leave it."""
+    return data[:-4] + struct.pack("<I", zlib.crc32(data[:-4]))
+
+
 def relabel(data, blocks, width, height):
-    """Overwrite block_count, image_width and image_height of a packed file."""
+    """Overwrite block_count, image_width and image_height of a version-2 file."""
     out = bytearray(data)
     struct.pack_into("<I", out, 38, blocks)
     struct.pack_into("<II", out, 46, width, height)
@@ -82,7 +141,13 @@ class TestIndexBits:
 
 class TestPackUnpack:
     def test_header_size(self):
-        assert HEADER_SIZE == 54
+        # Versions 1 and 2: a 54-byte header, then the first block's K varint.
+        data = bytes.fromhex(V2_LOSSY_HEX)
+        assert HEADER_SIZE == 54 and data[HEADER_SIZE] == 3
+        h, blocks, residual = unpack(data)
+        assert (h.version, h.latent_dim, h.block_count) == (2, 4, 2)
+        assert (blocks, residual) == (V2_BLOCKS, None)
+        assert pack_v2(h, blocks) == data
 
     def test_header_derives_block_count(self):
         h = header(image_width=17, image_height=9)
@@ -109,42 +174,55 @@ class TestPackUnpack:
         ],
     )
     def test_integer_field_out_of_range(self, field, value):
+        # latent_dim is a field of versions 1 and 2 only.
+        version = {"version": 2, "latent_dim": 4} if field == "latent_dim" else {}
         with pytest.raises(UsageError, match=field):
-            header(**{field: value})
+            header(**{**version, field: value})
         with pytest.raises(UsageError, match=field):
-            dataclasses.replace(header(), **{field: value})
+            dataclasses.replace(header(**version), **{field: value})
 
     @pytest.mark.parametrize(
         "field, value",
         [("seed", 2**64 - 1), ("model_id", 2**64 - 1), ("latent_dim", 2**32 - 1)],
     )
     def test_integer_field_extremes_round_trip(self, field, value):
-        h = header(**{field: value})
-        assert unpack(pack(h, [(1,)]))[0] == h
+        if field == "latent_dim":
+            h = header(version=2, latent_dim=value)
+            assert unpack(pack_v2(h, [(1,)], latent=value))[0] == h
+            with pytest.raises(UsageError, match="latent_dim"):
+                header(latent_dim=value)
+        else:
+            h = header(**{field: value})
+            assert unpack(pack(h, [(1,)]))[0] == h
 
     def test_tile_count_must_fit_u32(self):
         # 2^19 x 2^19 tiles: each side fits u32, the block count does not.
         with pytest.raises(UsageError, match="block_count"):
             header(image_width=2**22, image_height=2**22)
-        data = pack(header(), [(1,)])
+        with pytest.raises(FormatError, match="block_count"):
+            unpack(raw_v3([(1,)], 37, width=2**32 - 1, height=2**32 - 1))
+        data = pack_v2(header(), [(1,)])
         with pytest.raises(FormatError, match="block_count"):
             unpack(relabel(data, 1, 2**32 - 1, 2**32 - 1))
 
     def test_single_zero_index(self):
         data = pack(header(epsilon=0.0), [(0,)])
-        assert data[HEADER_SIZE:] == b"\x01\x00"  # varint K=1, 5-bit payload byte
+        # K_min 1 in a 0-bit K field, then the 5-bit index 0 in one byte.
+        assert data[-7:-4] == b"\x01\x00\x00"
+        assert data == raw_v3([(0,)], 21, epsilon=0.0)
 
     def test_four_step_payload_width(self):
-        data = pack(header(), [(36, 36, 36, 36)])
-        # varint K=4 plus 21 bits packed into 3 bytes
-        assert len(data) - HEADER_SIZE == 1 + 3
+        one = pack(header(), [(36,)])
+        four = pack(header(), [(36, 36, 36, 36)])
+        # 21 bits in 3 bytes against 6 bits in 1; both K_min varints are 1 byte.
+        assert len(four) - len(one) == 2
 
     def test_random_round_trips(self):
         rng = np.random.default_rng(1)
         for _ in range(1000):
             nblocks = int(rng.integers(1, 5))
             blocks = [
-                tuple(rng.integers(0, 37, size=rng.integers(1, 12)))
+                tuple(int(i) for i in rng.integers(0, 37, size=rng.integers(1, 12)))
                 for _ in range(nblocks)
             ]
             residual = bytes(rng.integers(0, 256, size=rng.integers(0, 9), dtype=np.uint8))
@@ -153,16 +231,20 @@ class TestPackUnpack:
             data = pack(h, blocks, residual=residual if use_res else None)
             h2, blocks2, res2 = unpack(data)
             assert blocks2 == blocks
-            assert h2.seed == h.seed
+            assert h2 == h
             assert h2.block_count == nblocks
             assert res2 == (residual if use_res else None)
 
     def test_empty_block_list(self):
         # No image has zero patches: such a header cannot be built, and a
-        # hand-built header-only file is malformed.
+        # hand-built file without blocks is malformed.
         with pytest.raises(UsageError):
             header(blocks=0)
-        data = pack(header(), [(0,)])[:HEADER_SIZE]
+        with pytest.raises(UsageError):
+            pack(header(), [()])
+        with pytest.raises(FormatError):
+            unpack(raw_v3([(0,)], 37, height=0))
+        data = pack_v2(header(), [(0,)])[:HEADER_SIZE]
         with pytest.raises(FormatError):
             unpack(relabel(data, 0, 8, 0))
 
@@ -173,6 +255,89 @@ class TestPackUnpack:
     def test_index_overflows_radix(self):
         with pytest.raises(UsageError):
             pack(header(), [(37,)])
+
+
+_SIDES = [0, 1, 8, 9, 17, 2**32 - 1, 2**32]
+_PARAMS = [(3.0, 0.2), (3.0, 0.0), (0.5, 0.0), (-1.0, 0.2), (3.0, -0.1), (25.0, 0.0)]
+
+
+class TestVersion3:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.sampled_from([0, 2**64 - 1, 2**64]) | st.integers(0, 2**64 - 1),
+        model_id=st.sampled_from([0, 2**64 - 1]),
+        width=st.sampled_from(_SIDES),
+        height=st.sampled_from(_SIDES),
+        params=st.sampled_from(_PARAMS),
+        k_min=st.sampled_from([1, 2, 127, 128]),
+        k_width=st.integers(0, 8),
+        draws=st.integers(0, 2**32 - 1),
+        residual=st.none() | st.binary(max_size=6),
+    )
+    def test_pack_refuses_what_unpack_rejects(
+        self, seed, model_id, width, height, params, k_min, k_width, draws, residual
+    ):
+        # Either pack writes exactly the FORMAT.md layout and unpack returns
+        # its input, or pack refuses and unpack rejects the same fields.
+        omega, epsilon = params
+        rows, cols = -(-width // 8), -(-height // 8)
+        count = rows * cols if 0 < rows * cols <= 9 else 1
+        try:
+            m = header(omega=omega, epsilon=epsilon).M
+        except (UsageError, ConfigError):
+            m = 2
+        rng = np.random.default_rng(draws)
+        ks = [k_min + int(rng.integers(0, 2**k_width)) for _ in range(count)]
+        blocks = [tuple(int(i) for i in rng.integers(0, m, size=k)) for k in ks]
+        fields = dict(seed=seed, omega=omega, epsilon=epsilon, model_id=model_id,
+                      width=width, height=height, residual=residual)
+        try:
+            h = ContainerHeader(seed=seed, omega=omega, epsilon=epsilon, model_id=model_id,
+                                image_width=width, image_height=height)
+            data = pack(h, blocks, residual)
+        except (UsageError, ConfigError):
+            if count < rows * cols:
+                fields["residual"] = None  # nothing can stand in for the missing blocks
+            with pytest.raises((FormatError, CorruptStreamError)):
+                unpack(raw_v3(blocks, m, **fields))
+            return
+        assert data == raw_v3(blocks, m, **fields)
+        assert unpack(data) == (h, blocks, residual)
+        assert k_field(blocks) == (min(ks), (max(ks) - min(ks)).bit_length())
+
+    def test_version_byte_is_two_flips_from_1_and_2(self):
+        assert VERSION_BYTE == 0x83
+        assert bin(VERSION_BYTE ^ 1).count("1") == bin(VERSION_BYTE ^ 2).count("1") == 2
+        data = pack(header(), [(1,)])
+        for bit in range(8):
+            mutated = bytearray(data)
+            mutated[4] ^= 1 << bit
+            with pytest.raises(FormatError, match="version"):
+                unpack(bytes(mutated))
+
+    def test_checksum_is_checked_first(self):
+        data = bytearray(pack(header(), [(1,)]))
+        data[5] = 0xFE  # reserved flag bits, and a stale CRC32
+        with pytest.raises(CorruptStreamError, match="CRC32"):
+            unpack(bytes(data))
+        with pytest.raises(FormatError, match="reserved"):
+            unpack(reseal(bytes(data)))
+
+    def test_k_field(self):
+        blocks = [(0,) * 7, (0,) * 11, (0,) * 8]
+        assert k_field(blocks) == (7, 3)
+        assert k_field(blocks[:1]) == (7, 0)
+        h = header(blocks=3)
+        assert pack(h, blocks) == raw_v3(blocks, 37, width=24)
+        assert unpack(raw_v3(blocks, 37, width=24, k_min=5, k_width=8))[1] == blocks
+
+    def test_huge_image_rejected_before_blocks_are_read(self):
+        # 2^29 blocks cannot fit in a few bytes; rejected by size, not by
+        # building 2^29 step counts.
+        with pytest.raises(CorruptStreamError, match="truncated"):
+            unpack(raw_v3([(1,)], 37, width=2**32 - 1, height=1))
+        with pytest.raises(CorruptStreamError, match="truncated"):
+            unpack(raw_v3([(1,)], 37, k_min=2**62, k_width=0))
 
 
 class TestCorruptInput:
@@ -197,25 +362,35 @@ class TestCorruptInput:
     def test_reserved_flag_bits_rejected(self, residual):
         data = pack(header(), [(1,)], residual=residual)
         assert data[5] == (residual is not None)
+        legacy = pack_v2(header(), [(1,)], residual=residual)
         for bit in range(1, 8):
-            mutated = bytearray(data)
-            mutated[5] ^= 1 << bit
-            with pytest.raises(FormatError):
-                unpack(bytes(mutated))
+            for file, flags_at in ((data, 5), (legacy, 5)):
+                mutated = bytearray(file)
+                mutated[flags_at] ^= 1 << bit
+                if file is data:
+                    mutated = reseal(mutated)
+                with pytest.raises(FormatError):
+                    unpack(bytes(mutated))
 
-    def test_writes_version_2_reads_both(self):
-        data = bytearray(pack(header(), [(1,)]))
-        assert data[4] == 2
-        data[4] = 1
-        assert unpack(bytes(data))[0].version == 1
+    def test_writes_version_3_reads_all(self):
+        data = pack(header(), [(1,)])
+        assert data[4] == VERSION_BYTE and unpack(data)[0].version == 3
+        with pytest.raises(UsageError, match="version 3 only"):
+            pack(header(version=2, latent_dim=4), [(1,)])
+        legacy = bytearray.fromhex(V2_LOSSLESS_HEX)
+        for version in (1, 2):
+            legacy[4] = version
+            h, blocks, residual = unpack(bytes(legacy))
+            assert (h.version, blocks, residual) == (version, V2_BLOCKS, b"\x07")
 
     @pytest.mark.parametrize(
         "width,height,blocks",
         [(16, 16, 1), (8, 8, 4), (9, 8, 1), (17, 17, 4), (0, 8, 0), (8, 0, 0), (0, 0, 1)],
     )
     def test_block_count_must_tile_image(self, width, height, blocks):
+        # A version-2 field; version 3 derives the count from the sides.
         n = max(blocks, 1)
-        data = pack(header(blocks=n), [(1,)] * n)
+        data = pack_v2(header(blocks=n), [(1,)] * n)
         with pytest.raises(FormatError):
             unpack(relabel(data, blocks, width, height))
 
@@ -228,9 +403,14 @@ class TestCorruptInput:
         data = pack(header(), [(1, 2, 3, 4)])
         with pytest.raises(CorruptStreamError):
             unpack(data[:-2])
+        with pytest.raises(CorruptStreamError, match="truncated block payload"):
+            unpack(reseal(data[:-5] + bytes(4)))
+        with pytest.raises(CorruptStreamError):
+            unpack(pack_v2(header(), [(1, 2, 3, 4)])[:-2])
 
     def test_residual_count_must_be_pixel_count(self):
-        data = pack(header(), [(1,)], residual=b"\x07")
+        # Versions 1 and 2 only; version 3 stores no count.
+        data = pack_v2(header(), [(1,)], residual=b"\x07")
         count_at = len(data) - 5
         assert data[count_at:-1] == (8 * 8).to_bytes(4, "little")
         assert unpack(data)[2] == b"\x07"
@@ -240,31 +420,47 @@ class TestCorruptInput:
                 unpack(bad)
 
     def test_residual_section_shorter_than_count(self):
-        data = pack(header(), [(1,)], residual=b"")
+        data = pack_v2(header(), [(1,)], residual=b"")
         for cut in range(1, 5):
             with pytest.raises(CorruptStreamError, match="count field"):
                 unpack(data[:-cut])
+        # Version 3: an empty residual section is a valid one.
+        assert unpack(pack(header(), [(1,)], residual=b""))[2] == b""
 
     def test_trailing_bytes(self):
         data = pack(header(), [(1,)])
         with pytest.raises(CorruptStreamError):
             unpack(data + b"\x00")
+        with pytest.raises(CorruptStreamError, match="trailing"):
+            unpack(reseal(data[:-4] + b"\x00" + data[-4:]))
+        with pytest.raises(CorruptStreamError, match="trailing"):
+            unpack(pack_v2(header(), [(1,)]) + b"\x00")
 
     def test_nonzero_padding_rejected(self):
-        # A 5-bit index packed into a byte: set a padding bit above M^K.
+        # A 5-bit index packed into a byte: set a padding bit, or a value
+        # above M^K.
         data = bytearray(pack(header(epsilon=0.0), [(0,)]))
-        data[-1] = 0xFF  # value 255 >= 21^1
+        for byte, match in ((0x01, "padding"), (0xF8, "index range")):
+            data[-5] = byte  # the bitstream's only byte
+            with pytest.raises(CorruptStreamError, match=match):
+                unpack(reseal(bytes(data)))
+        legacy = bytearray(pack_v2(header(epsilon=0.0), [(0,)]))
+        legacy[-1] = 0xFF  # value 255 >= 21^1
         with pytest.raises(CorruptStreamError):
-            unpack(bytes(data))
+            unpack(bytes(legacy))
 
     def test_zero_step_block_rejected(self):
-        data = bytearray(pack(header(), [(1,)]))
+        with pytest.raises(CorruptStreamError):
+            unpack(raw_v3([(1,)], 37, k_min=0))
+        data = bytearray(pack_v2(header(), [(1,)]))
         data[HEADER_SIZE] = 0  # varint K = 0
         with pytest.raises(CorruptStreamError):
             unpack(bytes(data))
 
     def test_invalid_header_params(self):
-        data = bytearray(pack(header(), [(1,)]))
+        with pytest.raises(FormatError):
+            unpack(raw_v3([(1,)], 37, omega=-1.0))
+        data = bytearray(pack_v2(header(), [(1,)]))
         data[14:22] = np.float64(-1.0).tobytes()  # omega field
         with pytest.raises(FormatError):
             unpack(bytes(data))
@@ -274,15 +470,30 @@ class TestCorruptInput:
         # exp() rounds to 1, i.e. M = 1 and zero-width index payloads; the
         # parser must reject it instead of misreading garbage step counts.
         data = bytearray(pack(header(), [(1,)]))
-        data[21] ^= 1 << 6
-        with pytest.raises(FormatError):
+        omega_at = 6 + len(write_varint(12345))
+        assert data[omega_at : omega_at + 8] == struct.pack("<d", 3.0)
+        data[omega_at + 7] ^= 1 << 6
+        with pytest.raises(CorruptStreamError, match="CRC32"):
             unpack(bytes(data))
+        with pytest.raises(FormatError):
+            unpack(reseal(bytes(data)))
+        legacy = bytearray(pack_v2(header(), [(1,)]))
+        legacy[21] ^= 1 << 6
+        with pytest.raises(FormatError):
+            unpack(bytes(legacy))
 
     def test_bit_flip_fuzz_never_crashes(self):
+        # Version 3: every flip is caught. Versions 1 and 2: none crashes.
         data = pack(header(blocks=2), [(3, 1, 4), (1, 5)])
-        baseline = unpack(data)
         for pos in range(8 * len(data)):
             mutated = bytearray(data)
+            mutated[pos // 8] ^= 1 << (pos % 8)
+            with pytest.raises((FormatError, CorruptStreamError)):
+                unpack(bytes(mutated))
+        legacy = bytes.fromhex(V2_LOSSLESS_HEX)
+        baseline = unpack(legacy)
+        for pos in range(8 * len(legacy)):
+            mutated = bytearray(legacy)
             mutated[pos // 8] ^= 1 << (pos % 8)
             try:
                 h, blocks, res = unpack(bytes(mutated))
@@ -293,13 +504,16 @@ class TestCorruptInput:
 
 class TestCodelengthReport:
     def test_thirty_nat_block(self):
-        h = header(latent=16)
+        h = header()
         blocks = [(0,) * 10]  # K = 10 at omega 3, KL 30
         report = codelength_report(h, blocks, [30.0])
         assert report["payload_bits"] == 53
-        assert report["varint_bits"] == 8
+        assert report["varint_bits"] == 0  # one block: a 0-bit K field
         assert report["ideal_bits"] == pytest.approx(43.2808, abs=1e-3)
         assert report["overhead_ratio"] == pytest.approx(1.224, abs=1e-2)
+        # K from 7 to 11: 3 bits per block.
+        three = codelength_report(header(blocks=3), [(0,) * 7, (0,) * 11, (0,) * 9], [1.0] * 3)
+        assert three["varint_bits"] == 9
 
     def test_zero_kl_sentinel(self):
         report = codelength_report(header(), [(0,)], [0.0])

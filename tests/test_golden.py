@@ -1,7 +1,7 @@
 """Golden outputs: SHA-256 of containers and codes from fixed inputs.
 
 Every entry fixes (image, model, codec seed, config) and pins the exact
-bytes the encoder writes for container version 2. A change that alters any
+bytes the encoder writes for container version 3. A change that alters any
 of them changes the wire output, so it must be deliberate and re-recorded
 here together with a note in CHANGES.md.
 
@@ -27,15 +27,15 @@ from irec.gauss import DiagGaussian, kl_divergence
 from irec.model import load_model
 
 SMALL_GOLDEN = {
-    ("lossless", 1): "7b84ded2aba0f17a709eb00e4f8e3c96f40ddfcdbffa277ec3b964c3d31979a1",
-    ("lossless", 4): "d45fff6075cb3fdff89ed792de4c0568e8cfaf01c317031190d7627dae7896b8",
-    ("lossless", 20): "337ce510fc2f46cfced0116214e1d4831aee5575b99b39e66dfb54a5b198118a",
-    ("lossy", 1): "95df6ebf0ca63ae3c65360fe74db8feddff562d22c3d9bd17e1f36d7f33e27a8",
-    ("lossy", 4): "bfa33fe500cabe2360289def2f4eeb120485b4095c4a7de913340fdace6b71e3",
-    ("lossy", 20): "b89693e022605b9526e2c7c74e734e597dc0e6c56a97d3b98cdca0d3767062f3",
+    ("lossless", 1): "90b463d893aff06dc8ff9d0b1b6b0d07d813260c9dc4a712da462f2b036a84fe",
+    ("lossless", 4): "5e490e687c6c65c52c1cf411006f89019f4fa6a9ab22300b042cc5168beb3649",
+    ("lossless", 20): "96b4cdb8aa4f0281692750d1a139ade4cb60523eca2c6b5007c5ec466c68df8f",
+    ("lossy", 1): "061ad509e9c3401df8b89fa56ff2b07606f812c289106aefca7be2d50a2137f7",
+    ("lossy", 4): "a57bde25663e947290c10ddf1d3608c898e9e5f20ebfe8f3e3eecfec5e965b5d",
+    ("lossy", 20): "f49aa121934af03781ebeae385497630686a528d2b8ed4e8ce60795416d6e4c4",
 }
-LOSSLESS_128_GOLDEN = "9535e5e4066f319a7c3909e8588d5494cd822cbba476f0659993670c188ad966"
-LOSSY_128_GOLDEN = "10d37c0eb1102f12567b248632c6d0f427955d0d2d02986efe7877c6a35f9578"
+LOSSLESS_128_GOLDEN = "e4eee0ff34e4511f3c1e61f24ea8587557eec8be20d303881e9dd2d1c2a2a3a6"
+LOSSY_128_GOLDEN = "3d16717af012e6082789f2e83080f044570d00bdaefcb6a7649b52cc9e23ed5c"
 STOCHASTIC_ENCODE_GOLDEN = "667f5249df31612528ccd51cfadce845a533523e7c975440e436940057436ce2"
 
 

@@ -132,7 +132,7 @@ class TestLossy:
         model = LinearGaussianModel(W=np.ones((16, 2)), mu=np.zeros(16), noise_var=1.0)
         header = container.ContainerHeader(
             seed=0, omega=3.0, epsilon=0.2, model_id=model.model_id,
-            latent_dim=2, image_width=8, image_height=8,
+            image_width=8, image_height=8,
         )
         data = container.pack(header, [(0,)])
         with pytest.raises(ModelMismatchError):
@@ -261,6 +261,27 @@ class TestLossless:
         assert len(result.kl_per_block) == 4
 
 
+class TestBitFlips:
+    @pytest.mark.parametrize(
+        "side, lossless", [(8, True), (16, True), (16, False)],
+        ids=["8-lossless", "16-lossless", "16-lossy"],
+    )
+    def test_every_flip_is_detected(self, fitted_model, side, lossless):
+        # No single-bit flip of a version-3 file decodes, and none gets as
+        # far as the model checks.
+        img = sample_image(fitted_model, np.random.default_rng(side), side, side)
+        compress, decompress = (
+            (compress_lossless, decompress_lossless) if lossless
+            else (compress_lossy, decompress_lossy)
+        )
+        data = compress(img, fitted_model, CFG, seed=3).data
+        for pos in range(8 * len(data)):
+            mutated = bytearray(data)
+            mutated[pos // 8] ^= 1 << (pos % 8)
+            with pytest.raises((CorruptStreamError, FormatError)):
+                decompress(bytes(mutated), fitted_model)
+
+
 class TestElbo:
     def test_positive_and_dominates_kl(self, fitted_model, small_image):
         bits = model_elbo_bits(small_image, fitted_model)
@@ -299,14 +320,14 @@ class TestContainerVersions:
         out = decompress_lossless(bytes(data), fitted_model)
         assert not np.array_equal(out.pixels, small_image.pixels)
 
-    def test_new_files_are_version_2(self, fitted_model, small_image):
+    def test_new_files_are_version_3(self, fitted_model, small_image):
         for compress, decompress in (
             (compress_lossless, decompress_lossless),
             (compress_lossy, decompress_lossy),
         ):
             result = compress(small_image, fitted_model, CFG, seed=0)
             header, _, _ = container.unpack(result.data)
-            assert header.version == 2 == result.data[4]
+            assert header.version == 3 and result.data[4] == container.VERSION_BYTE
             again = compress(small_image, fitted_model, CFG, seed=0)
             assert again.data == result.data
             out = decompress(result.data, fitted_model)
@@ -314,6 +335,20 @@ class TestContainerVersions:
                 assert np.array_equal(out.pixels, small_image.pixels)
             else:
                 assert psnr(small_image, out) == result.psnr
+
+    def test_version_3_holds_the_version_2_codes(self, fitted_model, small_image):
+        # Same blocks and same pixels, in fewer bytes.
+        for hex_data, compress, decompress in (
+            (V2_LOSSLESS_B4_HEX, compress_lossless, decompress_lossless),
+            (V2_LOSSY_B4_HEX, compress_lossy, decompress_lossy),
+        ):
+            old = bytes.fromhex(hex_data)
+            new = compress(small_image, fitted_model, CFG, seed=0).data
+            assert container.unpack(new)[1] == container.unpack(old)[1]
+            assert np.array_equal(
+                decompress(new, fitted_model).pixels, decompress(old, fitted_model).pixels
+            )
+            assert len(new) < len(old)
 
     def test_posterior_var_matches_patch_posteriors(self, fitted_model, small_image):
         from irec.model import patchify, posterior
@@ -332,14 +367,16 @@ class TestContainerVersions:
         data = compress_lossless(img, model, cfg, seed=1).data
         assert data == bytes.fromhex(
             "49524543"  # magic
-            "02"  # version 2
+            "83"  # version 3
             "01"  # flags: residual section present
-            "0100000000000000"  # seed = 1
+            "01"  # seed = 1 (varint)
             "0000000000000840"  # omega = 3.0
             "9a9999999999c93f"  # epsilon = 0.2
             "f108d1805f76229f"  # model_id
-            "01000000" "02000000" "08000000" "08000000"  # blocks, L, w, h
-            "01" "00"  # block 0: K = 1, index 0
-            "40000000"  # residual count = 64
-            "007ffe61db82c060" "01311427" "8b0e5c7a"  # range coder bytes
+            "08" "08"  # image_width, image_height (varints)
+            "01" "00"  # K_min = 1 (varint), K field width 0
+            "00"  # block 0: index 0 in 6 bits, 2 padding bits
+            "7ffe61db82c06001" "311427b7"  # range coder bytes
+            "4d30a66a"  # CRC32 = 0x6aa6304d
         )
+        assert np.array_equal(decompress_lossless(data, model).pixels, img.pixels)

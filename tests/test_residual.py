@@ -84,8 +84,11 @@ class TestRoundTrip:
         assert np.array_equal(decode_residuals(data, 3.0, 4096), r)
 
     def test_empty(self):
-        assert encode_residuals(np.zeros(0, dtype=np.int64), 1.0) == b"\x00" * 5
+        # The full stream is five zero bytes: the leading one and a flush of
+        # zeros, none of which is written.
+        assert encode_residuals(np.zeros(0, dtype=np.int64), 1.0) == b""
         assert decode_residuals(b"", 1.0, 0).size == 0
+        assert decode_residuals(b"\x00" * 5, 1.0, 0, full=True).size == 0
 
     def test_single_symbol(self):
         data = encode_residuals(np.array([-7]), 1.0)
@@ -128,15 +131,20 @@ class TestRobustness:
 
     def test_exhausted_input(self):
         with pytest.raises(CorruptStreamError):
-            decode_residuals(b"\x00\x01", 1.0, 10)
+            decode_residuals(b"\x00\x01", 1.0, 10, full=True)
+        # The decoder reads at most 4 zero bytes past the end of a section,
+        # and an empty one cannot hold these 4096 symbols.
+        with pytest.raises(CorruptStreamError):
+            decode_residuals(b"", 1e-6, 4096)
 
     def test_input_exhausted_mid_stream(self):
         rng = np.random.default_rng(5)
         r = np.clip(np.rint(rng.normal(0, 8, size=2000)).astype(np.int64), -255, 255)
-        data = encode_residuals(r, 8.0)
-        for cut in (5, len(data) // 2, len(data) - 6):
+        full = b"\x00" + encode_residuals(r, 8.0) + bytes(4)
+        assert np.array_equal(decode_residuals(full, 8.0, r.size, full=True), r)
+        for cut in (5, len(full) // 2, len(full) - 6):
             with pytest.raises(CorruptStreamError):
-                decode_residuals(data[:cut], 8.0, r.size)
+                decode_residuals(full[:cut], 8.0, r.size, full=True)
 
 
 def test_table_built_once_per_model(monkeypatch):

@@ -132,6 +132,15 @@ class TestPhilox:
                 assert normals[i, j].tobytes() == stream.draw_vector(seed, block, 4, 9, 5).tobytes()
                 assert uniforms[i, j] == stream.draw_uniform(seed, block, 4, 9)
 
+    def test_seed_list_spanning_2_63(self):
+        # NumPy infers float64 for these Python ints; they are still u64 seeds.
+        for seeds in ([2**63 - 1, 2**63], (2**63 - 1, 2**63), [0, 2**64 - 1]):
+            both = stream.draw_uniforms(seeds, 0, 0, 0)
+            assert both.tolist() == [stream.draw_uniforms(s, 0, 0, 0) for s in seeds]
+        for bad in ([-1, 2**63], [2**63, 2**64], [2**64], [1.0, 2**63], (0, 1.5)):
+            with pytest.raises(UsageError, match="seed"):
+                stream.draw_uniforms(bad, 0, 0, 0)
+
     def test_paths_agree_on_every_lane_count(self):
         rng = np.random.default_rng(7)
         u32_max = 2**32 - 1
