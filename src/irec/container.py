@@ -20,11 +20,8 @@ Version 3 (version byte 0x83) stores only what the decoder cannot derive:
   before it trusts any other field.
 
 Versions 1 and 2 (version byte 1 or 2; it names the step schedule, see
-chain.py): a 54-byte little-endian header of magic, version u8, flags u8,
-seed u64, omega f64, epsilon f64, model_id u64, block_count u32, latent_dim
-u32, image_width u32, image_height u32; per block K as a varint, then the
-index tuple zero-padded to a byte boundary; then, if flags bit 0 is set, a
-u32 count that must be width * height and the coder's full byte stream.
+chain.py) have a 54-byte header that also holds block_count and latent_dim,
+one byte-padded payload per block with K as a varint, and a residual count.
 
 ContainerHeader holds each header rule once (a known version, integer fields
 within their widths, a nonempty image whose tile count fits u32, valid
@@ -173,8 +170,6 @@ def pack(
             f"block_count {header.block_count} != number of blocks {len(blocks)}"
         )
     m = header.M
-    if any(not tup for tup in blocks):
-        raise UsageError("every block needs at least one step")
     k_min, width = k_field(blocks)
     # (value, width) of each bitstream field: the K offsets, then the tuples.
     fields = [(len(tup) - k_min, width) for tup in blocks]
