@@ -1,17 +1,17 @@
 """End-to-end lossy and lossless image compression.
 
 Each 8x8 patch is one coded block. One posterior, whiten and KL call cover
-every patch of an image, then each block gets its schedule and index code.
-The step schedule is the v2 equal-KL schedule built from the model's
-posterior variances, which are the same for every patch, so the step count K
-fixes it. All blocks of an image, whatever their K, are index coded in one
-call (codec.encode_blocks); version-1 files decode with the power-law schedule.
-One reconstruct call maps all decoded latents back to pixels.
-The lossless path adds the range-coded residual of x minus the quantized
-reconstruction (container frames it; versions 1 and 2 hold the coder's full
-byte stream), using the decoded (possibly biased) latent on both sides so
-encoder and decoder stay synchronized; a decoded residual that takes a pixel
-outside [0, 255] can only come from a corrupt file. Lossy and lossless share one body per direction (_compress, _decompress).
+every patch of an image. The v2 equal-KL step schedule is built from the
+model's posterior variances, the same for every patch, so the step count K
+fixes it. All blocks of an image, whatever their K, are coded in one call
+(codec.encode_blocks) and decoded in one (codec.decode_blocks); version-1 files
+decode with the power-law schedule. One reconstruct call maps all decoded
+latents back to pixels. The lossless path adds the range-coded residual of x
+minus the quantized reconstruction (container frames it; versions 1 and 2 hold
+the coder's full byte stream), using the decoded (possibly biased) latent on
+both sides so encoder and decoder stay synchronized; a decoded residual that
+takes a pixel outside [0, 255] can only come from a corrupt file. Lossy and
+lossless share one body per direction (_compress, _decompress).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec, container, model as model_mod, residual as residual_mod
-from .chain import AuxSchedule, build_schedule, schedule_from_steps
+from .chain import build_schedule, schedule_from_steps
 from .codec import RecConfig
 from .container import ContainerHeader
 from .errors import CorruptStreamError, FormatError, ModelMismatchError
@@ -119,16 +119,11 @@ def _decode_blocks(header: ContainerHeader, blocks, model: LinearGaussianModel):
     if model.data_dim != model_mod.PATCH_DIM:
         raise ModelMismatchError(f"model patch dimension {model.data_dim} != 64")
     s_sq = None if header.version == 1 else model_mod.posterior_var(model)
-    schedules: dict[int, AuxSchedule] = {}  # the schedule depends on K alone
-    zs = np.empty((len(blocks), model.latent_dim))
-    for i, indices in enumerate(blocks):
-        schedule = schedules.get(len(indices))
-        if schedule is None:
-            schedule = schedules[len(indices)] = schedule_from_steps(
-                len(indices), header.omega, header.epsilon, s_sq
-            )
-        zs[i] = codec.decode(indices, schedule, header.seed, block=i, dims=model.latent_dim)
-    return zs
+    schedules = {  # the schedule depends on K alone
+        K: schedule_from_steps(K, header.omega, header.epsilon, s_sq) for K in set(map(len, blocks))
+    }
+    per_block = [schedules[len(code)] for code in blocks]
+    return codec.decode_blocks(blocks, per_block, header.seed, range(len(blocks)), model.latent_dim)
 
 
 def decompress_lossy(data: bytes, model: LinearGaussianModel) -> ImageGray8:

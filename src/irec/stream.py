@@ -12,14 +12,13 @@ sample) addresses, so the generator is part of the wire format:
   r = sqrt(-2 ln u0); lane j produces dims (2j, 2j+1) as (r cos(2 pi u1),
   r sin(2 pi u1)). An odd final dimension uses the cosine branch only.
 
-Philox is a counter-based PRF, so draw_normals and draw_uniforms evaluate
-any broadcast grid of addresses in one call; the single-address functions
-are thin calls into them. raw_words evaluates Philox on one of two paths,
-picked by the shape of the call. Philox is exact integer arithmetic, so
-both give the same words:
+Philox is a counter-based PRF, so draw_normals (raw_words, then the uniform and
+Box-Muller map normals_from_words) and draw_uniforms evaluate any broadcast
+grid of addresses in one call. raw_words runs exact integer Philox on one of
+two paths, picked by the shape of the call, that give the same words:
 
 * one (block, step, sample) address with at most _INT_PATH_MAX_INVOCATIONS
-  lanes (the decoder's one draw per step) runs on Python ints, all lanes
+  lanes (each of the decoder's draws) runs on Python ints, all lanes
   packed into one int per counter word (_philox_packed); this avoids the
   ~100 NumPy dispatches of ten vectorised rounds, which dominate a call of
   a few lanes;
@@ -224,11 +223,23 @@ def _per_lane(address):
 
 
 @lru_cache(maxsize=64)
-def _lanes(dims: int) -> np.ndarray:
+def lanes_for(dims: int) -> np.ndarray:
     """The lane numbers that serve `dims` dimensions, as a read-only array."""
+    if dims < 1:
+        raise UsageError("dims must be >= 1")
     lanes = np.arange((dims + 1) // 2, dtype=np.uint64)
     lanes.flags.writeable = False
     return lanes
+
+
+def normals_from_words(w_lo: np.ndarray, w_hi: np.ndarray, dims: int) -> np.ndarray:
+    """The uniform map and Box-Muller (FORMAT.md §4): (..., lanes) words to (..., dims) normals."""
+    r = np.sqrt(-2.0 * np.log(_to_uniform(w_lo)))
+    theta = _TWO_PI * _to_uniform(w_hi)
+    out = np.empty(w_lo.shape[:-1] + (2 * w_lo.shape[-1],), dtype=np.float64)
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    return out[..., :dims]
 
 
 def draw_normals(seed, block, step, sample, dims: int) -> np.ndarray:
@@ -237,18 +248,8 @@ def draw_normals(seed, block, step, sample, dims: int) -> np.ndarray:
     Returns shape broadcast(seed, block, step, sample) + (dims,). Each vector
     is the same as a single-address draw at its address (FORMAT.md §4).
     """
-    if dims < 1:
-        raise UsageError("dims must be >= 1")
-    lanes = _lanes(dims)
-    w_lo, w_hi = raw_words(
-        _per_lane(seed), _per_lane(block), _per_lane(step), _per_lane(sample), lanes
-    )
-    r = np.sqrt(-2.0 * np.log(_to_uniform(w_lo)))
-    theta = _TWO_PI * _to_uniform(w_hi)
-    out = np.empty(w_lo.shape[:-1] + (2 * lanes.size,), dtype=np.float64)
-    out[..., 0::2] = r * np.cos(theta)
-    out[..., 1::2] = r * np.sin(theta)
-    return out[..., :dims]
+    addresses = map(_per_lane, (seed, block, step, sample))
+    return normals_from_words(*raw_words(*addresses, lanes_for(dims)), dims)
 
 
 def draw_uniforms(seed, block, step, sample) -> np.ndarray:
@@ -261,7 +262,7 @@ def draw_matrix(seed: int, block, step: int, n_samples: int, dims: int) -> np.nd
     """Standard-normal draws for sample indices 0..n_samples-1.
 
     Shape (n_samples, dims) for one block, or block.shape + (n_samples, dims)
-    for an array of blocks.
+    for an array of blocks. Kept for perfbench/spans.py until ROADMAP item 1.
     """
     if n_samples < 1:
         raise UsageError("n_samples must be >= 1")
@@ -270,17 +271,17 @@ def draw_matrix(seed: int, block, step: int, n_samples: int, dims: int) -> np.nd
 
 
 def draw_vector(seed: int, block: int, step: int, sample: int, dims: int) -> np.ndarray:
-    """Standard-normal vector at one address; bit-identical across calls."""
+    """Standard-normal vector at one address; kept for perfbench/spans.py until ROADMAP item 1."""
     return draw_normals(seed, block, step, sample, dims)
 
 
 def draw_uniform(seed: int, block: int, step: int, sample: int) -> float:
-    """Deterministic uniform in (0,1) at one address (lane 0, low word)."""
+    """Uniform in (0,1) at one address; kept for perfbench/spans.py until ROADMAP item 1."""
     return float(draw_uniforms(seed, block, step, sample))
 
 
 def scale_to_aux(u: np.ndarray, sigma_k: float) -> np.ndarray:
-    """Scale standard-normal draws to the step distribution N(0, sigma_k^2 I)."""
+    """Scale draws to N(0, sigma_k^2 I); kept for perfbench/spans.py until ROADMAP item 1."""
     if sigma_k <= 0:
         raise UsageError("sigma_k must be positive")
     return sigma_k * np.asarray(u, dtype=np.float64)

@@ -486,6 +486,64 @@ class TestDecode:
             decode((37,), schedule, 0, 0, 2)
 
 
+def _decoder_case(dims, power_law):
+    # 8 blocks of K = 1..6 and two repeats in shuffled order, encoded in one
+    # call; version-1 files use the power-law schedule, later ones equal KL.
+    rng = np.random.default_rng(dims)
+    steps = rng.permutation([*range(1, 7), 2, 5]).tolist()
+    qs = [synthetic_target(dims, dims + 3.0 * k, rng) for k in steps]
+    variances = None if power_law else np.exp(rng.uniform(-3.0, 0.0, dims))
+    schedules = [schedule_from_steps(k, 3.0, 0.2, variances) for k in steps]
+    blocks = [int(b) for b in rng.choice(5000, size=len(qs), replace=False)]
+    indices, zs, _ = codec.encode_blocks(*_stacked(qs), schedules, CFG, 21, blocks)
+    return indices, schedules, blocks, zs
+
+
+def _stepwise_decode(indices, schedule, seed, block, dims):
+    # The reference: one draw per step, z = z + sqrt(sigma_sq[k]) * u_k.
+    z = np.zeros(dims)
+    for k, idx in enumerate(indices):
+        z = z + np.sqrt(float(schedule.sigma_sq[k])) * stream.draw_normals(
+            seed, block, k, idx, dims
+        )
+    return z
+
+
+class TestDecodeBlocks:
+    @pytest.mark.parametrize("power_law", [False, True], ids=["equal-kl", "power-law"])
+    @pytest.mark.parametrize("dims", [1, 3, 8, 16])
+    def test_matches_encoder_and_lone_decodes(self, dims, power_law):
+        indices, schedules, blocks, zs = _decoder_case(dims, power_law)
+        assert len({len(code) for code in indices}) == 6
+        decoded = codec.decode_blocks(indices, schedules, 21, blocks, dims)
+        assert decoded.shape == (8, dims)
+        assert decoded.tobytes() == zs.tobytes()
+        for code, schedule, block, z in zip(indices, schedules, blocks, decoded):
+            assert z.tobytes() == decode(code, schedule, 21, block, dims).tobytes()
+            assert z.tobytes() == _stepwise_decode(code, schedule, 21, block, dims).tobytes()
+
+    def test_no_blocks(self):
+        assert codec.decode_blocks([], [], 0, [], 3).shape == (0, 3)
+
+    @pytest.mark.parametrize("bad_block", [0, 4, 7])
+    @pytest.mark.parametrize("fault", ["index", "length"])
+    def test_rejects_any_corrupt_block_before_drawing(self, bad_block, fault, monkeypatch):
+        indices, schedules, blocks, _ = _decoder_case(3, False)
+        code = indices[bad_block]
+        m = schedules[bad_block].M
+        indices[bad_block] = (*code[:-1], m) if fault == "index" else (*code, 0)
+        calls = []
+        monkeypatch.setattr(stream, "raw_words", lambda *args: calls.append(args))
+        with pytest.raises(CorruptStreamError):
+            codec.decode_blocks(indices, schedules, 21, blocks, 3)
+        assert calls == []
+
+    def test_rejects_mismatched_inputs(self):
+        schedule = schedule_from_steps(1, 3.0, 0.2)
+        with pytest.raises(UsageError):
+            codec.decode_blocks([(0,), (1,)], [schedule], 0, [0, 1], 2)
+
+
 class TestRecConfig:
     def test_defaults(self):
         cfg = RecConfig()

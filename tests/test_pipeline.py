@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_training_patches, sample_image
-from irec import codec, container, pipeline, residual
+from irec import codec, container, pipeline, residual, stream
 from irec.chain import build_schedule
 from irec.codec import RecConfig
 from irec.errors import (
@@ -76,6 +76,34 @@ def pruned_model(noise_var=4.0):
     return LinearGaussianModel(
         W=np.zeros((64, 4)), mu=np.full(64, 128.0), noise_var=noise_var
     )
+
+
+def check_decoder_draws(monkeypatch, decompress, data, model):
+    # Decoding replays exactly the chosen draws: one stream.raw_words call
+    # per step, and the (block, step, sample) addresses drawn are the
+    # container's (i, k, i_k), each under the header's seed at lanes
+    # 0..ceil(D/2)-1.
+    header, blocks, _ = container.unpack(data)
+    raw_words = stream.raw_words
+    calls = []
+
+    def recording(seed, block, step, samples, lanes):
+        calls.append((seed, block, step, samples, lanes))
+        return raw_words(seed, block, step, samples, lanes)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stream, "raw_words", recording)
+        decompress(data, model)
+    assert len(calls) == sum(map(len, blocks))
+    addresses = []
+    for seed, block, step, samples, lanes in calls:
+        assert np.array_equal(seed, header.seed)
+        assert np.asarray(lanes).tolist() == list(range(-(-model.latent_dim // 2)))
+        grid = np.broadcast_arrays(block, step, samples)
+        addresses += zip(*(np.ravel(x).tolist() for x in grid))
+    chosen = [(i, k, idx) for i, code in enumerate(blocks) for k, idx in enumerate(code)]
+    assert sorted(addresses) == sorted(chosen)
+    return blocks
 
 
 class TestLossy:
@@ -227,6 +255,17 @@ class TestLossless:
         assert len(step_counts) == 16 and len(set(step_counts)) > 1
         assert sorted(built) == sorted(set(step_counts))
 
+    @pytest.mark.parametrize("lossless", [True, False], ids=["lossless", "lossy"])
+    def test_decoder_draws_only_the_chosen_samples(self, fitted_model, lossless, monkeypatch):
+        img = sample_image(fitted_model, np.random.default_rng(23), 32, 32)
+        compress, decompress = (
+            (compress_lossless, decompress_lossless) if lossless
+            else (compress_lossy, decompress_lossy)
+        )
+        data = compress(img, fitted_model, CFG, seed=5).data
+        blocks = check_decoder_draws(monkeypatch, decompress, data, fitted_model)
+        assert len(blocks) == 16 and len(set(map(len, blocks))) > 1
+
     def test_one_encode_call_per_image(self, fitted_model, monkeypatch):
         # Blocks of every K share one beam search.
         img = sample_image(fitted_model, np.random.default_rng(23), 32, 32)
@@ -311,6 +350,22 @@ class TestContainerVersions:
         assert hashlib.sha256(out.pixels.tobytes()).hexdigest() == V2_LOSSY_B4_PIXELS_SHA256
         # Both files hold the same blocks; only the residual section differs.
         assert container.unpack(lossless)[1] == container.unpack(lossy)[1]
+
+    @pytest.mark.parametrize(
+        "hex_data, decompress",
+        [
+            (V1_LOSSLESS_B4_HEX, decompress_lossless),
+            (V2_LOSSLESS_B4_HEX, decompress_lossless),
+            (V2_LOSSY_B4_HEX, decompress_lossy),
+        ],
+        ids=["v1-lossless", "v2-lossless", "v2-lossy"],
+    )
+    def test_committed_files_draw_only_the_chosen_samples(
+        self, fitted_model, hex_data, decompress, monkeypatch
+    ):
+        data = bytes.fromhex(hex_data)
+        blocks = check_decoder_draws(monkeypatch, decompress, data, fitted_model)
+        assert len(set(map(len, blocks))) > 1
 
     def test_version_byte_selects_the_schedule(self, fitted_model, small_image):
         # The same bytes read as version 2 decode other latents, so the
