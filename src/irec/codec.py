@@ -157,11 +157,11 @@ def encode_blocks(
     mean, std = np.asarray(mean, dtype=np.float64), np.asarray(std, dtype=np.float64)
     if mean.ndim != 2 or not mean.size or std.shape not in (mean.shape, mean.shape[1:]):
         raise UsageError(f"targets of shape {mean.shape}, {std.shape}: need (G, D), (D,)")
-    seeds = np.asarray(seed)
-    if not len(mean) == len(blocks) == len(schedules) or seeds.shape not in ((), (len(mean),)):
+    seeds = stream.check_seed(seed)
+    if not len(mean) == len(blocks) == len(schedules) or np.shape(seeds) not in ((), (len(mean),)):
         raise UsageError(
             f"{len(mean)} targets, {len(blocks)} blocks, {len(schedules)} schedules, "
-            f"{seeds.size} seeds"
+            f"seed shape {np.shape(seeds)}"
         )
     std = np.broadcast_to(std, mean.shape)
     d = mean.shape[1]
@@ -179,7 +179,7 @@ def encode_blocks(
         part = order[lo : lo + chunk]
         codes, zs[part], ratios[part] = _encode_chunk(
             mean[part], std[part], [schedules[i] for i in part], cfg,
-            seeds[part] if seeds.ndim else seeds[()], blocks[part], scratch,
+            seeds[part] if np.ndim(seeds) else seeds, blocks[part], scratch,
         )
         for i, code in zip(part.tolist(), codes):
             indices[i] = code
@@ -210,7 +210,7 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
     live_rows = np.concatenate([np.arange(n) for n in lives])
     pairs = np.stack([blocks[live_rows], np.repeat(np.arange(len(lives)), lives)])
     # One seed per pair, shaped like pairs[:, :, None], if blocks have their own.
-    seeds = seed[live_rows, None] if isinstance(seed, np.ndarray) else seed
+    seeds = seed[live_rows, None] if np.ndim(seed) else seed
     coef = np.empty((3, starts[-1]))
     for i, s in enumerate(schedules):
         tails = s.tail_var()
@@ -231,7 +231,7 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
         if k % span == 0:
             lo = starts[k]
             at = slice(lo, starts[min(k + span, k_of[0])])
-            seed_at = seeds[at] if isinstance(seeds, np.ndarray) else seeds
+            seed_at = seeds[at] if np.ndim(seeds) else seeds
             slab = stream.draw_normals(seed_at, *pairs[:, at, None], np.arange(m), d)
             slab *= np.sqrt(coef[0, at])[:, None, None]  # sigma_k * u, as the decoder scales
             slab_dims = np.ascontiguousarray(slab.transpose(2, 0, 1))  # (D, rows, M)
@@ -306,7 +306,7 @@ def decode(
     block: int,
     dims: int,
 ) -> np.ndarray:
-    """One block's decode_blocks; kept for perfbench/spans.py until ROADMAP item 1."""
+    """The public one-block decode (irec.decode): decode_blocks for one block."""
     return decode_blocks([indices], [schedule], seed, [block], dims)[0]
 
 

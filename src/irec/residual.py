@@ -133,7 +133,8 @@ def encode_residuals(residuals, sigma: float) -> bytes:
 
 
 def decode_residuals(data: bytes, sigma: float, count: int, full: bool = False) -> np.ndarray:
-    """Exact inverse of encode_residuals given the same sigma.
+    """Exact inverse of encode_residuals given the same sigma; data that it
+    would not write for the decoded residuals raises CorruptStreamError.
 
     With full=True, data is the coder's full byte stream, as versions 1 and 2
     of the container store it: the leading 0 and a 5-byte flush, with no
@@ -162,4 +163,13 @@ def decode_residuals(data: bytes, sigma: float, count: int, full: bool = False) 
             pos += 1
             rng = (rng << 8) & _MASK32
         out.append(sym + LO)
+    if not full:
+        # Only the canonical section decodes (FORMAT.md §6): the last four bytes
+        # read are the encoder's flush value, and exactly its trailing zeros implied.
+        flushed = int.from_bytes(data[pos - 4 : pos], "big")
+        low = (flushed - code) & _MASK32
+        top = low + rng - 1
+        pinned = 0 if low == 0 or top > _MASK32 else top >> 24 << 24
+        if flushed != pinned or end - pos != (1 if pinned else 0):
+            raise CorruptStreamError("residual section is not the encoder's flush")
     return np.array(out, dtype=np.int64)

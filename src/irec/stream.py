@@ -15,20 +15,20 @@ sample) addresses, so the generator is part of the wire format:
 Philox is a counter-based PRF, so draw_normals (raw_words, then the uniform and
 Box-Muller map normals_from_words) and draw_uniforms evaluate any broadcast
 grid of addresses in one call. raw_words runs exact integer Philox on one of
-two paths, picked by the shape of the call, that give the same words:
+two paths, picked by the kind of address (never by the lanes), that give
+the same words:
 
-* one (block, step, sample) address with at most _INT_PATH_MAX_INVOCATIONS
-  lanes (each of the decoder's draws) runs on Python ints, all lanes
-  packed into one int per counter word (_philox_packed); this avoids the
-  ~100 NumPy dispatches of ten vectorised rounds, which dominate a call of
-  a few lanes;
-* any other call (every encoder call covers a grid of samples) runs the
-  rounds as NumPy uint64 array arithmetic.
+* when seed, block, step and sample are all integer scalars (each of the
+  decoder's draws), on Python ints, all lanes packed into one int per
+  counter word (_philox_packed); this avoids the ~100 NumPy dispatches of
+  ten vectorised rounds, which dominate a call of a few lanes;
+* otherwise (every encoder call covers a grid of samples) as NumPy uint64
+  array arithmetic.
 
-The seed broadcasts with the addresses: a seed array always takes the NumPy
-rounds, its round keys computed per call; a scalar seed reads its ten round
-keys from one per-seed cache. Both come from one key schedule. See
-docs/FORMAT.md for the normative statement of these rules.
+The seed broadcasts with the addresses: a seed array's round keys are
+computed per call; a scalar seed reads its ten round keys from one per-seed
+cache. Both come from one key schedule. See docs/FORMAT.md for the
+normative statement of these rules.
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ _M1 = np.uint64(_PHILOX_M1)
 _MASK32 = np.uint64(_U32_MAX)
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
-
-# A call at one address with at most this many lanes (Philox invocations)
-# runs on Python ints. Per call on a 2-core x86-64 VM, Python ints against
-# NumPy rounds: 4 lanes 12 vs 72 us, 64 lanes 32 vs 76 us, 128 lanes 58 vs
-# 84 us; the two break even between 128 and 256 lanes.
-_INT_PATH_MAX_INVOCATIONS = 128
 
 _TWO_PI = 2.0 * np.pi
 
@@ -93,8 +87,8 @@ def _check_uint(name: str, value, top: int = _U32_MAX):
     return arr.astype(np.uint64, copy=False)
 
 
-def _check_seed(seed):
-    """An integer seed as a Python int, or a seed array as uint64, checked to lie in u64."""
+def check_seed(seed):
+    """The one seed rule: an integer as a Python int, or an array as uint64, in u64."""
     return (_uint if _is_int(seed) else _check_uint)("seed", seed, _U64_MAX)
 
 
@@ -114,7 +108,7 @@ def _round_keys(seed: int):
     return _key_schedule(seed), _key_schedule(np.uint64(seed))
 
 
-@lru_cache(maxsize=_INT_PATH_MAX_INVOCATIONS)
+@lru_cache(maxsize=64)
 def _fields(n: int) -> int:
     """The Python int with a 1 at the bottom of each of n 64-bit fields."""
     return int.from_bytes(bytes([1, 0, 0, 0, 0, 0, 0, 0]) * n, "little")
@@ -152,26 +146,17 @@ def _philox_arrays(c0, c1, c2, c3, keys):
     return c0 | (c1 << _SHIFT32), c2 | (c3 << _SHIFT32)
 
 
-def _int_path(lanes) -> bool:
-    """Whether a call at one (block, step, sample) address runs on Python
-    ints: one integer lane, or a nonempty array of few enough lanes."""
-    if _is_int(lanes):
-        return True
-    return (
-        isinstance(lanes, np.ndarray)
-        and lanes.ndim > 0
-        and 0 < lanes.size <= _INT_PATH_MAX_INVOCATIONS
-    )
-
-
 def _raw_words_ints(block: int, step: int, sample: int, lanes, keys):
     """raw_words at one address on Python ints, all lanes in one pass."""
-    if _is_int(lanes):
+    if not isinstance(lanes, np.ndarray) or lanes.dtype.kind not in "iu":
+        # A scalar or a list; a bad lane raises the NumPy path's UsageError.
+        lanes = _check_uint("lane", lanes)
+    if not lanes.ndim:
         w_lo, w_hi = _philox_packed(_uint("lane", lanes), sample, step, block, 1, keys)
         return np.uint64(w_lo), np.uint64(w_hi)
     lane_list = lanes.ravel().tolist()
-    if lanes.dtype.kind not in "iu" or min(lane_list) < 0 or max(lane_list) > _U32_MAX:
-        _check_uint("lane", lanes)  # raises the array path's UsageError
+    if lane_list and (min(lane_list) < 0 or max(lane_list) > _U32_MAX):
+        _check_uint("lane", lanes)  # raises the NumPy path's UsageError
     ones = _fields(lanes.size)
     packed = _philox_packed(
         int.from_bytes(lanes.astype("<u8").tobytes(), "little"),
@@ -195,19 +180,20 @@ def raw_words(seed, block, step, samples, lanes):
     input is a scalar: the low and high 64-bit words of each Philox
     invocation.
     """
-    seed = _check_seed(seed)
-    int_keys, array_keys = _round_keys(seed) if _is_int(seed) else (None, _key_schedule(seed))
-    if int_keys and _is_int(block) and _is_int(step) and _is_int(samples) and _int_path(lanes):
+    seed = check_seed(seed)
+    scalar = _is_int(seed)
+    if scalar and _is_int(block) and _is_int(step) and _is_int(samples):
         return _raw_words_ints(
             _uint("block", block), _uint("step", step), _uint("sample", samples),
-            lanes, int_keys,
+            lanes, _round_keys(seed)[0],
         )
     block = _check_uint("block", block)
     step = _check_uint("step", step)
     samples = _check_uint("sample", samples)
     # No explicit broadcast: after four rounds every output word depends on
     # all four counter words and the keys, so the arithmetic broadcasts them.
-    return _philox_arrays(_check_uint("lane", lanes), samples, step, block, array_keys)
+    keys = _round_keys(seed)[1] if scalar else _key_schedule(seed)
+    return _philox_arrays(_check_uint("lane", lanes), samples, step, block, keys)
 
 
 def _to_uniform(words: np.ndarray) -> np.ndarray:

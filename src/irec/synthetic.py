@@ -134,7 +134,7 @@ def sweep(
 ) -> list[SweepCell]:
     """Grid study of codelength overhead vs the ideal KL bits.
 
-    Overhead per trial is (index bits + varint bits + bias penalty) / ideal
+    Overhead per trial is (index bits + K-field bits + bias penalty) / ideal
     bits, where the bias penalty max(0, KL - log q(z)/p(z)) / ln 2 charges the
     information the selected sample failed to carry (it reappears as residual
     cost in a full pipeline). Configuration rejections count as failures.
@@ -150,12 +150,11 @@ def sweep(
         try:
             cfg = RecConfig(omega=omega, epsilon=epsilon, beams=beams)
             ratios = log_ratios(problems, kl_target, cfg)
-            # K and M do not depend on the variances, so every problem
-            # pays the same framing bits.
+            # K and M do not depend on the variances, so every problem is a block
+            # of one container: index bits plus the K field's (0 bits: K is shared).
             schedule = build_schedule(kl_target, omega, epsilon)
-            framing = container.index_bits(schedule.K, schedule.M) + 8 * len(
-                container.write_varint(schedule.K)
-            )
+            blocks = [(0,) * schedule.K] * trials
+            framing = container.index_bits(schedule.K, schedule.M) + container.k_field(blocks)[1]
             bits = framing + np.maximum(0.0, kl_target - ratios) / _LN2
             overhead = float(np.mean(bits / ideal))
         except ConfigError:

@@ -449,6 +449,24 @@ class TestEncodeBlocks:
         with pytest.raises(UsageError, match="seed"):
             codec.encode_blocks(np.zeros((2, 2)), np.ones(2), [schedule] * 2, CFG, seeds, [0, 1])
 
+    def test_seed_list_spanning_2_63(self):
+        # The codec checks seeds with the stream's one rule: NumPy infers
+        # float64 for these Python ints, yet they are u64 seeds.
+        targets = np.array([[0.5, -1.0], [2.0, 0.0]]), np.full(2, 0.3)
+        schedules = [build_schedule(5.0, 3.0, 0.2)] * 2
+        listed = codec.encode_blocks(*targets, schedules, CFG, [2**63 - 1, 2**63], [0, 1])
+        arrayed = codec.encode_blocks(
+            *targets, schedules, CFG, np.array([2**63 - 1, 2**63], dtype=np.uint64), [0, 1]
+        )
+        assert listed[0] == arrayed[0]
+        assert listed[1].tobytes() == arrayed[1].tobytes()
+        for bad in ([-1, 2**63], [2**63, 2**64], [2**64], [1.0, 2**63], (0, 1.5)):
+            with pytest.raises(UsageError, match="seed") as from_codec:
+                codec.encode_blocks(*targets, schedules, CFG, bad, [0, 1])
+            with pytest.raises(UsageError) as from_stream:
+                stream.draw_uniforms(bad, 0, 0, 0)
+            assert str(from_codec.value) == str(from_stream.value)
+
     @pytest.mark.parametrize(
         "omega,epsilon,m", [(3.0, 0.0, 21), (3.0001, 0.2, 37), (3.0, 0.2000001, 37)]
     )

@@ -230,6 +230,18 @@ class TestLossless:
         with pytest.raises(CorruptStreamError):
             decompress_lossless(bad, fitted_model)
 
+    @pytest.mark.parametrize("at", ["end", "start", "middle"])
+    @pytest.mark.parametrize("extra", [b"\x5a\x5a", b"\x00", b"\x01", bytes(4)], ids=bytes.hex)
+    def test_edited_residual_section_is_corrupt(self, fitted_model, small_image, at, extra):
+        # Bytes inserted into the residual section and packed with a fresh
+        # CRC32: only the encoder's canonical section decodes (FORMAT.md §6).
+        data = compress_lossless(small_image, fitted_model, CFG, seed=0).data
+        header, blocks, section = container.unpack(data)
+        cut = {"end": len(section), "start": 0, "middle": len(section) // 2}[at]
+        edited = container.pack(header, blocks, residual=section[:cut] + extra + section[cut:])
+        with pytest.raises(CorruptStreamError):
+            decompress_lossless(edited, fitted_model)
+
     def test_model_mismatch(self, fitted_model, small_image):
         result = compress_lossless(small_image, fitted_model, CFG, seed=0)
         other = LinearGaussianModel(

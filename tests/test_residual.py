@@ -147,6 +147,34 @@ class TestRobustness:
                 decode_residuals(full[:cut], 8.0, r.size, full=True)
 
 
+class TestCanonicalSection:
+    def test_every_encoder_section_decodes(self):
+        rng = np.random.default_rng(12)
+        for sigma in (0.01, 0.7, 3.0, 40.0, 1e6):
+            for n in (1, 2, 3, 9, 300, 4096):
+                noisy = np.rint(rng.normal(0, min(sigma, 300.0), size=n))
+                for r in (np.zeros(n, dtype=np.int64), np.clip(noisy, LO, HI).astype(np.int64)):
+                    assert np.array_equal(decode_residuals(encode_residuals(r, sigma), sigma, n), r)
+
+    def test_appended_bytes_rejected_unless_canonical(self):
+        # A section that decodes is the encoder's own section of what it
+        # decodes to, so an edit that passes cannot be told apart.
+        rng = np.random.default_rng(13)
+        rejected = 0
+        for _ in range(400):
+            sigma = float(rng.choice([0.5, 2.0, 8.0, 50.0]))
+            r = np.clip(np.rint(rng.normal(0, sigma, size=int(rng.integers(1, 200)))), LO, HI)
+            data = encode_residuals(r.astype(np.int64), sigma)
+            data += bytes(rng.integers(0, 256, size=int(rng.integers(1, 4))).tolist())
+            try:
+                out = decode_residuals(data, sigma, r.size)
+            except CorruptStreamError:
+                rejected += 1
+                continue
+            assert encode_residuals(out, sigma) == data
+        assert rejected >= 390
+
+
 def test_table_built_once_per_model(monkeypatch):
     calls = []
 

@@ -105,6 +105,15 @@ def words_at(path, seed, block, step, sample, lanes):
     return stream.raw_words(seed, block, step, sample, lanes)
 
 
+def assert_paths_agree(seed, block, step, sample, lanes):
+    ints = words_at("int", seed, block, step, sample, lanes)
+    arrays = words_at("array", seed, block, step, sample, lanes)
+    for a, b in zip(ints, arrays):
+        assert a.dtype == b.dtype == np.uint64
+        assert a.shape == b.shape == (len(lanes),)
+        assert a.tolist() == b.tolist()
+
+
 class TestPhilox:
     @pytest.mark.parametrize("path", ["int", "array", "seeds"])
     @pytest.mark.parametrize("counter, key, expected", KNOWN_ANSWERS)
@@ -144,33 +153,38 @@ class TestPhilox:
     def test_paths_agree_on_every_lane_count(self):
         rng = np.random.default_rng(7)
         u32_max = 2**32 - 1
-        for n in range(1, stream._INT_PATH_MAX_INVOCATIONS + 3):
+        for n in range(1, 131):
             seed = int(rng.integers(2**32, 2**64, dtype=np.uint64))
             block, step, sample = rng.choice([0, 1, u32_max - 1, u32_max], size=3)
             first = int(rng.integers(0, 2**32 - n + 1))
             lanes = np.arange(first, first + n, dtype=np.uint64)
             if n % 3 == 0:
                 lanes[-1] = u32_max
-            ints = words_at("int", seed, int(block), int(step), int(sample), lanes)
-            arrays = words_at("array", seed, int(block), int(step), int(sample), lanes)
-            for a, b in zip(ints, arrays):
-                assert a.dtype == b.dtype == np.uint64
-                assert a.shape == b.shape == (n,)
-                assert a.tolist() == b.tolist()
+            assert_paths_agree(seed, int(block), int(step), int(sample), lanes)
 
-    def test_path_follows_invocation_count(self, monkeypatch):
+    def test_path_follows_address_kind(self, monkeypatch):
+        # Python ints exactly when seed, block, step and sample are integer
+        # scalars, whatever the lanes; NumPy rounds otherwise.
         calls = []
         packed = stream._philox_packed
         monkeypatch.setattr(
             stream, "_philox_packed", lambda *a: calls.append(1) or packed(*a)
         )
-        limit = stream._INT_PATH_MAX_INVOCATIONS
         stream.raw_words(3, 1, 2, 3, 0)
-        stream.raw_words(3, 1, 2, 3, np.arange(limit).reshape(2, -1))
-        assert len(calls) == 2
-        stream.raw_words(3, 1, 2, 3, np.arange(limit + 1))
+        stream.raw_words(3, 1, 2, 3, np.arange(256).reshape(2, -1))
+        stream.raw_words(np.uint64(3), np.int32(1), 2, 3, np.arange(0))
+        assert len(calls) == 3
         stream.raw_words(3, np.array([1]), 2, 3, 0)
-        assert len(calls) == 2
+        stream.raw_words(np.array([3]), 1, 2, 3, np.arange(4))
+        assert len(calls) == 3
+
+    def test_paths_agree_on_decoder_lanes(self):
+        # Every lanes_for(d) the decoder can ask for (fit_ppca caps L at 63),
+        # an empty lane array, and a Python list of lanes.
+        lane_sets = [stream.lanes_for(d) for d in range(1, 64)]
+        lane_sets += [np.arange(0, dtype=np.uint64), [0, 5, 2**32 - 1]]
+        for lanes in lane_sets:
+            assert_paths_agree(2**63 + 9, 4, 7, 11, lanes)
 
     def test_lane_grid_shape(self):
         lanes = np.arange(6, dtype=np.uint64).reshape(2, 3)
@@ -196,6 +210,8 @@ class TestPhilox:
         assert type(w_lo) is np.uint64 and type(w_hi) is np.uint64
         a_lo, a_hi = words_at("array", 17, 1, 2, 3, 4)
         assert [w_lo, w_hi] == [a_lo[0], a_hi[0]]
+        # A 0-d lane array is the same scalar lane.
+        assert stream.raw_words(17, 1, 2, 3, np.array(4)) == (w_lo, w_hi)
 
     @pytest.mark.parametrize("path", ["int", "array"])
     @pytest.mark.parametrize("address", ["block", "step", "sample"])
