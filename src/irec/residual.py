@@ -5,25 +5,29 @@ Gaussian with mean 0 and standard deviation sigma, discretized on the
 support [LO, HI] = [-255, 255] into 16-bit frequencies. The Gaussian CDF is
 a fixed rational approximation, so encoder and decoder derive identical
 frequency tables from the same sigma, and each sigma's table is built once
-and cached.
+and cached, with a 65,536-slot table that maps each 16-bit cumulative value
+to its symbol.
 The coder is the classic carry-propagating byte-renormalized range coder
-(32-bit range, 64-bit low with cache/carry); its per-symbol loops run on
-Python ints. Its byte stream drops what the decoder can restore: the first
-byte, always 0, and the trailing zero bytes of the flush.
+(32-bit range and low); its per-symbol loops run on Python ints. The
+decoder finds each symbol in the slot table. The encoder writes each byte
+as it leaves low and handles a carry inline, by adding one to the bytes
+already written. Its byte stream drops what the decoder can restore: the
+first byte, always 0, and the trailing zero bytes of the flush.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
+from array import array
 
 import numpy as np
 
 from .errors import CorruptStreamError, UsageError
 
 LO, HI = -255, 255
-TOTAL_FREQ = 1 << 16
+_FREQ_BITS = 16
+TOTAL_FREQ = 1 << _FREQ_BITS
 
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
@@ -78,25 +82,18 @@ def pmf_quantized(sigma: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _table(sigma: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(frequencies, cumulative frequencies) of one sigma's model, as ints.
+def _table(sigma: float) -> tuple[tuple[int, ...], tuple[int, ...], array]:
+    """(frequencies, cumulative frequencies, slot table) of one sigma's model.
 
-    Built once per sigma; pmf_quantized is looked up as a module global so a
-    cache miss is visible to anything that wraps it.
+    Slot q of the slot table, 0 <= q < TOTAL_FREQ, holds the symbol whose
+    cumulative range [cum[s], cum[s + 1]) holds q. Built once per sigma;
+    pmf_quantized is looked up as a module global so a cache miss is visible
+    to anything that wraps it.
     """
-    freq = pmf_quantized(sigma).tolist()
-    return tuple(freq), tuple(itertools.accumulate(freq, initial=0))
-
-
-def _shift_low(low: int, cache: int, cache_size: int, out: bytearray):
-    """Emit the settled top byte of low, propagating a pending carry."""
-    if (low & _MASK32) < 0xFF000000 or low > _MASK32:
-        carry = low >> 32
-        out.append((cache + carry) & 0xFF)
-        out.extend(bytes([(0xFF + carry) & 0xFF]) * (cache_size - 1))
-        cache_size = 0
-        cache = (low >> 24) & 0xFF
-    return (low << 8) & _MASK32, cache, cache_size + 1
+    freq = pmf_quantized(sigma)
+    slots = array("H", np.repeat(np.arange(freq.size, dtype=np.uint16), freq).tobytes())
+    freq = freq.tolist()
+    return tuple(freq), tuple(itertools.accumulate(freq, initial=0)), slots
 
 
 def encode_residuals(residuals, sigma: float) -> bytes:
@@ -106,30 +103,42 @@ def encode_residuals(residuals, sigma: float) -> bytes:
     the value in the final interval with the most trailing zero bytes and
     drops those bytes, since decode_residuals reads zeros past the end.
     """
-    freq, cum = _table(sigma)
-    low, rng, cache, cache_size = 0, _MASK32, 0, 1
-    out = bytearray()
-    for value in np.asarray(residuals, dtype=np.int64).tolist():
-        if not LO <= value <= HI:
-            raise UsageError(f"residual {value} outside [{LO}, {HI}]")
-        sym = value - LO
-        r = rng // TOTAL_FREQ
+    values = np.asarray(residuals)
+    if values.ndim != 1 or (values.dtype.kind not in "iu" and values.size):
+        raise UsageError(f"residuals must be a 1-D integer array, got {values.dtype} {values.shape}")
+    outside = (values < LO) | (values > HI)
+    if outside.any():
+        raise UsageError(f"residual {values[outside.argmax()]} outside [{LO}, {HI}]")
+    freq, cum, _ = _table(sigma)
+    mask, min_rng = _MASK32, _TOP
+    low, rng = 0, mask
+    # Bytes are written as soon as they leave low; a carry out of low adds
+    # one to what is written, and the leading 0 byte stops it.
+    out = bytearray(1)
+    for sym in (values.astype(np.int64) - LO).tolist():
+        r = rng >> _FREQ_BITS
         low += cum[sym] * r
         rng = r * freq[sym]
-        while rng < _TOP:
-            rng = (rng << 8) & _MASK32
-            low, cache, cache_size = _shift_low(low, cache, cache_size, out)
-    # Pin the final interval [low, top]: rng >= 2^24, so it holds a multiple
-    # of 2^24; take a multiple of 2^32 where it holds one.
+        if low > mask:
+            low &= mask
+            i = -1
+            while out[i] == 0xFF:
+                out[i] = 0
+                i -= 1
+            out[i] += 1
+        while rng < min_rng:
+            out.append(low >> 24)
+            low = (low << 8) & mask
+            rng <<= 8
+    # The flush value is 0 if low is 0, else 2^32 if the final interval
+    # [low, low + rng) holds it (a carry), else the interval's top rounded
+    # down to a multiple of 2^24 (rng >= 2^24): its top byte, then zeros.
     top = low + rng - 1
-    low = top >> 32 << 32 if top >> 32 << 32 >= low else top >> 24 << 24
-    for _ in range(5):
-        low, cache, cache_size = _shift_low(low, cache, cache_size, out)
-    # The last four bytes are the pinned value's; drop its trailing zeros.
-    end = len(out)
-    while end > len(out) - 4 and not out[end - 1]:
-        end -= 1
-    return bytes(out[1:end])
+    if top > mask:
+        out = (int.from_bytes(out, "big") + 1).to_bytes(len(out), "big")
+    elif low:
+        out.append(top >> 24)
+    return bytes(out[1:])
 
 
 def decode_residuals(data: bytes, sigma: float, count: int, full: bool = False) -> np.ndarray:
@@ -140,29 +149,35 @@ def decode_residuals(data: bytes, sigma: float, count: int, full: bool = False) 
     of the container store it: the leading 0 and a 5-byte flush, with no
     byte read past the end.
     """
+    if count < 0:
+        raise UsageError(f"residual count {count} is negative")
     if count == 0:
         return np.zeros(0, dtype=np.int64)
     if not full:
         data = b"\0" + data + bytes(4)
     if len(data) < 5:
         raise CorruptStreamError("range coder input exhausted")
-    freq, cum = _table(sigma)
-    code = int.from_bytes(data[:5], "big") & _MASK32
+    freq, cum, slots = _table(sigma)
+    mask, min_rng, last = _MASK32, _TOP, TOTAL_FREQ - 1
+    code = int.from_bytes(data[:5], "big") & mask
     pos, end = 5, len(data)
-    rng = _MASK32
-    out = []
-    for _ in range(count):
-        rng //= TOTAL_FREQ
-        sym = bisect.bisect_right(cum, min(code // rng, TOTAL_FREQ - 1)) - 1
-        code -= cum[sym] * rng
-        rng *= freq[sym]
-        while rng < _TOP:
-            if pos >= end:
-                raise CorruptStreamError("range coder input exhausted")
-            code = ((code << 8) | data[pos]) & _MASK32
-            pos += 1
-            rng = (rng << 8) & _MASK32
-        out.append(sym + LO)
+    rng = mask
+    syms = []
+    append = syms.append
+    try:
+        for _ in itertools.repeat(None, count):
+            rng >>= _FREQ_BITS
+            q = code // rng
+            sym = slots[q if q < last else last]
+            code -= cum[sym] * rng
+            rng *= freq[sym]
+            while rng < min_rng:
+                code = ((code << 8) | data[pos]) & mask
+                pos += 1
+                rng <<= 8
+            append(sym)
+    except IndexError:
+        raise CorruptStreamError("range coder input exhausted") from None
     if not full:
         # Only the canonical section decodes (FORMAT.md §6): the last four bytes
         # read are the encoder's flush value, and exactly its trailing zeros implied.
@@ -172,4 +187,4 @@ def decode_residuals(data: bytes, sigma: float, count: int, full: bool = False) 
         pinned = 0 if low == 0 or top > _MASK32 else top >> 24 << 24
         if flushed != pinned or end - pos != (1 if pinned else 0):
             raise CorruptStreamError("residual section is not the encoder's flush")
-    return np.array(out, dtype=np.int64)
+    return np.array(syms, dtype=np.int64) + LO

@@ -1,5 +1,9 @@
+import bisect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from irec import residual
@@ -189,3 +193,57 @@ def test_table_built_once_per_model(monkeypatch):
         data = encode_residuals(r, 3.0)
         assert np.array_equal(decode_residuals(data, 3.0, r.size), r)
     assert calls == [3.0]
+
+
+@pytest.mark.parametrize("sigma", [1e-6, 0.3, 1.98, 20.0, 1e6, 1e300])
+def test_slot_table_matches_bisect(sigma):
+    # At 1e300 every symbol's mass rounds to zero and the centre symbol takes
+    # the table; at 1e6 the table is close to flat.
+    _, cum, slots = residual._table(sigma)
+    assert len(slots) == TOTAL_FREQ == cum[-1]
+    assert slots.tolist() == [bisect.bisect_right(cum, q) - 1 for q in range(TOTAL_FREQ)]
+
+
+class TestInputChecks:
+    def test_refuses_non_integer_residuals(self):
+        for bad in ([1.7, -2.2], [float("nan")], [float("inf")], [True], [[1, 2]], 3):
+            with pytest.raises(UsageError):
+                encode_residuals(bad, 2.0)
+
+    def test_names_first_value_outside_support(self):
+        with pytest.raises(UsageError, match=r"residual 300 outside \[-255, 255\]"):
+            encode_residuals(np.array([3, 300, -400]), 2.0)
+        with pytest.raises(UsageError, match="residual 65535 outside"):
+            encode_residuals(np.array([7, 65535], dtype=np.uint16), 2.0)
+
+    def test_integer_dtypes_code_alike(self):
+        r = [-255, -3, 0, 1, 255]
+        data = encode_residuals(np.array(r, dtype=np.int64), 2.0)
+        assert encode_residuals(r, 2.0) == data
+        assert encode_residuals(np.array(r, dtype=np.int16), 2.0) == data
+        assert encode_residuals(np.array([0, 200], dtype=np.uint8), 2.0) == encode_residuals(
+            np.array([0, 200]), 2.0
+        )
+
+    def test_refuses_negative_count(self):
+        for data in (b"", b"\x00" * 8):
+            with pytest.raises(UsageError):
+                decode_residuals(data, 2.0, -1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    data=st.binary(max_size=64),
+    sigma=st.sampled_from([1e-6, 0.3, 1.98, 20.0, 1e6]),
+    count=st.integers(0, 300),
+    full=st.booleans(),
+)
+def test_decode_arbitrary_bytes(data, sigma, count, full):
+    # Arbitrary bytes decode to count residuals in the support or raise
+    # CorruptStreamError; reading past the end is never an IndexError.
+    try:
+        out = decode_residuals(data, sigma, count, full=full)
+    except CorruptStreamError:
+        return
+    assert out.dtype == np.int64 and out.shape == (count,)
+    assert np.all((out >= LO) & (out <= HI))
