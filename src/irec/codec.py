@@ -8,8 +8,8 @@ independent of evaluation order; the B best are found in linear time
 (top_b), not by sorting. Blocks of any step counts K run each step together,
 as one array operation over a block axis, in order of K, largest first; a
 block leaves the step arrays when its K runs out, and its code is the same
-as when it is encoded alone. The decoder replays only the chosen draws, for
-all blocks in one pass (decode_blocks), and never sees the target.
+as when it is encoded alone. The decoder replays only the chosen draws of all
+blocks in one pass, block by block (decode_blocks), and never sees the target.
 
 The step kernel fixes its floating-point order so that its codes do not
 depend on how blocks and steps are batched:
@@ -314,7 +314,8 @@ def decode_blocks(codes, schedules: Sequence[AuxSchedule], seed: int, blocks, di
     """The (G, D) z of G blocks from their index tuples, bit-identical to the encoder's.
 
     Every K and index is checked before any draw, then each chosen draw is one raw_words
-    call. Step k = 0, 1, ... adds sqrt(sigma_sq[k]) * u_k to each z with K > k, from +0.0.
+    call, block by block. Each z is +0.0 plus sqrt(sigma_sq[k]) * u_k for k = 0..K-1 in that
+    order (FORMAT.md §4): np.add.at is unbuffered and adds the rows in index order.
     """
     if not len(codes) == len(schedules) == len(blocks):
         raise UsageError(f"{len(codes)} codes, {len(schedules)} schedules, {len(blocks)} blocks")
@@ -322,19 +323,15 @@ def decode_blocks(codes, schedules: Sequence[AuxSchedule], seed: int, blocks, di
         if len(code) != s.K or not all(0 <= idx < s.M for idx in code):
             raise CorruptStreamError(f"block {g}: indices {code} do not fit K={s.K}, M={s.M}")
     lanes = stream.lanes_for(dims)
-    k_of = np.array([len(code) for code in codes], dtype=np.int64)
-    order = np.argsort(-k_of, kind="stable")  # by K, largest first
-    lives = np.count_nonzero(k_of > np.arange(k_of.max(initial=0))[:, None], axis=1).tolist()
-    starts = np.cumsum([0, *lives]).tolist()  # step k's rows: starts[k] + rank in order
-    w_lo, w_hi = np.empty((2, starts[-1], lanes.size), dtype=np.uint64)
-    sig_sq = np.empty(starts[-1])
-    for rank, g in enumerate(order.tolist()):
-        for k, idx in enumerate(codes[g]):
-            row = starts[k] + rank
-            w_lo[row], w_hi[row] = stream.raw_words(seed, blocks[g], k, idx, lanes)
-            sig_sq[row] = schedules[g].sigma_sq[k]
+    k_of = [len(code) for code in codes]
+    w_lo, w_hi = np.empty((2, sum(k_of), lanes.size), dtype=np.uint64)
+    row = 0
+    for block, code in zip(blocks, codes):
+        for k, idx in enumerate(code):
+            w_lo[row], w_hi[row] = stream.raw_words(seed, block, k, idx, lanes)
+            row += 1
+    sig_sq = np.concatenate([[], *(s.sigma_sq for s in schedules)])
     steps = stream.normals_from_words(w_lo, w_hi, dims) * np.sqrt(sig_sq)[:, None]
     z = np.zeros((len(codes), dims))
-    for k, live in enumerate(lives):
-        z[:live] += steps[starts[k] : starts[k + 1]]
-    return z[np.argsort(order)]
+    np.add.at(z, np.repeat(np.arange(len(codes)), k_of), steps)
+    return z

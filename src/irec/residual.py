@@ -146,8 +146,8 @@ def decode_residuals(data: bytes, sigma: float, count: int, full: bool = False) 
     would not write for the decoded residuals raises CorruptStreamError.
 
     With full=True, data is the coder's full byte stream, as versions 1 and 2
-    of the container store it: the leading 0 and a 5-byte flush, with no
-    byte read past the end.
+    of the container store it: the leading 0 and a 5-byte flush, read to its
+    last byte and never past it.
     """
     if count < 0:
         raise UsageError(f"residual count {count} is negative")
@@ -187,4 +187,6 @@ def decode_residuals(data: bytes, sigma: float, count: int, full: bool = False) 
         pinned = 0 if low == 0 or top > _MASK32 else top >> 24 << 24
         if flushed != pinned or end - pos != (1 if pinned else 0):
             raise CorruptStreamError("residual section is not the encoder's flush")
+    elif data[0] or pos != end:
+        raise CorruptStreamError("range coder stream must start with 0 and end at its flush")
     return np.array(syms, dtype=np.int64) + LO

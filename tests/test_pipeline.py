@@ -379,6 +379,24 @@ class TestContainerVersions:
         blocks = check_decoder_draws(monkeypatch, decompress, data, fitted_model)
         assert len(set(map(len, blocks))) > 1
 
+    @pytest.mark.parametrize(
+        "hex_data", [V1_LOSSLESS_B4_HEX, V2_LOSSLESS_B4_HEX], ids=["v1", "v2"]
+    )
+    def test_residual_stream_starts_with_0_and_is_read_to_its_end(self, fitted_model, hex_data):
+        # The residual section runs to the end of a version-1/2 file, so bytes
+        # appended to the file are appended to the coder's stream.
+        data = bytes.fromhex(hex_data)
+        first = len(data) - len(container.unpack(data)[2])
+        assert data[first] == 0
+        for tail in (b"\x00", b"\x5a\x5a", bytes(4)):
+            with pytest.raises(CorruptStreamError, match="end at its flush"):
+                decompress_lossless(data + tail, fitted_model)
+        for byte in (1, 0x5A, 0xFF):
+            mutated = bytearray(data)
+            mutated[first] = byte
+            with pytest.raises(CorruptStreamError, match="start with 0"):
+                decompress_lossless(bytes(mutated), fitted_model)
+
     def test_version_byte_selects_the_schedule(self, fitted_model, small_image):
         # The same bytes read as version 2 decode other latents, so the
         # residual no longer restores the image.

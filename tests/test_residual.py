@@ -144,7 +144,9 @@ class TestRobustness:
     def test_input_exhausted_mid_stream(self):
         rng = np.random.default_rng(5)
         r = np.clip(np.rint(rng.normal(0, 8, size=2000)).astype(np.int64), -255, 255)
-        full = b"\x00" + encode_residuals(r, 8.0) + bytes(4)
+        # The full stream: the leading 0, then the section, whose last byte
+        # here is the flush's top byte, then the flush's three dropped zeros.
+        full = b"\x00" + encode_residuals(r, 8.0) + bytes(3)
         assert np.array_equal(decode_residuals(full, 8.0, r.size, full=True), r)
         for cut in (5, len(full) // 2, len(full) - 6):
             with pytest.raises(CorruptStreamError):
