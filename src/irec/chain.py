@@ -12,11 +12,12 @@ Two step-variance schedules exist (FORMAT.md §5):
   variance after step k solves C(t_k) = k * omega by bisection, so every
   step carries omega nats; the last step takes the remaining variance.
 
-Schedules are cached per (variances, K, omega, epsilon). The step target
-(target_moments), the step prior given z (conditional_prior) and the
-posterior update (posterior_moments) are the closed-form Gaussian-sum
-conditionals; they are univariate formulas applied elementwise to each
-latent dimension, on arrays with any batched leading axes.
+No schedule has more than K_MAX steps. Schedules are cached per
+(variances, K, omega, epsilon). The step target (target_moments), the step
+prior given z (conditional_prior) and the posterior update
+(posterior_moments) are the closed-form Gaussian-sum conditionals; they are
+univariate formulas applied elementwise to each latent dimension, on arrays
+with any batched leading axes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from .gauss import STD_FLOOR, DiagGaussian
 
 POWER_LAW_EXPONENT = -0.79
 EQUAL_KL_ITERATIONS = 64
+# The step cap of FORMAT.md §5. An equal-KL schedule of K steps costs about
+# K * 64 * L log1p calls, so the cap bounds the work one block can ask for.
+K_MAX = 4096
 
 _VAR_FLOOR = STD_FLOOR * STD_FLOOR
 _MAX_INDEX = 1 << 32
@@ -151,10 +155,13 @@ def schedule_from_steps(
     """Build the variance schedule for a known step count (decoder side).
 
     Without variances this is the v1 power-law schedule. With the target's
-    posterior variances it is the v2 equal-KL schedule.
+    posterior variances it is the v2 equal-KL schedule. K > K_MAX raises
+    ConfigError before any schedule work.
     """
     if K < 1:
         raise UsageError("K must be >= 1")
+    if K > K_MAX:
+        raise ConfigError(f"block step count {K} exceeds K_MAX = {K_MAX}")
     key = None
     if variances is not None:
         variances = np.asarray(variances, dtype=np.float64)

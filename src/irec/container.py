@@ -333,9 +333,9 @@ def _unpack_v2(data: bytes):
         k, pos = read_varint(data, pos)
         if k < 1:
             raise CorruptStreamError("block step count must be >= 1")
-        # Cheap lower bound on the payload width; rejects absurd step counts
-        # before index_bits evaluates m**k.
-        if k * math.log2(m) > 8.0 * (len(data) - pos):
+        # An exact integer lower bound on the payload width, k * floor(log2 m)
+        # bits; it rejects absurd step counts before index_bits evaluates m**k.
+        if k * (m.bit_length() - 1) > 8 * (len(data) - pos):
             raise CorruptStreamError("truncated block payload")
         nbytes = (index_bits(k, m) + 7) // 8
         if pos + nbytes > len(data):

@@ -9,7 +9,9 @@ posterior and reconstruct map all patches at once, in a stated summation order.
 
 Model files use the "LGM1" format: magic, D u32, L u32, mu (D f64 LE),
 W (D*L f64 LE row-major), noise variance f64 LE, all finite, with D = 64
-(one 8x8 patch) and L >= 1. model_id is FNV-1a-64 over the file bytes.
+(one 8x8 patch) and L >= 1. load_model also refuses a file whose posterior
+map could overflow on an 8-bit patch (patch_kl_bound). model_id is
+FNV-1a-64 over the file bytes.
 """
 
 from __future__ import annotations
@@ -125,7 +127,25 @@ def load_model(path) -> LinearGaussianModel:
         # The constructor would raise it to the floor, and model_id would then
         # hash other bytes than the file's.
         raise FormatError(f"model noise variance {noise_var} is below {NOISE_FLOOR}")
-    return LinearGaussianModel(W=w.reshape(d, latent), mu=mu, noise_var=noise_var)
+    model = LinearGaussianModel(W=w.reshape(d, latent), mu=mu, noise_var=noise_var)
+    if not math.isfinite(patch_kl_bound(model)):
+        raise FormatError("model posterior can overflow on 8-bit patches")
+    return model
+
+
+def patch_kl_bound(model: LinearGaussianModel) -> float:
+    """An upper bound on KL(posterior || prior) over all patches in [0, 255]^64.
+
+    Each posterior mean is at most sum_i max(|mu_i|, |255 - mu_i|) |W[i][j]|
+    / (n_j + sigma^2) in magnitude. The bound is inf or nan if any step of it
+    overflows; when it is finite, so are the posterior and KL of every such patch.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        n = np.cumsum(model.W * model.W, axis=0)[-1]
+        radius = np.maximum(np.abs(model.mu), np.abs(255.0 - model.mu))
+        mean = radius @ np.abs(model.W) / (n + model.noise_var)
+        var = model.noise_var / (n + model.noise_var)
+        return float(0.5 * np.sum(var + mean * mean - 1.0 - np.log(var)))
 
 
 def fit_ppca(patches, latent_dim: int) -> LinearGaussianModel:

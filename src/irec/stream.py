@@ -19,9 +19,11 @@ two paths, picked by the kind of address (never by the lanes), that give
 the same words:
 
 * when seed, block, step and sample are all integer scalars (each of the
-  decoder's draws), on Python ints, all lanes packed into one int per
-  counter word (_philox_packed); this avoids the ~100 NumPy dispatches of
-  ten vectorised rounds, which dominate a call of a few lanes;
+  decoder's draws), on Python ints: the lanes, of any kind, are packed into
+  one int per counter word (_philox_packed), and both words are read back
+  from one byte buffer as read-only arrays shaped like the lanes; this
+  avoids the ~100 NumPy dispatches of ten vectorised rounds, which dominate
+  a call of a few lanes;
 * otherwise (every encoder call covers a grid of samples) as NumPy uint64
   array arithmetic.
 
@@ -148,27 +150,17 @@ def _philox_arrays(c0, c1, c2, c3, keys):
 
 def _raw_words_ints(block: int, step: int, sample: int, lanes, keys):
     """raw_words at one address on Python ints, all lanes in one pass."""
-    if not isinstance(lanes, np.ndarray) or lanes.dtype.kind not in "iu":
-        # A scalar or a list; a bad lane raises the NumPy path's UsageError.
-        lanes = _check_uint("lane", lanes)
-    if not lanes.ndim:
-        w_lo, w_hi = _philox_packed(_uint("lane", lanes), sample, step, block, 1, keys)
-        return np.uint64(w_lo), np.uint64(w_hi)
-    lane_list = lanes.ravel().tolist()
-    if lane_list and (min(lane_list) < 0 or max(lane_list) > _U32_MAX):
+    arr = np.asarray(lanes)
+    lane_list = arr.ravel().tolist() or [0]
+    if arr.dtype.kind not in "iu" or min(lane_list) < 0 or max(lane_list) > _U32_MAX:
         _check_uint("lane", lanes)  # raises the NumPy path's UsageError
-    ones = _fields(lanes.size)
-    packed = _philox_packed(
-        int.from_bytes(lanes.astype("<u8").tobytes(), "little"),
+    ones = _fields(arr.size)
+    w_lo, w_hi = _philox_packed(
+        int.from_bytes(arr.astype("<u8").tobytes(), "little"),
         sample * ones, step * ones, block * ones, ones, keys,
     )
-    return _unpacked(packed[0], lanes), _unpacked(packed[1], lanes)
-
-
-def _unpacked(words: int, lanes: np.ndarray) -> np.ndarray:
-    """The 64-bit fields of a packed int, as a uint64 array shaped like lanes."""
-    fields = np.frombuffer(words.to_bytes(8 * lanes.size, "little"), dtype="<u8")
-    return fields.astype(np.uint64).reshape(lanes.shape)
+    words = (w_lo | w_hi << 64 * arr.size).to_bytes(16 * arr.size, "little")
+    return tuple(np.frombuffer(words, dtype="<u8").reshape((2,) + arr.shape))
 
 
 def raw_words(seed, block, step, samples, lanes):

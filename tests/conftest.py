@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import irec.chain
 from irec.errors import UsageError
 from irec.model import (
     PATCH_DIM,
@@ -81,3 +82,17 @@ def fitted_model() -> LinearGaussianModel:
 def small_image(fitted_model) -> ImageGray8:
     rng = np.random.default_rng(7)
     return sample_image(fitted_model, rng, 16, 16)
+
+
+@pytest.fixture()
+def equal_kl_calls(monkeypatch):
+    """The K of each equal-KL schedule built from here on (cached ones excepted)."""
+    calls = []
+    equal_kl = irec.chain._equal_kl
+
+    def counting(*args):
+        calls.append(args[0])
+        return equal_kl(*args)
+
+    monkeypatch.setattr(irec.chain, "_equal_kl", counting)
+    return calls

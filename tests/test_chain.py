@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irec.chain
 from conftest import log_density, log_density_ratio
 from irec.chain import (
+    K_MAX,
     AuxSchedule,
     build_schedule,
     chain_kl_profile,
@@ -102,6 +104,27 @@ class TestSchedule:
     def test_rejects_nan_omega(self):
         with pytest.raises(UsageError):
             build_schedule(3.0, math.nan, 0.2)
+
+    def test_step_cap_refuses_before_any_schedule_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(irec.chain, "_equal_kl", lambda *args: calls.append(args))
+        monkeypatch.setattr(irec.chain, "_power_law", lambda *args: calls.append(args))
+        s_sq = np.full(8, 0.5)
+        cases = [
+            lambda: schedule_from_steps(K_MAX + 1, 3.0, 0.2),
+            lambda: schedule_from_steps(K_MAX + 1, 3.0, 0.2, s_sq),
+            lambda: build_schedule(2.5e38, 3.0, 0.2, s_sq),  # K = 8.3e37
+            # A 30-nat block of a good model under a tiny omega: M = 2, K = 30,000.
+            lambda: build_schedule(30.0, 0.001, 0.2, s_sq),
+        ]
+        for case in cases:
+            with pytest.raises(ConfigError, match="K_MAX"):
+                case()
+        assert calls == []
+        assert samples_per_step(0.001, 0.2) == 2
+
+    def test_step_cap_itself_is_allowed(self):
+        assert schedule_from_steps(K_MAX, 3.0, 0.2).K == K_MAX
 
 
 class TestEqualKLSchedule:

@@ -55,6 +55,24 @@ class TestCompressDecompress:
         img = read_pgm(back)
         assert (img.width, img.height) == (16, 16)
 
+    @pytest.mark.parametrize(
+        "pos, bit, code, message",
+        [(355, 2, cli.EXIT_USAGE, "K_MAX"), (1571, 6, cli.EXIT_FORMAT, "overflow")],
+        ids=["huge-mu", "overflowing-w"],
+    )
+    def test_flipped_model_file_is_refused(self, workspace, capsys, pos, bit, code, message):
+        # The model file is the committed model_l8.lgm. Its mu[42] becomes
+        # 2.2e21 (blocks over the step cap), or its W[16][2] 5.8e307.
+        tmp, model_path, img_path = workspace
+        data = bytearray(model_path.read_bytes())
+        data[pos] ^= 1 << bit
+        model_path.write_bytes(bytes(data))
+        assert cli.main([
+            "compress", "--mode", "lossless", "--model", str(model_path),
+            "--in", str(img_path), "--out", str(tmp / "img.irec"),
+        ]) == code
+        assert message in capsys.readouterr().err
+
     def test_published_defaults(self, workspace):
         tmp, model_path, img_path = workspace
         out = tmp / "img.irec"

@@ -408,6 +408,26 @@ class TestCorruptInput:
         with pytest.raises(CorruptStreamError):
             unpack(pack_v2(header(), [(1, 2, 3, 4)])[:-2])
 
+    @pytest.mark.parametrize(
+        "offsets", [b"\xff" * 4, b"\x00\x00\x00\x01"], ids=["4x256", "one-more"]
+    )
+    def test_k_field_claims_more_steps_than_the_payload_holds(self, offsets):
+        # Four one-step blocks behind an 8-bit K field: 7 payload bytes. The
+        # crafted offsets claim 256 steps per block, or one step more than
+        # the 7 bytes can hold with the K field.
+        data = bytearray(raw_v3([(0,)] * 4, 37, width=32, k_width=8))
+        data[-11:-7] = offsets
+        with pytest.raises(CorruptStreamError, match="truncated block payload"):
+            unpack(reseal(bytes(data)))
+
+    def test_version_2_files_cut_at_every_byte(self):
+        # 40 steps at M = 37 take ceil(40 log2 37) = 209 bits, 27 bytes: cut
+        # to 25, the exact width check catches what k * floor(log2 M) misses.
+        for data in (bytes.fromhex(V2_LOSSY_HEX), pack_v2(header(), [(0,) * 40])):
+            for cut in range(len(data)):
+                with pytest.raises((FormatError, CorruptStreamError)):
+                    unpack(data[:cut])
+
     def test_residual_count_must_be_pixel_count(self):
         # Versions 1 and 2 only; version 3 stores no count.
         data = pack_v2(header(), [(1,)], residual=b"\x07")

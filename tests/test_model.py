@@ -1,13 +1,16 @@
 import os
 import subprocess
 import sys
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import irec.model
-from irec.errors import FormatError, UsageError
+from irec.codec import RecConfig
+from irec.errors import ConfigError, FormatError, UsageError
 from irec.gauss import DiagGaussian, kl_divergence
 from irec.model import (
     PATCH_DIM,
@@ -16,6 +19,7 @@ from irec.model import (
     fit_ppca,
     fnv1a64,
     load_model,
+    patch_kl_bound,
     patchify,
     posterior,
     psnr,
@@ -27,6 +31,7 @@ from irec.model import (
     unpatchify,
     write_pgm,
 )
+from irec.pipeline import compress_lossless, decompress_lossless
 from conftest import GOLDEN_MODEL_PATHS, fit_golden_model, make_training_patches
 
 
@@ -281,6 +286,83 @@ class TestModelFile:
         save_model(model, path)
         with pytest.raises(FormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("latent", [8, 16])
+    def test_patch_kl_bound_covers_every_8_bit_patch(self, latent):
+        model = load_model(GOLDEN_MODEL_PATHS[latent])
+        bound = patch_kl_bound(model)
+        rng = np.random.default_rng(latent)
+        x = rng.integers(0, 256, size=(500, PATCH_DIM)).astype(np.float64)
+        # The box corners that push each latent's posterior mean furthest.
+        signs = np.sign(model.W.T)
+        x = np.concatenate([x, np.where(signs > 0, 255.0, 0.0), np.where(signs < 0, 255.0, 0.0)])
+        kls = kl_divergence(posterior(model, x), DiagGaussian.standard(latent))
+        assert np.isfinite(bound) and kls.max() <= bound
+
+
+# Byte offsets in an LGM1 file with D = 64: mu, then W (row-major), then the
+# noise variance. Byte 7 of a little-endian f64 holds its sign and its seven
+# highest exponent bits.
+_MU_AT = 12
+_W_AT = _MU_AT + 8 * PATCH_DIM
+
+
+def _flipped_model_file(tmp_path, pos, bit):
+    data = bytearray(GOLDEN_MODEL_PATHS[8].read_bytes())
+    data[pos] ^= 1 << bit
+    path = tmp_path / "flipped.lgm"
+    path.write_bytes(bytes(data))
+    return path
+
+
+class TestModelBitFlips:
+    """A model file with one flipped bit either codes an image or raises a
+    FORMAT.md §8 class, in bounded time and with no NumPy warning."""
+
+    CFG = RecConfig(omega=3.0, epsilon=0.2, beams=4)
+
+    def test_huge_mu_is_refused_before_any_schedule_work(
+        self, tmp_path, small_image, equal_kl_calls
+    ):
+        # Bit 2 of byte 355 makes mu[42] 2.2e21. The file loads (its KL bound
+        # is finite), but each block of a 16x16 image would need ~8e37 steps.
+        model = load_model(_flipped_model_file(tmp_path, 355, 2))
+        assert model.mu[42] == pytest.approx(2.2e21, rel=0.01)
+        with pytest.raises(ConfigError, match="K_MAX"):
+            compress_lossless(small_image, model, self.CFG, seed=0)
+        assert equal_kl_calls == []
+
+    def test_overflowing_w_is_refused_at_load(self, tmp_path):
+        # Bit 6 of byte 1571 makes W[16][2] 5.8e307, so W^T W overflows.
+        with pytest.raises(FormatError, match="overflow"):
+            load_model(_flipped_model_file(tmp_path, 1571, 6))
+
+    def test_sign_and_exponent_flips(self, tmp_path, small_image, equal_kl_calls):
+        latent = 8
+        starts = [_MU_AT + 8 * i for i in range(PATCH_DIM)]
+        starts += [_W_AT + 8 * i for i in range(0, PATCH_DIM * latent, 13)]
+        starts += [_W_AT + 8 * PATCH_DIM * latent]  # the noise variance
+        outcomes = Counter()
+        for pos in (start + 7 for start in starts):
+            for bit in range(8):
+                equal_kl_calls.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        model = load_model(_flipped_model_file(tmp_path, pos, bit))
+                    except FormatError:
+                        outcomes["refused at load"] += 1
+                        continue
+                    try:
+                        data = compress_lossless(small_image, model, self.CFG, seed=0).data
+                    except ConfigError:
+                        assert equal_kl_calls == [], (pos, bit)
+                        outcomes["step cap"] += 1
+                        continue
+                    back = decompress_lossless(data, model)
+                assert np.array_equal(back.pixels, small_image.pixels), (pos, bit)
+                outcomes["round trip"] += 1
+        assert sorted(outcomes) == ["refused at load", "round trip", "step cap"]
 
 
 def _random_model(latent, seed):

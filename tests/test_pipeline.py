@@ -1,14 +1,16 @@
 import hashlib
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from conftest import make_training_patches, sample_image
 from irec import codec, container, pipeline, residual, stream
-from irec.chain import build_schedule
+from irec.chain import K_MAX, build_schedule
 from irec.codec import RecConfig
 from irec.errors import (
+    ConfigError,
     CorruptStreamError,
     FormatError,
     IrecError,
@@ -331,6 +333,50 @@ class TestBitFlips:
             mutated[pos // 8] ^= 1 << (pos % 8)
             with pytest.raises((CorruptStreamError, FormatError)):
                 decompress(bytes(mutated), fitted_model)
+
+
+class TestCutFiles:
+    """A file cut short at any byte is rejected, never decoded to an image."""
+
+    @pytest.mark.parametrize("lossless", [True, False], ids=["lossless", "lossy"])
+    def test_version_3_cut_at_every_byte_with_resealed_crc(self, fitted_model, lossless):
+        img = sample_image(fitted_model, np.random.default_rng(11), 16, 16)
+        compress, decompress = (
+            (compress_lossless, decompress_lossless) if lossless
+            else (compress_lossy, decompress_lossy)
+        )
+        body = compress(img, fitted_model, CFG, seed=3).data[:-4]
+        for cut in range(len(body)):
+            data = body[:cut] + zlib.crc32(body[:cut]).to_bytes(4, "little")
+            with pytest.raises((CorruptStreamError, FormatError)):
+                decompress(data, fitted_model)
+
+    @pytest.mark.parametrize(
+        "hex_data, decompress",
+        [
+            (V1_LOSSLESS_B4_HEX, decompress_lossless),
+            (V2_LOSSLESS_B4_HEX, decompress_lossless),
+            (V2_LOSSY_B4_HEX, decompress_lossy),
+        ],
+        ids=["v1-lossless", "v2-lossless", "v2-lossy"],
+    )
+    def test_committed_files_cut_at_every_byte(self, fitted_model, hex_data, decompress):
+        data = bytes.fromhex(hex_data)
+        for cut in range(len(data)):
+            with pytest.raises((CorruptStreamError, FormatError)):
+                decompress(data[:cut], fitted_model)
+
+
+class TestStepCap:
+    def test_decoder_refuses_a_block_over_k_max(self, fitted_model, equal_kl_calls):
+        header = container.ContainerHeader(
+            seed=0, omega=3.0, epsilon=0.2, model_id=fitted_model.model_id,
+            image_width=8, image_height=8,
+        )
+        data = container.pack(header, [(0,) * (K_MAX + 1)])
+        with pytest.raises(ConfigError, match="K_MAX"):
+            decompress_lossy(data, fitted_model)
+        assert equal_kl_calls == []
 
 
 class TestElbo:
