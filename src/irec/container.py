@@ -26,7 +26,8 @@ one byte-padded payload per block with K as a varint, and a residual count.
 ContainerHeader holds each header rule once (a known version, integer fields
 within their widths, a nonempty image whose tile count fits u32, valid
 omega/epsilon), so pack refuses a bad header with UsageError and unpack
-rejects it with FormatError.
+rejects it with FormatError. unpack rejects a block of more than K_MAX steps
+with CorruptStreamError, before any schedule is built.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from .chain import samples_per_step
+from .chain import K_MAX, samples_per_step
 from .errors import ConfigError, CorruptStreamError, FormatError, UsageError
 from .model import tile_grid
 
@@ -258,6 +259,8 @@ def _unpack_v3(data: bytes):
     offsets = int.from_bytes(body[pos : pos + k_bytes], "big") >> (8 * k_bytes - n * width_k)
     mask = (1 << width_k) - 1
     ks = [k_min + (offsets >> (width_k * (n - 1 - i)) & mask) for i in range(n)]
+    if max(ks) > K_MAX:
+        raise CorruptStreamError(f"block step count {max(ks)} exceeds K_MAX = {K_MAX}")
     if sum(ks) * math.log2(m) > avail:
         raise CorruptStreamError("truncated block payload")
     widths = {k: index_bits(k, m) for k in set(ks)}
@@ -333,6 +336,8 @@ def _unpack_v2(data: bytes):
         k, pos = read_varint(data, pos)
         if k < 1:
             raise CorruptStreamError("block step count must be >= 1")
+        if k > K_MAX:
+            raise CorruptStreamError(f"block step count {k} exceeds K_MAX = {K_MAX}")
         # An exact integer lower bound on the payload width, k * floor(log2 m)
         # bits; it rejects absurd step counts before index_bits evaluates m**k.
         if k * (m.bit_length() - 1) > 8 * (len(data) - pos):

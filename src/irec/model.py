@@ -9,9 +9,10 @@ posterior and reconstruct map all patches at once, in a stated summation order.
 
 Model files use the "LGM1" format: magic, D u32, L u32, mu (D f64 LE),
 W (D*L f64 LE row-major), noise variance f64 LE, all finite, with D = 64
-(one 8x8 patch) and L >= 1. load_model also refuses a file whose posterior
-map could overflow on an 8-bit patch (patch_kl_bound). model_id is
-FNV-1a-64 over the file bytes.
+(one 8x8 patch) and L >= 1. A model whose posterior map could overflow on
+an 8-bit patch (patch_kl_bound) is refused when it is built: UsageError in
+memory, FormatError from load_model. model_id is FNV-1a-64 over the file
+bytes.
 """
 
 from __future__ import annotations
@@ -67,13 +68,15 @@ class LinearGaussianModel:
     def __post_init__(self):
         W = np.asarray(self.W, dtype=np.float64)
         mu = np.asarray(self.mu, dtype=np.float64)
-        if W.ndim != 2 or mu.shape != (W.shape[0],):
-            raise UsageError("W must be (D, L) and mu (D,)")
+        if W.ndim != 2 or not W.shape[0] or mu.shape != (W.shape[0],):
+            raise UsageError("W must be (D, L) with D >= 1 and mu (D,)")
         W.setflags(write=False)
         mu.setflags(write=False)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "noise_var", max(float(self.noise_var), NOISE_FLOOR))
+        if not math.isfinite(patch_kl_bound(self)):
+            raise UsageError("model posterior can overflow on 8-bit patches")
 
     @property
     def data_dim(self) -> int:
@@ -127,10 +130,10 @@ def load_model(path) -> LinearGaussianModel:
         # The constructor would raise it to the floor, and model_id would then
         # hash other bytes than the file's.
         raise FormatError(f"model noise variance {noise_var} is below {NOISE_FLOOR}")
-    model = LinearGaussianModel(W=w.reshape(d, latent), mu=mu, noise_var=noise_var)
-    if not math.isfinite(patch_kl_bound(model)):
-        raise FormatError("model posterior can overflow on 8-bit patches")
-    return model
+    try:
+        return LinearGaussianModel(W=w.reshape(d, latent), mu=mu, noise_var=noise_var)
+    except UsageError as exc:  # the overflow bound: a bad file, not a bad call
+        raise FormatError(str(exc)) from None
 
 
 def patch_kl_bound(model: LinearGaussianModel) -> float:

@@ -23,14 +23,16 @@ the same words:
   one int per counter word (_philox_packed), and both words are read back
   from one byte buffer as read-only arrays shaped like the lanes; this
   avoids the ~100 NumPy dispatches of ten vectorised rounds, which dominate
-  a call of a few lanes;
+  a call of a few lanes. Round 1 runs on scalars: only its c0, the lane,
+  differs between fields, so its other words and keys are copied into each;
 * otherwise (every encoder call covers a grid of samples) as NumPy uint64
   array arithmetic.
 
 The seed broadcasts with the addresses: a seed array's round keys are
-computed per call; a scalar seed reads its ten round keys from one per-seed
-cache. Both come from one key schedule. See docs/FORMAT.md for the
-normative statement of these rules.
+computed per call; a scalar seed's are cached per seed, or on the int path
+per seed and lane array with round 1's M0 * lane (keyed by the lanes' dtype,
+shape and bytes, so lanes changed in place get a new entry). Both come from
+one key schedule. See docs/FORMAT.md for the normative rules.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ _M1 = np.uint64(_PHILOX_M1)
 _MASK32 = np.uint64(_U32_MAX)
 _SHIFT32 = np.uint64(32)
 _SHIFT11 = np.uint64(11)
+_LE_U64 = np.dtype("<u8")
 
 _TWO_PI = 2.0 * np.pi
 
@@ -106,31 +109,38 @@ def _key_schedule(seed):
 
 @lru_cache(maxsize=64)
 def _round_keys(seed: int):
-    """The round keys of a scalar seed: as Python ints, and as uint64."""
-    return _key_schedule(seed), _key_schedule(np.uint64(seed))
+    """The round keys of a scalar seed, as uint64."""
+    return _key_schedule(np.uint64(seed))
 
 
 @lru_cache(maxsize=64)
-def _fields(n: int) -> int:
-    """The Python int with a 1 at the bottom of each of n 64-bit fields."""
-    return int.from_bytes(bytes([1, 0, 0, 0, 0, 0, 0, 0]) * n, "little")
+def _packed_constants(seed: int, dtype: np.dtype, shape: tuple, data: bytes):
+    """Per scalar seed and lane array (by dtype, shape, bytes): ones (1 in each lane's
+    64-bit field), the low mask, round 1's M0 * lane hi and lo, the round keys * ones."""
+    lanes = np.frombuffer(data, dtype).reshape(shape)
+    if lanes.size and (lanes.min() < 0 or lanes.max() > _U32_MAX):
+        _check_uint("lane", lanes[()])  # raised, so never cached
+    ones = int.from_bytes(bytes([1, 0, 0, 0, 0, 0, 0, 0]) * lanes.size, "little")
+    low = _U32_MAX * ones
+    p0 = _PHILOX_M0 * int.from_bytes(lanes.astype("<u8").tobytes(), "little")
+    keys = tuple((k0 * ones, k1 * ones) for k0, k1 in _key_schedule(seed))
+    return ones, low, (p0 >> 32) & low, p0 & low, keys[0], keys[1:]
 
 
-def _philox_packed(c0: int, c1: int, c2: int, c3: int, ones: int, keys):
-    """Philox4x32-10 for many invocations at once on Python ints.
+def _philox_packed(c0: int, c1: int, c2: int, c3: int, low: int, keys):
+    """Philox4x32-10 rounds for many invocations at once on Python ints.
 
     Invocation j keeps its 32-bit counter words in bits [64j, 64j + 32) of
-    c0..c3, and ones = _fields(number of invocations). A product of two
+    c0..c3; low and the round keys hold one value per field. A product of two
     32-bit words fits its 64-bit field, so fields never carry into each
     other and every round is exact for each invocation. Returns the two
     64-bit words of each invocation, packed one per field.
     """
-    low = _U32_MAX * ones
     for k0, k1 in keys:
         p0 = _PHILOX_M0 * c0
         p1 = _PHILOX_M1 * c2
-        c0 = ((p1 >> 32) & low) ^ c1 ^ (k0 * ones)
-        c2 = ((p0 >> 32) & low) ^ c3 ^ (k1 * ones)
+        c0 = ((p1 >> 32) & low) ^ c1 ^ k0
+        c2 = ((p0 >> 32) & low) ^ c3 ^ k1
         c1 = p1 & low
         c3 = p0 & low
     return c0 | c1 << 32, c2 | c3 << 32
@@ -148,19 +158,21 @@ def _philox_arrays(c0, c1, c2, c3, keys):
     return c0 | (c1 << _SHIFT32), c2 | (c3 << _SHIFT32)
 
 
-def _raw_words_ints(block: int, step: int, sample: int, lanes, keys):
-    """raw_words at one address on Python ints, all lanes in one pass."""
+def _raw_words_ints(block: int, step: int, sample: int, lanes, seed: int):
+    """raw_words at one address on Python ints: round 1 on scalars, then 9 packed rounds."""
     arr = np.asarray(lanes)
-    lane_list = arr.ravel().tolist() or [0]
-    if arr.dtype.kind not in "iu" or min(lane_list) < 0 or max(lane_list) > _U32_MAX:
+    if arr.dtype.kind not in "iu":
         _check_uint("lane", lanes)  # raises the NumPy path's UsageError
-    ones = _fields(arr.size)
+    key = seed, arr.dtype, arr.shape, arr.tobytes()
+    ones, low, lane_hi, lane_lo, (k0, k1), keys = _packed_constants(*key)
+    p1 = _PHILOX_M1 * step
     w_lo, w_hi = _philox_packed(
-        int.from_bytes(arr.astype("<u8").tobytes(), "little"),
-        sample * ones, step * ones, block * ones, ones, keys,
+        ((p1 >> 32) ^ sample) * ones ^ k0, (p1 & _U32_MAX) * ones,
+        lane_hi ^ block * ones ^ k1, lane_lo, low, keys,
     )
     words = (w_lo | w_hi << 64 * arr.size).to_bytes(16 * arr.size, "little")
-    return tuple(np.frombuffer(words, dtype="<u8").reshape((2,) + arr.shape))
+    words = np.frombuffer(words, _LE_U64).reshape((2,) + arr.shape)
+    return words[0], words[1]
 
 
 def raw_words(seed, block, step, samples, lanes):
@@ -172,19 +184,22 @@ def raw_words(seed, block, step, samples, lanes):
     input is a scalar: the low and high 64-bit words of each Philox
     invocation.
     """
+    # Plain ints in range skip the checks (block | step | samples tests all three).
+    if (type(seed) is type(block) is type(step) is type(samples) is int
+            and 0 <= seed <= _U64_MAX and 0 <= block | step | samples <= _U32_MAX):
+        return _raw_words_ints(block, step, samples, lanes, seed)
     seed = check_seed(seed)
     scalar = _is_int(seed)
     if scalar and _is_int(block) and _is_int(step) and _is_int(samples):
         return _raw_words_ints(
-            _uint("block", block), _uint("step", step), _uint("sample", samples),
-            lanes, _round_keys(seed)[0],
+            _uint("block", block), _uint("step", step), _uint("sample", samples), lanes, seed
         )
     block = _check_uint("block", block)
     step = _check_uint("step", step)
     samples = _check_uint("sample", samples)
     # No explicit broadcast: after four rounds every output word depends on
     # all four counter words and the keys, so the arithmetic broadcasts them.
-    keys = _round_keys(seed)[1] if scalar else _key_schedule(seed)
+    keys = _round_keys(seed) if scalar else _key_schedule(seed)
     return _philox_arrays(_check_uint("lane", lanes), samples, step, block, keys)
 
 

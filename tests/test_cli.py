@@ -6,6 +6,7 @@ import pytest
 
 from conftest import sample_image
 from irec import cli, container
+from irec.chain import K_MAX
 from test_pipeline import V2_LOSSLESS_B4_HEX
 from irec.model import LinearGaussianModel, read_pgm, save_model, write_pgm
 
@@ -136,6 +137,23 @@ class TestCompressDecompress:
                 "--in", str(out), "--out", str(tmp / "y.pgm"),
             ])
             assert code == 3
+
+    def test_block_over_k_max_exit_code(self, workspace, fitted_model, capsys):
+        # A file whose block has more than K_MAX steps is corrupt (exit 3),
+        # not a usage error.
+        tmp, model_path, _ = workspace
+        header = container.ContainerHeader(
+            seed=0, omega=3.0, epsilon=0.0, model_id=fitted_model.model_id,
+            image_width=8, image_height=8,
+        )
+        bad = tmp / "long.irec"
+        bad.write_bytes(container.pack(header, [(0,) * (K_MAX + 1)]))
+        code = cli.main([
+            "decompress", "--mode", "lossy", "--model", str(model_path),
+            "--in", str(bad), "--out", str(tmp / "y.pgm"),
+        ])
+        assert code == cli.EXIT_FORMAT == 3
+        assert "K_MAX" in capsys.readouterr().err
 
     def test_wrong_residual_count_exit_code(self, workspace):
         # Versions 1 and 2 store the count; version 3 does not.

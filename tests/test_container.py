@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irec.chain import K_MAX
 from irec.container import (
     HEADER_SIZE,
     VERSION_BYTE,
@@ -341,6 +342,20 @@ class TestVersion3:
 
 
 class TestCorruptInput:
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_block_over_k_max_is_corrupt(self, version):
+        # A block of K_MAX steps parses; one step more makes a corrupt file,
+        # refused by the parser before any schedule is built.
+        h = header(blocks=2)
+        for k in (K_MAX, K_MAX + 1):
+            blocks = [(1,), (0,) * k]
+            data = pack(h, blocks) if version == 3 else pack_v2(h, blocks, version=version)
+            if k <= K_MAX:
+                assert unpack(data)[1] == blocks
+            else:
+                with pytest.raises(CorruptStreamError, match="K_MAX"):
+                    unpack(data)
+
     def test_bad_magic(self):
         data = pack(header(), [(1,)])
         with pytest.raises(FormatError):

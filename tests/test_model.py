@@ -337,6 +337,17 @@ class TestModelBitFlips:
         with pytest.raises(FormatError, match="overflow"):
             load_model(_flipped_model_file(tmp_path, 1571, 6))
 
+    def test_overflowing_w_is_refused_in_memory(self):
+        # The same W[16][2] = 5.8e307 built in memory: UsageError when the
+        # model is built, with no NumPy warning, before any compress.
+        base = load_model(GOLDEN_MODEL_PATHS[8])
+        w = np.array(base.W)
+        w[16][2] = 5.8e307
+        with pytest.raises(UsageError, match="overflow"):
+            LinearGaussianModel(W=w, mu=base.mu, noise_var=base.noise_var)
+        with pytest.raises(UsageError, match="D >= 1"):
+            LinearGaussianModel(W=np.zeros((0, 2)), mu=np.zeros(0), noise_var=1.0)
+
     def test_sign_and_exponent_flips(self, tmp_path, small_image, equal_kl_calls):
         latent = 8
         starts = [_MU_AT + 8 * i for i in range(PATCH_DIM)]

@@ -10,7 +10,6 @@ from irec import codec, container, pipeline, residual, stream
 from irec.chain import K_MAX, build_schedule
 from irec.codec import RecConfig
 from irec.errors import (
-    ConfigError,
     CorruptStreamError,
     FormatError,
     IrecError,
@@ -374,7 +373,7 @@ class TestStepCap:
             image_width=8, image_height=8,
         )
         data = container.pack(header, [(0,) * (K_MAX + 1)])
-        with pytest.raises(ConfigError, match="K_MAX"):
+        with pytest.raises(CorruptStreamError, match="K_MAX"):
             decompress_lossy(data, fitted_model)
         assert equal_kl_calls == []
 

@@ -235,6 +235,79 @@ class TestPhilox:
             words_at(path, 5, 1, 2, 3, lanes)
 
 
+class TestLaneCache:
+    """The int path caches its constants per seed and lane array, keyed by the
+    lanes' dtype, shape and bytes; no cache entry may change a word."""
+
+    def test_lanes_changed_in_place_give_new_words(self):
+        lanes = np.arange(4, dtype=np.uint64)
+        first = stream.raw_words(9, 1, 2, 3, lanes)
+        lanes[2] = 2**32 - 1
+        second = stream.raw_words(9, 1, 2, 3, lanes)
+        assert first[0][2] != second[0][2]
+        for a, b in zip(second, words_at("array", 9, 1, 2, 3, lanes)):
+            assert a.tolist() == b.tolist()
+
+    def test_equal_bytes_do_not_collide(self):
+        # Each pair holds the same bytes (or the same lanes) under another
+        # dtype, byte order or shape.
+        pairs = [
+            (np.array([0, 0, 1, 0], dtype=np.uint32), np.array([0, 1], dtype=np.uint64)),
+            (np.array([1, 2], dtype=">u4"), np.array([1, 2], dtype=">u4").view("<u4")),
+            (np.arange(6).reshape(2, 3), np.arange(6)),
+            (np.arange(3, dtype=np.int64), np.arange(3, dtype=np.uint64)),
+        ]
+        for pair in pairs:
+            assert pair[0].tobytes() == pair[1].tobytes()
+            for _ in range(2):
+                for lanes in pair:
+                    ints = stream.raw_words(2**40 + 7, 5, 6, 7, lanes)
+                    arrays = words_at("array", 2**40 + 7, 5, 6, 7, lanes)
+                    for a, b in zip(ints, arrays):
+                        assert a.shape == b.shape == lanes.shape
+                        assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize(
+        "lanes",
+        [2**32, -1, np.array([0, 2**32]), np.array([[-1, 0]]), [0, 2**64 - 1], np.array([0.5])],
+    )
+    def test_bad_lanes_are_never_cached(self, lanes):
+        # The int path raises the NumPy path's message, on every repeat.
+        stream._packed_constants.cache_clear()
+        with pytest.raises(UsageError, match="lane") as expected:
+            words_at("array", 5, 1, 2, 3, lanes)
+        for _ in range(3):
+            with pytest.raises(UsageError) as err:
+                stream.raw_words(5, 1, 2, 3, lanes)
+            assert str(err.value) == str(expected.value)
+        assert stream._packed_constants.cache_info().currsize == 0
+
+    def test_extreme_addresses_on_decoder_lanes(self):
+        rng = np.random.default_rng(24)
+        ends = [0, 2**32 - 1]
+        for d in range(1, 64):
+            seed = int(rng.integers(2**32, 2**64, dtype=np.uint64))
+            for block in ends:
+                for step in ends:
+                    for sample in ends:
+                        assert_paths_agree(seed, block, step, sample, stream.lanes_for(d))
+
+    def test_other_integer_scalars_take_the_int_path(self, monkeypatch):
+        # Bools and NumPy integer scalars miss the plain-int check and reach
+        # the int path through the full checks, with the same words.
+        calls = []
+        packed = stream._philox_packed
+        monkeypatch.setattr(
+            stream, "_philox_packed", lambda *a: calls.append(1) or packed(*a)
+        )
+        lanes = stream.lanes_for(8)
+        expected = stream.raw_words(1, 1, 0, 3, lanes)
+        got = stream.raw_words(True, np.uint8(1), False, np.int64(3), lanes)
+        assert len(calls) == 2
+        for a, b in zip(got, expected):
+            assert a.tolist() == b.tolist()
+
+
 class TestStatistics:
     def test_marginal_moments(self):
         # About 1e6 scalar draws across many sample addresses.
