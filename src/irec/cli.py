@@ -95,6 +95,7 @@ def cmd_inspect(args):
         f"blocks {len(blocks)}",
     ]
     if checksummed:
+        # unpack accepts only the canonical K field, so this is the file's.
         k_min, width = container.k_field(blocks)
         lines += [f"k_min {k_min}", f"k_width {width}"]
     else:

@@ -23,11 +23,9 @@ Versions 1 and 2 (version byte 1 or 2; it names the step schedule, see
 chain.py) have a 54-byte header that also holds block_count and latent_dim,
 one byte-padded payload per block with K as a varint, and a residual count.
 
-ContainerHeader holds each header rule once (a known version, integer fields
-within their widths, a nonempty image whose tile count fits u32, valid
-omega/epsilon), so pack refuses a bad header with UsageError and unpack
-rejects it with FormatError. unpack rejects a block of more than K_MAX steps
-with CorruptStreamError, before any schedule is built.
+pack and both parsers share one rule set (ContainerHeader, _check_steps,
+_check_room, k_field, _write_bits/_read_bits): pack refuses what breaks a rule
+with UsageError, unpack with FormatError or CorruptStreamError.
 """
 
 from __future__ import annotations
@@ -158,6 +156,39 @@ def k_field(blocks: list[tuple[int, ...]]) -> tuple[int, int]:
     return min(ks), (max(ks) - min(ks)).bit_length()
 
 
+def _check_steps(k: int, error=CorruptStreamError) -> None:
+    """The step-count rule of every version: 1 <= K <= K_MAX."""
+    if k < 1:
+        raise error("block step count must be >= 1")
+    if k > K_MAX:
+        raise error(f"block step count {k} exceeds K_MAX = {K_MAX}")
+
+
+def _check_room(k_bits: int, steps: int, m: int, data, pos: int) -> None:
+    """Reject k_bits and `steps` steps that overrun data[pos:], before any M**K or list of K."""
+    if k_bits + steps * (m.bit_length() - 1) > 8 * (len(data) - pos):
+        raise CorruptStreamError("truncated block payload")
+
+
+def _write_bits(fields: list[tuple[int, int]]) -> bytes:
+    """(value, width) fields MSB first, zero-padded once to a byte boundary."""
+    bits = "".join([bin(value | 1 << width)[3:] for value, width in fields])
+    return (int(bits, 2) << -len(bits) % 8).to_bytes((len(bits) + 7) // 8, "big")
+
+
+def _read_bits(data, pos: int, widths: list[int]) -> tuple[list[int], int]:
+    """Fields of these widths at data[pos:], as _write_bits wrote them, and their end."""
+    end = pos + (sum(widths) + 7) // 8
+    if end > len(data):
+        raise CorruptStreamError("truncated block payload")
+    bits = bin(int.from_bytes(data[pos:end], "big") | 1 << 8 * (end - pos))
+    values, i = [], 3  # i: the next bit of bits, past "0b1"
+    for width in widths:
+        values.append(int(bits[i : i + width] or "0", 2))
+        i += width
+    return values, end
+
+
 def pack(
     header: ContainerHeader,
     blocks: list[tuple[int, ...]],
@@ -175,24 +206,20 @@ def pack(
     # (value, width) of each bitstream field: the K offsets, then the tuples.
     fields = [(len(tup) - k_min, width) for tup in blocks]
     for tup in blocks:
+        _check_steps(len(tup), UsageError)
         value = 0
         for idx in map(int, reversed(tup)):
             if not 0 <= idx < m:
                 raise UsageError(f"index {idx} overflows radix {m}")
             value = value * m + idx
         fields.append((value, index_bits(len(tup), m)))
-    stream = nbits = 0
-    for value, bits in fields:
-        stream = stream << bits | value
-        nbits += bits
-    pad = -nbits % 8
     out = bytearray(MAGIC)
     out += bytes((VERSION_BYTE, 0 if residual is None else FLAG_RESIDUAL))
     out += write_varint(header.seed)
     out += _PARAMS.pack(header.omega, header.epsilon, header.model_id)
     out += write_varint(header.image_width) + write_varint(header.image_height)
     out += write_varint(k_min) + bytes((width,))
-    out += (stream << pad).to_bytes((nbits + pad) // 8, "big")
+    out += _write_bits(fields)
     if residual is not None:
         out += residual
     out += _CRC.pack(zlib.crc32(out))
@@ -247,40 +274,21 @@ def _unpack_v3(data: bytes):
         seed=seed, omega=omega, epsilon=epsilon, model_id=model_id,
         image_width=width, image_height=height,
     )
-    if k_min < 1:
-        raise CorruptStreamError("block step count must be >= 1")
     m, n = header.M, header.block_count
-    # Every block takes at least K_min * log2(M) bits: a cheap bound that
-    # rejects absurd block or step counts before they are materialized.
-    avail = 8 * (len(body) - pos)
-    if n * (width_k + k_min * math.log2(m)) > avail:
-        raise CorruptStreamError("truncated block payload")
-    k_bytes = (n * width_k + 7) // 8
-    offsets = int.from_bytes(body[pos : pos + k_bytes], "big") >> (8 * k_bytes - n * width_k)
-    mask = (1 << width_k) - 1
-    ks = [k_min + (offsets >> (width_k * (n - 1 - i)) & mask) for i in range(n)]
-    if max(ks) > K_MAX:
-        raise CorruptStreamError(f"block step count {max(ks)} exceeds K_MAX = {K_MAX}")
-    if sum(ks) * math.log2(m) > avail:
-        raise CorruptStreamError("truncated block payload")
-    widths = {k: index_bits(k, m) for k in set(ks)}
-    nbits = n * width_k + sum(widths[k] for k in ks)
-    nbytes = (nbits + 7) // 8
-    if nbytes > len(body) - pos:
-        raise CorruptStreamError("truncated block payload")
-    stream = int.from_bytes(body[pos : pos + nbytes], "big")
-    pad = 8 * nbytes - nbits
-    if stream & ((1 << pad) - 1):
+    _check_room(n * width_k, n * k_min, m, body, pos)
+    _check_steps(k_min)
+    ks = [k_min + offset for offset in _read_bits(body, pos, [width_k] * n)[0]]
+    _check_steps(max(ks))
+    _check_room(n * width_k, sum(ks), m, body, pos)
+    index_widths = {k: index_bits(k, m) for k in set(ks)}
+    # The K field again as one field, then the tuples and the padding.
+    widths = [n * width_k] + [index_widths[k] for k in ks]
+    (_, *values, pad), pos = _read_bits(body, pos, widths + [-sum(widths) % 8])
+    if pad:
         raise CorruptStreamError("nonzero padding bits")
-    stream >>= pad
-    # The tuples end the bitstream: take them off its low end, last first.
-    blocks = []
-    for k in reversed(ks):
-        value = stream & ((1 << widths[k]) - 1)
-        stream >>= widths[k]
-        blocks.append(_digits(value, k, m))
-    blocks.reverse()
-    pos += nbytes
+    blocks = [_digits(value, k, m) for value, k in zip(values, ks)]
+    if k_field(blocks) != (k_min, width_k):
+        raise CorruptStreamError("K field not canonical")
 
     residual = None
     if data[5] & FLAG_RESIDUAL:
@@ -292,14 +300,14 @@ def _unpack_v3(data: bytes):
 
 def _digits(value: int, k: int, m: int) -> tuple[int, ...]:
     """The index tuple of a packed value, least significant digit first."""
-    if value >= m**k:
-        # Covers both out-of-range digits and, in versions 1 and 2, nonzero
-        # padding bits.
-        raise CorruptStreamError("block payload exceeds index range")
     indices = []
     for _ in range(k):
         value, idx = divmod(value, m)
         indices.append(idx)
+    if value:
+        # value >= M^K: out-of-range digits or, in versions 1 and 2, nonzero
+        # padding bits.
+        raise CorruptStreamError("block payload exceeds index range")
     return tuple(indices)
 
 
@@ -334,19 +342,10 @@ def _unpack_v2(data: bytes):
     blocks = []
     for _ in range(block_count):
         k, pos = read_varint(data, pos)
-        if k < 1:
-            raise CorruptStreamError("block step count must be >= 1")
-        if k > K_MAX:
-            raise CorruptStreamError(f"block step count {k} exceeds K_MAX = {K_MAX}")
-        # An exact integer lower bound on the payload width, k * floor(log2 m)
-        # bits; it rejects absurd step counts before index_bits evaluates m**k.
-        if k * (m.bit_length() - 1) > 8 * (len(data) - pos):
-            raise CorruptStreamError("truncated block payload")
-        nbytes = (index_bits(k, m) + 7) // 8
-        if pos + nbytes > len(data):
-            raise CorruptStreamError("truncated block payload")
-        blocks.append(_digits(int.from_bytes(data[pos : pos + nbytes], "big"), k, m))
-        pos += nbytes
+        _check_steps(k)
+        _check_room(0, k, m, data, pos)
+        (value,), pos = _read_bits(data, pos, [8 * ((index_bits(k, m) + 7) // 8)])
+        blocks.append(_digits(value, k, m))
 
     residual = None
     if flags & FLAG_RESIDUAL:

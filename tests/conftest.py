@@ -1,12 +1,16 @@
 """Shared fixtures and helpers for the test suite."""
 
 import math
+import struct
+import zlib
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import irec.chain
+from irec.container import index_bits, write_varint
 from irec.errors import UsageError
 from irec.model import (
     PATCH_DIM,
@@ -71,6 +75,56 @@ def log_density_ratio(q, p, z) -> float:
     return float(
         np.sum(np.log(p.std) - np.log(q.std) + 0.5 * (dp * dp - dq * dq))
     )
+
+
+def _mixed_radix(tup, m):
+    """sum_k i_k * M^k, the packed value of an index tuple (docs/FORMAT.md §3)."""
+    return reduce(lambda value, i: value * m + i, reversed(tup), 0)
+
+
+def pack_v2(h, blocks, residual=None, version=2, latent=4):
+    """The version-1/2 layout of docs/FORMAT.md, as its encoders wrote it."""
+    m = h.M
+    out = bytearray(struct.pack(
+        "<4sBBQddQIIII", b"IREC", version, residual is not None, h.seed, h.omega,
+        h.epsilon, h.model_id, len(blocks), latent, h.image_width, h.image_height,
+    ))
+    for tup in blocks:
+        nbytes = (index_bits(len(tup), m) + 7) // 8
+        out += write_varint(len(tup)) + _mixed_radix(tup, m).to_bytes(nbytes, "big")
+    if residual is not None:
+        out += struct.pack("<I", h.image_width * h.image_height) + residual
+    return bytes(out)
+
+
+def raw_v3(blocks, m, seed=12345, omega=3.0, epsilon=0.2, model_id=0xDEADBEEF,
+           width=8, height=8, residual=None, flags=None, k_min=None, k_width=None):
+    """The version-3 layout of docs/FORMAT.md, written field by field.
+
+    It writes any field values, including those pack refuses (a K over
+    K_MAX, a non-canonical K field), so tests can hand-craft such files.
+    """
+    ks = [len(t) for t in blocks]
+    k_min = min(ks) if k_min is None else k_min
+    k_width = (max(ks) - k_min).bit_length() if k_width is None else k_width
+    bits = "".join(format(k - k_min, "b").zfill(k_width) for k in ks) if k_width else ""
+    for t in blocks:
+        bits += format(_mixed_radix(t, m), "b").zfill(index_bits(len(t), m))
+    bits += "0" * (-len(bits) % 8)
+    if flags is None:
+        flags = residual is not None
+    body = (
+        b"IREC" + bytes([0x83, flags]) + write_varint(seed)
+        + struct.pack("<ddQ", omega, epsilon, model_id)
+        + write_varint(width) + write_varint(height) + write_varint(k_min) + bytes([k_width])
+        + int(bits or "0", 2).to_bytes(len(bits) // 8, "big") + (residual or b"")
+    )
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def reseal(data):
+    """The file with its CRC32 recomputed, as a deliberate edit would leave it."""
+    return data[:-4] + struct.pack("<I", zlib.crc32(data[:-4]))
 
 
 @pytest.fixture(scope="session")

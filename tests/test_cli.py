@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import sample_image
+from conftest import raw_v3, sample_image
 from irec import cli, container
 from irec.chain import K_MAX
 from test_pipeline import V2_LOSSLESS_B4_HEX
@@ -142,12 +142,11 @@ class TestCompressDecompress:
         # A file whose block has more than K_MAX steps is corrupt (exit 3),
         # not a usage error.
         tmp, model_path, _ = workspace
-        header = container.ContainerHeader(
-            seed=0, omega=3.0, epsilon=0.0, model_id=fitted_model.model_id,
-            image_width=8, image_height=8,
-        )
         bad = tmp / "long.irec"
-        bad.write_bytes(container.pack(header, [(0,) * (K_MAX + 1)]))
+        # M = ceil(exp(3)) = 21 at omega 3, epsilon 0.
+        bad.write_bytes(raw_v3(
+            [(0,) * (K_MAX + 1)], 21, seed=0, epsilon=0.0, model_id=fitted_model.model_id,
+        ))
         code = cli.main([
             "decompress", "--mode", "lossy", "--model", str(model_path),
             "--in", str(bad), "--out", str(tmp / "y.pgm"),
@@ -399,6 +398,9 @@ class TestInspect:
             (data[:-1], "CRC32 mismatch"),
             (b"XREC" + data[4:], "bad magic"),
             (data[:4] + b"\x03" + data[5:], "unsupported version"),
+            # A K field other than the canonical one, which inspect prints.
+            (raw_v3([(0,) * 7, (0,) * 11], 37, width=16, k_min=5, k_width=8),
+             "K field not canonical"),
         ):
             bad.write_bytes(broken)
             assert cli.main(["inspect", str(bad)]) == cli.EXIT_FORMAT

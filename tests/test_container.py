@@ -1,13 +1,14 @@
 import dataclasses
 import math
 import struct
-import zlib
+import timeit
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pack_v2, raw_v3, reseal
 from irec.chain import K_MAX
 from irec.container import (
     HEADER_SIZE,
@@ -49,48 +50,6 @@ def header(omega=3.0, epsilon=0.2, blocks=1, **kw):
     )
     base.update(kw)
     return ContainerHeader(**base)
-
-
-def pack_v2(h, blocks, residual=None, version=2, latent=4):
-    """The version-1/2 layout of docs/FORMAT.md, as its encoders wrote it."""
-    m = h.M
-    out = bytearray(struct.pack(
-        "<4sBBQddQIIII", b"IREC", version, residual is not None, h.seed, h.omega,
-        h.epsilon, h.model_id, len(blocks), latent, h.image_width, h.image_height,
-    ))
-    for tup in blocks:
-        value = sum(i * m**k for k, i in enumerate(tup))
-        out += write_varint(len(tup)) + value.to_bytes((index_bits(len(tup), m) + 7) // 8, "big")
-    if residual is not None:
-        out += struct.pack("<I", h.image_width * h.image_height) + residual
-    return bytes(out)
-
-
-def raw_v3(blocks, m, seed=12345, omega=3.0, epsilon=0.2, model_id=0xDEADBEEF,
-           width=8, height=8, residual=None, flags=None, k_min=None, k_width=None):
-    """The version-3 layout of docs/FORMAT.md, written field by field."""
-    ks = [len(t) for t in blocks]
-    k_min = min(ks) if k_min is None else k_min
-    k_width = (max(ks) - k_min).bit_length() if k_width is None else k_width
-    bits = "".join(format(k - k_min, "b").zfill(k_width) for k in ks) if k_width else ""
-    for t in blocks:
-        value = sum(i * m**k for k, i in enumerate(t))
-        bits += format(value, "b").zfill(index_bits(len(t), m))
-    bits += "0" * (-len(bits) % 8)
-    if flags is None:
-        flags = residual is not None
-    body = (
-        b"IREC" + bytes([0x83, flags]) + write_varint(seed)
-        + struct.pack("<ddQ", omega, epsilon, model_id)
-        + write_varint(width) + write_varint(height) + write_varint(k_min) + bytes([k_width])
-        + int(bits or "0", 2).to_bytes(len(bits) // 8, "big") + (residual or b"")
-    )
-    return body + struct.pack("<I", zlib.crc32(body))
-
-
-def reseal(data):
-    """The file with its CRC32 recomputed, as a deliberate edit would leave it."""
-    return data[:-4] + struct.pack("<I", zlib.crc32(data[:-4]))
 
 
 def relabel(data, blocks, width, height):
@@ -257,6 +216,29 @@ class TestPackUnpack:
         with pytest.raises(UsageError):
             pack(header(), [(37,)])
 
+    def test_pack_and_unpack_take_linear_time(self):
+        # 1,024 and 16,384 blocks of 7 to 11 steps: linear cost is 16x the
+        # smaller file's. Shifting one growing int per field, as the
+        # bitstream coder once did, made it about 80x.
+        rng = np.random.default_rng(3)
+        files = {}
+        for side in (256, 1024):
+            n = (side // 8) ** 2
+            digits = rng.integers(0, 37, size=(n, 11)).tolist()
+            blocks = [tuple(row[:k]) for row, k in zip(digits, rng.integers(7, 12, size=n))]
+            h = header(image_width=side, image_height=side)
+            files[n] = (h, blocks, pack(h, blocks))
+            assert unpack(files[n][2]) == (h, blocks, None)
+        seconds = {}
+        for _ in range(3):  # best of 3, both sizes in turn so that load hits both
+            for n, (h, blocks, data) in files.items():
+                runs = {"pack": lambda: pack(h, blocks), "unpack": lambda: unpack(data)}
+                for name, run in runs.items():
+                    t = timeit.timeit(run, number=1)
+                    seconds[n, name] = min(t, seconds.get((n, name), t))
+        for name in ("pack", "unpack"):
+            assert seconds[16384, name] < 32 * seconds[1024, name], name
+
 
 _SIDES = [0, 1, 8, 9, 17, 2**32 - 1, 2**32]
 _PARAMS = [(3.0, 0.2), (3.0, 0.0), (0.5, 0.0), (-1.0, 0.2), (3.0, -0.1), (25.0, 0.0)]
@@ -270,7 +252,7 @@ class TestVersion3:
         width=st.sampled_from(_SIDES),
         height=st.sampled_from(_SIDES),
         params=st.sampled_from(_PARAMS),
-        k_min=st.sampled_from([1, 2, 127, 128]),
+        k_min=st.sampled_from([1, 2, 127, 128, K_MAX - 1, K_MAX]),
         k_width=st.integers(0, 8),
         draws=st.integers(0, 2**32 - 1),
         residual=st.none() | st.binary(max_size=6),
@@ -330,7 +312,10 @@ class TestVersion3:
         assert k_field(blocks[:1]) == (7, 0)
         h = header(blocks=3)
         assert pack(h, blocks) == raw_v3(blocks, 37, width=24)
-        assert unpack(raw_v3(blocks, 37, width=24, k_min=5, k_width=8))[1] == blocks
+        # Only the canonical K field is valid, so unpack returns what the file holds.
+        for k_min, k_width in ((5, 8), (None, 4), (6, None)):
+            with pytest.raises(CorruptStreamError, match="K field not canonical"):
+                unpack(raw_v3(blocks, 37, width=24, k_min=k_min, k_width=k_width))
 
     def test_huge_image_rejected_before_blocks_are_read(self):
         # 2^29 blocks cannot fit in a few bytes; rejected by size, not by
@@ -345,16 +330,21 @@ class TestCorruptInput:
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_block_over_k_max_is_corrupt(self, version):
         # A block of K_MAX steps parses; one step more makes a corrupt file,
-        # refused by the parser before any schedule is built.
+        # refused by the parser before any schedule is built, and pack
+        # refuses to write it.
         h = header(blocks=2)
         for k in (K_MAX, K_MAX + 1):
             blocks = [(1,), (0,) * k]
-            data = pack(h, blocks) if version == 3 else pack_v2(h, blocks, version=version)
+            data = (pack_v2(h, blocks, version=version) if version < 3
+                    else raw_v3(blocks, 37, width=16))
             if k <= K_MAX:
                 assert unpack(data)[1] == blocks
+                assert version < 3 or pack(h, blocks) == data
             else:
                 with pytest.raises(CorruptStreamError, match="K_MAX"):
                     unpack(data)
+                with pytest.raises(UsageError, match="K_MAX"):
+                    pack(h, blocks)
 
     def test_bad_magic(self):
         data = pack(header(), [(1,)])

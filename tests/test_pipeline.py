@@ -4,8 +4,10 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_training_patches, sample_image
+from conftest import make_training_patches, raw_v3, reseal, sample_image
 from irec import codec, container, pipeline, residual, stream
 from irec.chain import K_MAX, build_schedule
 from irec.codec import RecConfig
@@ -366,13 +368,61 @@ class TestCutFiles:
                 decompress(data[:cut], fitted_model)
 
 
+@pytest.fixture(scope="module")
+def edit_targets(fitted_model):
+    """(file, decoder) for the committed v1/v2 files and fresh 16x16 v3 files."""
+    img = sample_image(fitted_model, np.random.default_rng(11), 16, 16)
+    return [
+        (bytes.fromhex(V1_LOSSLESS_B4_HEX), decompress_lossless),
+        (bytes.fromhex(V2_LOSSLESS_B4_HEX), decompress_lossless),
+        (bytes.fromhex(V2_LOSSY_B4_HEX), decompress_lossy),
+        (compress_lossless(img, fitted_model, CFG, seed=3).data, decompress_lossless),
+        (compress_lossy(img, fitted_model, CFG, seed=3).data, decompress_lossy),
+    ]
+
+
+class TestEditedFiles:
+    """Multi-byte edits under a valid CRC32 reach every parser path."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(
+        target=st.integers(0, 4),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(("set", "insert", "delete")),
+                st.integers(0, 2**16),
+                st.integers(0, 255),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_decodes_or_raises_a_format_class(self, fitted_model, edit_targets, target, edits):
+        # A decoder returns an image or raises a class of FORMAT.md section 8;
+        # any other exception, or a warning under filterwarnings = error,
+        # fails the test. Version-3 files are resealed after the edits.
+        data, decompress = edit_targets[target]
+        out = bytearray(data)
+        for op, at, byte in edits:
+            at %= len(out) + (op == "insert")
+            if op == "set":
+                out[at] = byte
+            elif op == "insert":
+                out.insert(at, byte)
+            else:
+                del out[at]
+        if data[4] == container.VERSION_BYTE:
+            out = reseal(bytes(out))
+        try:
+            decompress(bytes(out), fitted_model)
+        except (CorruptStreamError, FormatError, ModelMismatchError):
+            pass
+
+
 class TestStepCap:
     def test_decoder_refuses_a_block_over_k_max(self, fitted_model, equal_kl_calls):
-        header = container.ContainerHeader(
-            seed=0, omega=3.0, epsilon=0.2, model_id=fitted_model.model_id,
-            image_width=8, image_height=8,
-        )
-        data = container.pack(header, [(0,) * (K_MAX + 1)])
+        # M = ceil(exp(3.6)) = 37 at omega 3, epsilon 0.2.
+        data = raw_v3([(0,) * (K_MAX + 1)], 37, seed=0, model_id=fitted_model.model_id)
         with pytest.raises(CorruptStreamError, match="K_MAX"):
             decompress_lossy(data, fitted_model)
         assert equal_kl_calls == []
