@@ -8,8 +8,8 @@ independent of evaluation order; the B best are found in linear time
 (top_b), not by sorting. Blocks of any step counts K run each step together,
 as one array operation over a block axis, in order of K, largest first; a
 block leaves the step arrays when its K runs out, and its code is the same
-as when it is encoded alone. The decoder replays only the chosen draws of all
-blocks in one pass, block by block (decode_blocks), and never sees the target.
+as when it is encoded alone. The decoder replays only the chosen draws, block by
+block in slabs of whole blocks (decode_blocks), and never sees the target.
 
 The step kernel fixes its floating-point order so that its codes do not
 depend on how blocks and steps are batched:
@@ -49,8 +49,10 @@ MAX_CANDIDATE_FLOATS = 1 << 24
 # (and one of the products added into it) reused for every step and chunk;
 # G is the largest count whose buffer fits this many floats, and at least 1.
 # The draws of as many steps as fit G x M x D floats each in this many (at
-# least one step) come from one stream call. Sized by peak memory: 2**14
-# holds lossless-128's 22 blocks and 2 steps; 2**16 added 7 MB of peak RSS.
+# least one step) come from one stream call. The decoder maps and adds its
+# draws in slabs of whole blocks of at most this many floats (or one block).
+# Sized by peak memory: 2**14 holds lossless-128's 22 blocks and 2 steps;
+# 2**16 added 7 MB of peak RSS.
 MAX_CHUNK_FLOATS = 1 << 14
 
 
@@ -314,24 +316,28 @@ def decode_blocks(codes, schedules: Sequence[AuxSchedule], seed: int, blocks, di
     """The (G, D) z of G blocks from their index tuples, bit-identical to the encoder's.
 
     Every K and index is checked before any draw, then each chosen draw is one raw_words
-    call, block by block. Each z is +0.0 plus sqrt(sigma_sq[k]) * u_k for k = 0..K-1 in that
-    order (FORMAT.md §4): np.add.at is unbuffered and adds the rows in index order.
+    call, block by block, in slabs of whole blocks of at most MAX_CHUNK_FLOATS floats (one
+    block if it is more). Each z is +0.0 plus sqrt(sigma_sq[k]) * u_k for k = 0..K-1 in that
+    order (FORMAT.md §4): np.add.at is unbuffered and adds a slab's rows in index order.
     """
     if not len(codes) == len(schedules) == len(blocks):
         raise UsageError(f"{len(codes)} codes, {len(schedules)} schedules, {len(blocks)} blocks")
     for g, (code, s) in enumerate(zip(codes, schedules)):
-        if len(code) != s.K or not all(0 <= idx < s.M for idx in code):
+        if len(code) != s.K or min(code) < 0 or max(code) >= s.M:
             raise CorruptStreamError(f"block {g}: indices {code} do not fit K={s.K}, M={s.M}")
-    lanes = stream.lanes_for(dims)
+    lanes = stream.lane_count(dims)
     k_of = [len(code) for code in codes]
-    w_lo, w_hi = np.empty((2, sum(k_of), lanes.size), dtype=np.uint64)
-    row = 0
-    for block, code in zip(blocks, codes):
+    per_slab = MAX_CHUNK_FLOATS // dims
+    w_lo, w_hi = np.empty((2, max([per_slab, *k_of]), lanes), dtype=np.uint64)
+    z = np.zeros((len(codes), dims))
+    lo = row = 0
+    for hi, (block, code) in enumerate(zip(blocks, codes), 1):
         for k, idx in enumerate(code):
             w_lo[row], w_hi[row] = stream.raw_words(seed, block, k, idx, lanes)
             row += 1
-    sig_sq = np.concatenate([[], *(s.sigma_sq for s in schedules)])
-    steps = stream.normals_from_words(w_lo, w_hi, dims) * np.sqrt(sig_sq)[:, None]
-    z = np.zeros((len(codes), dims))
-    np.add.at(z, np.repeat(np.arange(len(codes)), k_of), steps)
+        if hi == len(codes) or row + k_of[hi] > per_slab:  # blocks lo..hi-1 make a slab
+            scale = np.sqrt(np.concatenate([s.sigma_sq for s in schedules[lo:hi]]))
+            steps = stream.normals_from_words(w_lo[:row], w_hi[:row], dims) * scale[:, None]
+            np.add.at(z, np.repeat(np.arange(lo, hi), k_of[lo:hi]), steps)
+            lo, row = hi, 0
     return z

@@ -34,7 +34,7 @@ import math
 import operator
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .chain import K_MAX, samples_per_step
 from .errors import ConfigError, CorruptStreamError, FormatError, UsageError
@@ -58,6 +58,8 @@ _PARAMS = struct.Struct("<ddQ")
 _CRC = struct.Struct("<I")
 
 _LN2 = math.log(2.0)
+# _digits takes one divmod per digit up to this many digits.
+_DIGIT_LOOP = 32
 # The header's integer fields and their widths; block_count is derived.
 _FIELD_BITS = (
     ("seed", 64),
@@ -87,6 +89,9 @@ class ContainerHeader:
     # A field of versions 1 and 2 only; in version 3 model_id fixes it.
     latent_dim: int | None = None
     version: int = VERSION
+    # Derived in __post_init__: samples per step and one block per 8x8 tile.
+    M: int = field(init=False)
+    block_count: int = field(init=False)
 
     def __post_init__(self):
         if self.version not in VERSIONS:
@@ -100,19 +105,11 @@ class ContainerHeader:
             _check_uint("latent_dim", self.latent_dim, 32)
         if self.image_width == 0 or self.image_height == 0:
             raise UsageError(f"empty image {self.image_width}x{self.image_height}")
-        _check_uint("block_count", self.block_count, 32)
-        # Validates omega/epsilon and the index width bound.
-        samples_per_step(self.omega, self.epsilon)
-
-    @property
-    def M(self) -> int:
-        return samples_per_step(self.omega, self.epsilon)
-
-    @property
-    def block_count(self) -> int:
-        """One block per 8x8 tile of the image."""
         rows, cols = tile_grid(self.image_width, self.image_height)
-        return rows * cols
+        _check_uint("block_count", rows * cols, 32)
+        object.__setattr__(self, "block_count", rows * cols)
+        # Validates omega/epsilon and the index width bound.
+        object.__setattr__(self, "M", samples_per_step(self.omega, self.epsilon))
 
 
 def write_varint(n: int) -> bytes:
@@ -299,14 +296,21 @@ def _unpack_v3(data: bytes):
 
 
 def _digits(value: int, k: int, m: int) -> tuple[int, ...]:
-    """The index tuple of a packed value, least significant digit first."""
+    """The index tuple of a packed value, least significant digit first.
+
+    A long tuple is split at M^(K//2) and each half recursed into, so it costs
+    a few divisions of long ints rather than one per digit.
+    """
+    if k > _DIGIT_LOOP:
+        high, low = divmod(value, m ** (k // 2))
+        return _digits(low, k // 2, m) + _digits(high, k - k // 2, m)
     indices = []
     for _ in range(k):
         value, idx = divmod(value, m)
         indices.append(idx)
     if value:
         # value >= M^K: out-of-range digits or, in versions 1 and 2, nonzero
-        # padding bits.
+        # padding bits (a split hands any excess to its high half).
         raise CorruptStreamError("block payload exceeds index range")
     return tuple(indices)
 

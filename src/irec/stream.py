@@ -14,25 +14,24 @@ sample) addresses, so the generator is part of the wire format:
 
 Philox is a counter-based PRF, so draw_normals (raw_words, then the uniform and
 Box-Muller map normals_from_words) and draw_uniforms evaluate any broadcast
-grid of addresses in one call. raw_words runs exact integer Philox on one of
-two paths, picked by the kind of address (never by the lanes), that give
-the same words:
+grid of addresses in one call. raw_words takes a lane count and returns the
+words of lanes 0..lanes-1 on a trailing axis; it runs exact integer Philox on
+one of two paths that give the same words:
 
-* when seed, block, step and sample are all integer scalars (each of the
-  decoder's draws), on Python ints: the lanes, of any kind, are packed into
-  one int per counter word (_philox_packed), and both words are read back
-  from one byte buffer as read-only arrays shaped like the lanes; this
-  avoids the ~100 NumPy dispatches of ten vectorised rounds, which dominate
-  a call of a few lanes. Round 1 runs on scalars: only its c0, the lane,
-  differs between fields, so its other words and keys are copied into each;
+* when seed, block, step, sample and the lane count are plain Python ints
+  in range (each of the decoder's draws), on Python ints: the lanes are
+  packed into one int per counter word (_philox_packed), and both words are
+  read back from one byte buffer as read-only arrays; this avoids the ~100
+  NumPy dispatches of ten vectorised rounds, which dominate a call of a few
+  lanes. Round 1 runs on scalars: only its c0, the lane, differs between
+  fields, so its other words and keys are copied into each;
 * otherwise (every encoder call covers a grid of samples) as NumPy uint64
   array arithmetic.
 
 The seed broadcasts with the addresses: a seed array's round keys are
 computed per call; a scalar seed's are cached per seed, or on the int path
-per seed and lane array with round 1's M0 * lane (keyed by the lanes' dtype,
-shape and bytes, so lanes changed in place get a new entry). Both come from
-one key schedule. See docs/FORMAT.md for the normative rules.
+per seed and lane count with round 1's M0 * lane. Both come from one key
+schedule. See docs/FORMAT.md for the normative rules.
 """
 
 from __future__ import annotations
@@ -114,15 +113,12 @@ def _round_keys(seed: int):
 
 
 @lru_cache(maxsize=64)
-def _packed_constants(seed: int, dtype: np.dtype, shape: tuple, data: bytes):
-    """Per scalar seed and lane array (by dtype, shape, bytes): ones (1 in each lane's
-    64-bit field), the low mask, round 1's M0 * lane hi and lo, the round keys * ones."""
-    lanes = np.frombuffer(data, dtype).reshape(shape)
-    if lanes.size and (lanes.min() < 0 or lanes.max() > _U32_MAX):
-        _check_uint("lane", lanes[()])  # raised, so never cached
-    ones = int.from_bytes(bytes([1, 0, 0, 0, 0, 0, 0, 0]) * lanes.size, "little")
+def _packed_constants(seed: int, lanes: int):
+    """Per scalar seed and lane count: ones (1 in each lane's 64-bit field), the low
+    mask, round 1's M0 * lane hi and lo, the round keys * ones."""
+    ones = int.from_bytes(bytes([1, 0, 0, 0, 0, 0, 0, 0]) * lanes, "little")
     low = _U32_MAX * ones
-    p0 = _PHILOX_M0 * int.from_bytes(lanes.astype("<u8").tobytes(), "little")
+    p0 = _PHILOX_M0 * int.from_bytes(np.arange(lanes, dtype=_LE_U64).tobytes(), "little")
     keys = tuple((k0 * ones, k1 * ones) for k0, k1 in _key_schedule(seed))
     return ones, low, (p0 >> 32) & low, p0 & low, keys[0], keys[1:]
 
@@ -158,49 +154,43 @@ def _philox_arrays(c0, c1, c2, c3, keys):
     return c0 | (c1 << _SHIFT32), c2 | (c3 << _SHIFT32)
 
 
-def _raw_words_ints(block: int, step: int, sample: int, lanes, seed: int):
+def _raw_words_ints(block: int, step: int, sample: int, lanes: int, seed: int):
     """raw_words at one address on Python ints: round 1 on scalars, then 9 packed rounds."""
-    arr = np.asarray(lanes)
-    if arr.dtype.kind not in "iu":
-        _check_uint("lane", lanes)  # raises the NumPy path's UsageError
-    key = seed, arr.dtype, arr.shape, arr.tobytes()
-    ones, low, lane_hi, lane_lo, (k0, k1), keys = _packed_constants(*key)
+    ones, low, lane_hi, lane_lo, (k0, k1), keys = _packed_constants(seed, lanes)
     p1 = _PHILOX_M1 * step
     w_lo, w_hi = _philox_packed(
         ((p1 >> 32) ^ sample) * ones ^ k0, (p1 & _U32_MAX) * ones,
         lane_hi ^ block * ones ^ k1, lane_lo, low, keys,
     )
-    words = (w_lo | w_hi << 64 * arr.size).to_bytes(16 * arr.size, "little")
-    words = np.frombuffer(words, _LE_U64).reshape((2,) + arr.shape)
+    words = (w_lo | w_hi << 64 * lanes).to_bytes(16 * lanes, "little")
+    words = np.frombuffer(words, _LE_U64).reshape(2, lanes)
     return words[0], words[1]
 
 
-def raw_words(seed, block, step, samples, lanes):
-    """64-bit output words for a broadcast grid of addresses.
+def raw_words(seed, block, step, samples, lanes: int):
+    """64-bit output words of lanes 0..lanes-1 for a broadcast grid of addresses.
 
-    seed is a u64 integer or integer array; block, step, samples and lanes
-    are u32 integers or integer arrays. Returns two uint64 arrays of shape
-    broadcast(seed, block, step, samples, lanes), NumPy scalars if every
-    input is a scalar: the low and high 64-bit words of each Philox
-    invocation.
+    seed is a u64 integer or integer array; block, step and samples are u32
+    integers or integer arrays; lanes is a count in 1..2^32. Returns two
+    uint64 arrays of shape broadcast(seed, block, step, samples) + (lanes,):
+    the low and high 64-bit words of each Philox invocation.
     """
     # Plain ints in range skip the checks (block | step | samples tests all three).
-    if (type(seed) is type(block) is type(step) is type(samples) is int
-            and 0 <= seed <= _U64_MAX and 0 <= block | step | samples <= _U32_MAX):
+    if (type(seed) is type(block) is type(step) is type(samples) is type(lanes) is int
+            and 0 <= seed <= _U64_MAX and 0 <= block | step | samples <= _U32_MAX
+            and 0 < lanes <= _U32_MAX + 1):
         return _raw_words_ints(block, step, samples, lanes, seed)
     seed = check_seed(seed)
-    scalar = _is_int(seed)
-    if scalar and _is_int(block) and _is_int(step) and _is_int(samples):
-        return _raw_words_ints(
-            _uint("block", block), _uint("step", step), _uint("sample", samples), lanes, seed
-        )
-    block = _check_uint("block", block)
-    step = _check_uint("step", step)
-    samples = _check_uint("sample", samples)
+    keys = _round_keys(seed) if _is_int(seed) else _key_schedule(seed[..., None])
+    block, step, samples = (
+        _check_uint(name, value)[..., None]
+        for name, value in (("block", block), ("step", step), ("sample", samples))
+    )
+    if not _is_int(lanes) or not 0 < lanes <= _U32_MAX + 1:
+        raise UsageError(f"lane count must be an integer in [1, 2^32], got {lanes!r}")
     # No explicit broadcast: after four rounds every output word depends on
     # all four counter words and the keys, so the arithmetic broadcasts them.
-    keys = _round_keys(seed) if scalar else _key_schedule(seed)
-    return _philox_arrays(_check_uint("lane", lanes), samples, step, block, keys)
+    return _philox_arrays(np.arange(lanes, dtype=np.uint64), samples, step, block, keys)
 
 
 def _to_uniform(words: np.ndarray) -> np.ndarray:
@@ -208,21 +198,11 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
     return ((words >> _SHIFT11).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def _per_lane(address):
-    # Give an array address a trailing lane axis; a scalar broadcasts as is.
-    if _is_int(address) or np.ndim(address) == 0:
-        return address
-    return np.asarray(address)[..., None]
-
-
-@lru_cache(maxsize=64)
-def lanes_for(dims: int) -> np.ndarray:
-    """The lane numbers that serve `dims` dimensions, as a read-only array."""
+def lane_count(dims: int) -> int:
+    """The number of lanes that serve `dims` dimensions: ceil(dims / 2)."""
     if dims < 1:
         raise UsageError("dims must be >= 1")
-    lanes = np.arange((dims + 1) // 2, dtype=np.uint64)
-    lanes.flags.writeable = False
-    return lanes
+    return (dims + 1) // 2
 
 
 def normals_from_words(w_lo: np.ndarray, w_hi: np.ndarray, dims: int) -> np.ndarray:
@@ -241,14 +221,13 @@ def draw_normals(seed, block, step, sample, dims: int) -> np.ndarray:
     Returns shape broadcast(seed, block, step, sample) + (dims,). Each vector
     is the same as a single-address draw at its address (FORMAT.md §4).
     """
-    addresses = map(_per_lane, (seed, block, step, sample))
-    return normals_from_words(*raw_words(*addresses, lanes_for(dims)), dims)
+    return normals_from_words(*raw_words(seed, block, step, sample, lane_count(dims)), dims)
 
 
 def draw_uniforms(seed, block, step, sample) -> np.ndarray:
     """Uniforms in (0,1) at every broadcast address (lane 0, low word)."""
-    w_lo, _ = raw_words(seed, block, step, sample, 0)
-    return _to_uniform(w_lo)
+    w_lo, _ = raw_words(seed, block, step, sample, 1)
+    return _to_uniform(w_lo[..., 0])
 
 
 def draw_matrix(seed: int, block, step: int, n_samples: int, dims: int) -> np.ndarray:
@@ -259,8 +238,9 @@ def draw_matrix(seed: int, block, step: int, n_samples: int, dims: int) -> np.nd
     """
     if n_samples < 1:
         raise UsageError("n_samples must be >= 1")
-    samples = np.arange(n_samples, dtype=np.uint64)
-    return draw_normals(seed, _per_lane(block), step, samples, dims)
+    if not _is_int(block):
+        block = np.asarray(block)[..., None]  # a block axis before the sample axis
+    return draw_normals(seed, block, step, np.arange(n_samples, dtype=np.uint64), dims)
 
 
 def draw_vector(seed: int, block: int, step: int, sample: int, dims: int) -> np.ndarray:

@@ -386,8 +386,9 @@ class TestEncodeBlocks:
         # Blocks of K = 1..9: the normal draws address each live (block,
         # step), k < K, at samples 0..M-1 exactly once, and nothing else; a
         # stochastic encode adds one uniform per live (block, step), at the
-        # reserved sample M. Each Philox invocation gives one word of
-        # raw_words' output: ceil(D / 2) per normal vector, one per uniform.
+        # reserved sample M, which no normal draw uses. Each Philox
+        # invocation gives one word of raw_words' output: ceil(D / 2) per
+        # normal vector, one per uniform.
         qs, schedules, blocks = _mixed_blocks()
         m, dims = schedules[0].M, qs[0].dim
         cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams, stochastic_final=stochastic)
@@ -398,8 +399,8 @@ class TestEncodeBlocks:
         def counting(seed, block, step, samples, lanes):
             result = raw_words(seed, block, step, samples, lanes)
             grid = np.broadcast_arrays(block, step, samples)
-            drawn = normals if isinstance(lanes, np.ndarray) else uniforms
-            drawn += zip(*(np.ravel(x).tolist() for x in grid))
+            for address in zip(*(np.ravel(x).tolist() for x in grid)):
+                (uniforms if address[2] == m else normals).append(address)
             words.append(result[0].size)
             return result
 
@@ -539,6 +540,29 @@ class TestDecodeBlocks:
         for code, schedule, block, z in zip(indices, schedules, blocks, decoded):
             assert z.tobytes() == decode(code, schedule, 21, block, dims).tobytes()
             assert z.tobytes() == _stepwise_decode(code, schedule, 21, block, dims).tobytes()
+
+    @pytest.mark.parametrize("rows", [0, 5, 13, 1 << 10])
+    def test_slabs_of_whole_blocks(self, rows, monkeypatch):
+        # The chosen draws are mapped and added in slabs of whole blocks of at
+        # most MAX_CHUNK_FLOATS floats, or one block if it is longer; z does
+        # not depend on where the slabs end.
+        dims = 3
+        indices, schedules, blocks, zs = _decoder_case(dims, False)
+        monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", rows * dims)
+        normals_from_words, seen = stream.normals_from_words, []
+
+        def recording(w_lo, w_hi, d):
+            seen.append(len(w_lo))
+            return normals_from_words(w_lo, w_hi, d)
+
+        monkeypatch.setattr(stream, "normals_from_words", recording)
+        decoded = codec.decode_blocks(indices, schedules, 21, blocks, dims)
+        assert decoded.tobytes() == zs.tobytes()
+        ends = np.cumsum([len(code) for code in indices]).tolist()
+        cuts = [0] + [ends.index(end) + 1 for end in np.cumsum(seen).tolist()]
+        assert cuts[-1] == len(indices)
+        for lo, hi, n in zip(cuts, cuts[1:], seen):
+            assert hi - lo == 1 or n <= rows
 
     def test_no_blocks(self):
         assert codec.decode_blocks([], [], 0, [], 3).shape == (0, 3)

@@ -474,6 +474,15 @@ class TestCorruptInput:
         with pytest.raises(CorruptStreamError):
             unpack(bytes(legacy))
 
+    @pytest.mark.parametrize("k", [33, 100, K_MAX])
+    def test_long_tuples(self, k):
+        # A tuple of more than 32 indices is split at M^(K//2) to unpack: its
+        # indices still come back in order, and a value of M^K is refused.
+        code = tuple(np.random.default_rng(k).integers(0, 37, k).tolist())
+        assert unpack(pack(header(), [code]))[1] == [code]
+        with pytest.raises(CorruptStreamError, match="index range"):
+            unpack(raw_v3([(0,) * (k - 1) + (37,)], 37))
+
     def test_zero_step_block_rejected(self):
         with pytest.raises(CorruptStreamError):
             unpack(raw_v3([(1,)], 37, k_min=0))

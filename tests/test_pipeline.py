@@ -84,8 +84,8 @@ def pruned_model(noise_var=4.0):
 def check_decoder_draws(monkeypatch, decompress, data, model):
     # Decoding replays exactly the chosen draws: one stream.raw_words call
     # per step, and the (block, step, sample) addresses drawn are the
-    # container's (i, k, i_k), each under the header's seed at lanes
-    # 0..ceil(D/2)-1.
+    # container's (i, k, i_k), each under the header's seed with a lane
+    # count of ceil(D/2).
     header, blocks, _ = container.unpack(data)
     raw_words = stream.raw_words
     calls = []
@@ -101,7 +101,7 @@ def check_decoder_draws(monkeypatch, decompress, data, model):
     addresses = []
     for seed, block, step, samples, lanes in calls:
         assert np.array_equal(seed, header.seed)
-        assert np.asarray(lanes).tolist() == list(range(-(-model.latent_dim // 2)))
+        assert lanes == -(-model.latent_dim // 2)
         grid = np.broadcast_arrays(block, step, samples)
         addresses += zip(*(np.ravel(x).tolist() for x in grid))
     chosen = [(i, k, idx) for i, code in enumerate(blocks) for k, idx in enumerate(code)]
@@ -426,6 +426,25 @@ class TestStepCap:
         with pytest.raises(CorruptStreamError, match="K_MAX"):
             decompress_lossy(data, fitted_model)
         assert equal_kl_calls == []
+
+    def test_decoder_memory_does_not_grow_with_total_k(self, fitted_model, monkeypatch):
+        # Four blocks of K_MAX steps (M = 2 at omega 0.5, epsilon 0.2): the
+        # decoder maps at most MAX_CHUNK_FLOATS // D draws at a time, or one
+        # whole block if it is longer, never the whole file's.
+        rng = np.random.default_rng(16)
+        blocks = [tuple(rng.integers(0, 2, K_MAX).tolist()) for _ in range(4)]
+        data = raw_v3(blocks, 2, omega=0.5, epsilon=0.2, model_id=fitted_model.model_id,
+                      width=16, height=16)
+        normals_from_words, rows = stream.normals_from_words, []
+
+        def recording(w_lo, w_hi, dims):
+            rows.append(len(w_lo))
+            return normals_from_words(w_lo, w_hi, dims)
+
+        monkeypatch.setattr(stream, "normals_from_words", recording)
+        decompress_lossy(data, fitted_model)
+        assert sum(rows) == 4 * K_MAX
+        assert max(rows) <= max(codec.MAX_CHUNK_FLOATS // fitted_model.latent_dim, K_MAX)
 
 
 class TestElbo:

@@ -95,9 +95,9 @@ KNOWN_ANSWERS = [
 
 
 def words_at(path, seed, block, step, sample, lanes):
-    """raw_words at one address, on the Python-int path or on the NumPy path
-    (the same address given as 1-element arrays, or the seed given as a
-    1-element array)."""
+    """raw_words of lanes 0..lanes-1 at one address, on the Python-int path or
+    on the NumPy path (the same address given as 1-element arrays, or the
+    seed given as a 1-element array)."""
     if path == "array":
         block, step, sample = (np.array([a]) for a in (block, step, sample))
     if path == "seeds":
@@ -110,33 +110,52 @@ def assert_paths_agree(seed, block, step, sample, lanes):
     arrays = words_at("array", seed, block, step, sample, lanes)
     for a, b in zip(ints, arrays):
         assert a.dtype == b.dtype == np.uint64
-        assert a.shape == b.shape == (len(lanes),)
-        assert a.tolist() == b.tolist()
+        assert a.shape == (lanes,) and b.shape == (1, lanes)
+        assert a.tolist() == b[0].tolist()
+
+
+def output_words(w_lo, w_hi):
+    lo, hi = int(w_lo), int(w_hi)
+    return lo & 0xFFFFFFFF, lo >> 32, hi & 0xFFFFFFFF, hi >> 32
 
 
 class TestPhilox:
     @pytest.mark.parametrize("path", ["int", "array", "seeds"])
     @pytest.mark.parametrize("counter, key, expected", KNOWN_ANSWERS)
     def test_known_answers(self, path, counter, key, expected):
-        # Counter words are (lane, sample, step, block); key = (seed low, seed high).
+        # Counter words are (lane, sample, step, block); key = (seed low, seed
+        # high). Each path's rounds run every vector: the int path's as one
+        # field of _philox_packed, the NumPy path's under a scalar seed's
+        # cached keys or a seed array's keys. raw_words itself serves lanes
+        # from 0, so only the vector of lane 0 runs through it.
+        seed = key[0] | key[1] << 32
+        if path == "int":
+            words = stream._philox_packed(*counter, 0xFFFFFFFF, stream._key_schedule(seed))
+        else:
+            keys = (
+                stream._round_keys(seed) if path == "array"
+                else stream._key_schedule(np.array([seed], dtype=np.uint64))
+            )
+            words = stream._philox_arrays(*np.array(counter, dtype=np.uint64)[:, None], keys)
+            words = [w[0] for w in words]
+        assert output_words(*words) == expected
         c0, c1, c2, c3 = counter
-        w_lo, w_hi = words_at(path, key[0] | key[1] << 32, c3, c2, c1, np.array([c0]))
-        lo, hi = int(w_lo[0]), int(w_hi[0])
-        assert (lo & 0xFFFFFFFF, lo >> 32, hi & 0xFFFFFFFF, hi >> 32) == expected
+        if c0 == 0:
+            w_lo, w_hi = words_at(path, seed, c3, c2, c1, 1)
+            assert output_words(w_lo.ravel()[0], w_hi.ravel()[0]) == expected
 
     def test_seed_grid_matches_scalar_seeds(self):
         # A seed array broadcasts like an address: every word, normal and
         # uniform equals the draw under that one scalar seed.
         seeds = np.array([0, 5, 2**32 - 1, 2**32, 2**40 + 3, 2**63, 2**64 - 1], dtype=np.uint64)
         blocks = np.array([0, 7, 2**32 - 1])
-        lanes = np.arange(3, dtype=np.uint64)
-        w_lo, w_hi = stream.raw_words(seeds[:, None, None], blocks[:, None], 4, 9, lanes)
+        w_lo, w_hi = stream.raw_words(seeds[:, None], blocks, 4, 9, 3)
         normals = stream.draw_normals(seeds[:, None], blocks, 4, 9, 5)
         uniforms = stream.draw_uniforms(seeds[:, None], blocks, 4, 9)
         assert w_lo.shape == w_hi.shape == (7, 3, 3) and normals.shape == (7, 3, 5)
         for i, seed in enumerate(seeds.tolist()):
             for j, block in enumerate(blocks.tolist()):
-                lo, hi = stream.raw_words(seed, block, 4, 9, lanes)
+                lo, hi = stream.raw_words(seed, block, 4, 9, 3)
                 assert w_lo[i, j].tolist() == lo.tolist() and w_hi[i, j].tolist() == hi.tolist()
                 assert normals[i, j].tobytes() == stream.draw_vector(seed, block, 4, 9, 5).tobytes()
                 assert uniforms[i, j] == stream.draw_uniform(seed, block, 4, 9)
@@ -156,62 +175,48 @@ class TestPhilox:
         for n in range(1, 131):
             seed = int(rng.integers(2**32, 2**64, dtype=np.uint64))
             block, step, sample = rng.choice([0, 1, u32_max - 1, u32_max], size=3)
-            first = int(rng.integers(0, 2**32 - n + 1))
-            lanes = np.arange(first, first + n, dtype=np.uint64)
-            if n % 3 == 0:
-                lanes[-1] = u32_max
-            assert_paths_agree(seed, int(block), int(step), int(sample), lanes)
+            assert_paths_agree(seed, int(block), int(step), int(sample), n)
 
     def test_path_follows_address_kind(self, monkeypatch):
-        # Python ints exactly when seed, block, step and sample are integer
-        # scalars, whatever the lanes; NumPy rounds otherwise.
+        # Python ints exactly when seed, block, step, sample and the lane
+        # count are plain ints; NumPy scalars, bools and arrays take NumPy rounds.
         calls = []
         packed = stream._philox_packed
         monkeypatch.setattr(
             stream, "_philox_packed", lambda *a: calls.append(1) or packed(*a)
         )
-        stream.raw_words(3, 1, 2, 3, 0)
-        stream.raw_words(3, 1, 2, 3, np.arange(256).reshape(2, -1))
-        stream.raw_words(np.uint64(3), np.int32(1), 2, 3, np.arange(0))
-        assert len(calls) == 3
-        stream.raw_words(3, np.array([1]), 2, 3, 0)
-        stream.raw_words(np.array([3]), 1, 2, 3, np.arange(4))
-        assert len(calls) == 3
+        stream.raw_words(3, 1, 2, 3, 1)
+        stream.raw_words(2**64 - 1, 2**32 - 1, 0, 2**32 - 1, 256)
+        assert len(calls) == 2
+        for args in [
+            (np.uint64(3), 1, 2, 3, 4),
+            (3, np.int32(1), 2, 3, 4),
+            (3, 1, True, 3, 4),
+            (3, 1, 2, 3, np.int64(4)),
+            (3, 1, 2, 3, True),
+            (3, np.array([1]), 2, 3, 1),
+            (np.array([3]), 1, 2, 3, 4),
+        ]:
+            stream.raw_words(*args)
+        assert len(calls) == 2
 
     def test_paths_agree_on_decoder_lanes(self):
-        # Every lanes_for(d) the decoder can ask for (fit_ppca caps L at 63),
-        # an empty lane array, and a Python list of lanes.
-        lane_sets = [stream.lanes_for(d) for d in range(1, 64)]
-        lane_sets += [np.arange(0, dtype=np.uint64), [0, 5, 2**32 - 1]]
-        for lanes in lane_sets:
-            assert_paths_agree(2**63 + 9, 4, 7, 11, lanes)
-
-    def test_lane_grid_shape(self):
-        lanes = np.arange(6, dtype=np.uint64).reshape(2, 3)
-        ints = words_at("int", 2**40 + 1, 4, 5, 6, lanes)
-        arrays = words_at("array", 2**40 + 1, 4, 5, 6, lanes)
-        for a, b in zip(ints, arrays):
-            assert a.shape == b.shape == (2, 3)
-            assert np.array_equal(a, b)
+        # Every lane count the decoder can ask for (fit_ppca caps L at 63).
+        for d in range(1, 64):
+            assert_paths_agree(2**63 + 9, 4, 7, 11, stream.lane_count(d))
 
     def test_numpy_integer_scalars(self):
+        # NumPy integer scalars take the NumPy path and give the same words.
         seed = 2**63 + 5
         expected = stream.raw_words(seed, 9, 4, 11, 2)
         got = stream.raw_words(
             np.uint64(seed), np.uint32(9), np.int64(4), np.uint16(11), np.int8(2)
         )
-        assert got == expected
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape == (2,) and a.tolist() == b.tolist()
         assert stream.draw_vector(seed, np.int32(9), np.uint8(4), np.int64(11), 8).tobytes() == (
             stream.draw_vector(seed, 9, 4, 11, 8).tobytes()
         )
-
-    def test_scalar_lanes_give_numpy_scalars(self):
-        w_lo, w_hi = stream.raw_words(17, 1, 2, 3, 4)
-        assert type(w_lo) is np.uint64 and type(w_hi) is np.uint64
-        a_lo, a_hi = words_at("array", 17, 1, 2, 3, 4)
-        assert [w_lo, w_hi] == [a_lo[0], a_hi[0]]
-        # A 0-d lane array is the same scalar lane.
-        assert stream.raw_words(17, 1, 2, 3, np.array(4)) == (w_lo, w_hi)
 
     @pytest.mark.parametrize("path", ["int", "array"])
     @pytest.mark.parametrize("address", ["block", "step", "sample"])
@@ -220,67 +225,25 @@ class TestPhilox:
         kwargs = {"block": 1, "step": 2, "sample": 3}
         kwargs[address] = bad
         with pytest.raises(UsageError, match=address):
-            words_at(path, 5, **kwargs, lanes=np.arange(4))
+            words_at(path, 5, **kwargs, lanes=4)
 
     @pytest.mark.parametrize("path", ["int", "array", "seeds"])
     @pytest.mark.parametrize("seed", [-1, 2**64, np.array([1.0])])
     def test_bad_seed_on_both_paths(self, path, seed):
         with pytest.raises(UsageError, match="seed"):
-            words_at(path, seed, 1, 2, 3, np.arange(4))
+            words_at(path, seed, 1, 2, 3, 4)
 
     @pytest.mark.parametrize("path", ["int", "array"])
-    @pytest.mark.parametrize("lanes", [-1, 2**32, np.array([0, -1]), np.array([2**32]), np.array([0.0])])
+    @pytest.mark.parametrize("lanes", [-1, 2**32 + 1, np.array([0, 1]), np.array(2), [2], 0, 1.5])
     def test_bad_lane_on_both_paths(self, path, lanes):
+        # A lane count lies in 1..2^32 (lanes 0..2^32-1); arrays of lanes are refused.
         with pytest.raises(UsageError, match="lane"):
             words_at(path, 5, 1, 2, 3, lanes)
 
 
 class TestLaneCache:
-    """The int path caches its constants per seed and lane array, keyed by the
-    lanes' dtype, shape and bytes; no cache entry may change a word."""
-
-    def test_lanes_changed_in_place_give_new_words(self):
-        lanes = np.arange(4, dtype=np.uint64)
-        first = stream.raw_words(9, 1, 2, 3, lanes)
-        lanes[2] = 2**32 - 1
-        second = stream.raw_words(9, 1, 2, 3, lanes)
-        assert first[0][2] != second[0][2]
-        for a, b in zip(second, words_at("array", 9, 1, 2, 3, lanes)):
-            assert a.tolist() == b.tolist()
-
-    def test_equal_bytes_do_not_collide(self):
-        # Each pair holds the same bytes (or the same lanes) under another
-        # dtype, byte order or shape.
-        pairs = [
-            (np.array([0, 0, 1, 0], dtype=np.uint32), np.array([0, 1], dtype=np.uint64)),
-            (np.array([1, 2], dtype=">u4"), np.array([1, 2], dtype=">u4").view("<u4")),
-            (np.arange(6).reshape(2, 3), np.arange(6)),
-            (np.arange(3, dtype=np.int64), np.arange(3, dtype=np.uint64)),
-        ]
-        for pair in pairs:
-            assert pair[0].tobytes() == pair[1].tobytes()
-            for _ in range(2):
-                for lanes in pair:
-                    ints = stream.raw_words(2**40 + 7, 5, 6, 7, lanes)
-                    arrays = words_at("array", 2**40 + 7, 5, 6, 7, lanes)
-                    for a, b in zip(ints, arrays):
-                        assert a.shape == b.shape == lanes.shape
-                        assert a.tolist() == b.tolist()
-
-    @pytest.mark.parametrize(
-        "lanes",
-        [2**32, -1, np.array([0, 2**32]), np.array([[-1, 0]]), [0, 2**64 - 1], np.array([0.5])],
-    )
-    def test_bad_lanes_are_never_cached(self, lanes):
-        # The int path raises the NumPy path's message, on every repeat.
-        stream._packed_constants.cache_clear()
-        with pytest.raises(UsageError, match="lane") as expected:
-            words_at("array", 5, 1, 2, 3, lanes)
-        for _ in range(3):
-            with pytest.raises(UsageError) as err:
-                stream.raw_words(5, 1, 2, 3, lanes)
-            assert str(err.value) == str(expected.value)
-        assert stream._packed_constants.cache_info().currsize == 0
+    """The int path caches its constants per seed and lane count; no cache
+    entry may change a word."""
 
     def test_extreme_addresses_on_decoder_lanes(self):
         rng = np.random.default_rng(24)
@@ -290,22 +253,7 @@ class TestLaneCache:
             for block in ends:
                 for step in ends:
                     for sample in ends:
-                        assert_paths_agree(seed, block, step, sample, stream.lanes_for(d))
-
-    def test_other_integer_scalars_take_the_int_path(self, monkeypatch):
-        # Bools and NumPy integer scalars miss the plain-int check and reach
-        # the int path through the full checks, with the same words.
-        calls = []
-        packed = stream._philox_packed
-        monkeypatch.setattr(
-            stream, "_philox_packed", lambda *a: calls.append(1) or packed(*a)
-        )
-        lanes = stream.lanes_for(8)
-        expected = stream.raw_words(1, 1, 0, 3, lanes)
-        got = stream.raw_words(True, np.uint8(1), False, np.int64(3), lanes)
-        assert len(calls) == 2
-        for a, b in zip(got, expected):
-            assert a.tolist() == b.tolist()
+                        assert_paths_agree(seed, block, step, sample, stream.lane_count(d))
 
 
 class TestStatistics:
@@ -341,9 +289,8 @@ class TestStatistics:
 
     def test_word_uniformity_chi_square(self):
         # Top byte of 1e6 raw 64-bit words against 256 equiprobable bins.
-        samples = np.arange(2**17, dtype=np.uint64)[:, None]
-        lanes = np.arange(4, dtype=np.uint64)[None, :]
-        w_lo, w_hi = stream.raw_words(2718, 0, 0, samples, lanes)
+        samples = np.arange(2**17, dtype=np.uint64)
+        w_lo, w_hi = stream.raw_words(2718, 0, 0, samples, 4)
         words = np.concatenate([w_lo.ravel(), w_hi.ravel()])
         top = (words >> np.uint64(56)).astype(np.int64)
         counts = np.bincount(top, minlength=256)
