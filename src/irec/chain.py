@@ -13,7 +13,9 @@ Two step-variance schedules exist (FORMAT.md §5):
   step carries omega nats; the last step takes the remaining variance.
 
 No schedule has more than K_MAX steps. Schedules are cached per
-(variances, K, omega, epsilon). The step target (target_moments), the step
+(variances, K, omega, epsilon), and each carries its step constants
+(AuxSchedule.steps), which the encoder, the decoder and the oracles read
+rather than derive again. The step target (target_moments), the step
 prior given z (conditional_prior) and the posterior update
 (posterior_moments) are the closed-form Gaussian-sum conditionals; they are
 univariate formulas applied elementwise to each latent dimension, on arrays
@@ -63,7 +65,11 @@ def samples_per_step(omega: float, epsilon: float) -> int:
 
 @dataclass(frozen=True)
 class AuxSchedule:
-    """Per-step variances and sampling parameters for one coded block."""
+    """Per-step variances and sampling parameters for one coded block.
+
+    steps, read-only (4, K): column k is sigma_k, sigma_k^2 and the tail
+    variances before and after step k (exactly 1 and 0 at the ends).
+    """
 
     K: int
     sigma_sq: np.ndarray
@@ -81,15 +87,11 @@ class AuxSchedule:
             raise UsageError("step variances must be positive")
         if abs(float(sigma_sq.sum()) - 1.0) > 1e-12:
             raise UsageError("step variances must sum to 1")
-        tails = np.zeros(self.K + 1)
-        tails[:-1] = np.cumsum(sigma_sq[::-1])[::-1]
-        tails[0] = 1.0
-        tails.setflags(write=False)
-        object.__setattr__(self, "_tails", tails)
-
-    def tail_var(self) -> np.ndarray:
-        """tail_var[k] = sum of sigma_sq[k:]; tail_var[K] == 0 exactly (read-only)."""
-        return self._tails
+        steps = np.zeros((4, self.K))
+        steps[0], steps[1], steps[2, 0] = np.sqrt(sigma_sq), sigma_sq, 1.0
+        steps[2, 1:] = steps[3, :-1] = np.cumsum(sigma_sq[::-1])[::-1][1:]
+        steps.setflags(write=False)
+        object.__setattr__(self, "steps", steps)
 
 
 def _power_law(K: int) -> np.ndarray:
@@ -231,11 +233,9 @@ def chain_kl_profile(q: DiagGaussian, schedule: AuxSchedule) -> np.ndarray:
     zero = np.zeros(q.dim)
     e = np.stack([q.mean, zero, zero])
     rho_sq = np.broadcast_to(q.var, e.shape)
-    tails = schedule.tail_var()
     profile = np.empty(schedule.K)
-    for k in range(schedule.K):
-        sig_sq = float(schedule.sigma_sq[k])
-        step = sig_sq, float(tails[k]), float(tails[k + 1])
+    for k, step in enumerate(schedule.steps[1:].T.tolist()):
+        sig_sq = step[0]
         mean, var = target_moments(e, rho_sq, 0.0, *step)
         ratio = var[0] / sig_sq
         mean_sq = mean[0] * mean[0] + mean[1] * mean[1]

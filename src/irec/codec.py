@@ -142,8 +142,9 @@ def encode_blocks(
 ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
     """Encode blocks, one schedule each, step by step across blocks.
 
-    The targets are a (G, D) mean and a (G, D) std, or one (D,) std for all;
-    the schedules may differ in K but must agree on M, omega and epsilon.
+    The targets are DiagGaussian(mean, std), under its rules: a (G, D) mean
+    with a (G, D) std or one (D,) std for all. The schedules may differ in K
+    but must agree on M, omega and epsilon.
     seed is one stream seed for all blocks, or G seeds, one per block.
     Returns (indices per block, decoded z of shape (G, D), log q(z)/p(z) of
     shape (G,)). Block g's outputs are exactly those of encoding it alone
@@ -156,16 +157,15 @@ def encode_blocks(
         raise UsageError("schedules disagree on samples per step, omega or epsilon")
     if schedules[0].M != samples_per_step(cfg.omega, cfg.epsilon):
         raise UsageError("schedule and config disagree on samples per step")
-    mean, std = np.asarray(mean, dtype=np.float64), np.asarray(std, dtype=np.float64)
-    if mean.ndim != 2 or not mean.size or std.shape not in (mean.shape, mean.shape[1:]):
-        raise UsageError(f"targets of shape {mean.shape}, {std.shape}: need (G, D), (D,)")
+    target = DiagGaussian(mean, std)
+    mean, std = np.broadcast_arrays(target.mean, target.std)
     seeds = stream.check_seed(seed)
-    if not len(mean) == len(blocks) == len(schedules) or np.shape(seeds) not in ((), (len(mean),)):
+    want = (len(blocks),)
+    if not mean.shape[:-1] == want == (len(schedules),) or np.shape(seeds) not in ((), want):
         raise UsageError(
-            f"{len(mean)} targets, {len(blocks)} blocks, {len(schedules)} schedules, "
+            f"targets of shape {mean.shape}, {len(blocks)} blocks, {len(schedules)} schedules, "
             f"seed shape {np.shape(seeds)}"
         )
-    std = np.broadcast_to(std, mean.shape)
     d = mean.shape[1]
     per_block = cfg.beams * schedules[0].M * d
     if per_block > MAX_CANDIDATE_FLOATS:
@@ -207,16 +207,15 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
     lives = np.count_nonzero(k_of > np.arange(k_of[0] + 1)[:, None], axis=1).tolist()
     # The live (block, step) pairs, step-major: step k's are the rows
     # starts[k]..starts[k+1]-1, of blocks 0..lives[k]-1. coef holds each
-    # pair's sigma_k^2, s_{k-1}^2 and s_k^2.
+    # pair's column of its schedule's steps: sigma_k, sigma_k^2, s_{k-1}^2, s_k^2.
     starts = np.cumsum([0, *lives])
     live_rows = np.concatenate([np.arange(n) for n in lives])
     pairs = np.stack([blocks[live_rows], np.repeat(np.arange(len(lives)), lives)])
     # One seed per pair, shaped like pairs[:, :, None], if blocks have their own.
     seeds = seed[live_rows, None] if np.ndim(seed) else seed
-    coef = np.empty((3, starts[-1]))
+    coef = np.empty((4, starts[-1]))
     for i, s in enumerate(schedules):
-        tails = s.tail_var()
-        coef[:, starts[: s.K] + i] = s.sigma_sq, tails[:-1], tails[1:]
+        coef[:, starts[: s.K] + i] = s.steps
     span = max(1, MAX_CHUNK_FLOATS // (g * m * d))
     # Beam state, kept sorted by lexicographic index prefix within each block.
     # rho_sq does not depend on the draws, so it is one (G, 1, D) row for
@@ -235,14 +234,14 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
             at = slice(lo, starts[min(k + span, k_of[0])])
             seed_at = seeds[at] if np.ndim(seeds) else seeds
             slab = stream.draw_normals(seed_at, *pairs[:, at, None], np.arange(m), d)
-            slab *= np.sqrt(coef[0, at])[:, None, None]  # sigma_k * u, as the decoder scales
+            slab *= coef[0, at, None, None]  # sigma_k * u, the decoder's steps[0] * u
             slab_dims = np.ascontiguousarray(slab.transpose(2, 0, 1))  # (D, rows, M)
             slab_sq = slab_dims * slab_dims
             if cfg.stochastic_final:
                 slab_u = stream.draw_uniforms(seed_at, *pairs[:, at, None], m)[:, 0]
         own = slice(starts[k] - lo, starts[k + 1] - lo)  # this step's rows of the slab
         nu, rho_sq, b, log_w = nu[:live], rho_sq[:live], b[:live], log_w[:live]
-        sig_sq, s_prev, s_next = coef[:, starts[k] : starts[k + 1], None, None]
+        sig_sq, s_prev, s_next = coef[1:, starts[k] : starts[k + 1], None, None]
 
         mean_t, var_t = target_moments(nu, rho_sq, b, sig_sq, s_prev, s_next)
         # log q(a | beam) - log p(a) by the expanded square (module docstring):
@@ -317,8 +316,9 @@ def decode_blocks(codes, schedules: Sequence[AuxSchedule], seed: int, blocks, di
 
     Every K and index is checked before any draw, then each chosen draw is one raw_words
     call, block by block, in slabs of whole blocks of at most MAX_CHUNK_FLOATS floats (one
-    block if it is more). Each z is +0.0 plus sqrt(sigma_sq[k]) * u_k for k = 0..K-1 in that
-    order (FORMAT.md §4): np.add.at is unbuffered and adds a slab's rows in index order.
+    block if it is more). Each z is +0.0 plus sigma_k * u_k for k = 0..K-1 in that order
+    (FORMAT.md §4), sigma_k being steps[0] of the schedule, as in the encoder: np.add.at
+    is unbuffered and adds a slab's rows in index order.
     """
     if not len(codes) == len(schedules) == len(blocks):
         raise UsageError(f"{len(codes)} codes, {len(schedules)} schedules, {len(blocks)} blocks")
@@ -336,7 +336,7 @@ def decode_blocks(codes, schedules: Sequence[AuxSchedule], seed: int, blocks, di
             w_lo[row], w_hi[row] = stream.raw_words(seed, block, k, idx, lanes)
             row += 1
         if hi == len(codes) or row + k_of[hi] > per_slab:  # blocks lo..hi-1 make a slab
-            scale = np.sqrt(np.concatenate([s.sigma_sq for s in schedules[lo:hi]]))
+            scale = np.concatenate([s.steps[0] for s in schedules[lo:hi]])
             steps = stream.normals_from_words(w_lo[:row], w_hi[:row], dims) * scale[:, None]
             np.add.at(z, np.repeat(np.arange(lo, hi), k_of[lo:hi]), steps)
             lo, row = hi, 0

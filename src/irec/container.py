@@ -58,7 +58,7 @@ _PARAMS = struct.Struct("<ddQ")
 _CRC = struct.Struct("<I")
 
 _LN2 = math.log(2.0)
-# _digits takes one divmod per digit up to this many digits.
+# _value and _digits take one step per digit up to this many digits.
 _DIGIT_LOOP = 32
 # The header's integer fields and their widths; block_count is derived.
 _FIELD_BITS = (
@@ -204,12 +204,11 @@ def pack(
     fields = [(len(tup) - k_min, width) for tup in blocks]
     for tup in blocks:
         _check_steps(len(tup), UsageError)
-        value = 0
-        for idx in map(int, reversed(tup)):
+        tup = tuple(map(int, tup))
+        for idx in (min(tup), max(tup)):
             if not 0 <= idx < m:
                 raise UsageError(f"index {idx} overflows radix {m}")
-            value = value * m + idx
-        fields.append((value, index_bits(len(tup), m)))
+        fields.append((_value(tup, m), index_bits(len(tup), m)))
     out = bytearray(MAGIC)
     out += bytes((VERSION_BYTE, 0 if residual is None else FLAG_RESIDUAL))
     out += write_varint(header.seed)
@@ -293,6 +292,20 @@ def _unpack_v3(data: bytes):
     elif pos != len(body):
         raise CorruptStreamError("trailing bytes after last block")
     return header, blocks, residual
+
+
+def _value(indices, m: int) -> int:
+    """The packed value of an index tuple, its first index least significant.
+
+    The inverse of _digits, split the same way: value = low + M^(K//2) * high.
+    """
+    k = len(indices)
+    if k > _DIGIT_LOOP:
+        return _value(indices[: k // 2], m) + m ** (k // 2) * _value(indices[k // 2 :], m)
+    value = 0
+    for idx in reversed(indices):
+        value = value * m + idx
+    return value
 
 
 def _digits(value: int, k: int, m: int) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ STD_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class DiagGaussian:
-    """Diagonal Gaussian, or a batch sharing one std: mean (..., D), std (D,)."""
+    """Diagonal Gaussian, or a batch: mean (..., D), std (D,) shared or shaped like mean."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -26,7 +26,7 @@ class DiagGaussian:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
         std = np.asarray(self.std, dtype=np.float64)
-        if std.ndim != 1 or mean.shape[-1:] != std.shape or mean.size < 1:
+        if mean.ndim < 1 or std.shape not in (mean.shape, mean.shape[-1:]) or mean.size < 1:
             raise UsageError(f"mean/std shape mismatch: {mean.shape} vs {std.shape}")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
             raise UsageError("non-finite Gaussian parameters")
@@ -38,7 +38,7 @@ class DiagGaussian:
 
     @property
     def dim(self) -> int:
-        return self.std.size
+        return self.mean.shape[-1]
 
     @property
     def var(self) -> np.ndarray:

@@ -231,10 +231,9 @@ def check_target_moments(rng, draw_problem, configs: int) -> CheckResult:
     worst_mean = worst_var = 0.0
     for _ in range(configs):
         q, schedule, steps = draw_problem(rng)
-        tails = schedule.tail_var()
         nu, rho_sq, b = q.mean, q.var, np.zeros(q.dim)
         for k in range(steps + 1):
-            step = float(schedule.sigma_sq[k]), float(tails[k]), float(tails[k + 1])
+            step = schedule.steps[1:, k].tolist()
             mean, var = chain.target_moments(nu, rho_sq, b, *step)
             if k < steps:
                 a = rng.normal(mean, np.sqrt(var))

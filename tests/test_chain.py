@@ -72,14 +72,23 @@ class TestSchedule:
         assert s.sigma_sq[0] == 1.0
         assert s.M == 21
 
-    def test_tail_var_endpoints(self):
-        s = build_schedule(30.0, 3.0, 0.2)
-        tails = s.tail_var()
-        assert tails[0] == 1.0
-        assert tails[s.K] == 0.0
-        assert np.all(np.diff(tails) < 0)
-        # Computed once per schedule and shared by every caller.
-        assert s.tail_var() is tails and not tails.flags.writeable
+    def test_steps_table(self):
+        # A power-law (v1) and an equal-KL (v2, v3) schedule.
+        for variances in (None, np.array([0.04, 0.3, 1.0])):
+            s = build_schedule(30.0, 3.0, 0.2, variances)
+            steps = s.steps
+            assert steps.shape == (4, s.K) and s.K > 1
+            assert steps[2, 0] == 1.0
+            assert steps[3, s.K - 1] == 0.0
+            assert steps[0].tobytes() == np.sqrt(s.sigma_sq).tobytes()
+            assert steps[1].tobytes() == s.sigma_sq.tobytes()
+            # The tail after step k is the tail before step k + 1; tails fall.
+            assert steps[3, :-1].tobytes() == steps[2, 1:].tobytes()
+            assert np.all(np.diff(steps[2]) < 0)
+            # Computed once per schedule and shared by every caller.
+            assert not steps.flags.writeable
+            with pytest.raises(ValueError):
+                steps[0, 0] = 2.0
 
     def test_decoder_side_rebuild_matches(self):
         enc = build_schedule(17.0, 3.0, 0.2)
@@ -169,8 +178,7 @@ class TestEqualKLSchedule:
 
 def step_vars(s, k):
     """(sigma_k^2, tail variance before step k, tail variance after it)."""
-    tails = s.tail_var()
-    return float(s.sigma_sq[k]), float(tails[k]), float(tails[k + 1])
+    return tuple(s.steps[1:, k].tolist())
 
 
 def start(q):
@@ -188,12 +196,12 @@ class TestAuxTarget:
 
     def test_exhausted_posterior_reverts_to_coding(self):
         s = schedule_from_steps(3, 3.0, 0.2)
-        tails = s.tail_var()
         mean, var = target_moments(
             np.array([0.8]), np.array([1e-30]), np.array([0.8]), *step_vars(s, 1)
         )
         assert mean[0] == pytest.approx(0.0, abs=1e-12)
-        expect_var = float(tails[2] * s.sigma_sq[1] / tails[1])
+        sig_sq, s_prev, s_next = step_vars(s, 1)
+        expect_var = s_next * sig_sq / s_prev
         assert var[0] == pytest.approx(expect_var, rel=1e-9)
 
     def test_matches_marginal_of_conditional_prior(self):

@@ -199,12 +199,9 @@ class TestScores:
         monkeypatch.setattr(codec, "top_b", first_step)
         with pytest.raises(_FirstStepScored):
             encode(q, schedule, CFG, seed=3, block=7)
-        sig_sq = float(schedule.sigma_sq[0])
-        tails = schedule.tail_var()
+        sig_sq, s_prev, s_next = schedule.steps[1:, 0].tolist()
         a = stream.draw_normals(3, 7, 0, np.arange(schedule.M), dims) * np.sqrt(sig_sq)
-        mean_t, var_t = target_moments(
-            q.mean, q.std * q.std, np.zeros(dims), sig_sq, float(tails[0]), float(tails[1])
-        )
+        mean_t, var_t = target_moments(q.mean, q.var, np.zeros(dims), sig_sq, s_prev, s_next)
 
         def in_order(terms):
             total = terms[0]
@@ -443,6 +440,51 @@ class TestEncodeBlocks:
             codec.encode_blocks(two[:1], np.ones(2), [schedule] * 2, CFG, 0, [0, 1])
         with pytest.raises(UsageError):
             codec.encode_blocks(two[:0], np.ones(2), [schedule], CFG, 0, [])
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("mean", np.nan), ("mean", np.inf), ("mean", -np.inf),
+         ("std", 0.0), ("std", -1.0), ("std", np.inf)],
+    )
+    def test_targets_follow_the_diag_gaussian_rule(self, field, value):
+        # Each row, shared std or one per row, is taken as encode takes
+        # DiagGaussian(mean, std) alone: refused alike, or coded alike.
+        q = synthetic_target(4, 8.0, np.random.default_rng(4))
+        schedule = build_schedule(8.0, 3.0, 0.2)
+        target = {"mean": q.mean.copy(), "std": q.std.copy()}
+        target[field][0] = value
+        batches = [
+            (target["mean"][None], target["std"]),
+            (np.stack([q.mean, target["mean"]]), np.stack([q.std, target["std"]])),
+        ]
+        try:
+            alone = encode(DiagGaussian(**target), schedule, CFG, seed=5, block=2)
+        except Exception as exc:
+            for mean, std in batches:
+                with pytest.raises(type(exc)):
+                    codec.encode_blocks(mean, std, [schedule] * len(mean), CFG, 5, [2] * len(mean))
+            return
+        good = encode(q, schedule, CFG, seed=5, block=2)
+        for mean, std in batches:
+            coded = codec.encode_blocks(mean, std, [schedule] * len(mean), CFG, 5, [2] * len(mean))
+            for row, expect in zip(zip(*coded), [good, alone][-len(mean) :]):
+                assert row[0] == expect[0]
+                assert row[1].tobytes() == expect[1].tobytes()
+                assert row[2].tobytes() == np.float64(expect[2]).tobytes()
+
+    def test_rejects_targets_that_diag_gaussian_refuses(self):
+        schedule = build_schedule(5.0, 3.0, 0.2)
+        for mean, std in [
+            (np.zeros((2, 2)), np.ones((2, 1))),
+            (np.zeros((2, 2)), np.ones(3)),
+            (np.zeros((2, 2)), np.ones((1, 2))),
+            (np.float64(0.0), np.float64(1.0)),
+        ]:
+            with pytest.raises(UsageError):
+                codec.encode_blocks(mean, std, [schedule] * 2, CFG, 0, [0, 1])
+        # A (D,) mean is one target, not D blocks.
+        with pytest.raises(UsageError):
+            codec.encode_blocks(np.zeros(2), np.ones(2), [schedule] * 2, CFG, 0, [0, 1])
 
     @pytest.mark.parametrize("seeds", [[0], [0, 1, 2], [[0, 1]], [0, -1], [0.0, 1.0]])
     def test_rejects_seeds_not_one_u64_per_block(self, seeds):

@@ -239,6 +239,24 @@ class TestPackUnpack:
         for name in ("pack", "unpack"):
             assert seconds[16384, name] < 32 * seconds[1024, name], name
 
+    def test_pack_takes_linear_time_in_k(self):
+        # Blocks of 256 and 4,096 steps at M = 37: linear cost is 16x the
+        # shorter block's. One multiply-add per index into the growing value
+        # made it about 60x.
+        rng = np.random.default_rng(4)
+        h = header(blocks=4)
+        files = {}
+        for k in (256, K_MAX):
+            blocks = [tuple(row) for row in rng.integers(0, 37, size=(4, k)).tolist()]
+            files[k] = blocks
+            assert unpack(pack(h, blocks)) == (h, blocks, None)
+        seconds = {}
+        for _ in range(3):  # best of 3, both sizes in turn so that load hits both
+            for k, blocks in files.items():
+                t = timeit.timeit(lambda: pack(h, blocks), number=1)
+                seconds[k] = min(t, seconds.get(k, t))
+        assert seconds[K_MAX] < 32 * seconds[256]
+
 
 _SIDES = [0, 1, 8, 9, 17, 2**32 - 1, 2**32]
 _PARAMS = [(3.0, 0.2), (3.0, 0.0), (0.5, 0.0), (-1.0, 0.2), (3.0, -0.1), (25.0, 0.0)]

@@ -159,12 +159,29 @@ class TestBatch:
     def test_shapes(self):
         q = DiagGaussian(np.zeros((4, 3, 2)), np.ones(2))
         assert q.dim == 2 and q.mean.shape == (4, 3, 2) and q.std.shape == (2,)
-        with pytest.raises(UsageError):
-            DiagGaussian(np.zeros((4, 2)), np.ones((4, 2)))
-        with pytest.raises(UsageError):
-            DiagGaussian(np.zeros((4, 2)), np.ones(3))
-        with pytest.raises(UsageError):
-            DiagGaussian(np.zeros((0, 2)), np.ones(2))
+        # One std per row: a std shaped like the mean.
+        q = DiagGaussian(np.zeros((4, 2)), np.ones((4, 2)))
+        assert q.dim == 2 and q.std.shape == (4, 2)
+        for mean, std in [
+            (np.zeros((4, 2)), np.ones(3)),
+            (np.zeros((4, 2)), np.ones((4, 1))),
+            (np.zeros((4, 2)), np.ones((1, 2))),
+            (np.zeros((4, 3, 2)), np.ones((3, 2))),
+            (np.zeros((0, 2)), np.ones(2)),
+            (np.zeros((0, 2)), np.ones((0, 2))),
+            (np.float64(0.0), np.float64(1.0)),
+            (np.zeros(2), np.ones((1, 2))),
+        ]:
+            with pytest.raises(UsageError):
+                DiagGaussian(mean, std)
+
+    def test_row_stds_give_row_kls(self):
+        rng = np.random.default_rng(5)
+        mean, std = rng.normal(size=(6, 3)), rng.uniform(0.2, 3, size=(6, 3))
+        p = DiagGaussian.standard(3)
+        kls = kl_divergence(DiagGaussian(mean, std), p)
+        for k in range(6):
+            assert kls[k].tobytes() == kl_divergence(DiagGaussian(mean[k], std[k]), p).tobytes()
 
     @pytest.mark.parametrize("dims", [1, 3, 8, 9, 16, 17, 40])
     def test_rows_equal_single_gaussians(self, dims):

@@ -78,8 +78,10 @@ class TestOraclePower:
         schedule = build_schedule(9.0, 3.0, 0.2, q.var)
         assert synthetic.check_chain_rule([(q, schedule)]).passed
         # Step variances summing to 1.2: the constructor refuses them.
+        steps = schedule.steps.copy()
+        steps[1] *= 1.2
         bad = object.__new__(AuxSchedule)
-        bad.__dict__.update(vars(schedule), sigma_sq=1.2 * schedule.sigma_sq)
+        bad.__dict__.update(vars(schedule), steps=steps)
         result = synthetic.check_chain_rule([(q, bad)])
         assert not result.passed and result.value > result.bound == synthetic.IDENTITY_BOUND
 
