@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, UsageError
 from .gauss import STD_FLOOR, DiagGaussian
+from .stream import check_int
 
 POWER_LAW_EXPONENT = -0.79
 EQUAL_KL_ITERATIONS = 64
@@ -67,24 +68,25 @@ def samples_per_step(omega: float, epsilon: float) -> int:
 class AuxSchedule:
     """Per-step variances and sampling parameters for one coded block.
 
-    steps, read-only (4, K): column k is sigma_k, sigma_k^2 and the tail
-    variances before and after step k (exactly 1 and 0 at the ends).
+    K (the number of step variances), M = samples_per_step(omega, epsilon) and
+    steps are derived. steps, read-only (4, K): column k is sigma_k, sigma_k^2
+    and the tail variances before and after step k (exactly 1 and 0 at the ends).
     """
 
-    K: int
     sigma_sq: np.ndarray
     omega: float
     epsilon: float
-    M: int
+    K: int = field(init=False)
+    M: int = field(init=False)
 
     def __post_init__(self):
         sigma_sq = np.asarray(self.sigma_sq, dtype=np.float64)
         sigma_sq.setflags(write=False)
         object.__setattr__(self, "sigma_sq", sigma_sq)
-        if self.K < 1 or sigma_sq.size != self.K:
-            raise UsageError("schedule length mismatch")
-        if np.any(sigma_sq <= 0):
-            raise UsageError("step variances must be positive")
+        object.__setattr__(self, "K", sigma_sq.size)
+        object.__setattr__(self, "M", samples_per_step(self.omega, self.epsilon))
+        if sigma_sq.ndim != 1 or np.any(sigma_sq <= 0):
+            raise UsageError("step variances must be a vector of positive values")
         if abs(float(sigma_sq.sum()) - 1.0) > 1e-12:
             raise UsageError("step variances must sum to 1")
         steps = np.zeros((4, self.K))
@@ -142,13 +144,12 @@ def _equal_kl(K: int, omega: float, s_sq: list[float]) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1024)
 def _cached_schedule(K: int, omega: float, epsilon: float, variances: bytes | None):
-    m = samples_per_step(omega, epsilon)
     if variances is None:
         sigma_sq = _power_law(K)
     else:
         s_sq = np.maximum(np.frombuffer(variances), _VAR_FLOOR).tolist()
         sigma_sq = _equal_kl(K, omega, s_sq)
-    return AuxSchedule(K=K, sigma_sq=sigma_sq, omega=omega, epsilon=epsilon, M=m)
+    return AuxSchedule(sigma_sq, omega, epsilon)
 
 
 def schedule_from_steps(
@@ -160,8 +161,7 @@ def schedule_from_steps(
     posterior variances it is the v2 equal-KL schedule. K > K_MAX raises
     ConfigError before any schedule work.
     """
-    if K < 1:
-        raise UsageError("K must be >= 1")
+    K = check_int("K", K, 1)
     if K > K_MAX:
         raise ConfigError(f"block step count {K} exceeds K_MAX = {K_MAX}")
     key = None

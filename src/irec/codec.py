@@ -66,8 +66,7 @@ class RecConfig:
     stochastic_final: bool = False
 
     def __post_init__(self):
-        if self.beams < 1:
-            raise UsageError("beams must be >= 1")
+        object.__setattr__(self, "beams", stream.check_int("beams", self.beams, 1))
         if self.stochastic_final and self.beams != 1:
             raise UsageError("stochastic_final needs a single beam")
         samples_per_step(self.omega, self.epsilon)  # validates omega/epsilon/M

@@ -23,9 +23,10 @@ Versions 1 and 2 (version byte 1 or 2; it names the step schedule, see
 chain.py) have a 54-byte header that also holds block_count and latent_dim,
 one byte-padded payload per block with K as a varint, and a residual count.
 
-pack and both parsers share one rule set (ContainerHeader, _check_steps,
-_check_room, k_field, _write_bits/_read_bits): pack refuses what breaks a rule
-with UsageError, unpack with FormatError or CorruptStreamError.
+pack and both parsers share one rule set (ContainerHeader, whose integer
+fields take stream.check_int, _check_steps, _check_room, k_field,
+_write_bits/_read_bits): pack refuses what breaks a rule with UsageError,
+unpack with FormatError or CorruptStreamError.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 from .chain import K_MAX, samples_per_step
 from .errors import ConfigError, CorruptStreamError, FormatError, UsageError
 from .model import tile_grid
+from .stream import check_int
 
 MAGIC = b"IREC"
 # Version 1 files use the power-law step schedule, versions 2 and 3 the
@@ -69,15 +71,6 @@ _FIELD_BITS = (
 )
 
 
-def _check_uint(name: str, value, bits: int) -> None:
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
-    if not 0 <= value < 1 << bits:
-        raise UsageError(f"{name} {value} out of u{bits} range")
-
-
 @dataclass(frozen=True)
 class ContainerHeader:
     seed: int
@@ -94,27 +87,24 @@ class ContainerHeader:
     block_count: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "version", check_int("version", self.version))
         if self.version not in VERSIONS:
             raise UsageError(f"unsupported version {self.version}")
-        for name, bits in _FIELD_BITS:
-            _check_uint(name, getattr(self, name), bits)
-        if self.version == VERSION:
-            if self.latent_dim is not None:
-                raise UsageError(f"version {VERSION} stores no latent_dim")
-        else:
-            _check_uint("latent_dim", self.latent_dim, 32)
+        if self.version == VERSION and self.latent_dim is not None:
+            raise UsageError(f"version {VERSION} stores no latent_dim")
+        fields = _FIELD_BITS if self.version == VERSION else _FIELD_BITS + (("latent_dim", 32),)
+        for name, bits in fields:
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 0, (1 << bits) - 1))
         if self.image_width == 0 or self.image_height == 0:
             raise UsageError(f"empty image {self.image_width}x{self.image_height}")
         rows, cols = tile_grid(self.image_width, self.image_height)
-        _check_uint("block_count", rows * cols, 32)
-        object.__setattr__(self, "block_count", rows * cols)
+        object.__setattr__(self, "block_count", check_int("block_count", rows * cols, 0, 2**32 - 1))
         # Validates omega/epsilon and the index width bound.
         object.__setattr__(self, "M", samples_per_step(self.omega, self.epsilon))
 
 
 def write_varint(n: int) -> bytes:
-    if n < 0:
-        raise UsageError("varint must be nonnegative")
+    n = check_int("varint", n)
     out = bytearray()
     while True:
         byte = n & 0x7F
@@ -142,8 +132,7 @@ def read_varint(data: bytes, pos: int) -> tuple[int, int]:
 
 def index_bits(k: int, m: int) -> int:
     """ceil(K * log2(M)): the packed width of one block's index tuple."""
-    if k < 1 or m < 1:
-        raise UsageError("k and m must be >= 1")
+    k, m = check_int("k", k, 1), check_int("m", m, 1)
     return (m**k - 1).bit_length()
 
 
@@ -204,7 +193,10 @@ def pack(
     fields = [(len(tup) - k_min, width) for tup in blocks]
     for tup in blocks:
         _check_steps(len(tup), UsageError)
-        tup = tuple(map(int, tup))
+        try:
+            tup = tuple(map(operator.index, tup))
+        except TypeError as exc:
+            raise UsageError(f"block indices must be integers: {exc}") from None
         for idx in (min(tup), max(tup)):
             if not 0 <= idx < m:
                 raise UsageError(f"index {idx} overflows radix {m}")

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import FormatError, UsageError
 from .gauss import DiagGaussian
+from .stream import check_int
 
 PATCH_SIDE = 8
 PATCH_DIM = PATCH_SIDE * PATCH_SIDE
@@ -52,9 +53,9 @@ class ImageGray8:
     pixels: np.ndarray  # uint8, shape (height, width)
 
     def __post_init__(self):
-        pixels = np.asarray(self.pixels, dtype=np.uint8).reshape(
-            self.height, self.width
-        )
+        for name in ("width", "height"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        pixels = np.asarray(self.pixels, dtype=np.uint8).reshape(self.height, self.width)
         pixels.setflags(write=False)
         object.__setattr__(self, "pixels", pixels)
 
@@ -161,8 +162,7 @@ def fit_ppca(patches, latent_dim: int) -> LinearGaussianModel:
     if x.ndim != 2:
         raise UsageError("patches must be a 2-D array (n, D)")
     n, d = x.shape
-    if not 1 <= latent_dim < d:
-        raise UsageError(f"latent_dim must be in [1, {d})")
+    latent_dim = check_int("latent_dim", latent_dim, 1, d - 1)
     if n < d + 1:
         raise UsageError(f"need at least {d + 1} patches, got {n}")
     mu = x.mean(axis=0)

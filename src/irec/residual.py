@@ -24,6 +24,7 @@ from array import array
 import numpy as np
 
 from .errors import CorruptStreamError, UsageError
+from .stream import check_int
 
 LO, HI = -255, 255
 _FREQ_BITS = 16
@@ -149,8 +150,7 @@ def decode_residuals(data: bytes, sigma: float, count: int, full: bool = False) 
     of the container store it: the leading 0 and a 5-byte flush, read to its
     last byte and never past it.
     """
-    if count < 0:
-        raise UsageError(f"residual count {count} is negative")
+    count = check_int("residual count", count)
     if count == 0:
         return np.zeros(0, dtype=np.int64)
     if not full:

@@ -31,11 +31,14 @@ one of two paths that give the same words:
 The seed broadcasts with the addresses: a seed array's round keys are
 computed per call; a scalar seed's are cached per seed, or on the int path
 per seed and lane count with round 1's M0 * lane. Both come from one key
-schedule. See docs/FORMAT.md for the normative rules.
+schedule. See docs/FORMAT.md for the normative rules. The library's integer
+rules live here: check_seed for seeds, check_int for every scalar count,
+index and address.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -62,11 +65,18 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer))
 
 
-def _uint(name: str, value, top: int = _U32_MAX) -> int:
-    """An integer scalar as a Python int, checked to lie in u32 (or u64)."""
-    value = int(value)
-    if not 0 <= value <= top:
-        raise UsageError(f"{name} out of u{top.bit_length()} range: {value}")
+def check_int(name: str, value, lo: int = 0, hi: int | None = None) -> int:
+    """The one integer rule: an int, bool or NumPy integer as a Python int in [lo, hi]
+    (no top if hi is None); anything else raises UsageError naming the argument."""
+    try:
+        if isinstance(value, np.ndarray):  # operator.index takes a 0-d integer array
+            raise TypeError
+        value = int(operator.index(value))
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    if value < lo or hi is not None and value > hi:
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise UsageError(f"{name} must be {bounds}, got {value}")
     return value
 
 
@@ -77,7 +87,7 @@ def _check_uint(name: str, value, top: int = _U32_MAX):
     elementwise and must hold integers.
     """
     if _is_int(value):
-        return np.uint64(_uint(name, value, top))
+        return np.uint64(check_int(name, value, 0, top))
     arr = np.asarray(value)
     if isinstance(value, (list, tuple)) and arr.dtype.kind in "fO":
         # NumPy infers float64 (or object) for Python ints that span 2^63.
@@ -93,7 +103,8 @@ def _check_uint(name: str, value, top: int = _U32_MAX):
 
 def check_seed(seed):
     """The one seed rule: an integer as a Python int, or an array as uint64, in u64."""
-    return (_uint if _is_int(seed) else _check_uint)("seed", seed, _U64_MAX)
+    return (check_int("seed", seed, 0, _U64_MAX) if _is_int(seed)
+            else _check_uint("seed", seed, _U64_MAX))
 
 
 def _key_schedule(seed):
@@ -186,8 +197,7 @@ def raw_words(seed, block, step, samples, lanes: int):
         _check_uint(name, value)[..., None]
         for name, value in (("block", block), ("step", step), ("sample", samples))
     )
-    if not _is_int(lanes) or not 0 < lanes <= _U32_MAX + 1:
-        raise UsageError(f"lane count must be an integer in [1, 2^32], got {lanes!r}")
+    lanes = check_int("lane count", lanes, 1, _U32_MAX + 1)
     # No explicit broadcast: after four rounds every output word depends on
     # all four counter words and the keys, so the arithmetic broadcasts them.
     return _philox_arrays(np.arange(lanes, dtype=np.uint64), samples, step, block, keys)
@@ -200,9 +210,7 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
 
 def lane_count(dims: int) -> int:
     """The number of lanes that serve `dims` dimensions: ceil(dims / 2)."""
-    if dims < 1:
-        raise UsageError("dims must be >= 1")
-    return (dims + 1) // 2
+    return (check_int("dims", dims, 1) + 1) // 2
 
 
 def normals_from_words(w_lo: np.ndarray, w_hi: np.ndarray, dims: int) -> np.ndarray:
@@ -236,8 +244,7 @@ def draw_matrix(seed: int, block, step: int, n_samples: int, dims: int) -> np.nd
     Shape (n_samples, dims) for one block, or block.shape + (n_samples, dims)
     for an array of blocks. Kept for perfbench/spans.py until ROADMAP item 1.
     """
-    if n_samples < 1:
-        raise UsageError("n_samples must be >= 1")
+    n_samples = check_int("n_samples", n_samples, 1)
     if not _is_int(block):
         block = np.asarray(block)[..., None]  # a block axis before the sample axis
     return draw_normals(seed, block, step, np.arange(n_samples, dtype=np.uint64), dims)

@@ -20,14 +20,14 @@ from .chain import build_schedule
 from .codec import RecConfig
 from .errors import ConfigError, UsageError
 from .gauss import DiagGaussian, kl_divergence
+from .stream import check_int
 
 _LN2 = math.log(2.0)
 
 
 def synthetic_target(dims: int, total_kl: float, rng: np.random.Generator) -> DiagGaussian:
     """Random whitened target with an exact analytic KL to N(0, I)."""
-    if dims < 1:
-        raise UsageError("dims must be >= 1")
+    dims = check_int("dims", dims, 1)
     if total_kl <= 0:
         raise UsageError("total_kl must be positive")
     unit_mean = rng.normal(size=dims)
@@ -64,8 +64,7 @@ def _seed_rng(seed: int) -> np.random.Generator:
 
 def problem_set(dims: int, kl: float, trials: int, seed: int) -> list[tuple[DiagGaussian, int]]:
     """The studies' problems: `trials` (target, encoder seed) pairs from seed."""
-    if trials < 30:
-        raise UsageError("trials must be >= 30")
+    trials = check_int("trials", trials, 30)
     rng = _seed_rng(seed)
     return [
         (synthetic_target(dims, kl, rng), int(rng.integers(0, 2**63)))
@@ -151,10 +150,9 @@ def sweep(
             cfg = RecConfig(omega=omega, epsilon=epsilon, beams=beams)
             ratios = log_ratios(problems, kl_target, cfg)
             # K and M do not depend on the variances, so every problem is a block
-            # of one container: index bits plus the K field's (0 bits: K is shared).
+            # of one container with one K: its K field takes 0 bits.
             schedule = build_schedule(kl_target, omega, epsilon)
-            blocks = [(0,) * schedule.K] * trials
-            framing = container.index_bits(schedule.K, schedule.M) + container.k_field(blocks)[1]
+            framing = container.index_bits(schedule.K, schedule.M)
             bits = framing + np.maximum(0.0, kl_target - ratios) / _LN2
             overhead = float(np.mean(bits / ideal))
         except ConfigError:

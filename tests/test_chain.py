@@ -106,9 +106,30 @@ class TestSchedule:
         with pytest.raises(UsageError):
             schedule_from_steps(0, 3.0, 0.2)
         with pytest.raises(UsageError):
-            AuxSchedule(K=2, sigma_sq=np.array([0.5, 0.6]), omega=3.0, epsilon=0.2, M=37)
+            AuxSchedule(sigma_sq=np.array([0.5, 0.6]), omega=3.0, epsilon=0.2)
         with pytest.raises(UsageError):
             build_schedule(-1.0, 3.0, 0.2)
+
+    def test_k_and_m_are_derived(self):
+        s = AuxSchedule(sigma_sq=np.array([0.5, 0.5]), omega=3.0, epsilon=0.2)
+        assert (s.K, s.M) == (2, 37) and type(s.K) is int
+        # No schedule can claim a K or an M that its variances, omega and epsilon do not give.
+        for claimed in ({"K": 2}, {"M": 5}):
+            with pytest.raises(TypeError):
+                AuxSchedule(sigma_sq=np.array([0.5, 0.5]), omega=3.0, epsilon=0.2, **claimed)
+        for bad in (np.array([]), np.array([[0.5, 0.5]])):
+            with pytest.raises(UsageError):
+                AuxSchedule(sigma_sq=bad, omega=3.0, epsilon=0.2)
+
+    def test_schedule_cache_cannot_alias(self):
+        irec.chain._cached_schedule.cache_clear()
+        with pytest.raises(UsageError, match="K"):
+            schedule_from_steps(2.0, 3.0, 0.2)
+        s = schedule_from_steps(np.int64(2), 3.0, 0.2)
+        assert type(s.K) is int
+        assert schedule_from_steps(2, 3.0, 0.2) is s
+        with pytest.raises(UsageError, match="K"):
+            schedule_from_steps(2.0, 3.0, 0.2)
 
     def test_rejects_nan_omega(self):
         with pytest.raises(UsageError):
@@ -215,7 +236,7 @@ class TestAuxTarget:
 
 class TestConditionalPrior:
     def test_equal_split_two_steps(self):
-        s = AuxSchedule(K=2, sigma_sq=np.array([0.5, 0.5]), omega=3.0, epsilon=0.2, M=37)
+        s = AuxSchedule(sigma_sq=np.array([0.5, 0.5]), omega=3.0, epsilon=0.2)
         mean, var = conditional_prior(np.array([2.0]), np.zeros(1), *step_vars(s, 0))
         assert mean[0] == pytest.approx(1.0, abs=1e-12)
         assert var == pytest.approx(0.25, abs=1e-12)
@@ -230,7 +251,7 @@ class TestConditionalPrior:
         assert var == pytest.approx(vx * vy / (vx + vy), rel=1e-9)
 
     def test_zero_gap_zero_mean(self):
-        s = AuxSchedule(K=2, sigma_sq=np.array([0.5, 0.5]), omega=3.0, epsilon=0.2, M=37)
+        s = AuxSchedule(sigma_sq=np.array([0.5, 0.5]), omega=3.0, epsilon=0.2)
         b = np.array([0.6])
         mean, _ = conditional_prior(b, b, *step_vars(s, 0))
         assert mean[0] == 0.0
