@@ -12,20 +12,21 @@ Two step-variance schedules exist (FORMAT.md §5):
   variance after step k solves C(t_k) = k * omega by bisection, so every
   step carries omega nats; the last step takes the remaining variance.
 
-No schedule has more than K_MAX steps. Schedules are cached per
-(variances, K, omega, epsilon), and each carries its step constants
-(AuxSchedule.steps), which the encoder, the decoder and the oracles read
-rather than derive again. The step target (target_moments), the step
-prior given z (conditional_prior) and the posterior update
-(posterior_moments) are the closed-form Gaussian-sum conditionals; they are
-univariate formulas applied elementwise to each latent dimension, on arrays
-with any batched leading axes.
+The block rules of schedules and containers live here: check_steps caps K at
+K_MAX, and check_code checks a code. Schedules are cached per (variances, K,
+omega, epsilon), and each carries its step constants (AuxSchedule.steps), which
+the encoder, the decoder and the oracles read rather than derive again. The
+step target (target_moments), the step prior given z (conditional_prior) and
+the posterior update (posterior_moments) are the closed-form Gaussian-sum
+conditionals; they are univariate formulas applied elementwise to each latent
+dimension, on arrays with any batched leading axes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,26 @@ def samples_per_step(omega: float, epsilon: float) -> int:
     if m > _MAX_INDEX:
         raise ConfigError(f"samples per step {m} exceeds index width (2^32)")
     return m
+
+
+def check_steps(k: int, error) -> None:
+    """The step-count rule of every block: 1 <= K <= K_MAX, else error."""
+    if k < 1:
+        raise error("block step count must be >= 1")
+    if k > K_MAX:
+        raise error(f"block step count {k} exceeds K_MAX = {K_MAX}")
+
+
+def check_code(code, m: int, error) -> tuple[int, ...]:
+    """A code as a tuple of 1..K_MAX ints in [0, m); a non-integer index is a UsageError."""
+    try:
+        code = tuple(map(operator.index, code))
+    except TypeError as exc:
+        raise UsageError(f"block indices must be integers: {exc}") from None
+    check_steps(len(code), error)
+    if not 0 <= min(code) <= max(code) < m:
+        raise error(f"index {min(code) if min(code) < 0 else max(code)} overflows radix {m}")
+    return code
 
 
 @dataclass(frozen=True)
@@ -162,8 +183,7 @@ def schedule_from_steps(
     ConfigError before any schedule work.
     """
     K = check_int("K", K, 1)
-    if K > K_MAX:
-        raise ConfigError(f"block step count {K} exceeds K_MAX = {K_MAX}")
+    check_steps(K, ConfigError)
     key = None
     if variances is not None:
         variances = np.asarray(variances, dtype=np.float64)
@@ -185,8 +205,7 @@ def build_schedule(
     """
     if total_kl < 0 or not math.isfinite(total_kl):
         raise UsageError("total_kl must be finite and nonnegative")
-    if not omega > 0:
-        raise UsageError("omega must be positive")
+    samples_per_step(omega, epsilon)
     k = max(1, math.ceil(total_kl / omega))
     return schedule_from_steps(k, omega, epsilon, variances)
 

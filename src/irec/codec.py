@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stream
-from .chain import AuxSchedule, posterior_moments, samples_per_step, target_moments
+from .chain import AuxSchedule, check_code, posterior_moments, samples_per_step, target_moments
 from .errors import ConfigError, CorruptStreamError, NumericError, UsageError
 from .gauss import DiagGaussian
 
@@ -313,16 +313,18 @@ def decode(
 def decode_blocks(codes, schedules: Sequence[AuxSchedule], seed: int, blocks, dims: int):
     """The (G, D) z of G blocks from their index tuples, bit-identical to the encoder's.
 
-    Every K and index is checked before any draw, then each chosen draw is one raw_words
-    call, block by block, in slabs of whole blocks of at most MAX_CHUNK_FLOATS floats (one
-    block if it is more). Each z is +0.0 plus sigma_k * u_k for k = 0..K-1 in that order
-    (FORMAT.md §4), sigma_k being steps[0] of the schedule, as in the encoder: np.add.at
-    is unbuffered and adds a slab's rows in index order.
+    Every code is checked before any draw, by chain.check_code and against its schedule's
+    K, then each chosen draw is one raw_words call, block by block, in slabs of whole
+    blocks of at most MAX_CHUNK_FLOATS floats (one block if it is more). Each z is +0.0 plus
+    sigma_k * u_k for k = 0..K-1 in that order (FORMAT.md §4), sigma_k being steps[0] of
+    the schedule, as in the encoder: np.add.at is unbuffered and adds a slab's rows in
+    index order.
     """
     if not len(codes) == len(schedules) == len(blocks):
         raise UsageError(f"{len(codes)} codes, {len(schedules)} schedules, {len(blocks)} blocks")
+    codes = [check_code(code, s.M, CorruptStreamError) for code, s in zip(codes, schedules)]
     for g, (code, s) in enumerate(zip(codes, schedules)):
-        if len(code) != s.K or min(code) < 0 or max(code) >= s.M:
+        if len(code) != s.K:
             raise CorruptStreamError(f"block {g}: indices {code} do not fit K={s.K}, M={s.M}")
     lanes = stream.lane_count(dims)
     k_of = [len(code) for code in codes]

@@ -24,20 +24,19 @@ chain.py) have a 54-byte header that also holds block_count and latent_dim,
 one byte-padded payload per block with K as a varint, and a residual count.
 
 pack and both parsers share one rule set (ContainerHeader, whose integer
-fields take stream.check_int, _check_steps, _check_room, k_field,
-_write_bits/_read_bits): pack refuses what breaks a rule with UsageError,
-unpack with FormatError or CorruptStreamError.
+fields take stream.check_int; chain.check_steps and chain.check_code;
+_check_room, k_field, _write_bits/_read_bits): pack refuses what breaks a
+rule with UsageError, unpack with FormatError or CorruptStreamError.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import struct
 import zlib
 from dataclasses import dataclass, field
 
-from .chain import K_MAX, samples_per_step
+from .chain import check_code, check_steps, samples_per_step
 from .errors import ConfigError, CorruptStreamError, FormatError, UsageError
 from .model import tile_grid
 from .stream import check_int
@@ -62,12 +61,12 @@ _CRC = struct.Struct("<I")
 _LN2 = math.log(2.0)
 # _value and _digits take one step per digit up to this many digits.
 _DIGIT_LOOP = 32
-# The header's integer fields and their widths; block_count is derived.
+# The header's integer fields (name, least value, bits); block_count is derived.
 _FIELD_BITS = (
-    ("seed", 64),
-    ("model_id", 64),
-    ("image_width", 32),
-    ("image_height", 32),
+    ("seed", 0, 64),
+    ("model_id", 0, 64),
+    ("image_width", 1, 32),
+    ("image_height", 1, 32),
 )
 
 
@@ -92,11 +91,9 @@ class ContainerHeader:
             raise UsageError(f"unsupported version {self.version}")
         if self.version == VERSION and self.latent_dim is not None:
             raise UsageError(f"version {VERSION} stores no latent_dim")
-        fields = _FIELD_BITS if self.version == VERSION else _FIELD_BITS + (("latent_dim", 32),)
-        for name, bits in fields:
-            object.__setattr__(self, name, check_int(name, getattr(self, name), 0, (1 << bits) - 1))
-        if self.image_width == 0 or self.image_height == 0:
-            raise UsageError(f"empty image {self.image_width}x{self.image_height}")
+        fields = _FIELD_BITS if self.version == VERSION else _FIELD_BITS + (("latent_dim", 0, 32),)
+        for name, lo, bits in fields:
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo, (1 << bits) - 1))
         rows, cols = tile_grid(self.image_width, self.image_height)
         object.__setattr__(self, "block_count", check_int("block_count", rows * cols, 0, 2**32 - 1))
         # Validates omega/epsilon and the index width bound.
@@ -142,14 +139,6 @@ def k_field(blocks: list[tuple[int, ...]]) -> tuple[int, int]:
     return min(ks), (max(ks) - min(ks)).bit_length()
 
 
-def _check_steps(k: int, error=CorruptStreamError) -> None:
-    """The step-count rule of every version: 1 <= K <= K_MAX."""
-    if k < 1:
-        raise error("block step count must be >= 1")
-    if k > K_MAX:
-        raise error(f"block step count {k} exceeds K_MAX = {K_MAX}")
-
-
 def _check_room(k_bits: int, steps: int, m: int, data, pos: int) -> None:
     """Reject k_bits and `steps` steps that overrun data[pos:], before any M**K or list of K."""
     if k_bits + steps * (m.bit_length() - 1) > 8 * (len(data) - pos):
@@ -192,14 +181,7 @@ def pack(
     # (value, width) of each bitstream field: the K offsets, then the tuples.
     fields = [(len(tup) - k_min, width) for tup in blocks]
     for tup in blocks:
-        _check_steps(len(tup), UsageError)
-        try:
-            tup = tuple(map(operator.index, tup))
-        except TypeError as exc:
-            raise UsageError(f"block indices must be integers: {exc}") from None
-        for idx in (min(tup), max(tup)):
-            if not 0 <= idx < m:
-                raise UsageError(f"index {idx} overflows radix {m}")
+        tup = check_code(tup, m, UsageError)
         fields.append((_value(tup, m), index_bits(len(tup), m)))
     out = bytearray(MAGIC)
     out += bytes((VERSION_BYTE, 0 if residual is None else FLAG_RESIDUAL))
@@ -264,9 +246,9 @@ def _unpack_v3(data: bytes):
     )
     m, n = header.M, header.block_count
     _check_room(n * width_k, n * k_min, m, body, pos)
-    _check_steps(k_min)
+    check_steps(k_min, CorruptStreamError)
     ks = [k_min + offset for offset in _read_bits(body, pos, [width_k] * n)[0]]
-    _check_steps(max(ks))
+    check_steps(max(ks), CorruptStreamError)
     _check_room(n * width_k, sum(ks), m, body, pos)
     index_widths = {k: index_bits(k, m) for k in set(ks)}
     # The K field again as one field, then the tuples and the padding.
@@ -351,7 +333,7 @@ def _unpack_v2(data: bytes):
     blocks = []
     for _ in range(block_count):
         k, pos = read_varint(data, pos)
-        _check_steps(k)
+        check_steps(k, CorruptStreamError)
         _check_room(0, k, m, data, pos)
         (value,), pos = _read_bits(data, pos, [8 * ((index_bits(k, m) + 7) // 8)])
         blocks.append(_digits(value, k, m))

@@ -54,7 +54,7 @@ class ImageGray8:
 
     def __post_init__(self):
         for name in ("width", "height"):
-            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         pixels = np.asarray(self.pixels, dtype=np.uint8).reshape(self.height, self.width)
         pixels.setflags(write=False)
         object.__setattr__(self, "pixels", pixels)

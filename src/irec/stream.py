@@ -215,6 +215,8 @@ def lane_count(dims: int) -> int:
 
 def normals_from_words(w_lo: np.ndarray, w_hi: np.ndarray, dims: int) -> np.ndarray:
     """The uniform map and Box-Muller (FORMAT.md §4): (..., lanes) words to (..., dims) normals."""
+    if lane_count(dims) != w_lo.shape[-1]:
+        raise UsageError(f"dims = {dims} needs {lane_count(dims)} lanes, got {w_lo.shape[-1]}")
     r = np.sqrt(-2.0 * np.log(_to_uniform(w_lo)))
     theta = _TWO_PI * _to_uniform(w_hi)
     out = np.empty(w_lo.shape[:-1] + (2 * w_lo.shape[-1],), dtype=np.float64)

@@ -153,6 +153,17 @@ class TestSchedule:
         assert calls == []
         assert samples_per_step(0.001, 0.2) == 2
 
+    @pytest.mark.parametrize("omega, epsilon", [(0.0, 0.2), (math.nan, 0.2), (3.0, -0.1),
+                                                (3.0, math.nan)])
+    def test_build_schedule_refuses_omega_and_epsilon_before_any_schedule_work(
+        self, omega, epsilon, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(irec.chain, "_equal_kl", lambda *args: calls.append(args))
+        with pytest.raises(UsageError, match="omega|epsilon"):
+            build_schedule(3000.0, omega, epsilon, np.full(8, 0.5))
+        assert calls == []
+
     def test_step_cap_itself_is_allowed(self):
         assert schedule_from_steps(K_MAX, 3.0, 0.2).K == K_MAX
 

@@ -546,6 +546,24 @@ class TestDecode:
         with pytest.raises(CorruptStreamError):
             decode((37,), schedule, 0, 0, 2)
 
+    @pytest.mark.parametrize("bad", ["1", 1.0, np.float64(1.0), None])
+    def test_refuses_non_integer_indices_before_drawing(self, bad, monkeypatch):
+        # The index rule of pack: a non-integer is a usage error, not a corrupt file.
+        schedule = schedule_from_steps(2, 3.0, 0.2)
+        calls = []
+        monkeypatch.setattr(stream, "raw_words", lambda *args: calls.append(args))
+        with pytest.raises(UsageError, match="integer"):
+            decode((bad, 0), schedule, 0, 0, 2)
+        with pytest.raises(UsageError, match="integer"):
+            codec.decode_blocks([(0, 0), (bad, 0)], [schedule] * 2, 0, [0, 1], 2)
+        assert calls == []
+
+    def test_numpy_integer_indices_act_as_plain_ints(self):
+        schedule = schedule_from_steps(2, 3.0, 0.2)
+        expected = decode((5, 0), schedule, 3, 1, 4)
+        for code in [(np.int64(5), np.uint16(0)), np.array([5, 0]), [5, 0]]:
+            assert decode(code, schedule, 3, 1, 4).tobytes() == expected.tobytes()
+
 
 def _decoder_case(dims, power_law):
     # 8 blocks of K = 1..6 and two repeats in shuffled order, encoded in one

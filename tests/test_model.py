@@ -172,6 +172,13 @@ class TestPsnr:
             psnr(self._img(0), other)
 
 
+class TestImageGray8:
+    @pytest.mark.parametrize("width,height", [(0, 0), (0, 8), (8, 0)])
+    def test_refuses_an_empty_image(self, width, height):
+        with pytest.raises(UsageError, match="width|height"):
+            ImageGray8(width, height, np.zeros((height, width), dtype=np.uint8))
+
+
 class TestPatchify:
     def test_exact_tile_round_trip(self):
         rng = np.random.default_rng(5)
@@ -539,6 +546,13 @@ class TestPgm:
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
         with pytest.raises(FormatError):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("data", [b"P5", b"P5\n4 4", b"P5\n# a comment only\n"])
+    def test_rejects_truncated_header(self, tmp_path, data):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="truncated PGM header"):
             read_pgm(path)
 
     def test_rejects_non_numeric_header_field(self, tmp_path):

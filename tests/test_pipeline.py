@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_training_patches, raw_v3, reseal, sample_image
+from conftest import make_training_patches, pack_v2, raw_v3, reseal, sample_image
 from irec import codec, container, pipeline, residual, stream
 from irec.chain import K_MAX, build_schedule
 from irec.codec import RecConfig
@@ -157,6 +157,17 @@ class TestLossy:
         )
         with pytest.raises(ModelMismatchError):
             decompress_lossy(result.data, other)
+
+    def test_version_2_latent_dim_must_match_the_model(self, fitted_model):
+        # Same model_id, but the version-2 header names 4 latents for an 8-latent model.
+        header = container.ContainerHeader(
+            seed=0, omega=3.0, epsilon=0.2, model_id=fitted_model.model_id,
+            image_width=8, image_height=8, latent_dim=4, version=2,
+        )
+        data = pack_v2(header, [(0,)], latent=4)
+        assert fitted_model.latent_dim == 8
+        with pytest.raises(ModelMismatchError, match="latent dimension"):
+            decompress_lossy(data, fitted_model)
 
     def test_model_of_other_patch_size_is_a_mismatch(self):
         # Its model_id and latent_dim match the file, but it cannot make 8x8 patches.

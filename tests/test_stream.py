@@ -338,6 +338,14 @@ class TestValidation:
         with pytest.raises(UsageError):
             stream.draw_matrix(0, 0, 0, 1, 0)
 
+    @pytest.mark.parametrize("dims", [1.5, 5, 0, -1, 3])
+    def test_normals_from_words_refuses_dims_its_lanes_do_not_serve(self, dims):
+        w_lo, w_hi = stream.raw_words(0, 0, 0, 0, 1)
+        with pytest.raises(UsageError, match="dims"):
+            stream.normals_from_words(w_lo, w_hi, dims)
+        for good in (1, 2):
+            assert stream.normals_from_words(w_lo, w_hi, good).shape == (good,)
+
     def test_odd_dims_truncates_pair(self):
         odd = stream.draw_vector(77, 0, 0, 0, 3)
         even = stream.draw_vector(77, 0, 0, 0, 4)

@@ -42,6 +42,32 @@ def test_synthetic_target_rejects_nonpositive_dims(dims):
         synthetic.synthetic_target(dims, 5.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("total_kl", [0.0, -1.0])
+def test_synthetic_target_rejects_nonpositive_kl(total_kl):
+    with pytest.raises(UsageError, match="total_kl"):
+        synthetic.synthetic_target(4, total_kl, np.random.default_rng(0))
+
+
+def test_synthetic_target_rejects_a_kl_below_its_variance_floor():
+    # 64 dims of std in [e^-1, 1] carry at least a few nats through the variances alone.
+    with pytest.raises(UsageError, match="variance-only floor"):
+        synthetic.synthetic_target(64, 0.01, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("grids", [([], [0.2], [1]), ([3.0], [], [1]), ([3.0], [0.2], [])])
+def test_sweep_rejects_an_empty_grid(grids):
+    with pytest.raises(UsageError, match="nonempty"):
+        synthetic.sweep(*grids, trials=30)
+
+
+def test_sweep_counts_a_refused_configuration_as_a_failure():
+    # omega 30 needs e^36 > 2^32 samples per step, so RecConfig raises ConfigError.
+    bad, good = synthetic.sweep([30.0, 3.0], [0.2], [1], trials=30, kl_target=6.0, dims=2)
+    assert (bad.omega, bad.failures) == (30.0, 1)
+    assert np.isnan(bad.overhead_ratio)
+    assert good.failures == 0 and np.isfinite(good.overhead_ratio)
+
+
 def _moment_check():
     return synthetic.check_target_moments(np.random.default_rng(0), synthetic.moment_problem, 10)
 
