@@ -19,7 +19,9 @@ the encoder, the decoder and the oracles read rather than derive again. The
 step target (target_moments), the step prior given z (conditional_prior) and
 the posterior update (posterior_moments) are the closed-form Gaussian-sum
 conditionals; they are univariate formulas applied elementwise to each latent
-dimension, on arrays with any batched leading axes.
+dimension, on arrays with any batched leading axes. The first and last each
+compose a schedule-only part (target_var, posterior_denom) and a beam part
+(target_mean, posterior_mean), which the encoder also calls apart.
 """
 
 from __future__ import annotations
@@ -179,11 +181,12 @@ def schedule_from_steps(
     """Build the variance schedule for a known step count (decoder side).
 
     Without variances this is the v1 power-law schedule. With the target's
-    posterior variances it is the v2 equal-KL schedule. K > K_MAX raises
-    ConfigError before any schedule work.
+    posterior variances it is the v2 equal-KL schedule. K > K_MAX, or a bad
+    omega or epsilon, raises before any schedule work.
     """
     K = check_int("K", K, 1)
     check_steps(K, ConfigError)
+    samples_per_step(omega, epsilon)
     key = None
     if variances is not None:
         variances = np.asarray(variances, dtype=np.float64)
@@ -205,9 +208,20 @@ def build_schedule(
     """
     if total_kl < 0 or not math.isfinite(total_kl):
         raise UsageError("total_kl must be finite and nonnegative")
-    samples_per_step(omega, epsilon)
+    samples_per_step(omega, epsilon)  # before omega divides
     k = max(1, math.ceil(total_kl / omega))
     return schedule_from_steps(k, omega, epsilon, variances)
+
+
+def target_var(rho_sq, sig_sq: float, s_prev_sq: float, s_next_sq: float):
+    """The schedule-only part of target_moments: the mean's scale and the variance."""
+    scale = sig_sq / s_prev_sq
+    return scale, np.maximum(s_next_sq * scale + rho_sq * scale * scale, _VAR_FLOOR)
+
+
+def target_mean(nu, b, scale):
+    """The beam part of target_moments."""
+    return (nu - b) * scale
 
 
 def target_moments(nu, rho_sq, b, sig_sq: float, s_prev_sq: float, s_next_sq: float):
@@ -215,20 +229,26 @@ def target_moments(nu, rho_sq, b, sig_sq: float, s_prev_sq: float, s_next_sq: fl
 
     Elementwise over trailing dimensions; batched leading axes allowed.
     """
-    scale = sig_sq / s_prev_sq
-    mean = (nu - b) * scale
-    var = s_next_sq * scale + rho_sq * scale * scale
-    return mean, np.maximum(var, _VAR_FLOOR)
+    scale, var = target_var(rho_sq, sig_sq, s_prev_sq, s_next_sq)
+    return target_mean(nu, b, scale), var
+
+
+def posterior_denom(rho_sq, sig_sq: float, s_prev_sq: float, s_next_sq: float):
+    """The schedule-only part of posterior_moments, the divisor of its updates."""
+    return np.maximum(sig_sq * rho_sq + s_prev_sq * s_next_sq, 1e-300)
+
+
+def posterior_mean(nu, rho_sq, b, a, denom, sig_sq: float, s_prev_sq: float, s_next_sq: float):
+    """The beam part of posterior_moments: the new (nu, b)."""
+    nu_new = a * rho_sq * s_prev_sq + b * sig_sq * rho_sq + nu * s_next_sq * s_prev_sq
+    return nu_new / denom, b + a
 
 
 def posterior_moments(nu, rho_sq, b, a, sig_sq: float, s_prev_sq: float, s_next_sq: float):
     """Updated (nu, rho_sq, b) after observing step value a."""
-    denom = np.maximum(sig_sq * rho_sq + s_prev_sq * s_next_sq, 1e-300)
-    nu_new = (
-        a * rho_sq * s_prev_sq + b * sig_sq * rho_sq + nu * s_next_sq * s_prev_sq
-    ) / denom
-    rho_new = rho_sq * s_prev_sq * s_next_sq / denom
-    return nu_new, rho_new, b + a
+    denom = posterior_denom(rho_sq, sig_sq, s_prev_sq, s_next_sq)
+    nu_new, b_new = posterior_mean(nu, rho_sq, b, a, denom, sig_sq, s_prev_sq, s_next_sq)
+    return nu_new, rho_sq * s_prev_sq * s_next_sq / denom, b_new
 
 
 def conditional_prior(z, b, sig_sq: float, s_prev_sq: float, s_next_sq: float):

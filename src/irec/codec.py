@@ -24,22 +24,24 @@ depend on how blocks and steps are batched:
 * The shared draws of several steps come from one stream call: a slab of
   the live (block, step) pairs only, step-major, scaled by each sigma_k.
   MAX_CHUNK_FLOATS bounds both the scoring buffer and the slab.
-* Each step's scalars are (G, 1, 1) arrays, one value per block, so blocks
-  of different K share a step: elementwise IEEE operations on the same
-  operands give the same bits.
+* The target's scale and variance, norm, sq_coef, rho_sq and denom come from
+  a step table per (schedule, std row), per-sample terms from one pass per
+  slab; so blocks of any K share a step with the bits of a lone encode.
 * A step keeps only back-pointers, each surviving beam's parent beam and
   sample; the code is traced back once, from each block's best final beam.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import stream
-from .chain import AuxSchedule, check_code, posterior_moments, samples_per_step, target_moments
+from .chain import (AuxSchedule, check_code, posterior_denom, posterior_mean, posterior_moments,
+                    samples_per_step, target_mean, target_moments)
 from .errors import ConfigError, CorruptStreamError, NumericError, UsageError
 from .gauss import DiagGaussian
 
@@ -107,7 +109,7 @@ def top_b(scores: np.ndarray, keep: int) -> np.ndarray:
     neg = -scores
     kth = np.partition(neg, keep - 1, axis=1)[:, keep - 1 : keep]
     take = neg <= kth
-    fix = np.flatnonzero(np.count_nonzero(take, axis=1) != keep)
+    fix = np.flatnonzero(take.sum(axis=1) != keep)
     if fix.size:
         take[fix] = False
         take[fix[:, None], np.argsort(neg[fix], axis=1, kind="stable")[:, :keep]] = True
@@ -187,6 +189,22 @@ def encode_blocks(
     return indices, zs, ratios
 
 
+@functools.lru_cache(maxsize=256)
+def _step_table(steps: bytes, std: bytes) -> np.ndarray:
+    """The (6, K, D) step rows free of draws and beams, for a schedule's steps and a std row:
+    var_t, sq_coef, rho_sq, denom, then the target mean's scale and norm repeated over D.
+    The kernels walk a unit gap, whose target mean is the scale (rho_sq ignores the gap)."""
+    std, steps = np.frombuffer(std), np.frombuffer(steps).reshape(4, -1)[1:].T.tolist()
+    rho_sq, unit, table = std * std, np.ones_like(std), np.empty((6, len(steps), std.size))
+    for k, step in enumerate(steps):
+        scale, var = target_moments(unit, rho_sq, 0.0, *step)
+        table[:5, k] = var, 0.5 / step[0] - 0.5 / var, rho_sq, posterior_denom(rho_sq, *step), scale
+        table[5, k] = -0.5 * np.cumsum(np.log(var / step[0]))[-1]  # norm
+        rho_sq = posterior_moments(unit, rho_sq, 0.0, unit, *step)[1]
+    table.setflags(write=False)
+    return table
+
+
 def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
     """Beam search for G blocks in order of K, largest first; beam state is (G, beams, D).
 
@@ -194,9 +212,9 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
     scored in `scratch`, two (G, B, M) float64 buffers: the running cross
     term and the product added to it next. The draws of `span` steps at a
     time come from one stream call, which addresses only the live (block,
-    step) pairs, each under its block's seed if `seed` is an array of G.
-    Returns each block's code, z and log q(z)/p(z), the last two taken when
-    the block's K runs out.
+    step) pairs, each under its block's seed if `seed` is an array of G; their
+    per-sample terms take one pass. Returns each block's code, z and log
+    q(z)/p(z), the last two taken when the block's K runs out.
     """
     g = len(blocks)
     rows = np.arange(g)[:, None]
@@ -205,22 +223,21 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
     k_of = np.array([s.K for s in schedules])
     lives = np.count_nonzero(k_of > np.arange(k_of[0] + 1)[:, None], axis=1).tolist()
     # The live (block, step) pairs, step-major: step k's are the rows
-    # starts[k]..starts[k+1]-1, of blocks 0..lives[k]-1. coef holds each
-    # pair's column of its schedule's steps: sigma_k, sigma_k^2, s_{k-1}^2, s_k^2.
+    # starts[k]..starts[k+1]-1, of blocks 0..lives[k]-1. With the blocks'
+    # columns laid end to end, column col[p] of the schedules' steps (sigma_k,
+    # sigma_k^2, s_{k-1}^2, s_k^2) is pair p's coef, and of the step tables its table.
     starts = np.cumsum([0, *lives])
     live_rows = np.concatenate([np.arange(n) for n in lives])
     pairs = np.stack([blocks[live_rows], np.repeat(np.arange(len(lives)), lives)])
     # One seed per pair, shaped like pairs[:, :, None], if blocks have their own.
     seeds = seed[live_rows, None] if np.ndim(seed) else seed
-    coef = np.empty((4, starts[-1]))
-    for i, s in enumerate(schedules):
-        coef[:, starts[: s.K] + i] = s.steps
+    col = np.cumsum([0, *k_of[:-1]])[live_rows] + pairs[1]
+    coef = np.concatenate([s.steps for s in schedules], axis=1)[:, col]
+    tables = [_step_table(s.steps.tobytes(), row.tobytes()) for s, row in zip(schedules, std)]
+    table = np.concatenate(tables, axis=1)[:, col]
     span = max(1, MAX_CHUNK_FLOATS // (g * m * d))
     # Beam state, kept sorted by lexicographic index prefix within each block.
-    # rho_sq does not depend on the draws, so it is one (G, 1, D) row for
-    # all of a block's beams, and so are var_t and norm.
     nu = mean[:, None, :].copy()
-    rho_sq = (std * std)[:, None, :]
     b = np.zeros_like(nu)
     log_w = np.zeros((g, 1))
     best, z, ratio = np.empty(g, dtype=np.int64), np.empty((g, d)), np.empty(g)
@@ -235,21 +252,19 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
             slab = stream.draw_normals(seed_at, *pairs[:, at, None], np.arange(m), d)
             slab *= coef[0, at, None, None]  # sigma_k * u, the decoder's steps[0] * u
             slab_dims = np.ascontiguousarray(slab.transpose(2, 0, 1))  # (D, rows, M)
-            slab_sq = slab_dims * slab_dims
+            sample_term = np.cumsum(slab_dims * slab_dims * table[1, at].T[..., None], axis=0)[-1]
             if cfg.stochastic_final:
                 slab_u = stream.draw_uniforms(seed_at, *pairs[:, at, None], m)[:, 0]
         own = slice(starts[k] - lo, starts[k + 1] - lo)  # this step's rows of the slab
-        nu, rho_sq, b, log_w = nu[:live], rho_sq[:live], b[:live], log_w[:live]
+        nu, b, log_w = nu[:live], b[:live], log_w[:live]
         sig_sq, s_prev, s_next = coef[1:, starts[k] : starts[k + 1], None, None]
+        var_t, _, rho_sq, denom, scale, norm = table[:, starts[k] : starts[k + 1], None]
 
-        mean_t, var_t = target_moments(nu, rho_sq, b, sig_sq, s_prev, s_next)
+        mean_t = target_mean(nu, b, scale)
         # log q(a | beam) - log p(a) by the expanded square (module docstring):
         # each score is its own candidate's terms, added over i = 0..D-1 in order.
         ratio_t = mean_t / var_t
-        norm = -0.5 * np.cumsum(np.log(var_t / sig_sq), axis=2)[..., -1]
-        beam_term = log_w + norm - 0.5 * np.cumsum(mean_t * ratio_t, axis=2)[..., -1]
-        sq_coef = (0.5 / sig_sq - 0.5 / var_t).transpose(2, 0, 1)  # (D, G, 1)
-        sample_term = np.cumsum(slab_sq[:, own] * sq_coef, axis=0)[-1]
+        beam_term = log_w + norm[..., 0] - 0.5 * np.cumsum(mean_t * ratio_t, axis=2)[..., -1]
         cand = scratch[0, : live * nu.shape[1] * m].reshape(live, -1, m)
         term = scratch[1, : cand.size].reshape(cand.shape)
         a_dims, r_dims = slab_dims[:, own, None, :], ratio_t.transpose(2, 0, 1)[..., None]
@@ -257,7 +272,7 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
         for i in range(1, d):
             cand += np.multiply(r_dims[i], a_dims[i], out=term)
         cand += beam_term[:, :, None]
-        cand += sample_term[:, None, :]
+        cand += sample_term[own, None, :]
         flat = cand.reshape(live, -1)
 
         if cfg.stochastic_final:
@@ -275,9 +290,9 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
 
         here = rows[:live]
         log_w = flat[here, order]
-        nu, rho_sq, b = posterior_moments(
+        nu, b = posterior_mean(
             nu[here, beam_idx], rho_sq, b[here, beam_idx],
-            slab[own][here, pick], sig_sq, s_prev, s_next,
+            slab[own][here, pick], denom, sig_sq, s_prev, s_next,
         )
         # Blocks whose K is k + 1 are done: the highest log q(z)/p(z) over
         # their surviving beams picks the final one.

@@ -164,6 +164,13 @@ class TestSchedule:
             build_schedule(3000.0, omega, epsilon, np.full(8, 0.5))
         assert calls == []
 
+    def test_schedule_from_steps_refuses_omega_and_epsilon_before_any_schedule_work(
+        self, equal_kl_calls
+    ):
+        with pytest.raises(UsageError, match="epsilon"):
+            schedule_from_steps(4096, 3.0, -1.0, np.full(16, 0.5))
+        assert equal_kl_calls == []
+
     def test_step_cap_itself_is_allowed(self):
         assert schedule_from_steps(K_MAX, 3.0, 0.2).K == K_MAX
 

@@ -524,6 +524,53 @@ class TestEncodeBlocks:
                 codec.encode_blocks(two, np.ones(2), pair, CFG, 0, [0, 1])
 
 
+class TestStepTables:
+    """_step_table holds what the beam search reads instead of deriving it per step."""
+
+    def _encode(self, qs, schedules, blocks, beams=4):
+        cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams)
+        return codec.encode_blocks(*_stacked(qs), schedules, cfg, 21, blocks)
+
+    def test_cold_and_warm_cache_give_the_same_output(self):
+        qs, schedules, blocks = _mixed_blocks()
+        codec._step_table.cache_clear()
+        cold = self._encode(qs, schedules, blocks)
+        built = codec._step_table.cache_info().misses
+        warm = self._encode(qs, schedules, blocks)
+        assert codec._step_table.cache_info().misses == built
+        assert cold[0] == warm[0]
+        assert cold[1].tobytes() == warm[1].tobytes()
+        assert cold[2].tobytes() == warm[2].tobytes()
+
+    def test_blocks_of_one_schedule_and_their_own_std_rows(self):
+        qs, schedule, blocks = _thirteen_blocks()
+        assert len({q.std.tobytes() for q in qs}) == len(qs)
+        codec._step_table.cache_clear()
+        indices, zs, ratios = self._encode(qs, [schedule] * len(qs), blocks)
+        assert codec._step_table.cache_info().currsize == len(qs)
+        for q, block, idx, z, ratio in zip(qs, blocks, indices, zs, ratios):
+            alone = encode(q, schedule, RecConfig(omega=3.0, epsilon=0.2, beams=4), 21, block)
+            assert idx == alone[0]
+            assert z.tobytes() == alone[1].tobytes()
+            assert ratio == alone[2]
+
+    def test_cache_is_bounded(self):
+        # More distinct targets than the cache keeps, as a study encodes.
+        bound = codec._step_table.cache_info().maxsize
+        rng = np.random.default_rng(12)
+        qs = [synthetic_target(2, 4.0, rng) for _ in range(bound + 40)]
+        schedule = build_schedule(4.0, 3.0, 0.2)
+        self._encode(qs, [schedule] * len(qs), list(range(len(qs))), beams=1)
+        assert codec._step_table.cache_info().currsize == bound
+
+    def test_tables_are_read_only(self):
+        qs, schedule, _ = _thirteen_blocks()
+        table = codec._step_table(schedule.steps.tobytes(), qs[0].std.tobytes())
+        assert table.shape == (6, schedule.K, qs[0].dim)
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1.0
+
+
 class TestDecode:
     def test_single_step_index(self):
         schedule = build_schedule(0.0, 3.0, 0.2)

@@ -465,6 +465,20 @@ class TestFixedOrderMaps:
         assert reconstruct(model, z).tobytes() == _reconstruct_reference(model, z).tobytes()
 
     @pytest.mark.parametrize("latent", [1, 8, 16])
+    def test_all_negative_zero_terms_sum_to_positive_zero(self, latent):
+        # With x == mu and W[:, 0] <= 0 (its zeros -0.0), every term of latent 0
+        # is -0.0; the in-order sum from +0.0 is +0.0, a bare running sum -0.0.
+        model = _random_model(latent, 300 + latent)
+        W = model.W.copy()
+        W[:, 0] = -np.abs(W[:, 0])
+        W[::7, 0] = -0.0
+        model = LinearGaussianModel(W=W, mu=model.mu, noise_var=model.noise_var)
+        x = np.stack([model.mu, np.random.default_rng(latent).uniform(0.0, 255.0, PATCH_DIM)])
+        mean = posterior(model, x).mean
+        assert mean.tobytes() == _posterior_mean_reference(model, x).tobytes()
+        assert mean[0, 0] == 0.0 and not np.signbit(mean[0, 0])
+
+    @pytest.mark.parametrize("latent", [1, 8, 16])
     def test_posterior_var_matches_pure_python_reference(self, latent):
         # At L = 1, np.sum over the (64, 1) squares would add them pairwise.
         for seed in range(3):
