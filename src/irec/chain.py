@@ -19,9 +19,8 @@ the encoder, the decoder and the oracles read rather than derive again. The
 step target (target_moments), the step prior given z (conditional_prior) and
 the posterior update (posterior_moments) are the closed-form Gaussian-sum
 conditionals; they are univariate formulas applied elementwise to each latent
-dimension, on arrays with any batched leading axes. The first and last each
-compose a schedule-only part (target_var, posterior_denom) and a beam part
-(target_mean, posterior_mean), which the encoder also calls apart.
+dimension, on arrays with any batched leading axes. Per step the encoder calls
+only their beam parts, target_mean and posterior_mean (its tables hold the rest).
 """
 
 from __future__ import annotations
@@ -213,12 +212,6 @@ def build_schedule(
     return schedule_from_steps(k, omega, epsilon, variances)
 
 
-def target_var(rho_sq, sig_sq: float, s_prev_sq: float, s_next_sq: float):
-    """The schedule-only part of target_moments: the mean's scale and the variance."""
-    scale = sig_sq / s_prev_sq
-    return scale, np.maximum(s_next_sq * scale + rho_sq * scale * scale, _VAR_FLOOR)
-
-
 def target_mean(nu, b, scale):
     """The beam part of target_moments."""
     return (nu - b) * scale
@@ -229,8 +222,9 @@ def target_moments(nu, rho_sq, b, sig_sq: float, s_prev_sq: float, s_next_sq: fl
 
     Elementwise over trailing dimensions; batched leading axes allowed.
     """
-    scale, var = target_var(rho_sq, sig_sq, s_prev_sq, s_next_sq)
-    return target_mean(nu, b, scale), var
+    scale = sig_sq / s_prev_sq
+    var = s_next_sq * scale + rho_sq * scale * scale
+    return target_mean(nu, b, scale), np.maximum(var, _VAR_FLOOR)
 
 
 def posterior_denom(rho_sq, sig_sq: float, s_prev_sq: float, s_next_sq: float):

@@ -25,8 +25,9 @@ depend on how blocks and steps are batched:
   the live (block, step) pairs only, step-major, scaled by each sigma_k.
   MAX_CHUNK_FLOATS bounds both the scoring buffer and the slab.
 * The target's scale and variance, norm, sq_coef, rho_sq and denom come from
-  a step table per (schedule, std row), per-sample terms from one pass per
-  slab; so blocks of any K share a step with the bits of a lone encode.
+  one walk of the steps per call, or a cached table per (schedule, std row)
+  if the blocks share one std row; per-sample terms from one pass per slab.
+  So blocks of any K share a step with the bits of a lone encode.
 * A step keeps only back-pointers, each surviving beam's parent beam and
   sample; the code is traced back once, from each block's best final beam.
 """
@@ -56,6 +57,9 @@ MAX_CANDIDATE_FLOATS = 1 << 24
 # Sized by peak memory: 2**14 holds lossless-128's 22 blocks and 2 steps;
 # 2**16 added 7 MB of peak RSS.
 MAX_CHUNK_FLOATS = 1 << 14
+# Blocks of one std row cache their step tables per (schedule, std row): 256
+# tables of at most this many floats (16 MB); longer ones are not cached.
+MAX_TABLE_FLOATS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -182,30 +186,39 @@ def encode_blocks(
         part = order[lo : lo + chunk]
         codes, zs[part], ratios[part] = _encode_chunk(
             mean[part], std[part], [schedules[i] for i in part], cfg,
-            seeds[part] if np.ndim(seeds) else seeds, blocks[part], scratch,
+            seeds[part] if np.ndim(seeds) else seeds, blocks[part], scratch, target.std.ndim == 1,
         )
         for i, code in zip(part.tolist(), codes):
             indices[i] = code
     return indices, zs, ratios
 
 
+def _step_rows(coef, lives, std):
+    """What depends on neither draws nor beams, per pair of _encode_chunk's steps coef (4, P)
+    and std rows (G, D): var_t, sq_coef, rho_sq and denom before the step (4, P, D), and the
+    target mean's scale and norm (2, P); the kernels walk a unit gap, whose mean is the scale."""
+    table, scalars = np.empty((4, coef.shape[1], std.shape[1])), np.empty((2, coef.shape[1]))
+    rho_sq, unit, lo = std * std, np.ones_like(std), 0
+    for live in lives:
+        at, lo, step = slice(lo, lo + live), lo + live, coef[1:, lo : lo + live, None]
+        rho_sq = rho_sq[:live]
+        scale, var = target_moments(unit[:live], rho_sq, 0.0, *step)
+        table[:, at] = var, 0.5 / step[0] - 0.5 / var, rho_sq, posterior_denom(rho_sq, *step)
+        scalars[:, at] = scale[:, 0], -0.5 * np.cumsum(np.log(var / step[0]), axis=1)[:, -1]
+        rho_sq = posterior_moments(unit[:live], rho_sq, 0.0, unit[:live], *step)[1]
+    for part in (table, scalars):
+        part.setflags(write=False)
+    return table, scalars
+
+
 @functools.lru_cache(maxsize=256)
-def _step_table(steps: bytes, std: bytes) -> np.ndarray:
-    """The (6, K, D) step rows free of draws and beams, for a schedule's steps and a std row:
-    var_t, sq_coef, rho_sq, denom, then the target mean's scale and norm repeated over D.
-    The kernels walk a unit gap, whose target mean is the scale (rho_sq ignores the gap)."""
-    std, steps = np.frombuffer(std), np.frombuffer(steps).reshape(4, -1)[1:].T.tolist()
-    rho_sq, unit, table = std * std, np.ones_like(std), np.empty((6, len(steps), std.size))
-    for k, step in enumerate(steps):
-        scale, var = target_moments(unit, rho_sq, 0.0, *step)
-        table[:5, k] = var, 0.5 / step[0] - 0.5 / var, rho_sq, posterior_denom(rho_sq, *step), scale
-        table[5, k] = -0.5 * np.cumsum(np.log(var / step[0]))[-1]  # norm
-        rho_sq = posterior_moments(unit, rho_sq, 0.0, unit, *step)[1]
-    table.setflags(write=False)
-    return table
+def _step_table(steps: bytes, std: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """_step_rows of one block, for a schedule's steps and a std row."""
+    steps = np.frombuffer(steps).reshape(4, -1)
+    return _step_rows(steps, [1] * steps.shape[1], np.frombuffer(std)[None])
 
 
-def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
+def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch, shared):
     """Beam search for G blocks in order of K, largest first; beam state is (G, beams, D).
 
     The blocks live at step k are the prefix whose K > k. Candidates are
@@ -213,7 +226,8 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
     term and the product added to it next. The draws of `span` steps at a
     time come from one stream call, which addresses only the live (block,
     step) pairs, each under its block's seed if `seed` is an array of G; their
-    per-sample terms take one pass. Returns each block's code, z and log
+    per-sample terms take one pass. If the blocks share one std row (`shared`),
+    _step_rows come from the step tables. Returns each block's code, z and log
     q(z)/p(z), the last two taken when the block's K runs out.
     """
     g = len(blocks)
@@ -225,7 +239,7 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
     # The live (block, step) pairs, step-major: step k's are the rows
     # starts[k]..starts[k+1]-1, of blocks 0..lives[k]-1. With the blocks'
     # columns laid end to end, column col[p] of the schedules' steps (sigma_k,
-    # sigma_k^2, s_{k-1}^2, s_k^2) is pair p's coef, and of the step tables its table.
+    # sigma_k^2, s_{k-1}^2, s_k^2) is pair p's coef, and of the step tables its rows.
     starts = np.cumsum([0, *lives])
     live_rows = np.concatenate([np.arange(n) for n in lives])
     pairs = np.stack([blocks[live_rows], np.repeat(np.arange(len(lives)), lives)])
@@ -233,8 +247,11 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
     seeds = seed[live_rows, None] if np.ndim(seed) else seed
     col = np.cumsum([0, *k_of[:-1]])[live_rows] + pairs[1]
     coef = np.concatenate([s.steps for s in schedules], axis=1)[:, col]
-    tables = [_step_table(s.steps.tobytes(), row.tobytes()) for s, row in zip(schedules, std)]
-    table = np.concatenate(tables, axis=1)[:, col]
+    if shared and (4 * d + 2) * k_of[0] <= MAX_TABLE_FLOATS:
+        tables = [_step_table(s.steps.tobytes(), std[0].tobytes()) for s in schedules]
+        table, scalars = (np.concatenate(part, axis=1)[:, col] for part in zip(*tables))
+    else:
+        table, scalars = _step_rows(coef, lives[:-1], std)
     span = max(1, MAX_CHUNK_FLOATS // (g * m * d))
     # Beam state, kept sorted by lexicographic index prefix within each block.
     nu = mean[:, None, :].copy()
@@ -258,13 +275,14 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch):
         own = slice(starts[k] - lo, starts[k + 1] - lo)  # this step's rows of the slab
         nu, b, log_w = nu[:live], b[:live], log_w[:live]
         sig_sq, s_prev, s_next = coef[1:, starts[k] : starts[k + 1], None, None]
-        var_t, _, rho_sq, denom, scale, norm = table[:, starts[k] : starts[k + 1], None]
+        var_t, _, rho_sq, denom = table[:, starts[k] : starts[k + 1], None]
+        scale, norm = scalars[:, starts[k] : starts[k + 1], None]
 
-        mean_t = target_mean(nu, b, scale)
+        mean_t = target_mean(nu, b, scale[..., None])
         # log q(a | beam) - log p(a) by the expanded square (module docstring):
         # each score is its own candidate's terms, added over i = 0..D-1 in order.
         ratio_t = mean_t / var_t
-        beam_term = log_w + norm[..., 0] - 0.5 * np.cumsum(mean_t * ratio_t, axis=2)[..., -1]
+        beam_term = log_w + norm - 0.5 * np.cumsum(mean_t * ratio_t, axis=2)[..., -1]
         cand = scratch[0, : live * nu.shape[1] * m].reshape(live, -1, m)
         term = scratch[1, : cand.size].reshape(cand.shape)
         a_dims, r_dims = slab_dims[:, own, None, :], ratio_t.transpose(2, 0, 1)[..., None]

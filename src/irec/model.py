@@ -184,14 +184,14 @@ def fit_ppca(patches, latent_dim: int) -> LinearGaussianModel:
 
 def posterior(model: LinearGaussianModel, x: np.ndarray) -> DiagGaussian:
     """Exact posterior of patches x (..., D), diagonal as W is column-orthogonal:
-    the mean sums (x_i - mu_i) W[i] over i = 0..D-1 in order from +0.0, times var / sigma^2."""
+    the mean sums (x_i - mu_i) W[i] over i = 0..D-1 in order, times var / sigma^2."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1:] != (model.data_dim,):
         raise UsageError(f"expected data vector of length {model.data_dim}")
     var = posterior_var(model)
-    terms = (x - model.mu)[..., None] * model.W
-    # + 0.0 makes a sum of -0.0 terms +0.0, as the in-order sum from +0.0 is.
-    mean = np.cumsum(terms, axis=-2, out=terms)[..., -1, :] + 0.0
+    mean = np.zeros(x.shape[:-1] + var.shape)
+    for term in np.moveaxis((x - model.mu)[..., None] * model.W, -2, 0):
+        mean += term
     return DiagGaussian(mean * (var / model.noise_var), np.sqrt(var))
 
 

@@ -525,50 +525,89 @@ class TestEncodeBlocks:
 
 
 class TestStepTables:
-    """_step_table holds what the beam search reads instead of deriving it per step."""
+    """The step values free of draws and beams: cached per (schedule, std row) when the
+    blocks share one std row, else walked once per call."""
 
-    def _encode(self, qs, schedules, blocks, beams=4):
+    def _encode(self, mean, std, schedules, blocks, beams=4):
         cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams)
-        return codec.encode_blocks(*_stacked(qs), schedules, cfg, 21, blocks)
+        return codec.encode_blocks(mean, std, schedules, cfg, 21, blocks)
+
+    def _shared(self):
+        # 13 blocks of one std row, as an image's blocks are, with K = 1..9.
+        qs, _, blocks = _mixed_blocks()
+        std = qs[0].std
+        steps = [*range(9, 0, -1), 2, 5, 7, 9]
+        schedules = [schedule_from_steps(k, 3.0, 0.2, std * std) for k in steps]
+        return _stacked(qs)[0], std, schedules, blocks
+
+    def _assert_same(self, a, b):
+        assert a[0] == b[0]
+        assert a[1].tobytes() == b[1].tobytes()
+        assert np.asarray(a[2]).tobytes() == np.asarray(b[2]).tobytes()
 
     def test_cold_and_warm_cache_give_the_same_output(self):
-        qs, schedules, blocks = _mixed_blocks()
+        mean, std, schedules, blocks = self._shared()
         codec._step_table.cache_clear()
-        cold = self._encode(qs, schedules, blocks)
+        cold = self._encode(mean, std, schedules, blocks)
         built = codec._step_table.cache_info().misses
-        warm = self._encode(qs, schedules, blocks)
+        assert built == 9  # one table per distinct K
+        warm = self._encode(mean, std, schedules, blocks)
         assert codec._step_table.cache_info().misses == built
-        assert cold[0] == warm[0]
-        assert cold[1].tobytes() == warm[1].tobytes()
-        assert cold[2].tobytes() == warm[2].tobytes()
+        self._assert_same(cold, warm)
+
+    def test_cached_tables_match_the_walk_of_repeated_std_rows(self):
+        # The (G, D) form of the same std row takes the uncached walk.
+        mean, std, schedules, blocks = self._shared()
+        codec._step_table.cache_clear()
+        walked = self._encode(mean, np.tile(std, (len(mean), 1)), schedules, blocks)
+        assert codec._step_table.cache_info().currsize == 0
+        self._assert_same(walked, self._encode(mean, std, schedules, blocks))
 
     def test_blocks_of_one_schedule_and_their_own_std_rows(self):
         qs, schedule, blocks = _thirteen_blocks()
         assert len({q.std.tobytes() for q in qs}) == len(qs)
-        codec._step_table.cache_clear()
-        indices, zs, ratios = self._encode(qs, [schedule] * len(qs), blocks)
-        assert codec._step_table.cache_info().currsize == len(qs)
+        indices, zs, ratios = self._encode(*_stacked(qs), [schedule] * len(qs), blocks)
         for q, block, idx, z, ratio in zip(qs, blocks, indices, zs, ratios):
             alone = encode(q, schedule, RecConfig(omega=3.0, epsilon=0.2, beams=4), 21, block)
-            assert idx == alone[0]
-            assert z.tobytes() == alone[1].tobytes()
-            assert ratio == alone[2]
+            self._assert_same((idx, z, ratio), alone)
+
+    def test_own_std_rows_leave_the_cache_alone(self):
+        # A study encodes thousands of targets, each with its own std row.
+        rng = np.random.default_rng(12)
+        qs = [synthetic_target(2, 4.0, rng) for _ in range(400)]
+        schedule = build_schedule(4.0, 3.0, 0.2)
+        codec._step_table.cache_clear()
+        self._encode(*_stacked(qs), [schedule] * len(qs), list(range(len(qs))), beams=1)
+        assert codec._step_table.cache_info().currsize == 0
 
     def test_cache_is_bounded(self):
-        # More distinct targets than the cache keeps, as a study encodes.
         bound = codec._step_table.cache_info().maxsize
         rng = np.random.default_rng(12)
-        qs = [synthetic_target(2, 4.0, rng) for _ in range(bound + 40)]
         schedule = build_schedule(4.0, 3.0, 0.2)
-        self._encode(qs, [schedule] * len(qs), list(range(len(qs))), beams=1)
+        for _ in range(bound + 40):
+            q = synthetic_target(2, 4.0, rng)
+            self._encode(q.mean[None], q.std, [schedule], [0], beams=1)
         assert codec._step_table.cache_info().currsize == bound
+
+    def test_long_tables_are_built_but_not_cached(self, monkeypatch):
+        qs, _, _ = _thirteen_blocks()
+        schedule = schedule_from_steps(130, 3.0, 0.2)
+        assert (4 * qs[0].dim + 2) * schedule.K > codec.MAX_TABLE_FLOATS
+        codec._step_table.cache_clear()
+        long = self._encode(qs[0].mean[None], qs[0].std, [schedule], [3], beams=1)
+        assert codec._step_table.cache_info().currsize == 0
+        monkeypatch.setattr(codec, "MAX_TABLE_FLOATS", 1 << 20)
+        self._assert_same(long, self._encode(qs[0].mean[None], qs[0].std, [schedule], [3], beams=1))
+        assert codec._step_table.cache_info().currsize == 1
 
     def test_tables_are_read_only(self):
         qs, schedule, _ = _thirteen_blocks()
-        table = codec._step_table(schedule.steps.tobytes(), qs[0].std.tobytes())
-        assert table.shape == (6, schedule.K, qs[0].dim)
+        table, scalars = codec._step_table(schedule.steps.tobytes(), qs[0].std.tobytes())
+        assert table.shape == (4, schedule.K, qs[0].dim) and scalars.shape == (2, schedule.K)
         with pytest.raises(ValueError):
             table[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            scalars[0, 0] = 1.0
 
 
 class TestDecode:
