@@ -6,6 +6,9 @@ largest-magnitude component of each column is positive). Pixels are modeled
 in raw [0, 255] units, mean-centered by mu.
 
 posterior and reconstruct map all patches at once, in a stated summation order.
+Each stage keeps its own dtype: images and patchify's patches are uint8,
+posterior widens them exactly (x - mu is float64), reconstruct is float64,
+quantize_clamp is uint8 again, and unpatchify keeps the dtype it is given.
 
 Model files use the "LGM1" format: magic, D u32, L u32, mu (D f64 LE),
 W (D*L f64 LE row-major), noise variance f64 LE, all finite, with D = 64
@@ -48,6 +51,10 @@ def fnv1a64(data: bytes) -> int:
 
 @dataclass(frozen=True)
 class ImageGray8:
+    """An 8-bit grey image. pixels may be any integer array of width * height
+    values in [0, 255]; it is kept as a read-only uint8 (height, width) array,
+    without a copy when it is uint8 already."""
+
     width: int
     height: int
     pixels: np.ndarray  # uint8, shape (height, width)
@@ -55,7 +62,19 @@ class ImageGray8:
     def __post_init__(self):
         for name in ("width", "height"):
             object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
-        pixels = np.asarray(self.pixels, dtype=np.uint8).reshape(self.height, self.width)
+        pixels = np.asarray(self.pixels)
+        if pixels.dtype.kind not in "iu":
+            raise UsageError(f"pixels must be integers, got dtype {pixels.dtype}")
+        if pixels.size != self.width * self.height:
+            raise UsageError(
+                f"{self.width}x{self.height} image needs {self.width * self.height} "
+                f"pixels, got {pixels.size}"
+            )
+        if pixels.dtype != np.uint8:
+            if pixels.min() < 0 or pixels.max() > 255:
+                raise UsageError("pixel values must lie in [0, 255]")
+            pixels = pixels.astype(np.uint8)
+        pixels = pixels.reshape(self.height, self.width)
         pixels.setflags(write=False)
         object.__setattr__(self, "pixels", pixels)
 
@@ -185,7 +204,7 @@ def fit_ppca(patches, latent_dim: int) -> LinearGaussianModel:
 def posterior(model: LinearGaussianModel, x: np.ndarray) -> DiagGaussian:
     """Exact posterior of patches x (..., D), diagonal as W is column-orthogonal:
     the mean sums (x_i - mu_i) W[i] over i = 0..D-1 in order, times var / sigma^2."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.shape[-1:] != (model.data_dim,):
         raise UsageError(f"expected data vector of length {model.data_dim}")
     var = posterior_var(model)
@@ -218,10 +237,14 @@ def reconstruct(model: LinearGaussianModel, z: np.ndarray) -> np.ndarray:
 
 
 def quantize_clamp(v: np.ndarray) -> np.ndarray:
-    """Round half away from zero, then clamp to [0, 255] as uint8."""
-    v = np.asarray(v, dtype=np.float64)
-    rounded = np.sign(v) * np.floor(np.abs(v) + 0.5)
-    return np.clip(rounded, 0, 255).astype(np.uint8)
+    """Round half away from zero, then clamp to [0, 255] as uint8 (FORMAT.md §6).
+
+    Computed as floor(v + 0.5): for v >= 0 that is the same rounding, and
+    every v < 0 clamps to 0 under either rule.
+    """
+    out = np.asarray(v, dtype=np.float64) + 0.5
+    np.floor(out, out=out)
+    return np.clip(out, 0, 255, out=out).astype(np.uint8)
 
 
 def psnr(a: ImageGray8, b: ImageGray8) -> float:
@@ -243,7 +266,7 @@ def patchify(img: ImageGray8) -> np.ndarray:
     """Non-overlapping 8x8 tiles in row-major order, edges zero-padded, as rows."""
     side = PATCH_SIDE
     rows, cols = tile_grid(img.width, img.height)
-    plane = np.zeros((rows * side, cols * side))
+    plane = np.zeros((rows * side, cols * side), dtype=np.uint8)
     plane[: img.height, : img.width] = img.pixels
     return plane.reshape(rows, side, cols, side).swapaxes(1, 2).reshape(-1, PATCH_DIM)
 
@@ -254,7 +277,7 @@ def unpatchify(patches, width: int, height: int) -> np.ndarray:
     rows, cols = tile_grid(width, height)
     if len(patches) != rows * cols:
         raise UsageError(f"expected {rows * cols} patches, got {len(patches)}")
-    tiles = np.asarray(patches, dtype=np.float64).reshape(rows, cols, side, side)
+    tiles = np.asarray(patches).reshape(rows, cols, side, side)
     return tiles.swapaxes(1, 2).reshape(rows * side, cols * side)[:height, :width]
 
 
@@ -284,6 +307,8 @@ def read_pgm(path) -> ImageGray8:
         fields.append(int(token))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if not (width and height):
+        raise FormatError(f"PGM image of {width}x{height} pixels is empty")
     if maxval != 255:
         raise FormatError(f"unsupported PGM maxval {maxval}")
     need = width * height

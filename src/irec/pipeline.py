@@ -6,8 +6,9 @@ model's posterior variances, the same for every patch, so the step count K
 fixes it. All blocks of an image, whatever their K, are coded in one call
 (codec.encode_blocks) and decoded in one (codec.decode_blocks); version-1 files
 decode with the power-law schedule. One reconstruct call maps all decoded
-latents back to pixels. The lossless path adds the range-coded residual of x
-minus the quantized reconstruction (container frames it; versions 1 and 2 hold
+latents back to pixels, quantized into the uint8 plane that is the lossy
+image, with no copy. The lossless path adds the range-coded residual, the
+image minus that plane taken in int16 (container frames it; versions 1 and 2 hold
 the coder's full byte stream), using the decoded (possibly biased) latent on
 both sides so encoder and decoder stay synchronized; a decoded residual that
 takes a pixel outside [0, 255] can only come from a corrupt file. Lossy and
@@ -60,7 +61,7 @@ def _reconstruct_image(
 ) -> ImageGray8:
     recon = model_mod.reconstruct(model, zs)
     plane = model_mod.unpatchify(model_mod.quantize_clamp(recon), width, height)
-    return ImageGray8(width=width, height=height, pixels=plane.astype(np.uint8))
+    return ImageGray8(width=width, height=height, pixels=plane)
 
 
 def compress_lossy(
@@ -83,9 +84,7 @@ def _compress(
     recon = _reconstruct_image(zs, model, img.width, img.height)
     coded = None
     if lossless:
-        residuals = (
-            img.pixels.astype(np.int64) - recon.pixels.astype(np.int64)
-        ).reshape(-1)
+        residuals = (img.pixels.astype(np.int16) - recon.pixels).reshape(-1)
         coded = residual_mod.encode_residuals(residuals, math.sqrt(model.noise_var))
     header = ContainerHeader(
         seed=seed,
@@ -146,7 +145,7 @@ def _decompress(data: bytes, model: LinearGaussianModel, lossless: bool) -> Imag
     residuals = residual_mod.decode_residuals(
         coded, math.sqrt(model.noise_var), width * height, full=header.version in (1, 2)
     )
-    pixels = recon.pixels.astype(np.int64) + residuals.reshape(height, width)
+    pixels = recon.pixels + residuals.reshape(height, width)
     # A valid file's residuals are x - x_hat, so this sum is x itself.
     if pixels.min() < 0 or pixels.max() > 255:
         raise CorruptStreamError("residual moves a pixel outside [0, 255]")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from array import array
 
 import numpy as np
 
@@ -83,7 +82,7 @@ def pmf_quantized(sigma: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _table(sigma: float) -> tuple[tuple[int, ...], tuple[int, ...], array]:
+def _table(sigma: float) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """(frequencies, cumulative frequencies, slot table) of one sigma's model.
 
     Slot q of the slot table, 0 <= q < TOTAL_FREQ, holds the symbol whose
@@ -91,9 +90,8 @@ def _table(sigma: float) -> tuple[tuple[int, ...], tuple[int, ...], array]:
     pmf_quantized is looked up as a module global so a cache miss is visible
     to anything that wraps it.
     """
-    freq = pmf_quantized(sigma)
-    slots = array("H", np.repeat(np.arange(freq.size, dtype=np.uint16), freq).tobytes())
-    freq = freq.tolist()
+    freq = pmf_quantized(sigma).tolist()
+    slots = tuple(itertools.chain.from_iterable(map(itertools.repeat, range(len(freq)), freq)))
     return tuple(freq), tuple(itertools.accumulate(freq, initial=0)), slots
 
 

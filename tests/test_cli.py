@@ -240,6 +240,17 @@ class TestCompressDecompress:
         ])
         assert code == 3
 
+    def test_zero_side_pgm_exit_code(self, workspace, capsys):
+        tmp, model_path, _ = workspace
+        bad = tmp / "empty.pgm"
+        bad.write_bytes(b"P5\n0 4\n255\n")
+        code = cli.main([
+            "compress", "--model", str(model_path),
+            "--in", str(bad), "--out", str(tmp / "x.irec"),
+        ])
+        assert code == 3
+        assert "empty" in capsys.readouterr().err
+
     def test_model_mismatch_exit_code(self, workspace, fitted_model):
         tmp, model_path, img_path = workspace
         out = tmp / "img.irec"

@@ -178,6 +178,38 @@ class TestImageGray8:
         with pytest.raises(UsageError, match="width|height"):
             ImageGray8(width, height, np.zeros((height, width), dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "pixels", [np.full(16, 2.7), np.full(16, -1.5), np.ones(16, dtype=bool), [[0.0] * 4] * 4]
+    )
+    def test_refuses_non_integer_pixels(self, pixels):
+        with pytest.raises(UsageError, match="integers"):
+            ImageGray8(4, 4, pixels)
+
+    @pytest.mark.parametrize("value", [-1, 256, 300, np.iinfo(np.int64).min])
+    def test_refuses_a_value_outside_8_bits(self, value):
+        pixels = np.zeros(16, dtype=np.int64)
+        pixels[5] = value
+        with pytest.raises(UsageError, match=r"\[0, 255\]"):
+            ImageGray8(4, 4, pixels)
+
+    @pytest.mark.parametrize("count", [1, 15, 17])
+    def test_refuses_a_wrong_pixel_count(self, count):
+        with pytest.raises(UsageError, match=f"16 pixels, got {count}"):
+            ImageGray8(4, 4, np.zeros(count, dtype=np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.uint16])
+    def test_takes_any_integer_dtype_in_range(self, dtype):
+        img = ImageGray8(2, 2, np.array([0, 1, 254, 255], dtype=dtype))
+        assert img.pixels.dtype == np.uint8
+        assert img.pixels.tolist() == [[0, 1], [254, 255]]
+        assert ImageGray8(2, 2, [[0, 1], [254, 255]]).pixels.tolist() == [[0, 1], [254, 255]]
+
+    def test_keeps_uint8_pixels_without_a_copy(self):
+        pixels = np.arange(16, dtype=np.uint8).reshape(4, 4)
+        img = ImageGray8(4, 4, pixels)
+        assert np.shares_memory(img.pixels, pixels)
+        assert not img.pixels.flags.writeable
+
 
 class TestPatchify:
     def test_exact_tile_round_trip(self):
@@ -573,6 +605,13 @@ class TestPgm:
         path = tmp_path / "n.pgm"
         path.write_bytes(b"P5\nabc 16\n255\n")
         with pytest.raises(FormatError):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("header", [b"P5\n0 4\n255\n", b"P5\n4 0\n255\n", b"P5 0 0 255\n"])
+    def test_rejects_a_zero_side(self, tmp_path, header):
+        path = tmp_path / "z.pgm"
+        path.write_bytes(header)
+        with pytest.raises(FormatError, match="empty"):
             read_pgm(path)
 
     def test_rejects_wide_maxval(self, tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_training_patches, pack_v2, raw_v3, reseal, sample_image
+from conftest import (
+    GOLDEN_MODEL_PATHS,
+    make_training_patches,
+    pack_v2,
+    raw_v3,
+    reseal,
+    sample_image,
+)
 from irec import codec, container, pipeline, residual, stream
 from irec.chain import K_MAX, build_schedule
 from irec.codec import RecConfig
@@ -22,6 +30,7 @@ from irec.model import (
     ImageGray8,
     LinearGaussianModel,
     fit_ppca,
+    load_model,
     patchify,
     posterior,
     posterior_var,
@@ -456,6 +465,30 @@ class TestStepCap:
         decompress_lossy(data, fitted_model)
         assert sum(rows) == 4 * K_MAX
         assert max(rows) <= max(codec.MAX_CHUNK_FLOATS // fitted_model.latent_dim, K_MAX)
+
+
+class TestDecodeMemory:
+    """A decode holds memory in proportion to its output image, which is one
+    byte per pixel: the traced peak, NumPy's buffers included, of decoding a
+    256x256 file stays within DECODE_BYTES_PER_PIXEL per output pixel."""
+
+    DECODE_BYTES_PER_PIXEL = 25
+
+    @pytest.mark.parametrize("latent, lossless", [(8, True), (16, False)])
+    def test_peak_per_output_pixel(self, latent, lossless):
+        model = load_model(GOLDEN_MODEL_PATHS[latent])
+        img = sample_image(model, np.random.default_rng(latent), 256, 256)
+        compress = compress_lossless if lossless else compress_lossy
+        decompress = decompress_lossless if lossless else decompress_lossy
+        data = compress(img, model, CFG, seed=1).data
+        decompress(data, model)  # fills the per-model caches: schedules, residual table
+        tracemalloc.start()
+        try:
+            decompress(data, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (256 * 256) <= self.DECODE_BYTES_PER_PIXEL
 
 
 class TestElbo:

@@ -203,7 +203,7 @@ def test_slot_table_matches_bisect(sigma):
     # the table; at 1e6 the table is close to flat.
     _, cum, slots = residual._table(sigma)
     assert len(slots) == TOTAL_FREQ == cum[-1]
-    assert slots.tolist() == [bisect.bisect_right(cum, q) - 1 for q in range(TOTAL_FREQ)]
+    assert list(slots) == [bisect.bisect_right(cum, q) - 1 for q in range(TOTAL_FREQ)]
 
 
 class TestInputChecks:
