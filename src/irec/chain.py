@@ -46,6 +46,7 @@ _VAR_FLOOR = STD_FLOOR * STD_FLOOR
 _MAX_INDEX = 1 << 32
 
 
+@functools.lru_cache(maxsize=64)  # every header and schedule asks, with a few pairs
 def samples_per_step(omega: float, epsilon: float) -> int:
     """Number of shared draws per step, ceil(exp(omega * (1 + epsilon)))."""
     # Negated comparisons so that NaN fails them too.

@@ -46,6 +46,8 @@ def cmd_compress(args):
     """Compress a PGM image to an IREC container."""
     lossless = args.mode == "lossless"
     epsilon = args.epsilon if args.epsilon is not None else (0.2 if lossless else 0.0)
+    for name, value in (("omega", args.omega), ("epsilon", epsilon)):
+        container.thousandths(name, value)  # what a container can hold, before any coding
     beams = args.beams if args.beams is not None else (20 if lossless else 10)
     model = load_model(args.model_path)
     img = read_pgm(args.in_path)
@@ -81,7 +83,8 @@ def cmd_inspect(args):
         data = fh.read()
     header, blocks, residual = container.unpack(data)
     m = header.M
-    checksummed = header.version == container.VERSION
+    ks = [len(b) for b in blocks]
+    checksummed = header.version >= 3
     lines = [
         f"bytes {len(data)}",
         f"version {header.version}",
@@ -96,16 +99,19 @@ def cmd_inspect(args):
     ]
     if checksummed:
         # unpack accepts only the canonical K field, so this is the file's.
-        k_min, width = container.k_field(blocks)
-        lines += [f"k_min {k_min}", f"k_width {width}"]
+        centre, k_min, width, _ = container.k_field(ks, header.version >= 4)
+        lines += (["k_field fixed", f"k_min {k_min}", f"k_width {width}"] if centre is None
+                  else ["k_field prefix", f"k_centre {centre}"])
     else:
         lines += [f"latent_dim {header.latent_dim}", "k_field varint"]
-    lines += [
-        f"block {i} K {len(b)} index_bits {container.index_bits(len(b), m)}"
-        for i, b in enumerate(blocks)
-    ]
+    # Decode work (FORMAT.md section 5): a draw per step, 64 * (K - 1) evaluations of C per K.
+    distinct = sorted(set(ks))
+    evaluations = sum(64 * (k - 1) for k in distinct) if header.version > 1 else 0
+    lines += [f"draws {sum(ks)}", f"distinct_k {' '.join(map(str, distinct))}",
+              f"schedule_evaluations {evaluations}"]
+    lines += [f"block {i} K {k} index_bits {container.index_bits(k, m)}" for i, k in enumerate(ks)]
     lines.append(f"residual_bytes {'none' if residual is None else len(residual)}")
-    # unpack has checked the CRC32 of a version-3 file; versions 1 and 2 have none.
+    # unpack has checked the CRC32 of versions 3 and 4; versions 1 and 2 have none.
     crc = int.from_bytes(data[-4:], "little")
     lines.append(f"crc32 {crc:#010x} ok" if checksummed else "crc32 none")
     print("\n".join(lines))
@@ -181,9 +187,9 @@ def _parser() -> _Parser:
         option("--model", "model_path", required=True)
         if func is cmd_compress:
             option("--seed", type=int, default=0)
-            option("--omega", type=float, default=3.0)
-            option("--epsilon", type=float,
-                   help="Oversampling rate; defaults to 0.2 lossless, 0.0 lossy.")
+            option("--omega", type=float, default=3.0, help="Nats per step, in whole thousandths.")
+            option("--epsilon", type=float, help="Oversampling rate, in whole thousandths; "
+                   "defaults to 0.2 lossless, 0.0 lossy.")
             option("--beams", type=int,
                    help="Beam count; defaults to 20 lossless, 10 lossy.")
         option("--in", "in_path", required=True)

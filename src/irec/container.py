@@ -1,32 +1,26 @@
 """The IREC container: header, block payloads, optional residual.
 
-It depends on no codec type: a block's code is a plain tuple of ints. pack
-writes version 3; unpack reads versions 1, 2 and 3. See docs/FORMAT.md for
-the hex-annotated example.
+It depends on no codec type: a block's code is a plain tuple of ints. pack writes
+version 4; unpack reads versions 1 to 4. docs/FORMAT.md has annotated examples.
 
-Version 3 (version byte 0x83) stores only what the decoder cannot derive:
-
-* magic "IREC", the version byte, flags u8 (bit 0 = residual section
-  present; bits 1-7 are reserved, never written, and rejected with
-  FormatError), seed as LEB128 varint, omega f64, epsilon f64, model_id u64
-  (little-endian), image_width and image_height as varints, K_min as a
-  varint and the K field width w as u8. The block count is the image's
-  tile count and the latent dimension is the model's.
-* one bitstream, MSB first: each block's K - K_min in w bits, then each
-  block's index tuple, the mixed-radix integer sum_k i_k * M^k in
-  ceil(K * log2(M)) bits, zero-padded once to a byte boundary.
-* if flags bit 0 is set, the residual coder's bytes (residual.py), up to
-* a CRC32 of everything before it, u32 little-endian. unpack checks it
-  before it trusts any other field.
+Versions 3 and 4 (0x83, 0x84) store only what the decoder cannot derive: a
+header (seed, omega, epsilon, model_id, image sides, the K field's varint or
+two), one MSB-first bitstream (the K field, then each block's index tuple as
+the integer sum_k i_k * M^k in ceil(K * log2(M)) bits, zero-padded once),
+the residual coder's bytes (residual.py) if flags bit 0 is set, and a CRC32
+that unpack checks first. Version 4 stores omega and epsilon as varint
+counts of thousandths, not f64, and codes K as zigzag(K - c) in unary
+(flags bit 1) where that is shorter than K - K_min in w bits.
 
 Versions 1 and 2 (version byte 1 or 2; it names the step schedule, see
 chain.py) have a 54-byte header that also holds block_count and latent_dim,
 one byte-padded payload per block with K as a varint, and a residual count.
 
-pack and both parsers share one rule set (ContainerHeader, whose integer
+pack and the parsers share one rule set (ContainerHeader, whose integer
 fields take stream.check_int; chain.check_steps and chain.check_code;
 _check_room, k_field, _write_bits/_read_bits): pack refuses what breaks a
-rule with UsageError, unpack with FormatError or CorruptStreamError.
+rule with UsageError, unpack with FormatError or CorruptStreamError. pack
+also refuses an omega or epsilon that is not a whole number of thousandths.
 """
 
 from __future__ import annotations
@@ -34,6 +28,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .chain import check_code, check_steps, samples_per_step
@@ -42,20 +37,20 @@ from .model import tile_grid
 from .stream import check_int
 
 MAGIC = b"IREC"
-# Version 1 files use the power-law step schedule, versions 2 and 3 the
-# equal-KL schedule. pack writes VERSION; unpack accepts all three.
-VERSION = 3
-VERSIONS = (1, 2, 3)
-# Bit 7 marks the checksummed layout: 0x83 is two bit flips away from both 1
-# and 2, so no single flip hands a version-3 file to the unchecked parser.
+# Version 1 files use the power-law step schedule, versions 2 to 4 the
+# equal-KL schedule. pack writes VERSION; unpack accepts all four.
+VERSION = 4
+VERSIONS = (1, 2, 3, 4)
+# Bit 7 marks the checksummed layout: 0x83 and 0x84 are two or more bit flips
+# from 1, 2 and each other, so no single flip hands a file to another parser.
 VERSION_BYTE = 0x80 | VERSION
 FLAG_RESIDUAL = 0x01
+FLAG_PREFIX = 0x02  # version 4: the K field is prefix-coded
 
 # Versions 1 and 2.
 _HEADER = struct.Struct("<4sBBQddQIIII")
 HEADER_SIZE = _HEADER.size
-# Version 3: omega, epsilon and model_id sit between the seed and the sides.
-_PARAMS = struct.Struct("<ddQ")
+_U64 = struct.Struct("<Q")  # model_id in versions 3 and 4
 _CRC = struct.Struct("<I")
 
 _LN2 = math.log(2.0)
@@ -78,7 +73,7 @@ class ContainerHeader:
     model_id: int
     image_width: int
     image_height: int
-    # A field of versions 1 and 2 only; in version 3 model_id fixes it.
+    # A field of versions 1 and 2 only; in versions 3 and 4 model_id fixes it.
     latent_dim: int | None = None
     version: int = VERSION
     # Derived in __post_init__: samples per step and one block per 8x8 tile.
@@ -89,15 +84,22 @@ class ContainerHeader:
         object.__setattr__(self, "version", check_int("version", self.version))
         if self.version not in VERSIONS:
             raise UsageError(f"unsupported version {self.version}")
-        if self.version == VERSION and self.latent_dim is not None:
-            raise UsageError(f"version {VERSION} stores no latent_dim")
-        fields = _FIELD_BITS if self.version == VERSION else _FIELD_BITS + (("latent_dim", 0, 32),)
+        if self.version >= 3 and self.latent_dim is not None:
+            raise UsageError(f"version {self.version} stores no latent_dim")
+        fields = _FIELD_BITS if self.version >= 3 else _FIELD_BITS + (("latent_dim", 0, 32),)
         for name, lo, bits in fields:
             object.__setattr__(self, name, check_int(name, getattr(self, name), lo, (1 << bits) - 1))
         rows, cols = tile_grid(self.image_width, self.image_height)
         object.__setattr__(self, "block_count", check_int("block_count", rows * cols, 0, 2**32 - 1))
         # Validates omega/epsilon and the index width bound.
         object.__setattr__(self, "M", samples_per_step(self.omega, self.epsilon))
+
+
+def thousandths(name: str, value: float) -> int:
+    """The n with n / 1000 == value, the double of n thousandths written out; else UsageError."""
+    if not abs(value) < 2**53 or round(value * 1000) / 1000 != value:  # NaN fails too
+        raise UsageError(f"{name} must be a whole number of thousandths, got {value!r}")
+    return round(value * 1000)
 
 
 def write_varint(n: int) -> bytes:
@@ -112,6 +114,8 @@ def write_varint(n: int) -> bytes:
 
 
 def read_varint(data: bytes, pos: int) -> tuple[int, int]:
+    if pos < len(data) and data[pos] < 0x80:  # one byte, as most of the header's are
+        return data[pos], pos + 1
     result = 0
     shift = 0
     while True:
@@ -133,10 +137,21 @@ def index_bits(k: int, m: int) -> int:
     return (m**k - 1).bit_length()
 
 
-def k_field(blocks: list[tuple[int, ...]]) -> tuple[int, int]:
-    """(K_min, w): version 3 codes each block's K as K - K_min in w bits."""
-    ks = [len(t) for t in blocks]
-    return min(ks), (max(ks) - min(ks)).bit_length()
+def k_field(ks: list[int], prefix: bool = True) -> tuple:
+    """The canonical K field of blocks of these K: (c, K_min, w, its bits in the bitstream).
+
+    Fixed width (c = None) codes K - K_min in w = bitlength(K_max - K_min) bits; version 4
+    codes zigzag(K - c) in unary around the lower median c (K_min = w = None) where that and
+    its c varint take fewer bits than fixed width and its K_min varint and u8 w."""
+    s = sorted(ks)
+    n, k_min, centre = len(s), s[0], s[(len(s) - 1) // 2]
+    width = (s[-1] - k_min).bit_length()
+    b = bisect_left(s, centre)  # the b K below c take 2(c - K) bits, the rest 2(K - c) + 1
+    unary = 2 * (sum(s) - 2 * sum(s[:b]) - centre * (n - 2 * b)) - b + n
+    fixed = 8 * -(-k_min.bit_length() // 7) + 8 + n * width  # a K_min varint, a u8 w, the bits
+    if prefix and 8 * -(-centre.bit_length() // 7) + unary < fixed:
+        return centre, None, None, unary
+    return None, k_min, width, n * width
 
 
 def _check_room(k_bits: int, steps: int, m: int, data, pos: int) -> None:
@@ -151,17 +166,23 @@ def _write_bits(fields: list[tuple[int, int]]) -> bytes:
     return (int(bits, 2) << -len(bits) % 8).to_bytes((len(bits) + 7) // 8, "big")
 
 
-def _read_bits(data, pos: int, widths: list[int]) -> tuple[list[int], int]:
-    """Fields of these widths at data[pos:], as _write_bits wrote them, and their end."""
-    end = pos + (sum(widths) + 7) // 8
+def _read_bits(data, pos: int, widths: list[int], unary: int = 0) -> tuple[list[int], int]:
+    """Fields of these widths at data[pos:], as _write_bits wrote them, and their end;
+    or, with unary = n, n unary codes instead, each read as its one bits before a zero."""
+    end = len(data) if unary else pos + (sum(widths) + 7) // 8
     if end > len(data):
         raise CorruptStreamError("truncated block payload")
     bits = bin(int.from_bytes(data[pos:end], "big") | 1 << 8 * (end - pos))
     values, i = [], 3  # i: the next bit of bits, past "0b1"
+    if unary:  # each code is a run of one bits and its zero bit
+        values = [len(run) for run in bits[3:].split("0", unary)[:unary]]
+        i += sum(values) + unary
+        if i > len(bits):
+            raise CorruptStreamError("truncated block payload")
     for width in widths:
         values.append(int(bits[i : i + width] or "0", 2))
         i += width
-    return values, end
+    return values, pos + (i + 4) // 8
 
 
 def pack(
@@ -169,7 +190,7 @@ def pack(
     blocks: list[tuple[int, ...]],
     residual: bytes | None = None,
 ) -> bytes:
-    """Serialize a version-3 container; a residual (coder bytes) sets the residual flag."""
+    """Serialize a version-4 container; a residual (coder bytes) sets the residual flag."""
     if header.version != VERSION:
         raise UsageError(f"pack writes version {VERSION} only, got {header.version}")
     if header.block_count != len(blocks):
@@ -177,18 +198,25 @@ def pack(
             f"block_count {header.block_count} != number of blocks {len(blocks)}"
         )
     m = header.M
-    k_min, width = k_field(blocks)
-    # (value, width) of each bitstream field: the K offsets, then the tuples.
-    fields = [(len(tup) - k_min, width) for tup in blocks]
+    ks = [len(tup) for tup in blocks]
+    centre, k_min, width, _ = k_field(ks)
+    # (value, width) of each bitstream field: the K field, then the tuples.
+    if centre is None:
+        fields = [(k - k_min, width) for k in ks]
+    else:  # zigzag(K - c) one bits, then a zero bit
+        zigzag = (max(2 * (k - centre), 2 * (centre - k) - 1) for k in ks)
+        fields = [((2 << z) - 2, z + 1) for z in zigzag]
     for tup in blocks:
         tup = check_code(tup, m, UsageError)
         fields.append((_value(tup, m), index_bits(len(tup), m)))
-    out = bytearray(MAGIC)
-    out += bytes((VERSION_BYTE, 0 if residual is None else FLAG_RESIDUAL))
+    flags = FLAG_RESIDUAL * (residual is not None) | FLAG_PREFIX * (centre is not None)
+    out = bytearray(MAGIC) + bytes((VERSION_BYTE, flags))
     out += write_varint(header.seed)
-    out += _PARAMS.pack(header.omega, header.epsilon, header.model_id)
+    out += write_varint(thousandths("omega", header.omega))
+    out += write_varint(thousandths("epsilon", header.epsilon))
+    out += _U64.pack(header.model_id)
     out += write_varint(header.image_width) + write_varint(header.image_height)
-    out += write_varint(k_min) + bytes((width,))
+    out += write_varint(k_min) + bytes((width,)) if centre is None else write_varint(centre)
     out += _write_bits(fields)
     if residual is not None:
         out += residual
@@ -202,15 +230,15 @@ def unpack(data: bytes) -> tuple[ContainerHeader, list[tuple[int, ...]], bytes |
         raise FormatError("container shorter than header")
     if data[:4] != MAGIC:
         raise FormatError(f"bad magic {bytes(data[:4])!r}")
-    if data[4] == VERSION_BYTE:
-        return _unpack_v3(data)
+    if data[4] in (0x83, VERSION_BYTE):
+        return _unpack_checked(data)
     if data[4] in (1, 2):
         return _unpack_v2(data)
     raise FormatError(f"unsupported version byte {data[4]:#04x}")
 
 
-def _check_flags(flags: int) -> None:
-    if flags & ~FLAG_RESIDUAL:
+def _check_flags(flags: int, allowed: int = FLAG_RESIDUAL) -> None:
+    if flags & ~allowed:
         raise FormatError(f"reserved flag bits set in {flags:#04x}")
 
 
@@ -221,47 +249,67 @@ def _header(**fields) -> ContainerHeader:
         raise FormatError(str(exc)) from exc
 
 
-def _unpack_v3(data: bytes):
+def _unpack_checked(data: bytes):
+    """Versions 3 and 4, the checksummed layout."""
     if len(data) < 6 + _CRC.size:
         raise FormatError("container shorter than header")
     body = memoryview(data)[: -_CRC.size]
     (crc,) = _CRC.unpack_from(data, len(body))
     if zlib.crc32(body) != crc:
         raise CorruptStreamError("CRC32 mismatch")
-    _check_flags(data[5])
+    version, flags = data[4] & 0x7F, data[5]
+    _check_flags(flags, FLAG_RESIDUAL | FLAG_PREFIX * (version == 4))
     seed, pos = read_varint(body, 6)
-    if pos + _PARAMS.size > len(body):
+    if version == 3:  # omega and epsilon as f64
+        if pos + 16 > len(body):
+            raise CorruptStreamError("truncated header")
+        omega, epsilon = struct.unpack_from("<dd", body, pos)
+        pos += 16
+    else:
+        omega, pos = read_varint(body, pos)
+        epsilon, pos = read_varint(body, pos)
+        omega, epsilon = omega / 1000, epsilon / 1000
+    if pos + _U64.size > len(body):
         raise CorruptStreamError("truncated header")
-    omega, epsilon, model_id = _PARAMS.unpack_from(body, pos)
-    width, pos = read_varint(body, pos + _PARAMS.size)
+    (model_id,) = _U64.unpack_from(body, pos)
+    width, pos = read_varint(body, pos + _U64.size)
     height, pos = read_varint(body, pos)
-    k_min, pos = read_varint(body, pos)
-    if pos >= len(body):
-        raise CorruptStreamError("truncated header")
-    width_k = body[pos]
-    pos += 1
     header = _header(
         seed=seed, omega=omega, epsilon=epsilon, model_id=model_id,
-        image_width=width, image_height=height,
+        image_width=width, image_height=height, version=version,
     )
     m, n = header.M, header.block_count
-    _check_room(n * width_k, n * k_min, m, body, pos)
-    check_steps(k_min, CorruptStreamError)
-    ks = [k_min + offset for offset in _read_bits(body, pos, [width_k] * n)[0]]
+    centre = k_min = width_k = None
+    if flags & FLAG_PREFIX:
+        centre, pos = read_varint(body, pos)
+        # Codes past 16 + 12n bits are refused unread: no canonical field is that long.
+        runs = _read_bits(body[: pos + 2 + (3 * n + 1) // 2], pos, [], unary=n)[0]
+        ks, k_bits = [centre + (z >> 1 ^ -(z & 1)) for z in runs], n + sum(runs)
+        check_steps(min(ks), CorruptStreamError)
+    else:
+        k_min, pos = read_varint(body, pos)
+        if pos >= len(body):
+            raise CorruptStreamError("truncated header")
+        width_k = body[pos]
+        pos += 1
+        k_bits = n * width_k
+        _check_room(k_bits, n * k_min, m, body, pos)
+        check_steps(k_min, CorruptStreamError)
+        ks = [k_min + offset for offset in _read_bits(body, pos, [width_k] * n)[0]]
     check_steps(max(ks), CorruptStreamError)
-    _check_room(n * width_k, sum(ks), m, body, pos)
-    index_widths = {k: index_bits(k, m) for k in set(ks)}
+    _check_room(k_bits, sum(ks), m, body, pos)
+    index_widths = {k: (m**k - 1).bit_length() for k in set(ks)}  # index_bits of checked K
     # The K field again as one field, then the tuples and the padding.
-    widths = [n * width_k] + [index_widths[k] for k in ks]
+    widths = [k_bits] + [index_widths[k] for k in ks]
     (_, *values, pad), pos = _read_bits(body, pos, widths + [-sum(widths) % 8])
     if pad:
         raise CorruptStreamError("nonzero padding bits")
     blocks = [_digits(value, k, m) for value, k in zip(values, ks)]
-    if k_field(blocks) != (k_min, width_k):
+    if k_field(ks, version == 4)[:3] != (centre, k_min, width_k):
         raise CorruptStreamError("K field not canonical")
 
     residual = None
-    if data[5] & FLAG_RESIDUAL:
+    if flags & FLAG_RESIDUAL:
         residual = bytes(body[pos:])
     elif pos != len(body):
         raise CorruptStreamError("trailing bytes after last block")
@@ -358,12 +406,12 @@ def codelength_report(
 ) -> dict:
     """Payload accounting against the ideal KL codelength (encoder side).
 
-    varint_bits counts the version-3 K field, w bits per block (see
-    k_field); the key keeps the name it had when each K was a varint.
+    varint_bits counts the K field's bits in the bitstream as written, in either
+    coding (k_field); the key keeps the name it had when each K was a varint.
     """
     m = header.M
     payload_bits = sum(index_bits(len(t), m) for t in blocks)
-    varint_bits = len(blocks) * k_field(blocks)[1]
+    varint_bits = k_field([len(t) for t in blocks])[3]
     ideal_bits = sum(kl_nats) / _LN2
     overhead = payload_bits / ideal_bits if ideal_bits > 0 else math.inf
     return {

@@ -68,6 +68,8 @@ def _is_int(value) -> bool:
 def check_int(name: str, value, lo: int = 0, hi: int | None = None) -> int:
     """The one integer rule: an int, bool or NumPy integer as a Python int in [lo, hi]
     (no top if hi is None); anything else raises UsageError naming the argument."""
+    if type(value) is int and lo <= value and (hi is None or value <= hi):
+        return value  # the common case, which the conversions below would return unchanged
     try:
         if isinstance(value, np.ndarray):  # operator.index takes a 0-d integer array
             raise TypeError

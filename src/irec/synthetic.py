@@ -140,6 +140,8 @@ def sweep(
     """
     if not (omega_grid and epsilon_grid and beam_grid):
         raise UsageError("grids must be nonempty")
+    for name, value in [("omega", v) for v in omega_grid] + [("epsilon", v) for v in epsilon_grid]:
+        container.thousandths(name, value)  # the values a container can hold
     problems = problem_set(dims, kl_target, trials, seed)
     ideal = kl_target / _LN2
     cells = []

@@ -122,6 +122,48 @@ def raw_v3(blocks, m, seed=12345, omega=3.0, epsilon=0.2, model_id=0xDEADBEEF,
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def raw_v4(blocks, m, seed=12345, omega=3000, epsilon=200, model_id=0xDEADBEEF,
+           width=8, height=8, residual=None, flags=None, k_min=None, k_width=None,
+           centre=None):
+    """The version-4 layout of docs/FORMAT.md, written field by field.
+
+    omega and epsilon are counts of thousandths. With no K-field argument it
+    writes the canonical K field; a centre gives a prefix-coded field and
+    k_min or k_width a fixed-width one, canonical or not.
+    """
+    ks = sorted(len(t) for t in blocks)
+    if centre is None and k_min is None and k_width is None:
+        lo, median = ks[0], ks[(len(ks) - 1) // 2]
+        fixed = 8 * len(write_varint(lo)) + 8 + len(ks) * (ks[-1] - lo).bit_length()
+        prefix = 8 * len(write_varint(median)) + sum(_zigzag(k - median) + 1 for k in ks)
+        if prefix < fixed:
+            centre = median
+    if centre is None:
+        k_min = ks[0] if k_min is None else k_min
+        k_width = (ks[-1] - k_min).bit_length() if k_width is None else k_width
+        k_header = write_varint(k_min) + bytes([k_width])
+        bits = "".join(format(len(t) - k_min, "b").zfill(k_width) for t in blocks) if k_width else ""
+    else:
+        k_header = write_varint(centre)
+        bits = "".join("1" * _zigzag(len(t) - centre) + "0" for t in blocks)
+    for t in blocks:
+        bits += format(_mixed_radix(t, m), "b").zfill(index_bits(len(t), m))
+    bits += "0" * (-len(bits) % 8)
+    if flags is None:
+        flags = (residual is not None) | (centre is not None) << 1
+    body = (
+        b"IREC" + bytes([0x84, flags]) + write_varint(seed) + write_varint(omega)
+        + write_varint(epsilon) + struct.pack("<Q", model_id)
+        + write_varint(width) + write_varint(height) + k_header
+        + int(bits or "0", 2).to_bytes(len(bits) // 8, "big") + (residual or b"")
+    )
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _zigzag(d):
+    return 2 * d if d >= 0 else -2 * d - 1
+
+
 def reseal(data):
     """The file with its CRC32 recomputed, as a deliberate edit would leave it."""
     return data[:-4] + struct.pack("<I", zlib.crc32(data[:-4]))

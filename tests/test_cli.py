@@ -4,10 +4,11 @@ import struct
 import numpy as np
 import pytest
 
+import irec.chain
 from conftest import raw_v3, sample_image
 from irec import cli, container
 from irec.chain import K_MAX
-from test_pipeline import V2_LOSSLESS_B4_HEX
+from test_pipeline import V2_LOSSLESS_B4_HEX, V3_LOSSLESS_B4_HEX
 from irec.model import LinearGaussianModel, read_pgm, save_model, write_pgm
 
 
@@ -125,7 +126,7 @@ class TestCompressDecompress:
             "--in", str(img_path), "--out", str(out),
         ])
         data = bytearray(out.read_bytes())
-        sides_at = 6 + 1 + 24  # after the one-byte seed varint and omega, epsilon, model_id
+        sides_at = 6 + 1 + 2 + 2 + 8  # after the varints seed, omega and epsilon, and model_id
         assert data[sides_at : sides_at + 2] == b"\x10\x10"
         data[sides_at : sides_at + 2] = b"\x08\x08"
         legacy = bytearray.fromhex(V2_LOSSLESS_B4_HEX)
@@ -220,6 +221,21 @@ class TestCompressDecompress:
         ])
         assert code == 2
         assert "absent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [("--omega", "3.0001"), ("--epsilon", "0.0001")])
+    def test_parameter_off_the_thousandths_is_usage_error(self, workspace, capsys, option, value):
+        # A container stores omega and epsilon as whole thousandths; the
+        # encoder refuses other values before it codes, and writes no file.
+        tmp, model_path, img_path = workspace
+        out = tmp / "x.irec"
+        assert cli.main([
+            "compress", "--model", str(model_path), option, value,
+            "--in", str(img_path), "--out", str(out),
+        ]) == cli.EXIT_USAGE
+        assert "whole number of thousandths" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(["compress", "--help"]) == 0
+        assert capsys.readouterr().out.count("in whole thousandths") == 2
 
     @pytest.mark.parametrize("option", ["--omega", "--epsilon"])
     def test_nan_parameter_is_usage_error(self, workspace, option):
@@ -334,6 +350,11 @@ class TestStudyCommands:
         assert lines[0] == "omega,epsilon,beams,overhead_ratio,seconds,failures"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("grid", ["--omega-grid", "--epsilon-grid"])
+    def test_sweep_grid_off_the_thousandths_is_usage_error(self, grid, capsys):
+        assert cli.main(["sweep", grid, "0.2,0.0005"]) == cli.EXIT_USAGE
+        assert "whole number of thousandths, got 0.0005" in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [
         ["bias-study", "--beams", "1,x"],
         ["sweep", "--omega-grid", "3,abc"],
@@ -360,7 +381,7 @@ class TestStudyCommands:
 
 
 class TestInspect:
-    def test_version_3_layout(self, workspace, capsys):
+    def test_version_4_layout(self, workspace, capsys):
         tmp, model_path, img_path = workspace
         out = tmp / "img.irec"
         cli.main([
@@ -372,12 +393,15 @@ class TestInspect:
         header, blocks, residual = container.unpack(data)
         assert cli.main(["inspect", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        k_min, width = container.k_field(blocks)
-        assert lines[:2] == [f"bytes {len(data)}", "version 3"]
+        ks = [len(b) for b in blocks]
+        centre, k_min, width, _ = container.k_field(ks)
+        k_lines = (["k_field fixed", f"k_min {k_min}", f"k_width {width}"] if centre is None
+                   else ["k_field prefix", f"k_centre {centre}"])
+        assert lines[:2] == [f"bytes {len(data)}", "version 4"]
         for line in (
-            "flags 0x01", "seed 0", "omega 3.0", "epsilon 0.2", "samples_per_step 37",
-            f"model_id {header.model_id:#018x}", "image 16x16", "blocks 4",
-            f"k_min {k_min}", f"k_width {width}", f"residual_bytes {len(residual)}",
+            f"flags {data[5]:#04x}", "seed 0", "omega 3.0", "epsilon 0.2", "samples_per_step 37",
+            f"model_id {header.model_id:#018x}", "image 16x16", "blocks 4", *k_lines,
+            f"draws {sum(ks)}", f"residual_bytes {len(residual)}",
             f"crc32 {int.from_bytes(data[-4:], 'little'):#010x} ok",
         ):
             assert line in lines
@@ -385,6 +409,40 @@ class TestInspect:
             f"block {i} K {len(b)} index_bits {container.index_bits(len(b), 37)}"
             for i, b in enumerate(blocks)
         ]
+
+    def test_version_3_layout(self, tmp_path, capsys):
+        path = tmp_path / "v3.irec"
+        path.write_bytes(bytes.fromhex(V3_LOSSLESS_B4_HEX))
+        assert cli.main(["inspect", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in ("bytes 158", "version 3", "flags 0x01", "omega 3.0", "epsilon 0.2",
+                     "k_field fixed", "k_min 7", "k_width 1", "draws 31", "distinct_k 7 8",
+                     "schedule_evaluations 832", "block 0 K 7 index_bits 37",
+                     "residual_bytes 98", "crc32 0xf4accd5e ok"):
+            assert line in lines
+
+    def test_decode_work_matches_the_decoder(self, tmp_path, fitted_model, capsys,
+                                             equal_kl_calls):
+        # A crafted lossy file of 16 blocks with 16 distinct K (M = 2 at
+        # omega 0.5, epsilon 0.2): inspect's count of evaluations of C is
+        # the decoder's, read from the K of each equal-KL schedule it builds.
+        rng = np.random.default_rng(17)
+        ks = rng.choice(np.arange(2, 41), size=16, replace=False).tolist()
+        blocks = [tuple(rng.integers(0, 2, k).tolist()) for k in ks]
+        path = tmp_path / "crafted.irec"
+        path.write_bytes(raw_v3(blocks, 2, seed=0, omega=0.5, epsilon=0.2,
+                                model_id=fitted_model.model_id, width=32, height=32))
+        irec.chain._cached_schedule.cache_clear()  # count every schedule this decode builds
+        model_path = tmp_path / "model.lgm"
+        save_model(fitted_model, model_path)
+        assert cli.main(["decompress", "--mode", "lossy", "--model", str(model_path),
+                         "--in", str(path), "--out", str(tmp_path / "out.pgm")]) == 0
+        assert cli.main(["inspect", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(equal_kl_calls) == sorted(ks)
+        assert f"distinct_k {' '.join(map(str, sorted(ks)))}" in lines
+        assert f"draws {sum(ks)}" in lines
+        assert f"schedule_evaluations {sum(64 * (k - 1) for k in equal_kl_calls)}" in lines
 
     def test_version_2_layout(self, tmp_path, capsys):
         path = tmp_path / "v2.irec"

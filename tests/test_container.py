@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pack_v2, raw_v3, reseal
+from conftest import pack_v2, raw_v3, raw_v4, reseal
 from irec.chain import K_MAX
 from irec.container import (
     HEADER_SIZE,
@@ -19,6 +19,7 @@ from irec.container import (
     k_field,
     pack,
     read_varint,
+    thousandths,
     unpack,
     write_varint,
 )
@@ -167,9 +168,9 @@ class TestPackUnpack:
 
     def test_single_zero_index(self):
         data = pack(header(epsilon=0.0), [(0,)])
-        # K_min 1 in a 0-bit K field, then the 5-bit index 0 in one byte.
-        assert data[-7:-4] == b"\x01\x00\x00"
-        assert data == raw_v3([(0,)], 21, epsilon=0.0)
+        # Centre 1, then a 1-bit unary K field and the 5-bit index 0 in one byte.
+        assert data[-6:-4] == b"\x01\x00"
+        assert data == raw_v4([(0,)], 21, epsilon=0)
 
     def test_four_step_payload_width(self):
         one = pack(header(), [(36,)])
@@ -259,7 +260,8 @@ class TestPackUnpack:
 
 
 _SIDES = [0, 1, 8, 9, 17, 2**32 - 1, 2**32]
-_PARAMS = [(3.0, 0.2), (3.0, 0.0), (0.5, 0.0), (-1.0, 0.2), (3.0, -0.1), (25.0, 0.0)]
+# omega and epsilon in thousandths: valid, omega 0, M above 2^32, M = 2.
+_PARAMS = [(3000, 200), (3000, 0), (500, 0), (0, 200), (25000, 0), (1, 0)]
 
 
 class TestVersion3:
@@ -278,9 +280,12 @@ class TestVersion3:
     def test_pack_refuses_what_unpack_rejects(
         self, seed, model_id, width, height, params, k_min, k_width, draws, residual
     ):
-        # Either pack writes exactly the FORMAT.md layout and unpack returns
-        # its input, or pack refuses and unpack rejects the same fields.
-        omega, epsilon = params
+        # Either pack writes exactly the FORMAT.md layout of version 4 and
+        # unpack returns its input, or pack refuses and unpack rejects the
+        # same fields. A version-3 file of the same fields (omega and
+        # epsilon as the doubles n / 1000) reads back when its header is
+        # valid, and is rejected otherwise.
+        omega, epsilon = params[0] / 1000, params[1] / 1000
         rows, cols = -(-width // 8), -(-height // 8)
         count = rows * cols if 0 < rows * cols <= 9 else 1
         try:
@@ -290,8 +295,7 @@ class TestVersion3:
         rng = np.random.default_rng(draws)
         ks = [k_min + int(rng.integers(0, 2**k_width)) for _ in range(count)]
         blocks = [tuple(int(i) for i in rng.integers(0, m, size=k)) for k in ks]
-        fields = dict(seed=seed, omega=omega, epsilon=epsilon, model_id=model_id,
-                      width=width, height=height, residual=residual)
+        fields = dict(seed=seed, model_id=model_id, width=width, height=height, residual=residual)
         try:
             h = ContainerHeader(seed=seed, omega=omega, epsilon=epsilon, model_id=model_id,
                                 image_width=width, image_height=height)
@@ -300,21 +304,27 @@ class TestVersion3:
             if count < rows * cols:
                 fields["residual"] = None  # nothing can stand in for the missing blocks
             with pytest.raises((FormatError, CorruptStreamError)):
-                unpack(raw_v3(blocks, m, **fields))
+                unpack(raw_v4(blocks, m, omega=params[0], epsilon=params[1], **fields))
+            with pytest.raises((FormatError, CorruptStreamError)):
+                unpack(raw_v3(blocks, m, omega=omega, epsilon=epsilon, **fields))
             return
-        assert data == raw_v3(blocks, m, **fields)
+        assert data == raw_v4(blocks, m, omega=params[0], epsilon=params[1], **fields)
         assert unpack(data) == (h, blocks, residual)
-        assert k_field(blocks) == (min(ks), (max(ks) - min(ks)).bit_length())
+        v3 = dataclasses.replace(h, version=3)
+        assert unpack(raw_v3(blocks, m, omega=omega, epsilon=epsilon, **fields)) == (
+            v3, blocks, residual)
 
     def test_version_byte_is_two_flips_from_1_and_2(self):
-        assert VERSION_BYTE == 0x83
-        assert bin(VERSION_BYTE ^ 1).count("1") == bin(VERSION_BYTE ^ 2).count("1") == 2
-        data = pack(header(), [(1,)])
-        for bit in range(8):
-            mutated = bytearray(data)
-            mutated[4] ^= 1 << bit
-            with pytest.raises(FormatError, match="version"):
-                unpack(bytes(mutated))
+        # And versions 3 and 4 are at least two flips from each other.
+        assert VERSION_BYTE == 0x84
+        for byte in (0x83, 0x84):
+            assert min(bin(byte ^ other).count("1") for other in (1, 2, 0x83 ^ 0x84 ^ byte)) >= 2
+        for data in (pack(header(), [(1,)]), raw_v3([(1,)], 37)):
+            for bit in range(8):
+                mutated = bytearray(data)
+                mutated[4] ^= 1 << bit
+                with pytest.raises(FormatError, match="version"):
+                    unpack(bytes(mutated))
 
     def test_checksum_is_checked_first(self):
         data = bytearray(pack(header(), [(1,)]))
@@ -325,11 +335,12 @@ class TestVersion3:
             unpack(reseal(bytes(data)))
 
     def test_k_field(self):
+        # Version 3 always codes the K field in fixed width.
         blocks = [(0,) * 7, (0,) * 11, (0,) * 8]
-        assert k_field(blocks) == (7, 3)
-        assert k_field(blocks[:1]) == (7, 0)
-        h = header(blocks=3)
-        assert pack(h, blocks) == raw_v3(blocks, 37, width=24)
+        assert k_field([7, 11, 8], prefix=False) == (None, 7, 3, 9)
+        assert k_field([7], prefix=False) == (None, 7, 0, 0)
+        h = dataclasses.replace(header(blocks=3), version=3)
+        assert unpack(raw_v3(blocks, 37, width=24)) == (h, blocks, None)
         # Only the canonical K field is valid, so unpack returns what the file holds.
         for k_min, k_width in ((5, 8), (None, 4), (6, None)):
             with pytest.raises(CorruptStreamError, match="K field not canonical"):
@@ -342,22 +353,135 @@ class TestVersion3:
             unpack(raw_v3([(1,)], 37, width=2**32 - 1, height=1))
         with pytest.raises(CorruptStreamError, match="truncated"):
             unpack(raw_v3([(1,)], 37, k_min=2**62, k_width=0))
+        with pytest.raises(CorruptStreamError, match="truncated"):
+            unpack(raw_v4([(1,)], 37, width=2**32 - 1, height=1, centre=1))
+
+
+class TestVersion4:
+    def test_thousandths_are_the_decimal_doubles(self):
+        # n / 1000, one correctly rounded division, is the double that the
+        # decimal literal of n thousandths parses to.
+        for n in range(10**6):
+            assert n / 1000 == float(f"{n // 1000}.{n % 1000:03d}")
+
+    @pytest.mark.parametrize("field, value", [("omega", 3.0001), ("epsilon", 1e-4)])
+    def test_pack_refuses_values_off_the_thousandths(self, field, value):
+        with pytest.raises(UsageError, match=f"{field} must be a whole number of thousandths"):
+            pack(header(**{field: value}), [(1,)])
+        # Version 3 stored them as f64 and still reads them.
+        h = header(version=3, **{field: value})
+        data = raw_v3([(1,)], h.M, omega=h.omega, epsilon=h.epsilon)
+        assert unpack(data) == (h, [(1,)], None)
+        with pytest.raises(UsageError, match="version 4 only"):
+            pack(h, [(1,)])
+
+    def test_omega_and_epsilon_as_thousandths(self):
+        assert (thousandths("omega", 3.0), thousandths("epsilon", 0.2)) == (3000, 200)
+        data = pack(header(omega=0.125, epsilon=0.0), [(1,)])
+        # seed 12345, then omega 125 and epsilon 0 as varints, then model_id.
+        assert data[6:11] == write_varint(12345) + b"\x7d\x00" + b"\xef"
+        assert unpack(data)[0] == header(omega=0.125, epsilon=0.0)
+        for value in (math.nan, math.inf, -math.inf, 1e306):
+            with pytest.raises(UsageError, match="thousandths"):
+                thousandths("omega", value)
+        with pytest.raises(FormatError, match="omega"):
+            unpack(raw_v4([(1,)], 37, omega=0))
+
+    def test_k_field_modes(self):
+        # Prefix coding wins where its centre varint and unary bits are fewer
+        # than fixed width's K_min varint, u8 width and bits; ties go to fixed.
+        # Unary codes: zigzag 1 as "10", 6 as "1111110" and 0 as "0", 10 bits.
+        assert k_field([7, 11, 8]) == (8, None, None, 10)
+        assert k_field([7]) == (7, None, None, 1)
+        assert k_field([9] * 7) == (9, None, None, 7)
+        assert k_field([9] * 8) == (None, 9, 0, 0)
+        assert k_field(list(range(1, 9))) == (None, 1, 3, 24)
+        # The centre is the lower median, not the mode.
+        assert k_field([7, 5, 7, 6, 5, 7, 6, 5, 7]) == (6, None, None, 20)
+        # The rule spelled out, code by code, on random step counts.
+        rng = np.random.default_rng(6)
+        for _ in range(500):
+            ks = rng.integers(1, int(rng.choice([3, 40, 300])), int(rng.integers(1, 30))).tolist()
+            c, k_min = sorted(ks)[(len(ks) - 1) // 2], min(ks)
+            unary = sum(2 * (k - c) if k >= c else 2 * (c - k) - 1 for k in ks) + len(ks)
+            width = (max(ks) - k_min).bit_length()
+            fixed = 8 * len(write_varint(k_min)) + 8 + len(ks) * width
+            expected = ((c, None, None, unary) if 8 * len(write_varint(c)) + unary < fixed
+                        else (None, k_min, width, len(ks) * width))
+            assert k_field(ks) == expected
+        for ks in ([7, 11, 8], [9] * 8, list(range(1, 9))):
+            blocks = [(0,) * k for k in ks]
+            h = header(blocks=len(ks))
+            data = pack(h, blocks)
+            assert data == raw_v4(blocks, 37, width=8 * len(ks))
+            assert bool(data[5] & 2) == (k_field(ks)[0] is not None)
+            assert unpack(data) == (h, blocks, None)
+
+    def test_k_field_not_canonical(self):
+        blocks = [(0,) * 7, (0,) * 11, (0,) * 8]  # canonical: prefix around 8
+        fixed = [(0,) * k for k in range(1, 9)]  # canonical: fixed, K_min 1, width 3
+        for data in (
+            raw_v4(blocks, 37, width=24, k_min=7),
+            raw_v4(blocks, 37, width=24, centre=7),
+            raw_v4(blocks, 37, width=24, centre=11),
+            raw_v4(fixed, 37, width=64, centre=4),
+            raw_v4(fixed, 37, width=64, centre=5),
+            raw_v4(fixed, 37, width=64, k_width=4),
+            raw_v4([(0,) * 9] * 8, 37, width=64, centre=9),  # a tie
+        ):
+            with pytest.raises(CorruptStreamError, match="K field not canonical"):
+                unpack(data)
+
+    def test_prefix_k_field_bounds(self):
+        # Unary codes that take K below 1 or above K_MAX, or that run past
+        # the data, are refused before any tuple is read.
+        data = bytearray(raw_v4([(0,)], 37, centre=2))  # K field "10": K = 2 - 1
+        assert data[-6:-4] == b"\x02\x80"
+        data[-6] = 1
+        with pytest.raises(CorruptStreamError, match=">= 1"):
+            unpack(reseal(bytes(data)))
+        data[-5] = 0xFF
+        with pytest.raises(CorruptStreamError, match="truncated block payload"):
+            unpack(reseal(bytes(data)))
+        with pytest.raises(CorruptStreamError, match="K_MAX"):
+            unpack(raw_v4([(0,) * (K_MAX + 1)], 37, centre=K_MAX + 1))
+
+    def test_prefix_k_field_takes_linear_time(self):
+        # 1,024 and 16,384 blocks, most at K = 9 and one in 1,024 at K_MAX, so
+        # the unary codes include runs of 8,174 one bits: linear cost is 16x
+        # the smaller file's.
+        rng = np.random.default_rng(5)
+        files = {}
+        for side in (256, 1024):
+            n = (side // 8) ** 2
+            ks = np.where(np.arange(n) % 1024 == 5, K_MAX, 9).tolist()
+            blocks = [tuple(rng.integers(0, 2, k).tolist()) for k in ks]
+            h = header(omega=0.5, epsilon=0.2, image_width=side, image_height=side)
+            files[n] = pack(h, blocks)
+            assert files[n][5] & 2 and unpack(files[n]) == (h, blocks, None)
+        seconds = {}
+        for _ in range(3):  # best of 3, both sizes in turn so that load hits both
+            for n, data in files.items():
+                t = timeit.timeit(lambda: unpack(data), number=1)
+                seconds[n] = min(t, seconds.get(n, t))
+        assert seconds[16384] < 32 * seconds[1024]
 
 
 class TestCorruptInput:
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_block_over_k_max_is_corrupt(self, version):
         # A block of K_MAX steps parses; one step more makes a corrupt file,
         # refused by the parser before any schedule is built, and pack
         # refuses to write it.
         h = header(blocks=2)
+        raw = {3: raw_v3, 4: raw_v4}.get(version)
         for k in (K_MAX, K_MAX + 1):
             blocks = [(1,), (0,) * k]
             data = (pack_v2(h, blocks, version=version) if version < 3
-                    else raw_v3(blocks, 37, width=16))
+                    else raw(blocks, 37, width=16))
             if k <= K_MAX:
                 assert unpack(data)[1] == blocks
-                assert version < 3 or pack(h, blocks) == data
+                assert version < 4 or pack(h, blocks) == data
             else:
                 with pytest.raises(CorruptStreamError, match="K_MAX"):
                     unpack(data)
@@ -383,23 +507,29 @@ class TestCorruptInput:
 
     @pytest.mark.parametrize("residual", [None, b"\x00" * 5])
     def test_reserved_flag_bits_rejected(self, residual):
-        data = pack(header(), [(1,)], residual=residual)
+        # Bit 1 marks a prefix-coded K field in version 4 and is reserved
+        # before it; bits 2-7 are reserved in every version.
+        blocks = [(1,)] * 8  # a fixed-width K field
+        data = pack(header(blocks=8), blocks, residual=residual)
         assert data[5] == (residual is not None)
+        v3 = raw_v3([(1,)], 37, residual=residual)
         legacy = pack_v2(header(), [(1,)], residual=residual)
-        for bit in range(1, 8):
-            for file, flags_at in ((data, 5), (legacy, 5)):
+        for file, first in ((data, 2), (v3, 1), (legacy, 1)):
+            for bit in range(first, 8):
                 mutated = bytearray(file)
-                mutated[flags_at] ^= 1 << bit
-                if file is data:
+                mutated[5] ^= 1 << bit
+                if file is not legacy:
                     mutated = reseal(mutated)
                 with pytest.raises(FormatError):
                     unpack(bytes(mutated))
 
-    def test_writes_version_3_reads_all(self):
+    def test_writes_version_4_reads_all(self):
         data = pack(header(), [(1,)])
-        assert data[4] == VERSION_BYTE and unpack(data)[0].version == 3
-        with pytest.raises(UsageError, match="version 3 only"):
-            pack(header(version=2, latent_dim=4), [(1,)])
+        assert data[4] == VERSION_BYTE and unpack(data)[0].version == 4
+        for old in (header(version=3), header(version=2, latent_dim=4)):
+            with pytest.raises(UsageError, match="version 4 only"):
+                pack(old, [(1,)])
+        assert unpack(raw_v3([(1,)], 37))[0] == header(version=3)
         legacy = bytearray.fromhex(V2_LOSSLESS_HEX)
         for version in (1, 2):
             legacy[4] = version
@@ -480,13 +610,15 @@ class TestCorruptInput:
             unpack(pack_v2(header(), [(1,)]) + b"\x00")
 
     def test_nonzero_padding_rejected(self):
-        # A 5-bit index packed into a byte: set a padding bit, or a value
-        # above M^K.
-        data = bytearray(pack(header(epsilon=0.0), [(0,)]))
-        for byte, match in ((0x01, "padding"), (0xF8, "index range")):
-            data[-5] = byte  # the bitstream's only byte
-            with pytest.raises(CorruptStreamError, match=match):
-                unpack(reseal(bytes(data)))
+        # A 5-bit index packed into a byte, after a 1-bit unary K field in
+        # version 4: set a padding bit, or a value above M^K.
+        for data, over in ((pack(header(epsilon=0.0), [(0,)]), 0x54),
+                           (raw_v3([(0,)], 21, epsilon=0.0), 0xF8)):
+            data = bytearray(data)
+            for byte, match in ((0x01, "padding"), (over, "index range")):
+                data[-5] = byte  # the bitstream's only byte
+                with pytest.raises(CorruptStreamError, match=match):
+                    unpack(reseal(bytes(data)))
         legacy = bytearray(pack_v2(header(epsilon=0.0), [(0,)]))
         legacy[-1] = 0xFF  # value 255 >= 21^1
         with pytest.raises(CorruptStreamError):
@@ -521,7 +653,7 @@ class TestCorruptInput:
         # Flipping the top exponent bit of omega yields a denormal where
         # exp() rounds to 1, i.e. M = 1 and zero-width index payloads; the
         # parser must reject it instead of misreading garbage step counts.
-        data = bytearray(pack(header(), [(1,)]))
+        data = bytearray(raw_v3([(1,)], 37))
         omega_at = 6 + len(write_varint(12345))
         assert data[omega_at : omega_at + 8] == struct.pack("<d", 3.0)
         data[omega_at + 7] ^= 1 << 6
@@ -560,12 +692,15 @@ class TestCodelengthReport:
         blocks = [(0,) * 10]  # K = 10 at omega 3, KL 30
         report = codelength_report(h, blocks, [30.0])
         assert report["payload_bits"] == 53
-        assert report["varint_bits"] == 0  # one block: a 0-bit K field
+        assert report["varint_bits"] == 1  # one block: a 1-bit unary K field
         assert report["ideal_bits"] == pytest.approx(43.2808, abs=1e-3)
         assert report["overhead_ratio"] == pytest.approx(1.224, abs=1e-2)
-        # K from 7 to 11: 3 bits per block.
+        # K of 7, 11 and 9 around the centre 9: unary codes of 4, 5 and 1 bits.
         three = codelength_report(header(blocks=3), [(0,) * 7, (0,) * 11, (0,) * 9], [1.0] * 3)
-        assert three["varint_bits"] == 9
+        assert three["varint_bits"] == 10
+        # K from 1 to 8: fixed width, 3 bits per block.
+        eight = codelength_report(header(blocks=8), [(0,) * k for k in range(1, 9)], [1.0] * 8)
+        assert eight["varint_bits"] == 24
 
     def test_zero_kl_sentinel(self):
         report = codelength_report(header(), [(0,)], [0.0])

@@ -1,9 +1,11 @@
 """Golden outputs: SHA-256 of containers and codes from fixed inputs.
 
 Every entry fixes (image, model, codec seed, config) and pins the exact
-bytes the encoder writes for container version 3. A change that alters any
-of them changes the wire output, so it must be deliberate and re-recorded
-here together with a note in CHANGES.md.
+bytes the encoder writes for container version 4, and separately the block
+codes those bytes hold. A new container version re-records the container
+hashes only; the code hashes stay, as they did from version 3 to 4. A
+change that alters any of them changes the wire output, so it must be
+deliberate and re-recorded here together with a note in CHANGES.md.
 
 The 128x128 images span several step counts K per image and several
 encoder chunks per K.
@@ -20,27 +22,42 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN_MODEL_PATHS, sample_image
-from irec import codec, pipeline
+from irec import codec, container, pipeline
 from irec.chain import build_schedule
 from irec.codec import RecConfig
 from irec.gauss import DiagGaussian, kl_divergence
 from irec.model import load_model
 
 SMALL_GOLDEN = {
-    ("lossless", 1): "90b463d893aff06dc8ff9d0b1b6b0d07d813260c9dc4a712da462f2b036a84fe",
-    ("lossless", 4): "5e490e687c6c65c52c1cf411006f89019f4fa6a9ab22300b042cc5168beb3649",
-    ("lossless", 20): "96b4cdb8aa4f0281692750d1a139ade4cb60523eca2c6b5007c5ec466c68df8f",
-    ("lossy", 1): "061ad509e9c3401df8b89fa56ff2b07606f812c289106aefca7be2d50a2137f7",
-    ("lossy", 4): "a57bde25663e947290c10ddf1d3608c898e9e5f20ebfe8f3e3eecfec5e965b5d",
-    ("lossy", 20): "f49aa121934af03781ebeae385497630686a528d2b8ed4e8ce60795416d6e4c4",
+    ("lossless", 1): "227c28f6dbbd057bc4ab8a481e8c1f7f43d2412e4901fd3a4dfccc57b9f53b83",
+    ("lossless", 4): "94f501b447ef8272d3fb80a255969e4084c59d2e0474ab34bf28dae107590f1c",
+    ("lossless", 20): "21413267c86e65b7d9d77dd582e99323ae2ce9777ae5c54b16bfc8901b6aaf7d",
+    ("lossy", 1): "aa964902d9270a6b893e8c6ea365ee95f21b846e6de75ee8502eb8cafe715253",
+    ("lossy", 4): "3e8d3e64fa5e830fc28b1441ad74dd5250f56d5d9c7d7800a8bbcc4248b46253",
+    ("lossy", 20): "209cf3a44c8a8f1053befb5ce57f3d7a97225e3f3bd84a4988fdf029b0f252b0",
 }
-LOSSLESS_128_GOLDEN = "e4eee0ff34e4511f3c1e61f24ea8587557eec8be20d303881e9dd2d1c2a2a3a6"
-LOSSY_128_GOLDEN = "3d16717af012e6082789f2e83080f044570d00bdaefcb6a7649b52cc9e23ed5c"
+LOSSLESS_128_GOLDEN = "c0152eaaa90fa0fd394cc51540c8ccbc0dd8074583c763e3c2cfbe0c6923b80e"
+LOSSY_128_GOLDEN = "06cc53e19e4384b1d94f62c3f04fc8fcd0dac58eac9fdd3638bd961a2b400301"
+# SHA-256 of repr() of each case's list of block tuples, as unpack returns it.
+SMALL_CODES_GOLDEN = {
+    ("lossless", 1): "f38e5fd9009b19c1b78b13bef4fd53d09a10793cf911beb31c1fc26885c3d3b0",
+    ("lossless", 4): "d521142ddb3e68631c24e099fabed8e7b764fbaa0dcf37e1782f3f6fc6ca767b",
+    ("lossless", 20): "2171452306206dd6d5aaa63fd6e562fd51d884a29d4330e81ea7ab76827c6502",
+    ("lossy", 1): "cbd62434cfab0f3f25f34b7bafa87218899efac66dd5f949e234a0b6034dad7e",
+    ("lossy", 4): "8d10ae36d41906a03addc0e55de50cb52f7b1594fed5198f8698fa1500d8b5ab",
+    ("lossy", 20): "a9e0f22cae4d77136725ab03610a0d1e7cb95401329bdd838a6b1ac5845770d3",
+}
+LOSSLESS_128_CODES_GOLDEN = "c331054c1bcaf4b3125baf10d9e1bb9203bec271f517a5af1fc434d11eb31222"
+LOSSY_128_CODES_GOLDEN = "60b765c092793e7559b54b7cfa330a100c5cf51e498f35b22da21f553bbdbbc1"
 STOCHASTIC_ENCODE_GOLDEN = "667f5249df31612528ccd51cfadce845a533523e7c975440e436940057436ce2"
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _codes_sha(data: bytes) -> str:
+    return _sha(repr(container.unpack(data)[1]).encode())
 
 
 def _compress(lossless: bool, img, model, cfg: RecConfig) -> bytes:
@@ -58,6 +75,7 @@ def test_small_image(fitted_model, small_image, mode, beams):
     lossless = mode == "lossless"
     cfg = RecConfig(omega=3.0, epsilon=0.2 if lossless else 0.0, beams=beams)
     data = _compress(lossless, small_image, fitted_model, cfg)
+    assert _codes_sha(data) == SMALL_CODES_GOLDEN[(mode, beams)]
     assert _sha(data) == SMALL_GOLDEN[(mode, beams)]
 
 
@@ -79,12 +97,14 @@ def test_small_images_under_other_blas_kernel():
 def test_lossless_128(fitted_model):
     img = sample_image(fitted_model, np.random.default_rng(11), 128, 128)
     data = _compress(True, img, fitted_model, RecConfig(omega=3.0, epsilon=0.2, beams=20))
+    assert _codes_sha(data) == LOSSLESS_128_CODES_GOLDEN
     assert _sha(data) == LOSSLESS_128_GOLDEN
 
 
 def test_lossy_128(model_l16):
     img = sample_image(model_l16, np.random.default_rng(12), 128, 128)
     data = _compress(False, img, model_l16, RecConfig(omega=3.0, epsilon=0.0, beams=10))
+    assert _codes_sha(data) == LOSSY_128_CODES_GOLDEN
     assert _sha(data) == LOSSY_128_GOLDEN
 
 

@@ -83,6 +83,25 @@ V2_LOSSY_B4_PIXELS_SHA256 = (
     "15d7360286755616eb6508e51bcddfab89e2cdd4d8a8b78ceb53d914d0d0fc0d"
 )
 
+# Version-3 containers of the same image, model, config and seed, lossless
+# (158 bytes) and lossy (60 bytes), written by the last encoder of version 3.
+# They hold the version-2 codes, so they decode to the pixels of
+# V3_LOSSLESS_B4_PIXELS_SHA256 (the image itself) and V2_LOSSY_B4_PIXELS_SHA256.
+V3_LOSSLESS_B4_HEX = (
+    "4952454383010000000000000008409a9999999999c93fc449e97bd5fc479d1010070179"
+    "96b856f906a5391f49a665a285b65dd47a16b024266c7d75ab1c410b55c2fe1cab8b5356"
+    "3bd6c050cc557dd55f98669abdd7f5c44d961c132f3352cc694024dd06dd801c8b09706d"
+    "5cab2e8ab01476f4b7a0c0d24ae7215096f79a3280eded6613e3a106ada67c694f59b697"
+    "022d790d3dbc33ddbc215ecdacf4"
+)
+V3_LOSSY_B4_HEX = (
+    "4952454383000000000000000008409a9999999999c93fc449e97bd5fc479d1010070179"
+    "96b856f906a5391f49a665a285b65dd47a16b024e172a078"
+)
+V3_LOSSLESS_B4_PIXELS_SHA256 = (
+    "c7bc7a40129c42395e51a7f036718bfab5e777b41f6c67cd6bc31b26ab9e17eb"
+)
+
 
 def pruned_model(noise_var=4.0):
     return LinearGaussianModel(
@@ -360,7 +379,7 @@ class TestCutFiles:
     """A file cut short at any byte is rejected, never decoded to an image."""
 
     @pytest.mark.parametrize("lossless", [True, False], ids=["lossless", "lossy"])
-    def test_version_3_cut_at_every_byte_with_resealed_crc(self, fitted_model, lossless):
+    def test_version_4_cut_at_every_byte_with_resealed_crc(self, fitted_model, lossless):
         img = sample_image(fitted_model, np.random.default_rng(11), 16, 16)
         compress, decompress = (
             (compress_lossless, decompress_lossless) if lossless
@@ -378,8 +397,10 @@ class TestCutFiles:
             (V1_LOSSLESS_B4_HEX, decompress_lossless),
             (V2_LOSSLESS_B4_HEX, decompress_lossless),
             (V2_LOSSY_B4_HEX, decompress_lossy),
+            (V3_LOSSLESS_B4_HEX, decompress_lossless),
+            (V3_LOSSY_B4_HEX, decompress_lossy),
         ],
-        ids=["v1-lossless", "v2-lossless", "v2-lossy"],
+        ids=["v1-lossless", "v2-lossless", "v2-lossy", "v3-lossless", "v3-lossy"],
     )
     def test_committed_files_cut_at_every_byte(self, fitted_model, hex_data, decompress):
         data = bytes.fromhex(hex_data)
@@ -390,12 +411,14 @@ class TestCutFiles:
 
 @pytest.fixture(scope="module")
 def edit_targets(fitted_model):
-    """(file, decoder) for the committed v1/v2 files and fresh 16x16 v3 files."""
+    """(file, decoder) for the committed v1-v3 files and fresh 16x16 v4 files."""
     img = sample_image(fitted_model, np.random.default_rng(11), 16, 16)
     return [
         (bytes.fromhex(V1_LOSSLESS_B4_HEX), decompress_lossless),
         (bytes.fromhex(V2_LOSSLESS_B4_HEX), decompress_lossless),
         (bytes.fromhex(V2_LOSSY_B4_HEX), decompress_lossy),
+        (bytes.fromhex(V3_LOSSLESS_B4_HEX), decompress_lossless),
+        (bytes.fromhex(V3_LOSSY_B4_HEX), decompress_lossy),
         (compress_lossless(img, fitted_model, CFG, seed=3).data, decompress_lossless),
         (compress_lossy(img, fitted_model, CFG, seed=3).data, decompress_lossy),
     ]
@@ -406,7 +429,7 @@ class TestEditedFiles:
 
     @settings(max_examples=500, derandomize=True, deadline=None, database=None)
     @given(
-        target=st.integers(0, 4),
+        target=st.integers(0, 6),
         edits=st.lists(
             st.tuples(
                 st.sampled_from(("set", "insert", "delete")),
@@ -420,7 +443,7 @@ class TestEditedFiles:
     def test_decodes_or_raises_a_format_class(self, fitted_model, edit_targets, target, edits):
         # A decoder returns an image or raises a class of FORMAT.md section 8;
         # any other exception, or a warning under filterwarnings = error,
-        # fails the test. Version-3 files are resealed after the edits.
+        # fails the test. Version-3 and -4 files are resealed after the edits.
         data, decompress = edit_targets[target]
         out = bytearray(data)
         for op, at, byte in edits:
@@ -431,7 +454,7 @@ class TestEditedFiles:
                 out.insert(at, byte)
             else:
                 del out[at]
-        if data[4] == container.VERSION_BYTE:
+        if data[4] & 0x80:
             out = reseal(bytes(out))
         try:
             decompress(bytes(out), fitted_model)
@@ -521,14 +544,27 @@ class TestContainerVersions:
         # Both files hold the same blocks; only the residual section differs.
         assert container.unpack(lossless)[1] == container.unpack(lossy)[1]
 
+    def test_version_3_decodes_bit_exactly(self, fitted_model, small_image):
+        lossless = bytes.fromhex(V3_LOSSLESS_B4_HEX)
+        lossy = bytes.fromhex(V3_LOSSY_B4_HEX)
+        assert (len(lossless), len(lossy)) == (158, 60)
+        assert lossless[4] == lossy[4] == 0x83
+        out = decompress_lossless(lossless, fitted_model)
+        assert hashlib.sha256(out.pixels.tobytes()).hexdigest() == V3_LOSSLESS_B4_PIXELS_SHA256
+        assert np.array_equal(out.pixels, small_image.pixels)
+        out = decompress_lossy(lossy, fitted_model)
+        assert hashlib.sha256(out.pixels.tobytes()).hexdigest() == V2_LOSSY_B4_PIXELS_SHA256
+
     @pytest.mark.parametrize(
         "hex_data, decompress",
         [
             (V1_LOSSLESS_B4_HEX, decompress_lossless),
             (V2_LOSSLESS_B4_HEX, decompress_lossless),
             (V2_LOSSY_B4_HEX, decompress_lossy),
+            (V3_LOSSLESS_B4_HEX, decompress_lossless),
+            (V3_LOSSY_B4_HEX, decompress_lossy),
         ],
-        ids=["v1-lossless", "v2-lossless", "v2-lossy"],
+        ids=["v1-lossless", "v2-lossless", "v2-lossy", "v3-lossless", "v3-lossy"],
     )
     def test_committed_files_draw_only_the_chosen_samples(
         self, fitted_model, hex_data, decompress, monkeypatch
@@ -563,14 +599,14 @@ class TestContainerVersions:
         out = decompress_lossless(bytes(data), fitted_model)
         assert not np.array_equal(out.pixels, small_image.pixels)
 
-    def test_new_files_are_version_3(self, fitted_model, small_image):
+    def test_new_files_are_version_4(self, fitted_model, small_image):
         for compress, decompress in (
             (compress_lossless, decompress_lossless),
             (compress_lossy, decompress_lossy),
         ):
             result = compress(small_image, fitted_model, CFG, seed=0)
             header, _, _ = container.unpack(result.data)
-            assert header.version == 3 and result.data[4] == container.VERSION_BYTE
+            assert header.version == 4 and result.data[4] == container.VERSION_BYTE
             again = compress(small_image, fitted_model, CFG, seed=0)
             assert again.data == result.data
             out = decompress(result.data, fitted_model)
@@ -579,11 +615,25 @@ class TestContainerVersions:
             else:
                 assert psnr(small_image, out) == result.psnr
 
-    def test_version_3_holds_the_version_2_codes(self, fitted_model, small_image):
+    def test_version_3_holds_the_version_2_codes(self, fitted_model):
         # Same blocks and same pixels, in fewer bytes.
+        for old_hex, new_hex, decompress in (
+            (V2_LOSSLESS_B4_HEX, V3_LOSSLESS_B4_HEX, decompress_lossless),
+            (V2_LOSSY_B4_HEX, V3_LOSSY_B4_HEX, decompress_lossy),
+        ):
+            old, new = bytes.fromhex(old_hex), bytes.fromhex(new_hex)
+            assert container.unpack(new)[1] == container.unpack(old)[1]
+            assert np.array_equal(
+                decompress(new, fitted_model).pixels, decompress(old, fitted_model).pixels
+            )
+            assert len(new) < len(old)
+
+    def test_version_4_holds_the_version_3_codes(self, fitted_model, small_image):
+        # Same blocks and same pixels, in 13 fewer bytes: 12 from omega and
+        # epsilon, 1 from the prefix-coded K field.
         for hex_data, compress, decompress in (
-            (V2_LOSSLESS_B4_HEX, compress_lossless, decompress_lossless),
-            (V2_LOSSY_B4_HEX, compress_lossy, decompress_lossy),
+            (V3_LOSSLESS_B4_HEX, compress_lossless, decompress_lossless),
+            (V3_LOSSY_B4_HEX, compress_lossy, decompress_lossy),
         ):
             old = bytes.fromhex(hex_data)
             new = compress(small_image, fitted_model, CFG, seed=0).data
@@ -591,7 +641,7 @@ class TestContainerVersions:
             assert np.array_equal(
                 decompress(new, fitted_model).pixels, decompress(old, fitted_model).pixels
             )
-            assert len(new) < len(old)
+            assert len(new) == len(old) - 13
 
     def test_posterior_var_matches_patch_posteriors(self, fitted_model, small_image):
         from irec.model import patchify, posterior
@@ -601,14 +651,32 @@ class TestContainerVersions:
             assert np.allclose(posterior(fitted_model, patch).var, s_sq, rtol=1e-12)
 
     def test_format_example_bytes(self):
-        # The annotated example file of docs/FORMAT.md section 7.
-        model = LinearGaussianModel(
-            W=np.zeros((64, 2)), mu=np.full(64, 128.0), noise_var=1.0
-        )
-        img = ImageGray8(8, 8, np.full((8, 8), 128, dtype=np.uint8))
+        # The annotated version-4 example file of docs/FORMAT.md section 7.
+        model, img = self.format_example()
         cfg = RecConfig(omega=3.0, epsilon=0.2, beams=20)
         data = compress_lossless(img, model, cfg, seed=1).data
         assert data == bytes.fromhex(
+            "49524543"  # magic
+            "84"  # version 4
+            "03"  # flags: residual section present, prefix-coded K field
+            "01"  # seed = 1 (varint)
+            "b817"  # omega = 3000 / 1000 (varint)
+            "c801"  # epsilon = 200 / 1000 (varint)
+            "f108d1805f76229f"  # model_id
+            "08" "08"  # image_width, image_height (varints)
+            "01"  # K field centre = 1 (varint)
+            "00"  # block 0: unary 0 (K = 1), index 0 in 6 bits, 1 padding bit
+            "7ffe61db82c06001" "311427b7"  # range coder bytes
+            "73fd6aad"  # CRC32 = 0xad6afd73
+        )
+        assert len(data) == 39
+        assert np.array_equal(decompress_lossless(data, model).pixels, img.pixels)
+
+    def test_version_3_format_example_decodes(self):
+        # The 52-byte version-3 example of docs/FORMAT.md section 7, as the
+        # last encoder of version 3 wrote it.
+        model, img = self.format_example()
+        data = bytes.fromhex(
             "49524543"  # magic
             "83"  # version 3
             "01"  # flags: residual section present
@@ -622,4 +690,15 @@ class TestContainerVersions:
             "7ffe61db82c06001" "311427b7"  # range coder bytes
             "4d30a66a"  # CRC32 = 0x6aa6304d
         )
+        assert len(data) == 52
+        header, blocks, _ = container.unpack(data)
+        assert (header.version, header.omega, header.epsilon, blocks) == (3, 3.0, 0.2, [(0,)])
         assert np.array_equal(decompress_lossless(data, model).pixels, img.pixels)
+
+    @staticmethod
+    def format_example():
+        """The fully pruned 2-latent model and the constant 8x8 image of FORMAT.md section 7."""
+        model = LinearGaussianModel(
+            W=np.zeros((64, 2)), mu=np.full(64, 128.0), noise_var=1.0
+        )
+        return model, ImageGray8(8, 8, np.full((8, 8), 128, dtype=np.uint8))
