@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import container, pipeline, synthetic
+from . import chain, container, pipeline, synthetic
 from .codec import RecConfig
 from .errors import ConfigError, CorruptStreamError, FormatError, ModelMismatchError
 from .errors import UsageError
@@ -106,7 +106,8 @@ def cmd_inspect(args):
         lines += [f"latent_dim {header.latent_dim}", "k_field varint"]
     # Decode work (FORMAT.md section 5): a draw per step, 64 * (K - 1) evaluations of C per K.
     distinct = sorted(set(ks))
-    evaluations = sum(64 * (k - 1) for k in distinct) if header.version > 1 else 0
+    evaluations = (sum(chain.EQUAL_KL_ITERATIONS * (k - 1) for k in distinct)
+                   if header.version > 1 else 0)
     lines += [f"draws {sum(ks)}", f"distinct_k {' '.join(map(str, distinct))}",
               f"schedule_evaluations {evaluations}"]
     lines += [f"block {i} K {k} index_bits {container.index_bits(k, m)}" for i, k in enumerate(ks)]

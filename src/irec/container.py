@@ -125,6 +125,8 @@ def read_varint(data: bytes, pos: int) -> tuple[int, int]:
         pos += 1
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            if not byte:  # a last byte of 0 after the first: the same value is shorter
+                raise CorruptStreamError("overlong varint")
             return result, pos
         shift += 7
         if shift > 63:
@@ -298,7 +300,7 @@ def _unpack_checked(data: bytes):
         ks = [k_min + offset for offset in _read_bits(body, pos, [width_k] * n)[0]]
     check_steps(max(ks), CorruptStreamError)
     _check_room(k_bits, sum(ks), m, body, pos)
-    index_widths = {k: (m**k - 1).bit_length() for k in set(ks)}  # index_bits of checked K
+    index_widths = {k: index_bits(k, m) for k in set(ks)}
     # The K field again as one field, then the tuples and the padding.
     widths = [k_bits] + [index_widths[k] for k in ks]
     (_, *values, pad), pos = _read_bits(body, pos, widths + [-sum(widths) % 8])

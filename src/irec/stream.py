@@ -15,18 +15,18 @@ sample) addresses, so the generator is part of the wire format:
 Philox is a counter-based PRF, so draw_normals (raw_words, then the uniform and
 Box-Muller map normals_from_words) and draw_uniforms evaluate any broadcast
 grid of addresses in one call. raw_words takes a lane count and returns the
-words of lanes 0..lanes-1 on a trailing axis; it runs exact integer Philox on
-one of two paths that give the same words:
+words of lanes 0..lanes-1 on a trailing axis; it runs the rounds of one exact
+integer Philox (_philox) on one of two kinds of operand, with the same words:
 
 * when seed, block, step, sample and the lane count are plain Python ints
   in range (each of the decoder's draws), on Python ints: the lanes are
-  packed into one int per counter word (_philox_packed), and both words are
-  read back from one byte buffer as read-only arrays; this avoids the ~100
-  NumPy dispatches of ten vectorised rounds, which dominate a call of a few
-  lanes. Round 1 runs on scalars: only its c0, the lane, differs between
-  fields, so its other words and keys are copied into each;
-* otherwise (every encoder call covers a grid of samples) as NumPy uint64
-  array arithmetic.
+  packed into one int per counter word, and both words are read back from
+  one byte buffer as read-only arrays; this avoids the ~100 NumPy dispatches
+  of ten vectorised rounds, which dominate a call of a few lanes. Round 1
+  runs on scalars: only its c0, the lane, differs between fields, so its
+  other words and keys are copied into each;
+* otherwise (every encoder call covers a grid of samples) on NumPy uint64
+  arrays.
 
 The seed broadcasts with the addresses: a seed array's round keys are
 computed per call; a scalar seed's are cached per seed, or on the int path
@@ -51,10 +51,10 @@ _PHILOX_W0 = 0x9E3779B9
 _PHILOX_W1 = 0xBB67AE85
 _U32_MAX = 0xFFFFFFFF
 _U64_MAX = 0xFFFFFFFFFFFFFFFF
-_M0 = np.uint64(_PHILOX_M0)
-_M1 = np.uint64(_PHILOX_M1)
 _MASK32 = np.uint64(_U32_MAX)
-_SHIFT32 = np.uint64(32)
+# The multipliers and the shift of _philox's two kinds of operand.
+_INT = (_PHILOX_M0, _PHILOX_M1, 32)
+_UINT64 = (np.uint64(_PHILOX_M0), np.uint64(_PHILOX_M1), np.uint64(32))
 _SHIFT11 = np.uint64(11)
 _LE_U64 = np.dtype("<u8")
 
@@ -136,44 +136,33 @@ def _packed_constants(seed: int, lanes: int):
     return ones, low, (p0 >> 32) & low, p0 & low, keys[0], keys[1:]
 
 
-def _philox_packed(c0: int, c1: int, c2: int, c3: int, low: int, keys):
-    """Philox4x32-10 rounds for many invocations at once on Python ints.
+def _philox(c0, c1, c2, c3, keys, low, kind):
+    """Philox4x32-10 rounds; returns the two 64-bit words of each invocation.
 
-    Invocation j keeps its 32-bit counter words in bits [64j, 64j + 32) of
-    c0..c3; low and the round keys hold one value per field. A product of two
-    32-bit words fits its 64-bit field, so fields never carry into each
-    other and every round is exact for each invocation. Returns the two
-    64-bit words of each invocation, packed one per field.
+    The counter words are uint64 arrays (kind _UINT64, low _MASK32) or Python
+    ints that pack invocation j into bits [64j, 64j + 32) (kind _INT, low
+    and the round keys holding one value per field). A product of two 32-bit
+    words fits its 64-bit field, and both its halves are masked with low, so
+    fields never carry into each other and every round is exact.
     """
+    m0, m1, shift = kind
     for k0, k1 in keys:
-        p0 = _PHILOX_M0 * c0
-        p1 = _PHILOX_M1 * c2
-        c0 = ((p1 >> 32) & low) ^ c1 ^ k0
-        c2 = ((p0 >> 32) & low) ^ c3 ^ k1
+        p0 = m0 * c0
+        p1 = m1 * c2
+        c0 = ((p1 >> shift) & low) ^ c1 ^ k0
+        c2 = ((p0 >> shift) & low) ^ c3 ^ k1
         c1 = p1 & low
         c3 = p0 & low
-    return c0 | c1 << 32, c2 | c3 << 32
-
-
-def _philox_arrays(c0, c1, c2, c3, keys):
-    """Ten Philox rounds over uint64 arrays holding 32-bit counter words;
-    returns the two 64-bit words of each invocation."""
-    for k0, k1 in keys:
-        p0 = _M0 * c0
-        p1 = _M1 * c2
-        hi0, lo0 = p0 >> _SHIFT32, p0 & _MASK32
-        hi1, lo1 = p1 >> _SHIFT32, p1 & _MASK32
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0 | (c1 << _SHIFT32), c2 | (c3 << _SHIFT32)
+    return c0 | c1 << shift, c2 | c3 << shift
 
 
 def _raw_words_ints(block: int, step: int, sample: int, lanes: int, seed: int):
     """raw_words at one address on Python ints: round 1 on scalars, then 9 packed rounds."""
     ones, low, lane_hi, lane_lo, (k0, k1), keys = _packed_constants(seed, lanes)
     p1 = _PHILOX_M1 * step
-    w_lo, w_hi = _philox_packed(
+    w_lo, w_hi = _philox(
         ((p1 >> 32) ^ sample) * ones ^ k0, (p1 & _U32_MAX) * ones,
-        lane_hi ^ block * ones ^ k1, lane_lo, low, keys,
+        lane_hi ^ block * ones ^ k1, lane_lo, keys, low, _INT,
     )
     words = (w_lo | w_hi << 64 * lanes).to_bytes(16 * lanes, "little")
     words = np.frombuffer(words, _LE_U64).reshape(2, lanes)
@@ -202,7 +191,8 @@ def raw_words(seed, block, step, samples, lanes: int):
     lanes = check_int("lane count", lanes, 1, _U32_MAX + 1)
     # No explicit broadcast: after four rounds every output word depends on
     # all four counter words and the keys, so the arithmetic broadcasts them.
-    return _philox_arrays(np.arange(lanes, dtype=np.uint64), samples, step, block, keys)
+    lane = np.arange(lanes, dtype=np.uint64)
+    return _philox(lane, samples, step, block, keys, _MASK32, _UINT64)
 
 
 def _to_uniform(words: np.ndarray) -> np.ndarray:

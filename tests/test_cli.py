@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import irec.chain
-from conftest import raw_v3, sample_image
+from conftest import raw_v3, raw_v4, reseal, sample_image
 from irec import cli, container
 from irec.chain import K_MAX
 from test_pipeline import V2_LOSSLESS_B4_HEX, V3_LOSSLESS_B4_HEX
@@ -115,6 +115,18 @@ class TestCompressDecompress:
             "--in", str(bad), "--out", str(tmp / "y.pgm"),
         ])
         assert code == 3
+
+    def test_overlong_varint_exit_code(self, workspace, fitted_model):
+        # The seed byte 00 rewritten as 80 00, the same value, and resealed.
+        tmp, model_path, _ = workspace
+        good = raw_v4([(1,)], 37, seed=0, model_id=fitted_model.model_id)
+        for data, expected in ((good, 0), (reseal(good[:6] + b"\x80" + good[6:]), 3)):
+            (tmp / "seed.irec").write_bytes(data)
+            code = cli.main([
+                "decompress", "--mode", "lossy", "--model", str(model_path),
+                "--in", str(tmp / "seed.irec"), "--out", str(tmp / "y.pgm"),
+            ])
+            assert code == expected
 
     def test_relabelled_image_size_exit_code(self, workspace):
         # A 16x16 file (4 blocks) relabelled as 8x8 is malformed, not a usage

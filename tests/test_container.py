@@ -80,6 +80,19 @@ class TestVarint:
         with pytest.raises(CorruptStreamError):
             read_varint(b"\x80" * 10 + b"\x01", 0)
 
+    @pytest.mark.parametrize("data", ["8000", "ff00", "808000", "ff8000"])
+    def test_last_byte_zero_is_overlong(self, data):
+        # Each value has a shorter code, so only that one is canonical.
+        with pytest.raises(CorruptStreamError, match="overlong varint"):
+            read_varint(bytes.fromhex(data), 0)
+
+    def test_overlong_header_varint(self):
+        # Seed 0 written as 80 00 (the same value) under a resealed CRC32.
+        data = raw_v4([(1,)], 37, seed=0)
+        assert data[6] == 0 and unpack(data)[1] == [(1,)]
+        with pytest.raises(CorruptStreamError, match="overlong varint"):
+            unpack(reseal(data[:6] + b"\x80" + data[6:]))
+
 
 class TestIndexBits:
     def test_examples(self):

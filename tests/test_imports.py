@@ -7,6 +7,10 @@ exempt.
 
 Every module under src/irec imports only the stdlib, numpy or irec itself,
 so numpy stays the package's only runtime dependency.
+
+Every top-level `_`-prefixed function under src/irec is referenced by some
+module under src/irec outside its own definition, so a private function
+that only tests call cannot linger.
 """
 
 import ast
@@ -98,3 +102,44 @@ def test_runtime_check_flags_an_injected_import():
         f"line {lines + 1}: hypothesis",
         f"line {lines + 2}: scipy.stats",
     ]
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Top-level `_`-prefixed functions of the modules in `sources` (name to
+    source) that no statement of theirs references outside the function's
+    own definition, as a name, an attribute or an imported name."""
+    defined, referenced = [], {}  # referenced: name -> the statements naming it
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_"):
+                defined.append((module, stmt))
+            for node in ast.walk(stmt):
+                names = (
+                    [node.id] if isinstance(node, ast.Name)
+                    else [node.attr] if isinstance(node, ast.Attribute)
+                    else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                    else []
+                )
+                for name in names:
+                    referenced.setdefault(name, set()).add((module, stmt.lineno))
+    return [
+        f"{module}: {stmt.name}"
+        for module, stmt in defined
+        if not referenced.get(stmt.name, set()) - {(module, stmt.lineno)}
+    ]
+
+
+def test_private_functions_are_referenced():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unreferenced_private_functions(sources) == []
+
+
+def test_private_check_flags_a_function_only_tests_call():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    # Calling itself is no reference; an import from another module is one.
+    sources["stream.py"] += (
+        "\n\ndef _unused(n):\n    return _unused(n - 1) if n else 0\n"
+        "\n\ndef _imported():\n    return 0\n"
+    )
+    sources["extra.py"] = "from .stream import _imported\n"
+    assert unreferenced_private_functions(sources) == ["stream.py: _unused"]

@@ -376,7 +376,10 @@ class TestBitFlips:
 
 
 class TestCutFiles:
-    """A file cut short at any byte is rejected, never decoded to an image."""
+    """Files cut short at every byte are rejected, never decoded to an image:
+    fresh 16x16 version-4 files even when the cut is resealed with a new
+    CRC32, and the committed files as cut. A resealed cut is not rejected in
+    every file: the residual section has no length (FORMAT.md section 6)."""
 
     @pytest.mark.parametrize("lossless", [True, False], ids=["lossless", "lossy"])
     def test_version_4_cut_at_every_byte_with_resealed_crc(self, fitted_model, lossless):

@@ -124,19 +124,35 @@ class TestPhilox:
     @pytest.mark.parametrize("counter, key, expected", KNOWN_ANSWERS)
     def test_known_answers(self, path, counter, key, expected):
         # Counter words are (lane, sample, step, block); key = (seed low, seed
-        # high). Each path's rounds run every vector: the int path's as one
-        # field of _philox_packed, the NumPy path's under a scalar seed's
-        # cached keys or a seed array's keys. raw_words itself serves lanes
-        # from 0, so only the vector of lane 0 runs through it.
+        # high). _philox runs every vector on each kind of operand: on Python
+        # ints as the middle of three packed fields whose neighbours' counter
+        # words and keys are all 0xFFFFFFFF, so a carry between fields (either
+        # mask dropped) changes a word; on uint64 as a row under a scalar
+        # seed's cached keys or a seed array's keys. raw_words itself serves
+        # lanes from 0, so only the vector of lane 0 runs through it.
         seed = key[0] | key[1] << 32
         if path == "int":
-            words = stream._philox_packed(*counter, 0xFFFFFFFF, stream._key_schedule(seed))
+            def pack(*fields):  # fields 0, 1 and 2 of 64 bits each
+                return sum(f << 64 * j for j, f in enumerate(fields))
+            ones = 0xFFFFFFFF
+            keys = [
+                (pack(n0, k0, n0), pack(n1, k1, n1)) for (k0, k1), (n0, n1)
+                in zip(stream._key_schedule(seed), stream._key_schedule(2**64 - 1))
+            ]
+            words = stream._philox(
+                *(pack(ones, c, ones) for c in counter), keys, pack(ones, ones, ones), stream._INT
+            )
+            fields = [[w >> 64 * j & 2**64 - 1 for w in words] for j in range(3)]
+            assert output_words(*fields[0]) == output_words(*fields[2]) == KNOWN_ANSWERS[1][2]
+            words = fields[1]
         else:
             keys = (
                 stream._round_keys(seed) if path == "array"
                 else stream._key_schedule(np.array([seed], dtype=np.uint64))
             )
-            words = stream._philox_arrays(*np.array(counter, dtype=np.uint64)[:, None], keys)
+            words = stream._philox(
+                *np.array(counter, dtype=np.uint64)[:, None], keys, stream._MASK32, stream._UINT64
+            )
             words = [w[0] for w in words]
         assert output_words(*words) == expected
         c0, c1, c2, c3 = counter
@@ -181,9 +197,9 @@ class TestPhilox:
         # Python ints exactly when seed, block, step, sample and the lane
         # count are plain ints; NumPy scalars, bools and arrays take NumPy rounds.
         calls = []
-        packed = stream._philox_packed
+        ints = stream._raw_words_ints
         monkeypatch.setattr(
-            stream, "_philox_packed", lambda *a: calls.append(1) or packed(*a)
+            stream, "_raw_words_ints", lambda *a: calls.append(1) or ints(*a)
         )
         stream.raw_words(3, 1, 2, 3, 1)
         stream.raw_words(2**64 - 1, 2**32 - 1, 0, 2**32 - 1, 256)
