@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import codec
 from .errors import FormatError, UsageError
 from .gauss import DiagGaussian
 from .stream import check_int
@@ -160,14 +161,13 @@ def patch_kl_bound(model: LinearGaussianModel) -> float:
     """An upper bound on KL(posterior || prior) over all patches in [0, 255]^64.
 
     Each posterior mean is at most sum_i max(|mu_i|, |255 - mu_i|) |W[i][j]|
-    / (n_j + sigma^2) in magnitude. The bound is inf or nan if any step of it
+    var_j / sigma^2 in magnitude. The bound is inf or nan if any step of it
     overflows; when it is finite, so are the posterior and KL of every such patch.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        n = np.cumsum(model.W * model.W, axis=0)[-1]
+        var = posterior_var(model)
         radius = np.maximum(np.abs(model.mu), np.abs(255.0 - model.mu))
-        mean = radius @ np.abs(model.W) / (n + model.noise_var)
-        var = model.noise_var / (n + model.noise_var)
+        mean = radius @ np.abs(model.W) * (var / model.noise_var)
         return float(0.5 * np.sum(var + mean * mean - 1.0 - np.log(var)))
 
 
@@ -203,14 +203,18 @@ def fit_ppca(patches, latent_dim: int) -> LinearGaussianModel:
 
 def posterior(model: LinearGaussianModel, x: np.ndarray) -> DiagGaussian:
     """Exact posterior of patches x (..., D), diagonal as W is column-orthogonal:
-    the mean sums (x_i - mu_i) W[i] over i = 0..D-1 in order, times var / sigma^2."""
+    the mean sums (x_i - mu_i) W[i] over i = 0..D-1 in order, times var / sigma^2.
+    The terms are formed in slabs of i of at most codec.MAX_CHUNK_FLOATS floats (or one i)."""
     x = np.asarray(x)
     if x.shape[-1:] != (model.data_dim,):
         raise UsageError(f"expected data vector of length {model.data_dim}")
     var = posterior_var(model)
     mean = np.zeros(x.shape[:-1] + var.shape)
-    for term in np.moveaxis((x - model.mu)[..., None] * model.W, -2, 0):
-        mean += term
+    span = max(1, codec.MAX_CHUNK_FLOATS // max(1, mean.size))
+    for lo in range(0, model.data_dim, span):
+        i = slice(lo, lo + span)
+        for term in np.moveaxis((x[..., i] - model.mu[i])[..., None] * model.W[i], -2, 0):
+            mean += term
     return DiagGaussian(mean * (var / model.noise_var), np.sqrt(var))
 
 

@@ -28,8 +28,8 @@ _LN2 = math.log(2.0)
 def synthetic_target(dims: int, total_kl: float, rng: np.random.Generator) -> DiagGaussian:
     """Random whitened target with an exact analytic KL to N(0, I)."""
     dims = check_int("dims", dims, 1)
-    if total_kl <= 0:
-        raise UsageError("total_kl must be positive")
+    if not 0 < total_kl < math.inf:  # NaN too
+        raise UsageError(f"total_kl must be positive and finite, got {total_kl}")
     unit_mean = rng.normal(size=dims)
     std = np.exp(rng.uniform(-1.0, 0.0, size=dims))
     var = std * std
@@ -56,10 +56,8 @@ def synthetic_target(dims: int, total_kl: float, rng: np.random.Generator) -> Di
 
 
 def _seed_rng(seed: int) -> np.random.Generator:
-    """The generator of a study seed, which must be a nonnegative integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise UsageError(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.default_rng(seed)
+    """The generator of a study seed, a nonnegative integer (check_int)."""
+    return np.random.default_rng(check_int("seed", seed))
 
 
 def problem_set(dims: int, kl: float, trials: int, seed: int) -> list[tuple[DiagGaussian, int]]:
@@ -101,14 +99,8 @@ def bias_study(
     rows = []
     for beams in beam_list:
         ratios = log_ratios(problems, kl_target, RecConfig(beams=beams))
-        rows.append(
-            BiasRow(
-                beams=beams,
-                mean_log_ratio=float(ratios.mean()),
-                stderr=float(ratios.std(ddof=1) / math.sqrt(trials)),
-                kl=kl_target,
-            )
-        )
+        stderr = float(ratios.std(ddof=1) / math.sqrt(trials))
+        rows.append(BiasRow(beams, float(ratios.mean()), stderr, kl_target))
     return rows
 
 
@@ -287,8 +279,8 @@ def check_stochastic_ks(q: DiagGaussian, samples: int, seed: int) -> CheckResult
     kl = kl_divergence(q, DiagGaussian.standard(1))
     cfg = RecConfig(omega=3.0, epsilon=0.0, beams=1, stochastic_final=True)
     schedule = build_schedule(kl, 3.0, 0.0, q.var)
-    if not 0 <= seed <= 2**64 - samples:
-        raise UsageError(f"seeds {seed}..{seed + samples - 1} out of u64 range")
+    samples = check_int("samples", samples, 1)
+    seed = check_int("seed", seed, 0, 2**64 - samples)  # seeds seed .. seed + samples - 1 are u64
     seeds = np.array(range(seed, seed + samples), dtype=np.uint64)
     decoded = codec.encode_blocks(
         np.tile(q.mean, (samples, 1)), q.std, [schedule] * samples, cfg, seeds, [0] * samples
@@ -300,8 +292,7 @@ def check_stochastic_ks(q: DiagGaussian, samples: int, seed: int) -> CheckResult
 
 
 def _check_determinism(seed: int) -> CheckResult:
-    rng = _seed_rng(seed)
-    q = synthetic_target(8, 12.0, rng)
+    q = synthetic_target(8, 12.0, _seed_rng(seed))
     schedule = build_schedule(12.0, 3.0, 0.2, q.var)
     cfg = RecConfig(omega=3.0, epsilon=0.2, beams=5)
     twice = np.stack([q.mean] * 2)

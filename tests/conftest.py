@@ -3,6 +3,7 @@
 import math
 import struct
 import zlib
+from collections import Counter
 from functools import reduce
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import irec.chain
-from irec.container import index_bits, write_varint
+import irec.stream
+from irec.container import index_bits, unpack, write_varint
 from irec.errors import UsageError
 from irec.model import (
     PATCH_DIM,
@@ -164,6 +166,36 @@ def _zigzag(d):
     return 2 * d if d >= 0 else -2 * d - 1
 
 
+def replay_problems(data, latent_dim, calls):
+    """How a decode of the container data broke the draw-replay contract; [] if it kept it.
+
+    calls holds (args, words) for each stream.raw_words call of the decode, as
+    raw_words_calls records them: args is (seed, block, step, sample, lanes) and
+    words the word count of each returned array. The contract does not depend on
+    how the decoder batches its draws: every call uses the header's seed and
+    ceil(L / 2) lanes, the multiset of (block, step, sample) addresses drawn is
+    the container's {(i, k, i_k)}, and the words add up to sum(K) * ceil(L / 2).
+    """
+    header, blocks, _ = unpack(data)
+    lanes = -(-latent_dim // 2)
+    problems, drawn, words = [], Counter(), 0
+    for n, ((seed, block, step, sample, call_lanes), count) in enumerate(calls):
+        if not np.all(np.asarray(seed) == header.seed):
+            problems.append(f"call {n}: seed {seed!r}, header seed {header.seed}")
+        if call_lanes != lanes:
+            problems.append(f"call {n}: {call_lanes!r} lanes, L = {latent_dim} needs {lanes}")
+        grid = np.broadcast_arrays(block, step, sample)
+        drawn.update(zip(*(np.ravel(x).tolist() for x in grid)))
+        words += count
+    chosen = Counter((i, k, idx) for i, code in enumerate(blocks) for k, idx in enumerate(code))
+    for name, extra in (("not drawn", chosen - drawn), ("drawn but not chosen", drawn - chosen)):
+        if extra:
+            problems.append(f"addresses {name}: {sum(extra.values())}, e.g. {min(extra)}")
+    if words != sum(chosen.values()) * lanes:
+        problems.append(f"{words} words, sum(K) * ceil(L / 2) = {sum(chosen.values()) * lanes}")
+    return problems
+
+
 def reseal(data):
     """The file with its CRC32 recomputed, as a deliberate edit would leave it."""
     return data[:-4] + struct.pack("<I", zlib.crc32(data[:-4]))
@@ -191,4 +223,23 @@ def equal_kl_calls(monkeypatch):
         return equal_kl(*args)
 
     monkeypatch.setattr(irec.chain, "_equal_kl", counting)
+    return calls
+
+
+@pytest.fixture()
+def raw_words_calls(monkeypatch):
+    """(args, words) of each stream.raw_words call from here on: the argument
+    tuple and the word count of each returned array. A call is recorded before
+    it runs, with words None until it returns, so one that raises still shows."""
+    calls = []
+    raw_words = irec.stream.raw_words
+
+    def recording(*args):
+        n = len(calls)
+        calls.append((args, None))
+        result = raw_words(*args)
+        calls[n] = (args, result[0].size)
+        return result
+
+    monkeypatch.setattr(irec.stream, "raw_words", recording)
     return calls

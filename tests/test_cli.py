@@ -389,7 +389,7 @@ class TestStudyCommands:
     @pytest.mark.parametrize("command", ["validate", "bias-study", "sweep"])
     def test_negative_seed_is_usage_error(self, command, capsys):
         assert cli.main([command, "--seed", "-1"]) == cli.EXIT_USAGE
-        assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
 class TestInspect:

@@ -379,7 +379,9 @@ class TestEncodeBlocks:
             for name, budget in _BUDGETS.items()
         ],
     )
-    def test_draws_exactly_what_it_uses(self, beams, stochastic, budget, monkeypatch):
+    def test_draws_exactly_what_it_uses(
+        self, beams, stochastic, budget, monkeypatch, raw_words_calls
+    ):
         # Blocks of K = 1..9: the normal draws address each live (block,
         # step), k < K, at samples 0..M-1 exactly once, and nothing else; a
         # stochastic encode adds one uniform per live (block, step), at the
@@ -390,26 +392,20 @@ class TestEncodeBlocks:
         m, dims = schedules[0].M, qs[0].dim
         cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams, stochastic_final=stochastic)
         _set_budget(monkeypatch, beams, schedules[0], dims, **budget)
-        raw_words = stream.raw_words
-        normals, uniforms, words = [], [], []
-
-        def counting(seed, block, step, samples, lanes):
-            result = raw_words(seed, block, step, samples, lanes)
+        codec.encode_blocks(*_stacked(qs), schedules, cfg, 21, blocks)
+        normals, uniforms = [], []
+        for (_, block, step, samples, _), _ in raw_words_calls:
             grid = np.broadcast_arrays(block, step, samples)
             for address in zip(*(np.ravel(x).tolist() for x in grid)):
                 (uniforms if address[2] == m else normals).append(address)
-            words.append(result[0].size)
-            return result
-
-        monkeypatch.setattr(stream, "raw_words", counting)
-        codec.encode_blocks(*_stacked(qs), schedules, cfg, 21, blocks)
         live = [(block, k) for block, s in zip(blocks, schedules) for k in range(s.K)]
         assert sorted(normals) == sorted((*pair, i) for pair in live for i in range(m))
         assert sorted(uniforms) == (sorted((*pair, m) for pair in live) if stochastic else [])
-        assert sum(words) == len(live) * (m * -(-dims // 2) + stochastic)
+        total = sum(words for _, words in raw_words_calls)
+        assert total == len(live) * (m * -(-dims // 2) + stochastic)
 
     @pytest.mark.parametrize("per_chunk,calls", [(None, 5), (4, 4 * 9)])
-    def test_one_stream_call_per_draw_slab(self, per_chunk, calls, monkeypatch):
+    def test_one_stream_call_per_draw_slab(self, per_chunk, calls, monkeypatch, raw_words_calls):
         # A chunk of G blocks draws span = max(1, MAX_CHUNK_FLOATS // (G * M
         # * D)) steps per call, so ceil(K / span) calls. At the module's
         # budget of 2**14 floats one chunk of 13 blocks (13 * B * M = 1,924
@@ -420,16 +416,8 @@ class TestEncodeBlocks:
         qs, schedule, blocks = _thirteen_blocks()
         cfg = RecConfig(omega=3.0, epsilon=0.2, beams=4)
         _set_budget(monkeypatch, cfg.beams, schedule, qs[0].dim, per_chunk)
-        raw_words = stream.raw_words
-        seen = []
-
-        def counting(*args):
-            seen.append(args)
-            return raw_words(*args)
-
-        monkeypatch.setattr(stream, "raw_words", counting)
         codec.encode_blocks(*_stacked(qs), [schedule] * 13, cfg, 21, blocks)
-        assert len(seen) == calls
+        assert len(raw_words_calls) == calls
 
     def test_rejects_mismatched_inputs(self):
         schedule = build_schedule(5.0, 3.0, 0.2)
@@ -633,16 +621,14 @@ class TestDecode:
             decode((37,), schedule, 0, 0, 2)
 
     @pytest.mark.parametrize("bad", ["1", 1.0, np.float64(1.0), None])
-    def test_refuses_non_integer_indices_before_drawing(self, bad, monkeypatch):
+    def test_refuses_non_integer_indices_before_drawing(self, bad, raw_words_calls):
         # The index rule of pack: a non-integer is a usage error, not a corrupt file.
         schedule = schedule_from_steps(2, 3.0, 0.2)
-        calls = []
-        monkeypatch.setattr(stream, "raw_words", lambda *args: calls.append(args))
         with pytest.raises(UsageError, match="integer"):
             decode((bad, 0), schedule, 0, 0, 2)
         with pytest.raises(UsageError, match="integer"):
             codec.decode_blocks([(0, 0), (bad, 0)], [schedule] * 2, 0, [0, 1], 2)
-        assert calls == []
+        assert raw_words_calls == []
 
     def test_numpy_integer_indices_act_as_plain_ints(self):
         schedule = schedule_from_steps(2, 3.0, 0.2)
@@ -715,16 +701,15 @@ class TestDecodeBlocks:
 
     @pytest.mark.parametrize("bad_block", [0, 4, 7])
     @pytest.mark.parametrize("fault", ["index", "length"])
-    def test_rejects_any_corrupt_block_before_drawing(self, bad_block, fault, monkeypatch):
+    def test_rejects_any_corrupt_block_before_drawing(self, bad_block, fault, raw_words_calls):
         indices, schedules, blocks, _ = _decoder_case(3, False)
         code = indices[bad_block]
         m = schedules[bad_block].M
         indices[bad_block] = (*code[:-1], m) if fault == "index" else (*code, 0)
-        calls = []
-        monkeypatch.setattr(stream, "raw_words", lambda *args: calls.append(args))
+        raw_words_calls.clear()  # the encode's
         with pytest.raises(CorruptStreamError):
             codec.decode_blocks(indices, schedules, 21, blocks, 3)
-        assert calls == []
+        assert raw_words_calls == []
 
     def test_rejects_mismatched_inputs(self):
         schedule = schedule_from_steps(1, 3.0, 0.2)

@@ -11,14 +11,16 @@ from irec.chain import schedule_from_steps
 from irec.codec import RecConfig
 from irec.container import ContainerHeader, index_bits, pack, write_varint
 from irec.errors import UsageError
+from irec.gauss import DiagGaussian
 from irec.model import ImageGray8, fit_ppca
 from irec.residual import decode_residuals, encode_residuals
-from irec.synthetic import problem_set, synthetic_target
+from irec.synthetic import check_stochastic_ks, problem_set, synthetic_target
 
 HEADER = {"seed": 7, "omega": 3.0, "epsilon": 0.2, "model_id": 9, "image_width": 16,
           "image_height": 8}
 RESIDUALS = encode_residuals(np.array([0, 3, -1]), 2.0)
 PATCHES = make_training_patches(np.random.default_rng(3), n=100, latent=4)
+KS_TARGET = DiagGaussian(np.array([0.5]), np.array([0.8]))
 
 
 def _words(seed=5, block=1, step=2, sample=3, lanes=4):
@@ -52,6 +54,9 @@ CASES = [
     ("latent_dim", lambda v: fit_ppca(PATCHES, v), 1, 2),
     ("dims", lambda v: synthetic_target(v, 5.0, np.random.default_rng(0)), 1, 2),
     ("trials", lambda v: len(problem_set(2, 5.0, v, 0)), 30, 30),
+    ("seed", lambda v: problem_set(2, 5.0, 30, v)[0][1], 0, 1),
+    ("seed", lambda v: check_stochastic_ks(KS_TARGET, 10, v).value, 0, 1),
+    ("samples", lambda v: check_stochastic_ks(KS_TARGET, v, 0).value, 1, 10),
 ]
 IDS = [f"{i}-{case[0]}" for i, case in enumerate(CASES)]
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import irec.codec
 import irec.model
 from irec.codec import RecConfig
 from irec.errors import ConfigError, FormatError, UsageError
@@ -22,6 +23,7 @@ from irec.model import (
     patch_kl_bound,
     patchify,
     posterior,
+    posterior_var,
     psnr,
     quantize_clamp,
     read_pgm,
@@ -108,6 +110,23 @@ class TestPosterior:
         model = LinearGaussianModel(W=np.zeros((4, 2)), mu=np.zeros(4), noise_var=1.0)
         with pytest.raises(UsageError):
             posterior(model, np.zeros(3))
+
+    @pytest.mark.parametrize("pixels", [None, 1, 3, PATCH_DIM])
+    @pytest.mark.parametrize("latent", [8, 16])
+    def test_slabs_keep_the_bits_of_one_sum(self, latent, pixels, monkeypatch):
+        # The mean sums (x_i - mu_i) W[i] in order i = 0..D-1 for each patch,
+        # so where the slabs of pixels end does not change a bit. The module's
+        # budget gives slabs of 27 pixels at L = 8 and 13 at L = 16 here.
+        model = load_model(GOLDEN_MODEL_PATHS[latent])
+        x = np.random.default_rng(latent).integers(0, 256, size=(2, 37, PATCH_DIM), dtype=np.uint8)
+        expected = np.zeros((2, 37, latent))
+        for term in np.moveaxis((x - model.mu)[..., None] * model.W, -2, 0):
+            expected += term
+        expected *= posterior_var(model) / model.noise_var
+        if pixels is not None:
+            monkeypatch.setattr(irec.codec, "MAX_CHUNK_FLOATS", pixels * expected.size)
+        assert posterior(model, x).mean.tobytes() == expected.tobytes()
+        assert posterior(model, x[1, 5]).mean.tobytes() == expected[1, 5].tobytes()
 
 
 class TestReconstruct:

@@ -13,6 +13,7 @@ from conftest import (
     make_training_patches,
     pack_v2,
     raw_v3,
+    replay_problems,
     reseal,
     sample_image,
 )
@@ -109,32 +110,49 @@ def pruned_model(noise_var=4.0):
     )
 
 
-def check_decoder_draws(monkeypatch, decompress, data, model):
-    # Decoding replays exactly the chosen draws: one stream.raw_words call
-    # per step, and the (block, step, sample) addresses drawn are the
-    # container's (i, k, i_k), each under the header's seed with a lane
-    # count of ceil(D/2).
-    header, blocks, _ = container.unpack(data)
-    raw_words = stream.raw_words
-    calls = []
-
-    def recording(seed, block, step, samples, lanes):
-        calls.append((seed, block, step, samples, lanes))
-        return raw_words(seed, block, step, samples, lanes)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(stream, "raw_words", recording)
-        decompress(data, model)
+def replayed_blocks(decompress, data, model, calls):
+    # Decoding keeps the draw-replay contract (conftest.replay_problems), and
+    # today's decoder makes one stream.raw_words call per chosen draw, which a
+    # decoder that draws a slab per call (ROADMAP item 3) will not.
+    calls.clear()
+    decompress(data, model)
+    assert replay_problems(data, model.latent_dim, calls) == []
+    blocks = container.unpack(data)[1]
     assert len(calls) == sum(map(len, blocks))
-    addresses = []
-    for seed, block, step, samples, lanes in calls:
-        assert np.array_equal(seed, header.seed)
-        assert lanes == -(-model.latent_dim // 2)
-        grid = np.broadcast_arrays(block, step, samples)
-        addresses += zip(*(np.ravel(x).tolist() for x in grid))
-    chosen = [(i, k, idx) for i, code in enumerate(blocks) for k, idx in enumerate(code)]
-    assert sorted(addresses) == sorted(chosen)
     return blocks
+
+
+class TestReplayProblems:
+    """replay_problems passes a recorded decode and names each break of it."""
+
+    @pytest.fixture()
+    def recorded(self, fitted_model, small_image, raw_words_calls):
+        data = compress_lossy(small_image, fitted_model, CFG, seed=5).data
+        raw_words_calls.clear()
+        decompress_lossy(data, fitted_model)
+        return data, list(raw_words_calls)
+
+    def test_an_unedited_decode_keeps_the_contract(self, fitted_model, recorded):
+        data, calls = recorded
+        assert replay_problems(data, fitted_model.latent_dim, calls) == []
+
+    @pytest.mark.parametrize("edit, expected", [
+        ("dropped", "not drawn"),
+        ("duplicated", "drawn but not chosen"),
+        ("seed", "seed"),
+        ("lanes", "lanes"),
+    ])
+    def test_names_each_edit_of_the_calls(self, fitted_model, recorded, edit, expected):
+        data, calls = recorded
+        (seed, block, step, sample, lanes), words = calls[2]
+        edited = {
+            "dropped": calls[:2] + calls[3:],
+            "duplicated": calls + calls[2:3],
+            "seed": calls[:2] + [((seed + 1, block, step, sample, lanes), words)] + calls[3:],
+            "lanes": calls[:2] + [((seed, block, step, sample, lanes + 1), words)] + calls[3:],
+        }[edit]
+        problems = replay_problems(data, fitted_model.latent_dim, edited)
+        assert any(expected in problem for problem in problems), problems
 
 
 class TestLossy:
@@ -310,14 +328,14 @@ class TestLossless:
         assert sorted(built) == sorted(set(step_counts))
 
     @pytest.mark.parametrize("lossless", [True, False], ids=["lossless", "lossy"])
-    def test_decoder_draws_only_the_chosen_samples(self, fitted_model, lossless, monkeypatch):
+    def test_decoder_draws_only_the_chosen_samples(self, fitted_model, lossless, raw_words_calls):
         img = sample_image(fitted_model, np.random.default_rng(23), 32, 32)
         compress, decompress = (
             (compress_lossless, decompress_lossless) if lossless
             else (compress_lossy, decompress_lossy)
         )
         data = compress(img, fitted_model, CFG, seed=5).data
-        blocks = check_decoder_draws(monkeypatch, decompress, data, fitted_model)
+        blocks = replayed_blocks(decompress, data, fitted_model, raw_words_calls)
         assert len(blocks) == 16 and len(set(map(len, blocks))) > 1
 
     def test_one_encode_call_per_image(self, fitted_model, monkeypatch):
@@ -517,6 +535,29 @@ class TestDecodeMemory:
         assert peak / (256 * 256) <= self.DECODE_BYTES_PER_PIXEL
 
 
+class TestCompressMemory:
+    """A compress holds memory in proportion to its image and the latent count
+    L: the traced peak, NumPy's buffers included, of compressing a 256x256
+    image stays within COMPRESS_BYTES_PER_PIXEL_PER_LATENT per pixel per
+    latent. model.posterior sums in slabs, not over one (N, 64, L) product,
+    which alone would hold 8 bytes per pixel per latent."""
+
+    COMPRESS_BYTES_PER_PIXEL_PER_LATENT = 7
+
+    @pytest.mark.parametrize("latent, lossless", [(8, True), (16, False)])
+    def test_peak_per_pixel_and_latent(self, latent, lossless):
+        model = load_model(GOLDEN_MODEL_PATHS[latent])
+        img = sample_image(model, np.random.default_rng(latent), 256, 256)
+        compress = compress_lossless if lossless else compress_lossy
+        tracemalloc.start()
+        try:
+            compress(img, model, CFG, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (256 * 256) <= self.COMPRESS_BYTES_PER_PIXEL_PER_LATENT * latent
+
+
 class TestElbo:
     def test_positive_and_dominates_kl(self, fitted_model, small_image):
         bits = model_elbo_bits(small_image, fitted_model)
@@ -570,10 +611,10 @@ class TestContainerVersions:
         ids=["v1-lossless", "v2-lossless", "v2-lossy", "v3-lossless", "v3-lossy"],
     )
     def test_committed_files_draw_only_the_chosen_samples(
-        self, fitted_model, hex_data, decompress, monkeypatch
+        self, fitted_model, hex_data, decompress, raw_words_calls
     ):
         data = bytes.fromhex(hex_data)
-        blocks = check_decoder_draws(monkeypatch, decompress, data, fitted_model)
+        blocks = replayed_blocks(decompress, data, fitted_model, raw_words_calls)
         assert len(set(map(len, blocks))) > 1
 
     @pytest.mark.parametrize(

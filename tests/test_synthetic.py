@@ -42,10 +42,15 @@ def test_synthetic_target_rejects_nonpositive_dims(dims):
         synthetic.synthetic_target(dims, 5.0, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("total_kl", [0.0, -1.0])
+@pytest.mark.parametrize("total_kl", [0.0, -1.0, float("nan"), float("inf")])
 def test_synthetic_target_rejects_nonpositive_kl(total_kl):
     with pytest.raises(UsageError, match="total_kl"):
         synthetic.synthetic_target(4, total_kl, np.random.default_rng(0))
+
+
+def test_problem_set_rejects_a_nan_kl():
+    with pytest.raises(UsageError, match="total_kl"):
+        synthetic.problem_set(4, float("nan"), 30, 0)
 
 
 def test_synthetic_target_rejects_a_kl_below_its_variance_floor():
