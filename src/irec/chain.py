@@ -5,7 +5,7 @@ Two step-variance schedules exist (FORMAT.md §5):
 * container version 1, power law: with remaining variance r (starting at
   1), step k of K takes r * (K + 1 - k)^-0.79, and the last step absorbs
   the rest.
-* versions 2 to 4, equal KL: built from K, omega and the target's posterior variances
+* versions 2 to 5, equal KL: built from K, omega and the target's posterior variances
   s_j^2. If the target's KL is K * omega, the first steps of total variance
   t carry C(t) = (t * (2 K omega + sum ln s_j^2)
   - sum log1p(t (s_j^2 - 1))) / 2 nats in expectation. The cumulative

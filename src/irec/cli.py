@@ -93,7 +93,8 @@ def cmd_inspect(args):
         f"omega {header.omega!r}",
         f"epsilon {header.epsilon!r}",
         f"samples_per_step {m}",
-        f"model_id {header.model_id:#018x}",
+        # Version 5 stores the low 32 bits of model_id.
+        f"model_id {header.model_id:#0{10 if header.version == 5 else 18}x}",
         f"image {header.image_width}x{header.image_height}",
         f"blocks {len(blocks)}",
     ]
@@ -112,7 +113,7 @@ def cmd_inspect(args):
               f"schedule_evaluations {evaluations}"]
     lines += [f"block {i} K {k} index_bits {container.index_bits(k, m)}" for i, k in enumerate(ks)]
     lines.append(f"residual_bytes {'none' if residual is None else len(residual)}")
-    # unpack has checked the CRC32 of versions 3 and 4; versions 1 and 2 have none.
+    # unpack has checked the CRC32 of versions 3 to 5; versions 1 and 2 have none.
     crc = int.from_bytes(data[-4:], "little")
     lines.append(f"crc32 {crc:#010x} ok" if checksummed else "crc32 none")
     print("\n".join(lines))

@@ -22,7 +22,9 @@ depend on how blocks and steps are batched:
   into one (G, B, M) buffer, dimension by dimension. No BLAS call is made,
   so the codes do not depend on the host's BLAS kernels.
 * The shared draws of several steps come from one stream call: a slab of
-  the live (block, step) pairs only, step-major, scaled by each sigma_k.
+  the live (block, step) pairs only, step-major, scaled by each sigma_k. Under
+  one seed each distinct pair is drawn once and gathered to its rows, so
+  blocks given one address (container version 5) share a step's draws.
   MAX_CHUNK_FLOATS bounds both the scoring buffer and the slab.
 * The target's scale and variance, norm, sq_coef, rho_sq and denom come from
   one walk of the steps per call, or a cached table per (schedule, std row)
@@ -225,9 +227,10 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch, shared):
     scored in `scratch`, two (G, B, M) float64 buffers: the running cross
     term and the product added to it next. The draws of `span` steps at a
     time come from one stream call, which addresses only the live (block,
-    step) pairs, each under its block's seed if `seed` is an array of G; their
-    per-sample terms take one pass. If the blocks share one std row (`shared`),
-    _step_rows come from the step tables. Returns each block's code, z and log
+    step) pairs, each under its block's seed if `seed` is an array of G, and
+    otherwise each distinct pair once (blocks at one address share its draws);
+    their per-sample terms take one pass. If the blocks share one std row
+    (`shared`), _step_rows come from the step tables. Returns each block's code, z and log
     q(z)/p(z), the last two taken when the block's K runs out.
     """
     g = len(blocks)
@@ -266,12 +269,15 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch, shared):
             lo = starts[k]
             at = slice(lo, starts[min(k + span, k_of[0])])
             seed_at = seeds[at] if np.ndim(seeds) else seeds
-            slab = stream.draw_normals(seed_at, *pairs[:, at, None], np.arange(m), d)
+            # Under one seed, each distinct (block, step) is drawn once and its rows gathered.
+            addr, inverse = ((pairs[:, at], slice(None)) if np.ndim(seeds)
+                             else np.unique(pairs[:, at], axis=1, return_inverse=True))
+            slab = stream.draw_normals(seed_at, *addr[..., None], np.arange(m), d)[inverse]
             slab *= coef[0, at, None, None]  # sigma_k * u, the decoder's steps[0] * u
             slab_dims = np.ascontiguousarray(slab.transpose(2, 0, 1))  # (D, rows, M)
             sample_term = np.cumsum(slab_dims * slab_dims * table[1, at].T[..., None], axis=0)[-1]
             if cfg.stochastic_final:
-                slab_u = stream.draw_uniforms(seed_at, *pairs[:, at, None], m)[:, 0]
+                slab_u = stream.draw_uniforms(seed_at, *addr[..., None], m)[inverse, 0]
         own = slice(starts[k] - lo, starts[k + 1] - lo)  # this step's rows of the slab
         nu, b, log_w = nu[:live], b[:live], log_w[:live]
         sig_sq, s_prev, s_next = coef[1:, starts[k] : starts[k + 1], None, None]

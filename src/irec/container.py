@@ -1,16 +1,18 @@
 """The IREC container: header, block payloads, optional residual.
 
 It depends on no codec type: a block's code is a plain tuple of ints. pack writes
-version 4; unpack reads versions 1 to 4. docs/FORMAT.md has annotated examples.
+version 5; unpack reads versions 1 to 5. docs/FORMAT.md has annotated examples.
 
-Versions 3 and 4 (0x83, 0x84) store only what the decoder cannot derive: a
+Versions 3 to 5 (0x83 to 0x85) store only what the decoder cannot derive: a
 header (seed, omega, epsilon, model_id, image sides, the K field's varint or
 two), one MSB-first bitstream (the K field, then each block's index tuple as
 the integer sum_k i_k * M^k in ceil(K * log2(M)) bits, zero-padded once),
 the residual coder's bytes (residual.py) if flags bit 0 is set, and a CRC32
-that unpack checks first. Version 4 stores omega and epsilon as varint
-counts of thousandths, not f64, and codes K as zigzag(K - c) in unary
-(flags bit 1) where that is shorter than K - K_min in w bits.
+that unpack checks first. Versions 4 and 5 store omega and epsilon as varint
+counts of thousandths, not f64, and code K as zigzag(K - c) in unary
+(flags bit 1) where that is shorter than K - K_min in w bits. Version 5
+stores the low 32 bits of model_id, and a varint byte count before the
+residual coder's bytes; it also draws every block at one address (FORMAT.md §4).
 
 Versions 1 and 2 (version byte 1 or 2; it names the step schedule, see
 chain.py) have a 54-byte header that also holds block_count and latent_dim,
@@ -37,20 +39,23 @@ from .model import tile_grid
 from .stream import check_int
 
 MAGIC = b"IREC"
-# Version 1 files use the power-law step schedule, versions 2 to 4 the
-# equal-KL schedule. pack writes VERSION; unpack accepts all four.
-VERSION = 4
-VERSIONS = (1, 2, 3, 4)
-# Bit 7 marks the checksummed layout: 0x83 and 0x84 are two or more bit flips
-# from 1, 2 and each other, so no single flip hands a file to another parser.
+# Version 1 files use the power-law step schedule, versions 2 to 5 the
+# equal-KL schedule. pack writes VERSION; unpack accepts all five.
+VERSION = 5
+VERSIONS = (1, 2, 3, 4, 5)
+# Bit 7 marks the checksummed layout: 0x83 to 0x85 are two or more bit flips
+# from 1 and 2, so no single flip hands such a file to an unchecked parser.
+# 0x84 and 0x85 are one flip apart, which is safe: the CRC32 covers the
+# version byte and is checked before any other field, so that flip is a
+# CRC32 mismatch, never a file read by the other version's rules.
 VERSION_BYTE = 0x80 | VERSION
 FLAG_RESIDUAL = 0x01
-FLAG_PREFIX = 0x02  # version 4: the K field is prefix-coded
+FLAG_PREFIX = 0x02  # versions 4 and 5: the K field is prefix-coded
 
 # Versions 1 and 2.
 _HEADER = struct.Struct("<4sBBQddQIIII")
 HEADER_SIZE = _HEADER.size
-_U64 = struct.Struct("<Q")  # model_id in versions 3 and 4
+_MODEL_ID = {3: struct.Struct("<Q"), 4: struct.Struct("<Q"), 5: struct.Struct("<I")}
 _CRC = struct.Struct("<I")
 
 _LN2 = math.log(2.0)
@@ -70,10 +75,10 @@ class ContainerHeader:
     seed: int
     omega: float
     epsilon: float
-    model_id: int
+    model_id: int  # in version 5, its low 32 bits (model_check)
     image_width: int
     image_height: int
-    # A field of versions 1 and 2 only; in versions 3 and 4 model_id fixes it.
+    # A field of versions 1 and 2 only; from version 3 on model_id fixes it.
     latent_dim: int | None = None
     version: int = VERSION
     # Derived in __post_init__: samples per step and one block per 8x8 tile.
@@ -89,10 +94,16 @@ class ContainerHeader:
         fields = _FIELD_BITS if self.version >= 3 else _FIELD_BITS + (("latent_dim", 0, 32),)
         for name, lo, bits in fields:
             object.__setattr__(self, name, check_int(name, getattr(self, name), lo, (1 << bits) - 1))
+        object.__setattr__(self, "model_id", model_check(self.model_id, self.version))
         rows, cols = tile_grid(self.image_width, self.image_height)
         object.__setattr__(self, "block_count", check_int("block_count", rows * cols, 0, 2**32 - 1))
         # Validates omega/epsilon and the index width bound.
         object.__setattr__(self, "M", samples_per_step(self.omega, self.epsilon))
+
+
+def model_check(model_id: int, version: int) -> int:
+    """What a file of this version stores of a model_id: in version 5 its low 32 bits."""
+    return model_id & 0xFFFFFFFF if version == 5 else model_id
 
 
 def thousandths(name: str, value: float) -> int:
@@ -142,8 +153,8 @@ def index_bits(k: int, m: int) -> int:
 def k_field(ks: list[int], prefix: bool = True) -> tuple:
     """The canonical K field of blocks of these K: (c, K_min, w, its bits in the bitstream).
 
-    Fixed width (c = None) codes K - K_min in w = bitlength(K_max - K_min) bits; version 4
-    codes zigzag(K - c) in unary around the lower median c (K_min = w = None) where that and
+    Fixed width (c = None) codes K - K_min in w = bitlength(K_max - K_min) bits; versions 4
+    and 5 code zigzag(K - c) in unary around the lower median c (K_min = w = None) where that and
     its c varint take fewer bits than fixed width and its K_min varint and u8 w."""
     s = sorted(ks)
     n, k_min, centre = len(s), s[0], s[(len(s) - 1) // 2]
@@ -192,7 +203,7 @@ def pack(
     blocks: list[tuple[int, ...]],
     residual: bytes | None = None,
 ) -> bytes:
-    """Serialize a version-4 container; a residual (coder bytes) sets the residual flag."""
+    """Serialize a version-5 container; a residual (coder bytes) sets the residual flag."""
     if header.version != VERSION:
         raise UsageError(f"pack writes version {VERSION} only, got {header.version}")
     if header.block_count != len(blocks):
@@ -216,12 +227,12 @@ def pack(
     out += write_varint(header.seed)
     out += write_varint(thousandths("omega", header.omega))
     out += write_varint(thousandths("epsilon", header.epsilon))
-    out += _U64.pack(header.model_id)
+    out += _MODEL_ID[VERSION].pack(header.model_id)
     out += write_varint(header.image_width) + write_varint(header.image_height)
     out += write_varint(k_min) + bytes((width,)) if centre is None else write_varint(centre)
     out += _write_bits(fields)
     if residual is not None:
-        out += residual
+        out += write_varint(len(residual)) + residual
     out += _CRC.pack(zlib.crc32(out))
     return bytes(out)
 
@@ -232,7 +243,7 @@ def unpack(data: bytes) -> tuple[ContainerHeader, list[tuple[int, ...]], bytes |
         raise FormatError("container shorter than header")
     if data[:4] != MAGIC:
         raise FormatError(f"bad magic {bytes(data[:4])!r}")
-    if data[4] in (0x83, VERSION_BYTE):
+    if 0x83 <= data[4] <= VERSION_BYTE:
         return _unpack_checked(data)
     if data[4] in (1, 2):
         return _unpack_v2(data)
@@ -252,7 +263,7 @@ def _header(**fields) -> ContainerHeader:
 
 
 def _unpack_checked(data: bytes):
-    """Versions 3 and 4, the checksummed layout."""
+    """Versions 3 to 5, the checksummed layout."""
     if len(data) < 6 + _CRC.size:
         raise FormatError("container shorter than header")
     body = memoryview(data)[: -_CRC.size]
@@ -260,7 +271,7 @@ def _unpack_checked(data: bytes):
     if zlib.crc32(body) != crc:
         raise CorruptStreamError("CRC32 mismatch")
     version, flags = data[4] & 0x7F, data[5]
-    _check_flags(flags, FLAG_RESIDUAL | FLAG_PREFIX * (version == 4))
+    _check_flags(flags, FLAG_RESIDUAL | FLAG_PREFIX * (version >= 4))
     seed, pos = read_varint(body, 6)
     if version == 3:  # omega and epsilon as f64
         if pos + 16 > len(body):
@@ -271,10 +282,11 @@ def _unpack_checked(data: bytes):
         omega, pos = read_varint(body, pos)
         epsilon, pos = read_varint(body, pos)
         omega, epsilon = omega / 1000, epsilon / 1000
-    if pos + _U64.size > len(body):
+    field = _MODEL_ID[version]
+    if pos + field.size > len(body):
         raise CorruptStreamError("truncated header")
-    (model_id,) = _U64.unpack_from(body, pos)
-    width, pos = read_varint(body, pos + _U64.size)
+    (model_id,) = field.unpack_from(body, pos)
+    width, pos = read_varint(body, pos + field.size)
     height, pos = read_varint(body, pos)
     header = _header(
         seed=seed, omega=omega, epsilon=epsilon, model_id=model_id,
@@ -307,11 +319,16 @@ def _unpack_checked(data: bytes):
     if pad:
         raise CorruptStreamError("nonzero padding bits")
     blocks = [_digits(value, k, m) for value, k in zip(values, ks)]
-    if k_field(ks, version == 4)[:3] != (centre, k_min, width_k):
+    if k_field(ks, version >= 4)[:3] != (centre, k_min, width_k):
         raise CorruptStreamError("K field not canonical")
 
     residual = None
     if flags & FLAG_RESIDUAL:
+        if version == 5:  # the section's byte count, then the section
+            length, pos = read_varint(body, pos)
+            if length != len(body) - pos:
+                raise CorruptStreamError(
+                    f"residual length {length} != {len(body) - pos} bytes before the CRC32")
         residual = bytes(body[pos:])
     elif pos != len(body):
         raise CorruptStreamError("trailing bytes after last block")

@@ -89,8 +89,8 @@ class LinearGaussianModel:
     def __post_init__(self):
         W = np.asarray(self.W, dtype=np.float64)
         mu = np.asarray(self.mu, dtype=np.float64)
-        if W.ndim != 2 or not W.shape[0] or mu.shape != (W.shape[0],):
-            raise UsageError("W must be (D, L) with D >= 1 and mu (D,)")
+        if W.ndim != 2 or not W.shape[0] or not W.shape[1] or mu.shape != (W.shape[0],):
+            raise UsageError("W must be (D, L) with D >= 1 and L >= 1, and mu (D,)")
         W.setflags(write=False)
         mu.setflags(write=False)
         object.__setattr__(self, "W", W)

@@ -5,7 +5,9 @@ every patch of an image. The v2 equal-KL step schedule is built from the
 model's posterior variances, the same for every patch, so the step count K
 fixes it. All blocks of an image, whatever their K, are coded in one call
 (codec.encode_blocks) and decoded in one (codec.decode_blocks); version-1 files
-decode with the power-law schedule. One reconstruct call maps all decoded
+decode with the power-law schedule. Version 5 draws every block at block
+address 0, so a (step, sample) is one draw for the whole image; versions 1 to 4
+draw block i at address i. One reconstruct call maps all decoded
 latents back to pixels, quantized into the uint8 plane that is the lossy
 image, with no copy. The lossless path adds the range-coded residual, the
 image minus that plane taken in int16 (container frames it; versions 1 and 2 hold
@@ -52,7 +54,7 @@ def _encode_blocks(img: ImageGray8, model: LinearGaussianModel, cfg: RecConfig, 
     kls = kl_divergence(q, prior).tolist()
     s_sq = model_mod.posterior_var(model)
     schedules = [build_schedule(kl, cfg.omega, cfg.epsilon, s_sq) for kl in kls]
-    blocks, zs, log_w = codec.encode_blocks(q.mean, q.std, schedules, cfg, seed, range(len(kls)))
+    blocks, zs, log_w = codec.encode_blocks(q.mean, q.std, schedules, cfg, seed, [0] * len(kls))
     return blocks, kls, zs, log_w.tolist()
 
 
@@ -108,7 +110,7 @@ def _compress(
 
 
 def _decode_blocks(header: ContainerHeader, blocks, model: LinearGaussianModel):
-    if header.model_id != model.model_id:
+    if header.model_id != container.model_check(model.model_id, header.version):
         raise ModelMismatchError(
             f"container model id {header.model_id:#x} != model {model.model_id:#x}"
         )
@@ -122,7 +124,8 @@ def _decode_blocks(header: ContainerHeader, blocks, model: LinearGaussianModel):
         K: schedule_from_steps(K, header.omega, header.epsilon, s_sq) for K in set(map(len, blocks))
     }
     per_block = [schedules[len(code)] for code in blocks]
-    return codec.decode_blocks(blocks, per_block, header.seed, range(len(blocks)), model.latent_dim)
+    at = [0] * len(blocks) if header.version == 5 else range(len(blocks))
+    return codec.decode_blocks(blocks, per_block, header.seed, at, model.latent_dim)
 
 
 def decompress_lossy(data: bytes, model: LinearGaussianModel) -> ImageGray8:

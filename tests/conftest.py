@@ -126,12 +126,14 @@ def raw_v3(blocks, m, seed=12345, omega=3.0, epsilon=0.2, model_id=0xDEADBEEF,
 
 def raw_v4(blocks, m, seed=12345, omega=3000, epsilon=200, model_id=0xDEADBEEF,
            width=8, height=8, residual=None, flags=None, k_min=None, k_width=None,
-           centre=None):
-    """The version-4 layout of docs/FORMAT.md, written field by field.
+           centre=None, version=4, residual_length=None):
+    """The version-4 or version-5 layout of docs/FORMAT.md, written field by field.
 
     omega and epsilon are counts of thousandths. With no K-field argument it
     writes the canonical K field; a centre gives a prefix-coded field and
-    k_min or k_width a fixed-width one, canonical or not.
+    k_min or k_width a fixed-width one, canonical or not. Version 5 stores the
+    low 32 bits of model_id and, before a residual, its byte count or any
+    residual_length.
     """
     ks = sorted(len(t) for t in blocks)
     if centre is None and k_min is None and k_width is None:
@@ -153,13 +155,23 @@ def raw_v4(blocks, m, seed=12345, omega=3000, epsilon=200, model_id=0xDEADBEEF,
     bits += "0" * (-len(bits) % 8)
     if flags is None:
         flags = (residual is not None) | (centre is not None) << 1
+    if version == 5 and residual is not None:
+        length = len(residual) if residual_length is None else residual_length
+        residual = write_varint(length) + residual
+    model_field = struct.pack("<Q", model_id) if version == 4 else struct.pack(
+        "<I", model_id & 0xFFFFFFFF)
     body = (
-        b"IREC" + bytes([0x84, flags]) + write_varint(seed) + write_varint(omega)
-        + write_varint(epsilon) + struct.pack("<Q", model_id)
+        b"IREC" + bytes([0x80 | version, flags]) + write_varint(seed) + write_varint(omega)
+        + write_varint(epsilon) + model_field
         + write_varint(width) + write_varint(height) + k_header
         + int(bits or "0", 2).to_bytes(len(bits) // 8, "big") + (residual or b"")
     )
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def raw_v5(blocks, m, **fields):
+    """The version-5 layout of docs/FORMAT.md: raw_v4's fields, version 5's framing."""
+    return raw_v4(blocks, m, version=5, **fields)
 
 
 def _zigzag(d):
@@ -174,7 +186,8 @@ def replay_problems(data, latent_dim, calls):
     words the word count of each returned array. The contract does not depend on
     how the decoder batches its draws: every call uses the header's seed and
     ceil(L / 2) lanes, the multiset of (block, step, sample) addresses drawn is
-    the container's {(i, k, i_k)}, and the words add up to sum(K) * ceil(L / 2).
+    the container's {(i, k, i_k)} ({(0, k, i_k)} in version 5, where every
+    block draws at block address 0), and the words add up to sum(K) * ceil(L / 2).
     """
     header, blocks, _ = unpack(data)
     lanes = -(-latent_dim // 2)
@@ -187,7 +200,8 @@ def replay_problems(data, latent_dim, calls):
         grid = np.broadcast_arrays(block, step, sample)
         drawn.update(zip(*(np.ravel(x).tolist() for x in grid)))
         words += count
-    chosen = Counter((i, k, idx) for i, code in enumerate(blocks) for k, idx in enumerate(code))
+    at = [0] * len(blocks) if header.version == 5 else range(len(blocks))
+    chosen = Counter((i, k, idx) for i, code in zip(at, blocks) for k, idx in enumerate(code))
     for name, extra in (("not drawn", chosen - drawn), ("drawn but not chosen", drawn - chosen)):
         if extra:
             problems.append(f"addresses {name}: {sum(extra.values())}, e.g. {min(extra)}")

@@ -8,7 +8,7 @@ import irec.chain
 from conftest import raw_v3, raw_v4, reseal, sample_image
 from irec import cli, container
 from irec.chain import K_MAX
-from test_pipeline import V2_LOSSLESS_B4_HEX, V3_LOSSLESS_B4_HEX
+from test_pipeline import V2_LOSSLESS_B4_HEX, V3_LOSSLESS_B4_HEX, V4_LOSSLESS_B4_HEX
 from irec.model import LinearGaussianModel, read_pgm, save_model, write_pgm
 
 
@@ -130,7 +130,7 @@ class TestCompressDecompress:
 
     def test_relabelled_image_size_exit_code(self, workspace):
         # A 16x16 file (4 blocks) relabelled as 8x8 is malformed, not a usage
-        # error: version 3 fails its CRC32, version 2 its block count.
+        # error: version 5 fails its CRC32, version 2 its block count.
         tmp, model_path, img_path = workspace
         out = tmp / "img.irec"
         cli.main([
@@ -138,7 +138,8 @@ class TestCompressDecompress:
             "--in", str(img_path), "--out", str(out),
         ])
         data = bytearray(out.read_bytes())
-        sides_at = 6 + 1 + 2 + 2 + 8  # after the varints seed, omega and epsilon, and model_id
+        # After the varints seed, omega and epsilon, and version 5's 4-byte model_id.
+        sides_at = 6 + 1 + 2 + 2 + 4
         assert data[sides_at : sides_at + 2] == b"\x10\x10"
         data[sides_at : sides_at + 2] = b"\x08\x08"
         legacy = bytearray.fromhex(V2_LOSSLESS_B4_HEX)
@@ -393,7 +394,7 @@ class TestStudyCommands:
 
 
 class TestInspect:
-    def test_version_4_layout(self, workspace, capsys):
+    def test_version_5_layout(self, workspace, capsys):
         tmp, model_path, img_path = workspace
         out = tmp / "img.irec"
         cli.main([
@@ -409,10 +410,10 @@ class TestInspect:
         centre, k_min, width, _ = container.k_field(ks)
         k_lines = (["k_field fixed", f"k_min {k_min}", f"k_width {width}"] if centre is None
                    else ["k_field prefix", f"k_centre {centre}"])
-        assert lines[:2] == [f"bytes {len(data)}", "version 4"]
+        assert lines[:2] == [f"bytes {len(data)}", "version 5"]
         for line in (
             f"flags {data[5]:#04x}", "seed 0", "omega 3.0", "epsilon 0.2", "samples_per_step 37",
-            f"model_id {header.model_id:#018x}", "image 16x16", "blocks 4", *k_lines,
+            f"model_id {header.model_id:#010x}", "image 16x16", "blocks 4", *k_lines,
             f"draws {sum(ks)}", f"residual_bytes {len(residual)}",
             f"crc32 {int.from_bytes(data[-4:], 'little'):#010x} ok",
         ):
@@ -421,6 +422,17 @@ class TestInspect:
             f"block {i} K {len(b)} index_bits {container.index_bits(len(b), 37)}"
             for i, b in enumerate(blocks)
         ]
+
+    def test_version_4_layout(self, tmp_path, capsys):
+        path = tmp_path / "v4.irec"
+        path.write_bytes(bytes.fromhex(V4_LOSSLESS_B4_HEX))
+        assert cli.main(["inspect", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in ("bytes 145", "version 4", "flags 0x03", "omega 3.0", "epsilon 0.2",
+                     "model_id 0x9d47fcd57be949c4", "k_field prefix", "k_centre 8", "draws 31",
+                     "distinct_k 7 8", "schedule_evaluations 832", "block 0 K 7 index_bits 37",
+                     "residual_bytes 98", "crc32 0x0f4fb6eb ok"):
+            assert line in lines
 
     def test_version_3_layout(self, tmp_path, capsys):
         path = tmp_path / "v3.irec"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pack_v2, raw_v3, raw_v4, reseal
+from conftest import pack_v2, raw_v3, raw_v4, raw_v5, reseal
 from irec.chain import K_MAX
 from irec.container import (
     HEADER_SIZE,
@@ -183,7 +183,7 @@ class TestPackUnpack:
         data = pack(header(epsilon=0.0), [(0,)])
         # Centre 1, then a 1-bit unary K field and the 5-bit index 0 in one byte.
         assert data[-6:-4] == b"\x01\x00"
-        assert data == raw_v4([(0,)], 21, epsilon=0)
+        assert data == raw_v5([(0,)], 21, epsilon=0)
 
     def test_four_step_payload_width(self):
         one = pack(header(), [(36,)])
@@ -293,11 +293,12 @@ class TestVersion3:
     def test_pack_refuses_what_unpack_rejects(
         self, seed, model_id, width, height, params, k_min, k_width, draws, residual
     ):
-        # Either pack writes exactly the FORMAT.md layout of version 4 and
+        # Either pack writes exactly the FORMAT.md layout of version 5 and
         # unpack returns its input, or pack refuses and unpack rejects the
-        # same fields. A version-3 file of the same fields (omega and
-        # epsilon as the doubles n / 1000) reads back when its header is
-        # valid, and is rejected otherwise.
+        # same fields. Version-3 and version-4 files of the same fields
+        # (omega and epsilon as the doubles n / 1000 in version 3) read back
+        # with the whole model_id when the header is valid, and are rejected
+        # otherwise.
         omega, epsilon = params[0] / 1000, params[1] / 1000
         rows, cols = -(-width // 8), -(-height // 8)
         count = rows * cols if 0 < rows * cols <= 9 else 1
@@ -316,27 +317,36 @@ class TestVersion3:
         except (UsageError, ConfigError):
             if count < rows * cols:
                 fields["residual"] = None  # nothing can stand in for the missing blocks
-            with pytest.raises((FormatError, CorruptStreamError)):
-                unpack(raw_v4(blocks, m, omega=params[0], epsilon=params[1], **fields))
+            for raw in (raw_v4, raw_v5):
+                with pytest.raises((FormatError, CorruptStreamError)):
+                    unpack(raw(blocks, m, omega=params[0], epsilon=params[1], **fields))
             with pytest.raises((FormatError, CorruptStreamError)):
                 unpack(raw_v3(blocks, m, omega=omega, epsilon=epsilon, **fields))
             return
-        assert data == raw_v4(blocks, m, omega=params[0], epsilon=params[1], **fields)
+        assert data == raw_v5(blocks, m, omega=params[0], epsilon=params[1], **fields)
         assert unpack(data) == (h, blocks, residual)
-        v3 = dataclasses.replace(h, version=3)
+        assert h.model_id == model_id & 0xFFFFFFFF
+        v4 = dataclasses.replace(h, version=4, model_id=model_id)
+        assert unpack(raw_v4(blocks, m, omega=params[0], epsilon=params[1], **fields)) == (
+            v4, blocks, residual)
+        v3 = dataclasses.replace(v4, version=3)
         assert unpack(raw_v3(blocks, m, omega=omega, epsilon=epsilon, **fields)) == (
             v3, blocks, residual)
 
     def test_version_byte_is_two_flips_from_1_and_2(self):
-        # And versions 3 and 4 are at least two flips from each other.
-        assert VERSION_BYTE == 0x84
-        for byte in (0x83, 0x84):
-            assert min(bin(byte ^ other).count("1") for other in (1, 2, 0x83 ^ 0x84 ^ byte)) >= 2
-        for data in (pack(header(), [(1,)]), raw_v3([(1,)], 37)):
+        # 0x84 and 0x85 are one flip apart: such a flip is a CRC32 mismatch,
+        # since the CRC32 covers the version byte. Any other flip is an
+        # unsupported version byte.
+        assert VERSION_BYTE == 0x85
+        for byte in (0x83, 0x84, 0x85):
+            assert min(bin(byte ^ other).count("1") for other in (1, 2)) >= 2
+        for data in (pack(header(), [(1,)]), raw_v4([(1,)], 37), raw_v3([(1,)], 37)):
             for bit in range(8):
                 mutated = bytearray(data)
                 mutated[4] ^= 1 << bit
-                with pytest.raises(FormatError, match="version"):
+                error, match = ((CorruptStreamError, "CRC32") if 0x83 <= mutated[4] <= 0x85
+                                else (FormatError, "version"))
+                with pytest.raises(error, match=match):
                     unpack(bytes(mutated))
 
     def test_checksum_is_checked_first(self):
@@ -385,7 +395,7 @@ class TestVersion4:
         h = header(version=3, **{field: value})
         data = raw_v3([(1,)], h.M, omega=h.omega, epsilon=h.epsilon)
         assert unpack(data) == (h, [(1,)], None)
-        with pytest.raises(UsageError, match="version 4 only"):
+        with pytest.raises(UsageError, match="version 5 only"):
             pack(h, [(1,)])
 
     def test_omega_and_epsilon_as_thousandths(self):
@@ -426,7 +436,7 @@ class TestVersion4:
             blocks = [(0,) * k for k in ks]
             h = header(blocks=len(ks))
             data = pack(h, blocks)
-            assert data == raw_v4(blocks, 37, width=8 * len(ks))
+            assert data == raw_v5(blocks, 37, width=8 * len(ks))
             assert bool(data[5] & 2) == (k_field(ks)[0] is not None)
             assert unpack(data) == (h, blocks, None)
 
@@ -480,21 +490,62 @@ class TestVersion4:
         assert seconds[16384] < 32 * seconds[1024]
 
 
+class TestVersion5:
+    def test_stores_the_low_32_bits_of_model_id(self):
+        # 4 bytes instead of 8; a version-4 header keeps all 64 bits.
+        h = header(model_id=0x0123456789ABCDEF)
+        assert h.model_id == 0x89ABCDEF
+        assert header(version=4, model_id=0x0123456789ABCDEF).model_id == 0x0123456789ABCDEF
+        data = pack(h, [(1,)])
+        assert len(raw_v4([(1,)], 37)) - len(data) == 4
+        assert data[6:16] == write_varint(12345) + write_varint(3000) + write_varint(200) + (
+            b"\xef\xcd\xab\x89")
+        assert unpack(data)[0] == h
+
+    @pytest.mark.parametrize("section", [b"", b"\x07", bytes(range(200))], ids=[0, 1, 200])
+    def test_residual_section_has_its_length(self, section):
+        # A varint byte count before the section: 1 byte, or 2 from 128 bytes.
+        data = pack(header(), [(1,)], residual=section)
+        bare = pack(header(), [(1,)])
+        assert len(data) - len(bare) - len(section) == len(write_varint(len(section)))
+        assert data[-4 - len(section) - len(write_varint(len(section))):-4] == (
+            write_varint(len(section)) + section)
+        assert unpack(data)[2] == section
+        for length in (len(section) - 1, len(section) + 1, len(section) + 128):
+            if length >= 0:
+                with pytest.raises(CorruptStreamError, match="residual length"):
+                    unpack(raw_v5([(1,)], 37, residual=section, residual_length=length))
+
+    def test_every_cut_or_insertion_in_the_residual_section_is_refused(self):
+        # Resealed with a fresh CRC32: the length, here 2 bytes, no longer
+        # matches the bytes, or is itself cut.
+        section = bytes(range(1, 131))
+        data = pack(header(), [(1,)], residual=section)
+        start = len(data) - 4 - len(section)
+        for at in range(start - 2, len(data) - 4):
+            with pytest.raises(CorruptStreamError):
+                unpack(reseal(data[:at] + data[-4:]))
+        for at in range(start, len(data) - 3):
+            for byte in (0, 0x5A):
+                with pytest.raises(CorruptStreamError, match="residual length"):
+                    unpack(reseal(data[:at] + bytes([byte]) + data[at:]))
+
+
 class TestCorruptInput:
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_block_over_k_max_is_corrupt(self, version):
         # A block of K_MAX steps parses; one step more makes a corrupt file,
         # refused by the parser before any schedule is built, and pack
         # refuses to write it.
         h = header(blocks=2)
-        raw = {3: raw_v3, 4: raw_v4}.get(version)
+        raw = {3: raw_v3, 4: raw_v4, 5: raw_v5}.get(version)
         for k in (K_MAX, K_MAX + 1):
             blocks = [(1,), (0,) * k]
             data = (pack_v2(h, blocks, version=version) if version < 3
                     else raw(blocks, 37, width=16))
             if k <= K_MAX:
                 assert unpack(data)[1] == blocks
-                assert version < 4 or pack(h, blocks) == data
+                assert version < 5 or pack(h, blocks) == data
             else:
                 with pytest.raises(CorruptStreamError, match="K_MAX"):
                     unpack(data)
@@ -536,12 +587,13 @@ class TestCorruptInput:
                 with pytest.raises(FormatError):
                     unpack(bytes(mutated))
 
-    def test_writes_version_4_reads_all(self):
+    def test_writes_version_5_reads_all(self):
         data = pack(header(), [(1,)])
-        assert data[4] == VERSION_BYTE and unpack(data)[0].version == 4
-        for old in (header(version=3), header(version=2, latent_dim=4)):
-            with pytest.raises(UsageError, match="version 4 only"):
+        assert data[4] == VERSION_BYTE and unpack(data)[0].version == 5
+        for old in (header(version=4), header(version=3), header(version=2, latent_dim=4)):
+            with pytest.raises(UsageError, match="version 5 only"):
                 pack(old, [(1,)])
+        assert unpack(raw_v4([(1,)], 37))[0] == header(version=4)
         assert unpack(raw_v3([(1,)], 37))[0] == header(version=3)
         legacy = bytearray.fromhex(V2_LOSSLESS_HEX)
         for version in (1, 2):

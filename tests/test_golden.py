@@ -1,11 +1,12 @@
 """Golden outputs: SHA-256 of containers and codes from fixed inputs.
 
 Every entry fixes (image, model, codec seed, config) and pins the exact
-bytes the encoder writes for container version 4, and separately the block
+bytes the encoder writes for container version 5, and separately the block
 codes those bytes hold. A new container version re-records the container
-hashes only; the code hashes stay, as they did from version 3 to 4. A
-change that alters any of them changes the wire output, so it must be
-deliberate and re-recorded here together with a note in CHANGES.md.
+hashes; the code hashes stay unless the version changes what the blocks
+draw, as version 5 did (every block at block address 0), and stayed from
+version 3 to 4. A change that alters any of them changes the wire output, so
+it must be deliberate and re-recorded here together with a note in CHANGES.md.
 
 The 128x128 images span several step counts K per image and several
 encoder chunks per K.
@@ -29,26 +30,26 @@ from irec.gauss import DiagGaussian, kl_divergence
 from irec.model import load_model
 
 SMALL_GOLDEN = {
-    ("lossless", 1): "227c28f6dbbd057bc4ab8a481e8c1f7f43d2412e4901fd3a4dfccc57b9f53b83",
-    ("lossless", 4): "94f501b447ef8272d3fb80a255969e4084c59d2e0474ab34bf28dae107590f1c",
-    ("lossless", 20): "21413267c86e65b7d9d77dd582e99323ae2ce9777ae5c54b16bfc8901b6aaf7d",
-    ("lossy", 1): "aa964902d9270a6b893e8c6ea365ee95f21b846e6de75ee8502eb8cafe715253",
-    ("lossy", 4): "3e8d3e64fa5e830fc28b1441ad74dd5250f56d5d9c7d7800a8bbcc4248b46253",
-    ("lossy", 20): "209cf3a44c8a8f1053befb5ce57f3d7a97225e3f3bd84a4988fdf029b0f252b0",
+    ("lossless", 1): "aa60ce921f9bb8cc26abef8ace7181f7f01dbb76a3a54f895bbfa3ad4c779a94",
+    ("lossless", 4): "1648b7330ebd9c12f2f4351ec2c1f7191b4c4e3889a67e0e5405e64d2c1727a0",
+    ("lossless", 20): "9d51bb5b81853261bbec99a2d07508da800224506ea7213e5792dd53f5dfe7d8",
+    ("lossy", 1): "f1512dd2889f51857a90f4cbd070f043848362596727557f660f86cb056680c9",
+    ("lossy", 4): "04d5edb43700097aa717b57246a1c7f29daaf3d4faa3f66e09bccd27cf3d4d95",
+    ("lossy", 20): "661df97458373174a7bc22f57616bc8b696cc5267653ee054a1cfe61e10d49c3",
 }
-LOSSLESS_128_GOLDEN = "c0152eaaa90fa0fd394cc51540c8ccbc0dd8074583c763e3c2cfbe0c6923b80e"
-LOSSY_128_GOLDEN = "06cc53e19e4384b1d94f62c3f04fc8fcd0dac58eac9fdd3638bd961a2b400301"
+LOSSLESS_128_GOLDEN = "5cb5b7c01772a25d7facbf1d6e4048f447bd2ad4e54941cf165cc2e58ec92a50"
+LOSSY_128_GOLDEN = "58c5c3f39b866c616625d272341120d4e60d6abfe74274ce3cda8f808637b703"
 # SHA-256 of repr() of each case's list of block tuples, as unpack returns it.
 SMALL_CODES_GOLDEN = {
-    ("lossless", 1): "f38e5fd9009b19c1b78b13bef4fd53d09a10793cf911beb31c1fc26885c3d3b0",
-    ("lossless", 4): "d521142ddb3e68631c24e099fabed8e7b764fbaa0dcf37e1782f3f6fc6ca767b",
-    ("lossless", 20): "2171452306206dd6d5aaa63fd6e562fd51d884a29d4330e81ea7ab76827c6502",
-    ("lossy", 1): "cbd62434cfab0f3f25f34b7bafa87218899efac66dd5f949e234a0b6034dad7e",
-    ("lossy", 4): "8d10ae36d41906a03addc0e55de50cb52f7b1594fed5198f8698fa1500d8b5ab",
-    ("lossy", 20): "a9e0f22cae4d77136725ab03610a0d1e7cb95401329bdd838a6b1ac5845770d3",
+    ("lossless", 1): "cd9cda27b1d6a707203a9bf36eb4cdeaab249825ccacef912f553a27e2614209",
+    ("lossless", 4): "cb6931452f99a2e1b6eb35a4be7c867d5d0f272eafd00b2a25329973db32fea6",
+    ("lossless", 20): "c70203dd3a5732b1da8c18c2b59f5ce89ba31d4d525b2de4d93316a73416cd79",
+    ("lossy", 1): "d035dd42049965c9a10db0b49c4b2147d0fbcb28a29be23d01c82386524da396",
+    ("lossy", 4): "f306f143edcc4db35966ee28f28aff06afe70587a3d9693b57d8c1a6d067ada7",
+    ("lossy", 20): "4825e03eb4e5aad7f356d60412c2ce6bbff7c081aba0d87192ab74dc15ebae3a",
 }
-LOSSLESS_128_CODES_GOLDEN = "c331054c1bcaf4b3125baf10d9e1bb9203bec271f517a5af1fc434d11eb31222"
-LOSSY_128_CODES_GOLDEN = "60b765c092793e7559b54b7cfa330a100c5cf51e498f35b22da21f553bbdbbc1"
+LOSSLESS_128_CODES_GOLDEN = "971665eb45e373b8994e4d08557cecd26ffda20e2820c76ea6f3f7c0947028c8"
+LOSSY_128_CODES_GOLDEN = "907160a6bb20d49e622672e95cdf430b50f03b9f5fc6846cd5bbda8b9735a94d"
 STOCHASTIC_ENCODE_GOLDEN = "667f5249df31612528ccd51cfadce845a533523e7c975440e436940057436ce2"
 
 

@@ -339,11 +339,21 @@ class TestModelFile:
 
     @pytest.mark.parametrize("d,latent", [(16, 2), (63, 4), (65, 4), (64, 0)])
     def test_rejects_models_that_cannot_code_8x8_patches(self, tmp_path, d, latent):
-        model = LinearGaussianModel(W=np.ones((d, latent)), mu=np.zeros(d), noise_var=1.0)
+        # The LGM1 bytes of W = 1, mu = 0, noise variance 1, written field by
+        # field: the constructor refuses L = 0 itself.
         path = tmp_path / "wrong.lgm"
-        save_model(model, path)
+        path.write_bytes(
+            b"LGM1" + d.to_bytes(4, "little") + latent.to_bytes(4, "little")
+            + np.zeros(d, "<f8").tobytes() + np.ones(d * latent, "<f8").tobytes()
+            + np.float64(1.0).astype("<f8").tobytes()
+        )
         with pytest.raises(FormatError):
             load_model(path)
+
+    def test_constructor_refuses_zero_latents(self):
+        # No posterior of such a model exists, so it is refused when built.
+        with pytest.raises(UsageError, match="L >= 1"):
+            LinearGaussianModel(W=np.zeros((64, 0)), mu=np.zeros(64), noise_var=1.0)
 
     @pytest.mark.parametrize("latent", [8, 16])
     def test_patch_kl_bound_covers_every_8_bit_patch(self, latent):

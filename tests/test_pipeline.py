@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 import tracemalloc
 import zlib
 
@@ -13,6 +14,7 @@ from conftest import (
     make_training_patches,
     pack_v2,
     raw_v3,
+    raw_v5,
     replay_problems,
     reseal,
     sample_image,
@@ -103,6 +105,78 @@ V3_LOSSLESS_B4_PIXELS_SHA256 = (
     "c7bc7a40129c42395e51a7f036718bfab5e777b41f6c67cd6bc31b26ab9e17eb"
 )
 
+# Version-4 containers of the same image, model, config and seed, lossless
+# (145 bytes) and lossy (47 bytes), written by the last encoder of version 4.
+# They hold the version-3 codes.
+V4_LOSSLESS_B4_HEX = (
+    "49524543840300b817c801c449e97bd5fc479d10100884cb5c2b7c83529c8fa4d332d142"
+    "db2eea3d0b5812266c7d75ab1c410b55c2fe1cab8b53563bd6c050cc557dd55f98669abd"
+    "d7f5c44d961c132f3352cc694024dd06dd801c8b09706d5cab2e8ab01476f4b7a0c0d24a"
+    "e7215096f79a3280eded6613e3a106ada67c694f59b697022d790d3dbc33ddbc21ebb64f"
+    "0f"
+)
+V4_LOSSY_B4_HEX = (
+    "49524543840200b817c801c449e97bd5fc479d10100884cb5c2b7c83529c8fa4d332d142"
+    "db2eea3d0b581257389a5e"
+)
+# Version-4 containers of the 16x16 image of default_rng(11), same model and
+# config, seed 3: lossless (144 bytes) and lossy (49 bytes), written by the
+# last encoder of version 4. Neither decodes when cut at any byte and
+# resealed, which does not hold for every version-4 file (FORMAT.md §6).
+V4_LOSSLESS_IMG11_HEX = (
+    "49524543840303b817c801c449e97bd5fc479d1010081a593e70282d149dbf34ac03a211"
+    "693ee361662b0d7ec0c6bc0dc0793ea963b91b90431c71c86c43ed08b2e07d3e2594d0d3"
+    "fee7ee6a1f8ac50e3e0ad1a54e0b713835ea2f27216e66e4854ee3fbf9e65a74993a7450"
+    "b79342b15f430dfb197a5b6e81ac37063a065e5b9fbbc3fd01db1b725cec644b7aee3b2d"
+)
+V4_LOSSY_IMG11_HEX = (
+    "49524543840203b817c801c449e97bd5fc479d1010081a593e70282d149dbf34ac03a211"
+    "693ee361662b0d7ec03f7a06d6"
+)
+
+# The first version-5 containers of the same image, model, config and seed
+# as V4_*_B4_HEX: lossless (141 bytes) and lossy (43 bytes). Every block
+# draws at block address 0, so the codes differ from version 4's.
+V5_LOSSLESS_B4_HEX = (
+    "49524543850300b817c801c449e97b10100884cb5c2b7cac5940d9359a5ad9812adcdbfe"
+    "7a06e361266c7d7475c2514ea8f73d721d22e95c0d72c9ce7c735101de06bb279846530e"
+    "91527cf3c9331f94e269cf493bd03fbf54366391f94d83ef21a90144d4e1aecd77b4cffc"
+    "53202c8023eed8d983ca3e77a72dba3fd1baf8fe4228a4d95b7cefc5c7451c8065"
+)
+V5_LOSSY_B4_HEX = (
+    "49524543850200b817c801c449e97b10100884cb5c2b7cac5940d9359a5ad9812adcdbfe"
+    "7a06e34ed41d64"
+)
+V5_LOSSY_B4_PIXELS_SHA256 = (
+    "845657a64c6d9d25e80e7f5e9336afac8b63de385490494efe435b003fa20506"
+)
+# (hex, decoder, id) of every committed file, for the tests that run on each.
+COMMITTED_FILES = [
+    (V1_LOSSLESS_B4_HEX, decompress_lossless, "v1-lossless"),
+    (V2_LOSSLESS_B4_HEX, decompress_lossless, "v2-lossless"),
+    (V2_LOSSY_B4_HEX, decompress_lossy, "v2-lossy"),
+    (V3_LOSSLESS_B4_HEX, decompress_lossless, "v3-lossless"),
+    (V3_LOSSY_B4_HEX, decompress_lossy, "v3-lossy"),
+    (V4_LOSSLESS_B4_HEX, decompress_lossless, "v4-lossless"),
+    (V4_LOSSY_B4_HEX, decompress_lossy, "v4-lossy"),
+    (V5_LOSSLESS_B4_HEX, decompress_lossless, "v5-lossless"),
+    (V5_LOSSY_B4_HEX, decompress_lossy, "v5-lossy"),
+]
+COMMITTED = pytest.mark.parametrize(
+    "hex_data, decompress", [f[:2] for f in COMMITTED_FILES], ids=[f[2] for f in COMMITTED_FILES]
+)
+
+
+@pytest.fixture(scope="module")
+def fresh_files(fitted_model):
+    """{lossless: files}: version-5 files of six seeded 16x16 images, one seed each."""
+    rng = np.random.default_rng(40)
+    images = [sample_image(fitted_model, rng, 16, 16) for _ in range(6)]
+    return {
+        lossless: [compress(img, fitted_model, CFG, seed=n).data for n, img in enumerate(images)]
+        for lossless, compress in ((True, compress_lossless), (False, compress_lossy))
+    }
+
 
 def pruned_model(noise_var=4.0):
     return LinearGaussianModel(
@@ -143,14 +217,22 @@ class TestReplayProblems:
         ("lanes", "lanes"),
     ])
     def test_names_each_edit_of_the_calls(self, fitted_model, recorded, edit, expected):
+        # Each edit is to one address inside the last recorded call, however
+        # many that call draws: it is dropped or drawn twice, or its seed or
+        # its call's lane count is changed.
         data, calls = recorded
-        (seed, block, step, sample, lanes), words = calls[2]
-        edited = {
-            "dropped": calls[:2] + calls[3:],
-            "duplicated": calls + calls[2:3],
-            "seed": calls[:2] + [((seed + 1, block, step, sample, lanes), words)] + calls[3:],
-            "lanes": calls[:2] + [((seed, block, step, sample, lanes + 1), words)] + calls[3:],
-        }[edit]
+        (seed, *address, lanes), words = calls[-1]
+        flat = [np.ravel(x) for x in np.broadcast_arrays(seed, *address)]
+        per_address = words // flat[0].size
+        if edit == "dropped":
+            flat = [x[:-1] for x in flat]
+        elif edit == "duplicated":
+            flat = [np.append(x, x[-1]) for x in flat]
+        elif edit == "seed":
+            flat[0] = np.append(flat[0][:-1], flat[0][-1] + 1)
+        else:
+            lanes += 1
+        edited = calls[:-1] + [((*flat, lanes), per_address * flat[0].size)]
         problems = replay_problems(data, fitted_model.latent_dim, edited)
         assert any(expected in problem for problem in problems), problems
 
@@ -292,15 +374,17 @@ class TestLossless:
 
     @pytest.mark.parametrize("at", ["end", "start", "middle"])
     @pytest.mark.parametrize("extra", [b"\x5a\x5a", b"\x00", b"\x01", bytes(4)], ids=bytes.hex)
-    def test_edited_residual_section_is_corrupt(self, fitted_model, small_image, at, extra):
-        # Bytes inserted into the residual section and packed with a fresh
-        # CRC32: only the encoder's canonical section decodes (FORMAT.md §6).
-        data = compress_lossless(small_image, fitted_model, CFG, seed=0).data
-        header, blocks, section = container.unpack(data)
-        cut = {"end": len(section), "start": 0, "middle": len(section) // 2}[at]
-        edited = container.pack(header, blocks, residual=section[:cut] + extra + section[cut:])
-        with pytest.raises(CorruptStreamError):
-            decompress_lossless(edited, fitted_model)
+    def test_edited_residual_section_is_corrupt(self, fitted_model, fresh_files, at, extra):
+        # Bytes inserted into the residual section and resealed with a fresh
+        # CRC32. In the committed version-4 file only the encoder's canonical
+        # section decodes (FORMAT.md §6); in version-5 files the section's
+        # length refuses any insertion.
+        for data in [bytes.fromhex(V4_LOSSLESS_B4_HEX)] + fresh_files[True]:
+            section = container.unpack(data)[2]
+            start = len(data) - 4 - len(section)
+            cut = start + {"end": len(section), "start": 0, "middle": len(section) // 2}[at]
+            with pytest.raises(CorruptStreamError):
+                decompress_lossless(reseal(data[:cut] + extra + data[cut:]), fitted_model)
 
     def test_model_mismatch(self, fitted_model, small_image):
         result = compress_lossless(small_image, fitted_model, CFG, seed=0)
@@ -363,8 +447,26 @@ class TestLossless:
         assert len(result.log_w_per_block) == len(result.kl_per_block) == 16
         for i, (kl, log_w) in enumerate(zip(result.kl_per_block, result.log_w_per_block)):
             schedule = build_schedule(kl, CFG.omega, CFG.epsilon, s_sq)
-            alone = codec.encode(DiagGaussian(q.mean[i], q.std), schedule, CFG, 0, i)
+            # Version 5: every block is coded at block address 0.
+            alone = codec.encode(DiagGaussian(q.mean[i], q.std), schedule, CFG, 0, 0)
             assert log_w == alone[2]
+
+    def test_encoder_draws_each_address_once(self, fitted_model, raw_words_calls):
+        # Version 5 draws every block at block address 0, so the encoder
+        # draws each (step, sample) once for all blocks of a chunk (at 4
+        # beams, one chunk holds the 16 blocks): K_max * M addresses, where
+        # one address per block would take sum(K) * M.
+        img = sample_image(fitted_model, np.random.default_rng(23), 32, 32)
+        data = compress_lossless(img, fitted_model, CFG, seed=0).data
+        ks = [len(code) for code in container.unpack(data)[1]]
+        drawn = Counter()
+        for (seed, *address, _), _ in raw_words_calls:
+            block, step, sample = (np.ravel(x).tolist() for x in np.broadcast_arrays(*address))
+            assert seed == 0 and set(block) == {0}
+            drawn.update(zip(block, step, sample))
+        assert max(drawn.values()) == 1
+        assert len(drawn) == max(ks) * 37 < sum(ks) * 37
+        assert set(drawn) == {(0, k, i) for k in range(max(ks)) for i in range(37)}
 
     def test_stats_accounting(self, fitted_model, small_image):
         result = compress_lossless(small_image, fitted_model, CFG, seed=0)
@@ -393,36 +495,37 @@ class TestBitFlips:
                 decompress(bytes(mutated), fitted_model)
 
 
+def cut_and_resealed(data):
+    """The file cut at every byte before its CRC32, each cut resealed with a new CRC32."""
+    body = data[:-4]
+    return [body[:cut] + zlib.crc32(body[:cut]).to_bytes(4, "little") for cut in range(len(body))]
+
+
 class TestCutFiles:
     """Files cut short at every byte are rejected, never decoded to an image:
-    fresh 16x16 version-4 files even when the cut is resealed with a new
-    CRC32, and the committed files as cut. A resealed cut is not rejected in
-    every file: the residual section has no length (FORMAT.md section 6)."""
+    version-5 files and two committed version-4 files even when the cut is
+    resealed with a new CRC32, and the committed files as cut. A version-5
+    residual section has a length; a version-3 or version-4 one has none, so a
+    resealed cut is not rejected in every such file (FORMAT.md section 6)."""
 
     @pytest.mark.parametrize("lossless", [True, False], ids=["lossless", "lossy"])
     def test_version_4_cut_at_every_byte_with_resealed_crc(self, fitted_model, lossless):
-        img = sample_image(fitted_model, np.random.default_rng(11), 16, 16)
-        compress, decompress = (
-            (compress_lossless, decompress_lossless) if lossless
-            else (compress_lossy, decompress_lossy)
-        )
-        body = compress(img, fitted_model, CFG, seed=3).data[:-4]
-        for cut in range(len(body)):
-            data = body[:cut] + zlib.crc32(body[:cut]).to_bytes(4, "little")
+        data = bytes.fromhex(V4_LOSSLESS_IMG11_HEX if lossless else V4_LOSSY_IMG11_HEX)
+        decompress = decompress_lossless if lossless else decompress_lossy
+        for cut in cut_and_resealed(data):
             with pytest.raises((CorruptStreamError, FormatError)):
-                decompress(data, fitted_model)
+                decompress(cut, fitted_model)
 
-    @pytest.mark.parametrize(
-        "hex_data, decompress",
-        [
-            (V1_LOSSLESS_B4_HEX, decompress_lossless),
-            (V2_LOSSLESS_B4_HEX, decompress_lossless),
-            (V2_LOSSY_B4_HEX, decompress_lossy),
-            (V3_LOSSLESS_B4_HEX, decompress_lossless),
-            (V3_LOSSY_B4_HEX, decompress_lossy),
-        ],
-        ids=["v1-lossless", "v2-lossless", "v2-lossy", "v3-lossless", "v3-lossy"],
-    )
+    @pytest.mark.parametrize("lossless", [True, False], ids=["lossless", "lossy"])
+    def test_version_5_cut_at_every_byte_with_resealed_crc(self, fitted_model, fresh_files,
+                                                           lossless):
+        decompress = decompress_lossless if lossless else decompress_lossy
+        for data in fresh_files[lossless]:
+            for cut in cut_and_resealed(data):
+                with pytest.raises((CorruptStreamError, FormatError)):
+                    decompress(cut, fitted_model)
+
+    @COMMITTED
     def test_committed_files_cut_at_every_byte(self, fitted_model, hex_data, decompress):
         data = bytes.fromhex(hex_data)
         for cut in range(len(data)):
@@ -432,14 +535,10 @@ class TestCutFiles:
 
 @pytest.fixture(scope="module")
 def edit_targets(fitted_model):
-    """(file, decoder) for the committed v1-v3 files and fresh 16x16 v4 files."""
+    """(file, decoder) for the committed v1-v4 files and fresh 16x16 v5 files."""
     img = sample_image(fitted_model, np.random.default_rng(11), 16, 16)
     return [
-        (bytes.fromhex(V1_LOSSLESS_B4_HEX), decompress_lossless),
-        (bytes.fromhex(V2_LOSSLESS_B4_HEX), decompress_lossless),
-        (bytes.fromhex(V2_LOSSY_B4_HEX), decompress_lossy),
-        (bytes.fromhex(V3_LOSSLESS_B4_HEX), decompress_lossless),
-        (bytes.fromhex(V3_LOSSY_B4_HEX), decompress_lossy),
+        *[(bytes.fromhex(h), d) for h, d, name in COMMITTED_FILES if not name.startswith("v5")],
         (compress_lossless(img, fitted_model, CFG, seed=3).data, decompress_lossless),
         (compress_lossy(img, fitted_model, CFG, seed=3).data, decompress_lossy),
     ]
@@ -450,7 +549,7 @@ class TestEditedFiles:
 
     @settings(max_examples=500, derandomize=True, deadline=None, database=None)
     @given(
-        target=st.integers(0, 6),
+        target=st.integers(0, 8),
         edits=st.lists(
             st.tuples(
                 st.sampled_from(("set", "insert", "delete")),
@@ -464,7 +563,7 @@ class TestEditedFiles:
     def test_decodes_or_raises_a_format_class(self, fitted_model, edit_targets, target, edits):
         # A decoder returns an image or raises a class of FORMAT.md section 8;
         # any other exception, or a warning under filterwarnings = error,
-        # fails the test. Version-3 and -4 files are resealed after the edits.
+        # fails the test. Version-3 to -5 files are resealed after the edits.
         data, decompress = edit_targets[target]
         out = bytearray(data)
         for op, at, byte in edits:
@@ -599,17 +698,7 @@ class TestContainerVersions:
         out = decompress_lossy(lossy, fitted_model)
         assert hashlib.sha256(out.pixels.tobytes()).hexdigest() == V2_LOSSY_B4_PIXELS_SHA256
 
-    @pytest.mark.parametrize(
-        "hex_data, decompress",
-        [
-            (V1_LOSSLESS_B4_HEX, decompress_lossless),
-            (V2_LOSSLESS_B4_HEX, decompress_lossless),
-            (V2_LOSSY_B4_HEX, decompress_lossy),
-            (V3_LOSSLESS_B4_HEX, decompress_lossless),
-            (V3_LOSSY_B4_HEX, decompress_lossy),
-        ],
-        ids=["v1-lossless", "v2-lossless", "v2-lossy", "v3-lossless", "v3-lossy"],
-    )
+    @COMMITTED
     def test_committed_files_draw_only_the_chosen_samples(
         self, fitted_model, hex_data, decompress, raw_words_calls
     ):
@@ -643,14 +732,35 @@ class TestContainerVersions:
         out = decompress_lossless(bytes(data), fitted_model)
         assert not np.array_equal(out.pixels, small_image.pixels)
 
-    def test_new_files_are_version_4(self, fitted_model, small_image):
-        for compress, decompress in (
-            (compress_lossless, decompress_lossless),
-            (compress_lossy, decompress_lossy),
+    def test_version_5_decodes_bit_exactly(self, fitted_model, small_image):
+        lossless = bytes.fromhex(V5_LOSSLESS_B4_HEX)
+        lossy = bytes.fromhex(V5_LOSSY_B4_HEX)
+        assert (len(lossless), len(lossy)) == (141, 43)
+        assert lossless[4] == lossy[4] == 0x85
+        out = decompress_lossless(lossless, fitted_model)
+        assert np.array_equal(out.pixels, small_image.pixels)
+        out = decompress_lossy(lossy, fitted_model)
+        assert hashlib.sha256(out.pixels.tobytes()).hexdigest() == V5_LOSSY_B4_PIXELS_SHA256
+
+    def test_version_5_checks_the_low_32_bits_of_model_id(self, fitted_model):
+        # A model whose id differs above bit 31 passes the check; a 2^-32 chance.
+        for flip, ok in ((1 << 40, True), (1 << 31, False), (1, False)):
+            data = raw_v5([(0,)], 37, seed=0, model_id=fitted_model.model_id ^ flip)
+            if ok:
+                decompress_lossy(data, fitted_model)
+            else:
+                with pytest.raises(ModelMismatchError):
+                    decompress_lossy(data, fitted_model)
+
+    def test_new_files_are_version_5(self, fitted_model, small_image):
+        for compress, decompress, pinned in (
+            (compress_lossless, decompress_lossless, V5_LOSSLESS_B4_HEX),
+            (compress_lossy, decompress_lossy, V5_LOSSY_B4_HEX),
         ):
             result = compress(small_image, fitted_model, CFG, seed=0)
             header, _, _ = container.unpack(result.data)
-            assert header.version == 4 and result.data[4] == container.VERSION_BYTE
+            assert header.version == 5 and result.data[4] == container.VERSION_BYTE
+            assert result.data == bytes.fromhex(pinned)
             again = compress(small_image, fitted_model, CFG, seed=0)
             assert again.data == result.data
             out = decompress(result.data, fitted_model)
@@ -672,15 +782,15 @@ class TestContainerVersions:
             )
             assert len(new) < len(old)
 
-    def test_version_4_holds_the_version_3_codes(self, fitted_model, small_image):
+    def test_version_4_holds_the_version_3_codes(self, fitted_model):
         # Same blocks and same pixels, in 13 fewer bytes: 12 from omega and
         # epsilon, 1 from the prefix-coded K field.
-        for hex_data, compress, decompress in (
-            (V3_LOSSLESS_B4_HEX, compress_lossless, decompress_lossless),
-            (V3_LOSSY_B4_HEX, compress_lossy, decompress_lossy),
+        for old_hex, new_hex, decompress in (
+            (V3_LOSSLESS_B4_HEX, V4_LOSSLESS_B4_HEX, decompress_lossless),
+            (V3_LOSSY_B4_HEX, V4_LOSSY_B4_HEX, decompress_lossy),
         ):
-            old = bytes.fromhex(hex_data)
-            new = compress(small_image, fitted_model, CFG, seed=0).data
+            old, new = bytes.fromhex(old_hex), bytes.fromhex(new_hex)
+            assert new[4] == 0x84
             assert container.unpack(new)[1] == container.unpack(old)[1]
             assert np.array_equal(
                 decompress(new, fitted_model).pixels, decompress(old, fitted_model).pixels
@@ -695,11 +805,33 @@ class TestContainerVersions:
             assert np.allclose(posterior(fitted_model, patch).var, s_sq, rtol=1e-12)
 
     def test_format_example_bytes(self):
-        # The annotated version-4 example file of docs/FORMAT.md section 7.
+        # The annotated version-5 example file of docs/FORMAT.md section 7.
         model, img = self.format_example()
         cfg = RecConfig(omega=3.0, epsilon=0.2, beams=20)
         data = compress_lossless(img, model, cfg, seed=1).data
         assert data == bytes.fromhex(
+            "49524543"  # magic
+            "85"  # version 5
+            "03"  # flags: residual section present, prefix-coded K field
+            "01"  # seed = 1 (varint)
+            "b817"  # omega = 3000 / 1000 (varint)
+            "c801"  # epsilon = 200 / 1000 (varint)
+            "f108d180"  # model_id & 0xFFFFFFFF
+            "08" "08"  # image_width, image_height (varints)
+            "01"  # K field centre = 1 (varint)
+            "00"  # block 0: unary 0 (K = 1), index 0 in 6 bits, 1 padding bit
+            "0c"  # residual length = 12 (varint)
+            "7ffe61db82c06001" "311427b7"  # range coder bytes
+            "28443e31"  # CRC32 = 0x313e4428
+        )
+        assert len(data) == 36
+        assert np.array_equal(decompress_lossless(data, model).pixels, img.pixels)
+
+    def test_version_4_format_example_decodes(self):
+        # The 39-byte version-4 example of docs/FORMAT.md section 7, as the
+        # last encoder of version 4 wrote it.
+        model, img = self.format_example()
+        data = bytes.fromhex(
             "49524543"  # magic
             "84"  # version 4
             "03"  # flags: residual section present, prefix-coded K field
@@ -714,6 +846,8 @@ class TestContainerVersions:
             "73fd6aad"  # CRC32 = 0xad6afd73
         )
         assert len(data) == 39
+        header, blocks, _ = container.unpack(data)
+        assert (header.version, header.model_id, blocks) == (4, model.model_id, [(0,)])
         assert np.array_equal(decompress_lossless(data, model).pixels, img.pixels)
 
     def test_version_3_format_example_decodes(self):
