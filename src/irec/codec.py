@@ -21,11 +21,11 @@ depend on how blocks and steps are batched:
   Each sum adds its D terms in index order: the cross term by multiply-adds
   into one (G, B, M) buffer, dimension by dimension. No BLAS call is made,
   so the codes do not depend on the host's BLAS kernels.
-* The shared draws of several steps come from one stream call: a slab of
-  the live (block, step) pairs only, step-major, scaled by each sigma_k. Under
-  one seed each distinct pair is drawn once and gathered to its rows, so
-  blocks given one address (container version 5) share a step's draws.
-  MAX_CHUNK_FLOATS bounds both the scoring buffer and the slab.
+* The shared draws come from few stream calls. Blocks at one address under
+  one seed (container version 5) draw all K_max steps in one call for every
+  chunk if K_max * M * D fits MAX_CHUNK_FLOATS; otherwise each chunk draws its
+  live (block, step) pairs, each distinct one once, a few steps per call.
+  Rows are scaled by sigma_k; MAX_CHUNK_FLOATS bounds the buffer and each draw.
 * The target's scale and variance, norm, sq_coef, rho_sq and denom come from
   one walk of the steps per call, or a cached table per (schedule, std row)
   if the blocks share one std row; per-sample terms from one pass per slab.
@@ -53,8 +53,9 @@ MAX_CANDIDATE_FLOATS = 1 << 24
 # Blocks encoded together score G x B x M candidates per step, in one buffer
 # (and one of the products added into it) reused for every step and chunk;
 # G is the largest count whose buffer fits this many floats, and at least 1.
-# The draws of as many steps as fit G x M x D floats each in this many (at
-# least one step) come from one stream call. The decoder maps and adds its
+# One stream call draws all K_max x M x D floats of blocks at one address
+# under one seed if they fit this many, or else each chunk's steps, as many
+# as fit G x M x D floats each (at least one). The decoder maps and adds its
 # draws in slabs of whole blocks of at most this many floats (or one block).
 # Sized by peak memory: 2**14 holds lossless-128's 22 blocks and 2 steps;
 # 2**16 added 7 MB of peak RSS.
@@ -158,7 +159,9 @@ def encode_blocks(
     under its seed: blocks run in order of K, largest first, in chunks whose
     candidates fit one scoring buffer of at most MAX_CHUNK_FLOATS floats (one
     block's B*M if that is more), allocated here once, and every reduction
-    and selection runs along one block's own row.
+    and selection runs along one block's own row. Under one seed, blocks at
+    one address share one draw of all steps, made here unless K_max*M*D
+    exceeds MAX_CHUNK_FLOATS or cfg.stochastic_final is set.
     """
     if len({(s.M, s.omega, s.epsilon) for s in schedules}) != 1:
         raise UsageError("schedules disagree on samples per step, omega or epsilon")
@@ -184,11 +187,16 @@ def encode_blocks(
     order = np.argsort([-s.K for s in schedules], kind="stable")
     indices: list[tuple[int, ...]] = [()] * len(blocks)
     zs, ratios = np.empty_like(mean), np.empty(len(mean))
+    k_max, m = schedules[order[0]].K, schedules[0].M
+    one = np.ndim(seeds) == 0 and np.all(blocks == blocks[0]) and not cfg.stochastic_final
+    drawn = (stream.draw_normals(seeds, blocks[0], np.arange(k_max)[:, None], np.arange(m), d)
+             if one and k_max * m * d <= MAX_CHUNK_FLOATS else None)
     for lo in range(0, len(blocks), chunk):
         part = order[lo : lo + chunk]
         codes, zs[part], ratios[part] = _encode_chunk(
             mean[part], std[part], [schedules[i] for i in part], cfg,
             seeds[part] if np.ndim(seeds) else seeds, blocks[part], scratch, target.std.ndim == 1,
+            drawn,
         )
         for i, code in zip(part.tolist(), codes):
             indices[i] = code
@@ -220,18 +228,19 @@ def _step_table(steps: bytes, std: bytes) -> tuple[np.ndarray, np.ndarray]:
     return _step_rows(steps, [1] * steps.shape[1], np.frombuffer(std)[None])
 
 
-def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch, shared):
+def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch, shared, drawn=None):
     """Beam search for G blocks in order of K, largest first; beam state is (G, beams, D).
 
     The blocks live at step k are the prefix whose K > k. Candidates are
     scored in `scratch`, two (G, B, M) float64 buffers: the running cross
     term and the product added to it next. The draws of `span` steps at a
-    time come from one stream call, which addresses only the live (block,
-    step) pairs, each under its block's seed if `seed` is an array of G, and
-    otherwise each distinct pair once (blocks at one address share its draws);
-    their per-sample terms take one pass. If the blocks share one std row
-    (`shared`), _step_rows come from the step tables. Returns each block's code, z and log
-    q(z)/p(z), the last two taken when the block's K runs out.
+    time are rows of `drawn`, the (K_max, M, D) draw at the blocks' one
+    address, if given; else one stream call draws only the live (block, step)
+    pairs, each under its block's seed if `seed` is an array of G, and
+    otherwise each distinct pair once; their per-sample terms take one pass.
+    If the blocks share one std row (`shared`), _step_rows come from the step
+    tables. Returns each block's code, z and log q(z)/p(z), the last two taken
+    when the block's K runs out.
     """
     g = len(blocks)
     rows = np.arange(g)[:, None]
@@ -268,11 +277,14 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch, shared):
         if k % span == 0:
             lo = starts[k]
             at = slice(lo, starts[min(k + span, k_of[0])])
-            seed_at = seeds[at] if np.ndim(seeds) else seeds
-            # Under one seed, each distinct (block, step) is drawn once and its rows gathered.
-            addr, inverse = ((pairs[:, at], slice(None)) if np.ndim(seeds)
-                             else np.unique(pairs[:, at], axis=1, return_inverse=True))
-            slab = stream.draw_normals(seed_at, *addr[..., None], np.arange(m), d)[inverse]
+            if drawn is not None:  # the call's draws: row k is step k at the blocks' address
+                slab = drawn[pairs[1, at]]
+            else:
+                seed_at = seeds[at] if np.ndim(seeds) else seeds
+                # Under one seed, each distinct (block, step) is drawn once and its rows gathered.
+                addr, inverse = ((pairs[:, at], slice(None)) if np.ndim(seeds)
+                                 else np.unique(pairs[:, at], axis=1, return_inverse=True))
+                slab = stream.draw_normals(seed_at, *addr[..., None], np.arange(m), d)[inverse]
             slab *= coef[0, at, None, None]  # sigma_k * u, the decoder's steps[0] * u
             slab_dims = np.ascontiguousarray(slab.transpose(2, 0, 1))  # (D, rows, M)
             sample_term = np.cumsum(slab_dims * slab_dims * table[1, at].T[..., None], axis=0)[-1]

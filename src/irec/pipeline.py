@@ -6,9 +6,9 @@ model's posterior variances, the same for every patch, so the step count K
 fixes it. All blocks of an image, whatever their K, are coded in one call
 (codec.encode_blocks) and decoded in one (codec.decode_blocks); version-1 files
 decode with the power-law schedule. Version 5 draws every block at block
-address 0, so a (step, sample) is one draw for the whole image; versions 1 to 4
-draw block i at address i. One reconstruct call maps all decoded
-latents back to pixels, quantized into the uint8 plane that is the lossy
+address 0, so the encoder draws a (step, sample) once per image if K_max * M * D
+fits codec.MAX_CHUNK_FLOATS, else once per chunk; versions 1 to 4 draw block i
+at address i. One reconstruct call maps all decoded latents back to pixels, quantized into the uint8 plane that is the lossy
 image, with no copy. The lossless path adds the range-coded residual, the
 image minus that plane taken in int16 (container frames it; versions 1 and 2 hold
 the coder's full byte stream), using the decoded (possibly biased) latent on

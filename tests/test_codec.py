@@ -261,14 +261,20 @@ def _set_budget(monkeypatch, beams, schedule, dims, per_chunk=None, span=None):
 
 
 def _check_blocks_match_lone_encodes(
-    beams, stochastic, monkeypatch, per_chunk=None, span=None, mixed=False, own_seeds=False
+    beams, stochastic, monkeypatch, per_chunk=None, span=None, mixed=False, own_seeds=False,
+    one_address=False,
 ):
     # 13 blocks run in chunks of per_chunk blocks; or in one chunk whose
     # draws come `span` steps per stream call; or at the module's own budget
     # when neither is given. Each block must equal its lone encode under the
     # same budget. The blocks share one schedule of K = 9, or with `mixed`
     # have schedules of K = 1..9. They share seed 21, or with `own_seeds`
-    # are all block 0, each under its own seed, as the studies encode.
+    # are all block 0, each under its own seed, as the studies encode. With
+    # `one_address` they share seed 21 and one block address, as an image's
+    # blocks do (container version 5): a deterministic encode then draws
+    # every step in one call for all chunks if the 9 steps' M * D floats
+    # each fit the budget, and per chunk and span otherwise. No normal-draw
+    # call returns more than the budget or one step of one chunk.
     if mixed:
         qs, schedules, blocks = _mixed_blocks()
     else:
@@ -278,10 +284,13 @@ def _check_blocks_match_lone_encodes(
     if own_seeds:
         seeds = [21 + 2**59 * i for i in range(12)] + [2**64 - 1]
         blocks = [0] * len(qs)
-    dims = qs[0].dim
+    if one_address:
+        blocks = [blocks[0]] * len(qs)
+    dims, m = qs[0].dim, schedules[0].M
     cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams, stochastic_final=stochastic)
     _set_budget(monkeypatch, beams, schedules[0], dims, per_chunk, span)
-    chunks, slab_steps = [], []
+    whole = one_address and not stochastic and 9 * m * dims <= codec.MAX_CHUNK_FLOATS
+    chunks, slab_steps, normals = [], [], []
     encode_chunk, draw_normals = codec._encode_chunk, stream.draw_normals
 
     def counting_chunk(*args):
@@ -290,7 +299,9 @@ def _check_blocks_match_lone_encodes(
 
     def counting_draws(seed, block, step, *args):
         slab_steps.append(len(np.unique(step)))
-        return draw_normals(seed, block, step, *args)
+        drawn = draw_normals(seed, block, step, *args)
+        normals.append(drawn.size)
+        return drawn
 
     with monkeypatch.context() as patch:
         patch.setattr(codec, "_encode_chunk", counting_chunk)
@@ -299,7 +310,11 @@ def _check_blocks_match_lone_encodes(
         indices, zs, ratios = codec.encode_blocks(*_stacked(qs), schedules, cfg, seed, blocks)
     if per_chunk is not None:
         assert chunks == [min(per_chunk, 13 - lo) for lo in range(0, 13, per_chunk)]
-    if span is not None:
+    assert max(normals) <= max(codec.MAX_CHUNK_FLOATS, max(chunks) * m * dims)
+    if whole:
+        assert max(s.K for s in schedules) == 9
+        assert slab_steps == [9]
+    elif span is not None:
         assert max(s.K for s in schedules) == 9
         assert chunks == [13]
         assert slab_steps == [min(span, 9 - k) for k in range(0, 9, span)]
@@ -321,6 +336,11 @@ _BUDGETS = {
     "span2": {"span": 2},
     "span30": {"span": 30},
 }
+_EVERY_BUDGET = [
+    pytest.param(beams, stochastic, budget, id=f"{beams}-{stochastic}-{name}")
+    for beams, stochastic in _BEAM_CASES
+    for name, budget in _BUDGETS.items()
+]
 
 
 class TestEncodeBlocks:
@@ -361,6 +381,16 @@ class TestEncodeBlocks:
         # hold all 13.)
         _check_blocks_match_lone_encodes(beams, stochastic, monkeypatch, mixed=True, **budget)
 
+    @pytest.mark.parametrize("beams,stochastic,budget", _EVERY_BUDGET)
+    def test_matches_at_one_block_address(self, beams, stochastic, budget, monkeypatch):
+        # Blocks of K = 1..9 at one block address under seed 21. The module's
+        # and the span budgets fit the call's one draw of all 9 steps (at 20
+        # beams and span 1, across chunks of 10 and 3 blocks); the chunk
+        # budgets and stochastic encodes draw per chunk and span instead.
+        _check_blocks_match_lone_encodes(
+            beams, stochastic, monkeypatch, mixed=True, one_address=True, **budget
+        )
+
     @pytest.mark.parametrize("budget", [{"per_chunk": 4}, {"span": 2}], ids=["chunk4", "span2"])
     @pytest.mark.parametrize("beams,stochastic", _BEAM_CASES)
     def test_matches_with_a_seed_per_block(self, beams, stochastic, budget, monkeypatch):
@@ -371,14 +401,7 @@ class TestEncodeBlocks:
             beams, stochastic, monkeypatch, mixed=True, own_seeds=True, **budget
         )
 
-    @pytest.mark.parametrize(
-        "beams,stochastic,budget",
-        [
-            pytest.param(beams, stochastic, budget, id=f"{beams}-{stochastic}-{name}")
-            for beams, stochastic in _BEAM_CASES
-            for name, budget in _BUDGETS.items()
-        ],
-    )
+    @pytest.mark.parametrize("beams,stochastic,budget", _EVERY_BUDGET)
     def test_draws_exactly_what_it_uses(
         self, beams, stochastic, budget, monkeypatch, raw_words_calls
     ):

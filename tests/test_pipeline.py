@@ -468,6 +468,22 @@ class TestLossless:
         assert len(drawn) == max(ks) * 37 < sum(ks) * 37
         assert set(drawn) == {(0, k, i) for k in range(max(ks)) for i in range(37)}
 
+    def test_encoder_draws_each_address_once_across_chunks(self, fitted_model, raw_words_calls):
+        # At the default 20 beams a chunk holds MAX_CHUNK_FLOATS // (20 * 37)
+        # = 22 blocks, so the 64 blocks of a 64x64 image take three chunks.
+        # They share one call's draws: each (0, k, i), k < K_max, i < M, is
+        # drawn exactly once per compress, in one normal-draw stream call.
+        cfg = RecConfig(omega=3.0, epsilon=0.2)
+        assert cfg.beams == 20 and codec.MAX_CHUNK_FLOATS // (20 * 37) < 64
+        img = sample_image(fitted_model, np.random.default_rng(23), 64, 64)
+        data = compress_lossless(img, fitted_model, cfg, seed=0).data
+        k_max = max(len(code) for code in container.unpack(data)[1])
+        assert len(raw_words_calls) == 1
+        (seed, *address, lanes), words = raw_words_calls[0]
+        drawn = list(zip(*(np.ravel(x).tolist() for x in np.broadcast_arrays(*address))))
+        assert seed == 0 and words == len(drawn) * lanes
+        assert sorted(drawn) == [(0, k, i) for k in range(k_max) for i in range(37)]
+
     def test_stats_accounting(self, fitted_model, small_image):
         result = compress_lossless(small_image, fitted_model, CFG, seed=0)
         assert result.bpp == pytest.approx(8.0 * len(result.data) / 256)
