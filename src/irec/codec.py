@@ -21,10 +21,10 @@ depend on how blocks and steps are batched:
   Each sum adds its D terms in index order: the cross term by multiply-adds
   into one (G, B, M) buffer, dimension by dimension. No BLAS call is made,
   so the codes do not depend on the host's BLAS kernels.
-* The shared draws come from few stream calls. Blocks at one address under
-  one seed (container version 5) draw all K_max steps in one call for every
-  chunk if K_max * M * D fits MAX_CHUNK_FLOATS; otherwise each chunk draws its
-  live (block, step) pairs, each distinct one once, a few steps per call.
+* The shared draws come from few stream calls, all at the call's one block
+  address. Under one seed, one call draws all K_max steps for every chunk if
+  K_max * M * D fits MAX_CHUNK_FLOATS; else each chunk draws each step of a
+  span once and gathers rows by step; a seed per block draws each live pair.
   Rows are scaled by sigma_k; MAX_CHUNK_FLOATS bounds the buffer and each draw.
 * The target's scale and variance, norm, sq_coef, rho_sq and denom come from
   one walk of the steps per call, or a cached table per (schedule, std row)
@@ -53,9 +53,9 @@ MAX_CANDIDATE_FLOATS = 1 << 24
 # Blocks encoded together score G x B x M candidates per step, in one buffer
 # (and one of the products added into it) reused for every step and chunk;
 # G is the largest count whose buffer fits this many floats, and at least 1.
-# One stream call draws all K_max x M x D floats of blocks at one address
-# under one seed if they fit this many, or else each chunk's steps, as many
-# as fit G x M x D floats each (at least one). The decoder maps and adds its
+# Under one seed, one stream call draws all K_max x M x D floats if they fit
+# this many, or else each chunk draws its steps, as many as fit G x M x D
+# floats per call (at least one). The decoder maps and adds its
 # draws in slabs of whole blocks of at most this many floats (or one block).
 # Sized by peak memory: 2**14 holds lossless-128's 22 blocks and 2 steps;
 # 2**16 added 7 MB of peak RSS.
@@ -136,7 +136,7 @@ def encode(
     needs a single beam), in which case each step's index is sampled
     proportionally to its importance weight using a reserved stream address.
     """
-    indices, zs, ratios = encode_blocks(q.mean[None], q.std, [schedule], cfg, seed, [block])
+    indices, zs, ratios = encode_blocks(q.mean[None], q.std, [schedule], cfg, seed, block)
     return indices[0], zs[0], float(ratios[0])
 
 
@@ -146,36 +146,37 @@ def encode_blocks(
     schedules: Sequence[AuxSchedule],
     cfg: RecConfig,
     seed,
-    blocks: Sequence[int],
+    block: int,
 ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """Encode blocks, one schedule each, step by step across blocks.
+    """Encode blocks, one schedule each, step by step across blocks, at one block address.
 
     The targets are DiagGaussian(mean, std), under its rules: a (G, D) mean
     with a (G, D) std or one (D,) std for all. The schedules may differ in K
     but must agree on M, omega and epsilon.
-    seed is one stream seed for all blocks, or G seeds, one per block.
+    seed is one stream seed for all blocks, or G seeds, one per block; block
+    is the one u32 address every block draws at.
     Returns (indices per block, decoded z of shape (G, D), log q(z)/p(z) of
     shape (G,)). Block g's outputs are exactly those of encoding it alone
     under its seed: blocks run in order of K, largest first, in chunks whose
     candidates fit one scoring buffer of at most MAX_CHUNK_FLOATS floats (one
     block's B*M if that is more), allocated here once, and every reduction
-    and selection runs along one block's own row. Under one seed, blocks at
-    one address share one draw of all steps, made here unless K_max*M*D
-    exceeds MAX_CHUNK_FLOATS or cfg.stochastic_final is set.
+    and selection runs along one block's own row. Under one seed, all blocks
+    share one draw of all steps, made here unless K_max*M*D exceeds
+    MAX_CHUNK_FLOATS.
     """
     if len({(s.M, s.omega, s.epsilon) for s in schedules}) != 1:
-        raise UsageError("schedules disagree on samples per step, omega or epsilon")
+        raise UsageError("no schedules: encode_blocks needs at least one block" if not schedules
+                         else "schedules disagree on samples per step, omega or epsilon")
     if schedules[0].M != samples_per_step(cfg.omega, cfg.epsilon):
         raise UsageError("schedule and config disagree on samples per step")
+    block = stream.check_int("block", block, 0, 2**32 - 1)
     target = DiagGaussian(mean, std)
     mean, std = np.broadcast_arrays(target.mean, target.std)
     seeds = stream.check_seed(seed)
-    want = (len(blocks),)
-    if not mean.shape[:-1] == want == (len(schedules),) or np.shape(seeds) not in ((), want):
-        raise UsageError(
-            f"targets of shape {mean.shape}, {len(blocks)} blocks, {len(schedules)} schedules, "
-            f"seed shape {np.shape(seeds)}"
-        )
+    want = (len(schedules),)
+    if not mean.shape[:-1] == want or np.shape(seeds) not in ((), want):
+        raise UsageError(f"targets of shape {mean.shape}, {len(schedules)} schedules, "
+                         f"seed shape {np.shape(seeds)}")
     d = mean.shape[1]
     per_block = cfg.beams * schedules[0].M * d
     if per_block > MAX_CANDIDATE_FLOATS:
@@ -183,20 +184,17 @@ def encode_blocks(
     scores = cfg.beams * schedules[0].M
     chunk = min(len(mean), max(1, MAX_CHUNK_FLOATS // scores))
     scratch = np.empty((2, chunk * scores))
-    blocks = np.asarray(blocks)
     order = np.argsort([-s.K for s in schedules], kind="stable")
-    indices: list[tuple[int, ...]] = [()] * len(blocks)
+    indices: list[tuple[int, ...]] = [()] * len(mean)
     zs, ratios = np.empty_like(mean), np.empty(len(mean))
     k_max, m = schedules[order[0]].K, schedules[0].M
-    one = np.ndim(seeds) == 0 and np.all(blocks == blocks[0]) and not cfg.stochastic_final
-    drawn = (stream.draw_normals(seeds, blocks[0], np.arange(k_max)[:, None], np.arange(m), d)
-             if one and k_max * m * d <= MAX_CHUNK_FLOATS else None)
-    for lo in range(0, len(blocks), chunk):
+    drawn = (stream.draw_normals(seeds, block, np.arange(k_max)[:, None], np.arange(m), d)
+             if np.ndim(seeds) == 0 and k_max * m * d <= MAX_CHUNK_FLOATS else None)
+    for lo in range(0, len(mean), chunk):
         part = order[lo : lo + chunk]
         codes, zs[part], ratios[part] = _encode_chunk(
             mean[part], std[part], [schedules[i] for i in part], cfg,
-            seeds[part] if np.ndim(seeds) else seeds, blocks[part], scratch, target.std.ndim == 1,
-            drawn,
+            seeds[part] if np.ndim(seeds) else seeds, block, scratch, target.std.ndim == 1, drawn,
         )
         for i, code in zip(part.tolist(), codes):
             indices[i] = code
@@ -228,36 +226,36 @@ def _step_table(steps: bytes, std: bytes) -> tuple[np.ndarray, np.ndarray]:
     return _step_rows(steps, [1] * steps.shape[1], np.frombuffer(std)[None])
 
 
-def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch, shared, drawn=None):
+def _encode_chunk(mean, std, schedules, cfg, seed, block, scratch, shared, drawn=None):
     """Beam search for G blocks in order of K, largest first; beam state is (G, beams, D).
 
     The blocks live at step k are the prefix whose K > k. Candidates are
     scored in `scratch`, two (G, B, M) float64 buffers: the running cross
     term and the product added to it next. The draws of `span` steps at a
-    time are rows of `drawn`, the (K_max, M, D) draw at the blocks' one
-    address, if given; else one stream call draws only the live (block, step)
-    pairs, each under its block's seed if `seed` is an array of G, and
-    otherwise each distinct pair once; their per-sample terms take one pass.
+    time, all at address `block`, are rows of `drawn`, the call's (K_max, M, D)
+    draw, if given; else one stream call draws each step of the span once under
+    one seed, or each live (block, step) under its block's seed if `seed` is an
+    array of G. Rows are gathered by step; their per-sample terms take one pass.
     If the blocks share one std row (`shared`), _step_rows come from the step
     tables. Returns each block's code, z and log q(z)/p(z), the last two taken
     when the block's K runs out.
     """
-    g = len(blocks)
+    g = len(mean)
     rows = np.arange(g)[:, None]
     m = schedules[0].M
     d = mean.shape[1]
     k_of = np.array([s.K for s in schedules])
     lives = np.count_nonzero(k_of > np.arange(k_of[0] + 1)[:, None], axis=1).tolist()
-    # The live (block, step) pairs, step-major: step k's are the rows
-    # starts[k]..starts[k+1]-1, of blocks 0..lives[k]-1. With the blocks'
-    # columns laid end to end, column col[p] of the schedules' steps (sigma_k,
-    # sigma_k^2, s_{k-1}^2, s_k^2) is pair p's coef, and of the step tables its rows.
+    # The live (block, step) pairs, step-major: step k's are the rows starts[k]..starts[k+1]-1,
+    # of blocks 0..lives[k]-1; pair p is at step step_of[p]. With the blocks' columns laid end
+    # to end, column col[p] of the schedules' steps (sigma_k, sigma_k^2, s_{k-1}^2, s_k^2) is
+    # pair p's coef, and of the step tables its rows.
     starts = np.cumsum([0, *lives])
     live_rows = np.concatenate([np.arange(n) for n in lives])
-    pairs = np.stack([blocks[live_rows], np.repeat(np.arange(len(lives)), lives)])
-    # One seed per pair, shaped like pairs[:, :, None], if blocks have their own.
+    step_of = np.repeat(np.arange(len(lives)), lives)
+    # One seed per pair, shaped (P, 1), if blocks have their own.
     seeds = seed[live_rows, None] if np.ndim(seed) else seed
-    col = np.cumsum([0, *k_of[:-1]])[live_rows] + pairs[1]
+    col = np.cumsum([0, *k_of[:-1]])[live_rows] + step_of
     coef = np.concatenate([s.steps for s in schedules], axis=1)[:, col]
     if shared and (4 * d + 2) * k_of[0] <= MAX_TABLE_FLOATS:
         tables = [_step_table(s.steps.tobytes(), std[0].tobytes()) for s in schedules]
@@ -275,21 +273,17 @@ def _encode_chunk(mean, std, schedules, cfg, seed, blocks, scratch, shared, draw
     for k in range(k_of[0]):
         live = lives[k]
         if k % span == 0:
-            lo = starts[k]
-            at = slice(lo, starts[min(k + span, k_of[0])])
-            if drawn is not None:  # the call's draws: row k is step k at the blocks' address
-                slab = drawn[pairs[1, at]]
-            else:
-                seed_at = seeds[at] if np.ndim(seeds) else seeds
-                # Under one seed, each distinct (block, step) is drawn once and its rows gathered.
-                addr, inverse = ((pairs[:, at], slice(None)) if np.ndim(seeds)
-                                 else np.unique(pairs[:, at], axis=1, return_inverse=True))
-                slab = stream.draw_normals(seed_at, *addr[..., None], np.arange(m), d)[inverse]
+            lo, hi = starts[k], min(k + span, k_of[0])
+            at = slice(lo, starts[hi])
+            seed_at, steps, rows_at = ((seeds[at], step_of[at, None], slice(None)) if np.ndim(seeds)
+                                       else (seeds, np.arange(k, hi)[:, None], step_of[at] - k))
+            slab = (drawn[step_of[at]] if drawn is not None
+                    else stream.draw_normals(seed_at, block, steps, np.arange(m), d)[rows_at])
             slab *= coef[0, at, None, None]  # sigma_k * u, the decoder's steps[0] * u
             slab_dims = np.ascontiguousarray(slab.transpose(2, 0, 1))  # (D, rows, M)
             sample_term = np.cumsum(slab_dims * slab_dims * table[1, at].T[..., None], axis=0)[-1]
             if cfg.stochastic_final:
-                slab_u = stream.draw_uniforms(seed_at, *addr[..., None], m)[inverse, 0]
+                slab_u = stream.draw_uniforms(seed_at, block, steps, m)[rows_at, 0]
         own = slice(starts[k] - lo, starts[k + 1] - lo)  # this step's rows of the slab
         nu, b, log_w = nu[:live], b[:live], log_w[:live]
         sig_sq, s_prev, s_next = coef[1:, starts[k] : starts[k + 1], None, None]
@@ -364,15 +358,17 @@ def decode(
 def decode_blocks(codes, schedules: Sequence[AuxSchedule], seed: int, blocks, dims: int):
     """The (G, D) z of G blocks from their index tuples, bit-identical to the encoder's.
 
-    Every code is checked before any draw, by chain.check_code and against its schedule's
-    K, then each chosen draw is one raw_words call, block by block, in slabs of whole
-    blocks of at most MAX_CHUNK_FLOATS floats (one block if it is more). Each z is +0.0 plus
-    sigma_k * u_k for k = 0..K-1 in that order (FORMAT.md §4), sigma_k being steps[0] of
-    the schedule, as in the encoder: np.add.at is unbuffered and adds a slab's rows in
-    index order.
+    The seed (a u64), each block address (a u32) and every code, by chain.check_code and
+    against its schedule's K, are checked before any draw; then each chosen draw is one
+    raw_words call, block by block, in slabs of whole blocks of at most MAX_CHUNK_FLOATS
+    floats (one block if it is more). Each z is +0.0 plus sigma_k * u_k for k = 0..K-1 in
+    that order (FORMAT.md §4), sigma_k being steps[0] of the schedule, as in the encoder:
+    np.add.at is unbuffered and adds a slab's rows in index order.
     """
     if not len(codes) == len(schedules) == len(blocks):
         raise UsageError(f"{len(codes)} codes, {len(schedules)} schedules, {len(blocks)} blocks")
+    seed = stream.check_int("seed", seed, 0, 2**64 - 1)
+    blocks = [stream.check_int("block", block, 0, 2**32 - 1) for block in blocks]
     codes = [check_code(code, s.M, CorruptStreamError) for code, s in zip(codes, schedules)]
     for g, (code, s) in enumerate(zip(codes, schedules)):
         if len(code) != s.K:

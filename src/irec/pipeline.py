@@ -54,7 +54,7 @@ def _encode_blocks(img: ImageGray8, model: LinearGaussianModel, cfg: RecConfig, 
     kls = kl_divergence(q, prior).tolist()
     s_sq = model_mod.posterior_var(model)
     schedules = [build_schedule(kl, cfg.omega, cfg.epsilon, s_sq) for kl in kls]
-    blocks, zs, log_w = codec.encode_blocks(q.mean, q.std, schedules, cfg, seed, [0] * len(kls))
+    blocks, zs, log_w = codec.encode_blocks(q.mean, q.std, schedules, cfg, seed, 0)
     return blocks, kls, zs, log_w.tolist()
 
 

@@ -77,7 +77,7 @@ def log_ratios(problems, kl: float, cfg: RecConfig) -> np.ndarray:
     qs, seeds = zip(*problems)
     schedules = [build_schedule(kl, cfg.omega, cfg.epsilon, q.var) for q in qs]
     mean, std = np.array([q.mean for q in qs]), np.array([q.std for q in qs])
-    return codec.encode_blocks(mean, std, schedules, cfg, seeds, [0] * len(qs))[2]
+    return codec.encode_blocks(mean, std, schedules, cfg, seeds, 0)[2]
 
 
 @dataclass
@@ -283,7 +283,7 @@ def check_stochastic_ks(q: DiagGaussian, samples: int, seed: int) -> CheckResult
     seed = check_int("seed", seed, 0, 2**64 - samples)  # seeds seed .. seed + samples - 1 are u64
     seeds = np.array(range(seed, seed + samples), dtype=np.uint64)
     decoded = codec.encode_blocks(
-        np.tile(q.mean, (samples, 1)), q.std, [schedule] * samples, cfg, seeds, [0] * samples
+        np.tile(q.mean, (samples, 1)), q.std, [schedule] * samples, cfg, seeds, 0
     )[1][:, 0]
     direct = _seed_rng(seed).normal(q.mean[0], q.std[0], size=samples)
     d = ks_statistic(decoded, direct)
@@ -296,7 +296,7 @@ def _check_determinism(seed: int) -> CheckResult:
     schedule = build_schedule(12.0, 3.0, 0.2, q.var)
     cfg = RecConfig(omega=3.0, epsilon=0.2, beams=5)
     twice = np.stack([q.mean] * 2)
-    indices, zs, _ = codec.encode_blocks(twice, q.std, [schedule] * 2, cfg, 7, [3, 3])
+    indices, zs, _ = codec.encode_blocks(twice, q.std, [schedule] * 2, cfg, 7, 3)
     differ = int(not (indices[0] == indices[1] and np.array_equal(zs[0], zs[1])))
     detail = f"{differ} of 1 repeat encodes differ, bound <= 0"
     return CheckResult("encode-determinism", differ, 0, differ == 0, detail)

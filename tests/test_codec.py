@@ -223,78 +223,78 @@ class TestScores:
 
 
 def _thirteen_blocks():
-    # 13 blocks of 16 dims at KL 25: K = 9 steps of M = 37 samples.
+    # 13 blocks of 16 dims at KL 25: K = 9 steps of M = 37 samples, at one block address.
     rng = np.random.default_rng(8)
     dims = 16
     qs = [synthetic_target(dims, 25.0, rng) for _ in range(13)]
     schedule = build_schedule(25.0, 3.0, 0.2)
-    blocks = [int(b) for b in rng.choice(5000, size=len(qs), replace=False)]
-    return qs, schedule, blocks
+    return qs, schedule, int(rng.integers(5000))
 
 
 def _mixed_blocks():
     # 13 blocks of 16 dims, of K = 1..9 steps and four repeats, in shuffled
-    # order; each schedule is the equal-KL one for its own target.
+    # order (5, 3, 9, ...), at one block address; each schedule is the
+    # equal-KL one for its own target.
     rng = np.random.default_rng(9)
     qs = [synthetic_target(16, 25.0, rng) for _ in range(13)]
     steps = rng.permutation([*range(1, 10), 2, 5, 7, 9]).tolist()
     schedules = [schedule_from_steps(k, 3.0, 0.2, q.var) for k, q in zip(steps, qs)]
-    blocks = [int(b) for b in rng.choice(5000, size=len(qs), replace=False)]
-    return qs, schedules, blocks
+    return qs, schedules, int(rng.integers(5000))
 
 
 def _stacked(qs):
     return np.array([q.mean for q in qs]), np.array([q.std for q in qs])
 
 
-def _set_budget(monkeypatch, beams, schedule, dims, per_chunk=None, span=None):
+def _set_budget(monkeypatch, beams, schedule, dims, per_chunk=None, span=None, count=13):
     # A chunk of G blocks scores G * B * M floats and draws G * span * M * D
     # per stream call, both within MAX_CHUNK_FLOATS. A budget of
     # per_chunk * B * M gives chunks of per_chunk blocks; one of
-    # span * 13 * M * D gives the 13 blocks one chunk (if span * D >= B)
+    # span * count * M * D gives the `count` blocks one chunk (if span * D >= B)
     # that draws `span` steps per call. With neither, the module's budget
     # stays.
     if per_chunk is not None:
         monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", per_chunk * beams * schedule.M)
     if span is not None:
-        monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", span * 13 * schedule.M * dims)
+        monkeypatch.setattr(codec, "MAX_CHUNK_FLOATS", span * count * schedule.M * dims)
 
 
 def _check_blocks_match_lone_encodes(
     beams, stochastic, monkeypatch, per_chunk=None, span=None, mixed=False, own_seeds=False,
-    one_address=False,
+    count=13,
 ):
-    # 13 blocks run in chunks of per_chunk blocks; or in one chunk whose
-    # draws come `span` steps per stream call; or at the module's own budget
-    # when neither is given. Each block must equal its lone encode under the
-    # same budget. The blocks share one schedule of K = 9, or with `mixed`
-    # have schedules of K = 1..9. They share seed 21, or with `own_seeds`
-    # are all block 0, each under its own seed, as the studies encode. With
-    # `one_address` they share seed 21 and one block address, as an image's
-    # blocks do (container version 5): a deterministic encode then draws
-    # every step in one call for all chunks if the 9 steps' M * D floats
-    # each fit the budget, and per chunk and span otherwise. No normal-draw
-    # call returns more than the budget or one step of one chunk.
+    # The first `count` of 13 blocks run in chunks of per_chunk blocks; or in
+    # one chunk whose draws come `span` steps per stream call; or at the
+    # module's own budget when neither is given. Each block must equal its
+    # lone encode under the same budget. The blocks share one schedule of
+    # K = 9, or with `mixed` have schedules of K = 1..9. They share seed 21 and
+    # one block address, as an image's blocks do (container version 5): the
+    # call then draws every step once for all chunks if the K_max steps'
+    # M * D floats each fit the budget, and each chunk draws each step of a
+    # span once otherwise. With `own_seeds` they are all block 0, each under
+    # its own seed, as the studies encode, and draw one row per live (block,
+    # step). No normal-draw call returns more than the budget or one step of
+    # one chunk.
     if mixed:
-        qs, schedules, blocks = _mixed_blocks()
+        qs, schedules, block = _mixed_blocks()
     else:
-        qs, schedule, blocks = _thirteen_blocks()
+        qs, schedule, block = _thirteen_blocks()
         schedules = [schedule] * len(qs)
-    seeds = [21] * len(qs)
+    qs, schedules = qs[:count], schedules[:count]
+    seeds = [21] * count
     if own_seeds:
-        seeds = [21 + 2**59 * i for i in range(12)] + [2**64 - 1]
-        blocks = [0] * len(qs)
-    if one_address:
-        blocks = [blocks[0]] * len(qs)
+        seeds = ([21 + 2**59 * i for i in range(12)] + [2**64 - 1])[:count]
+        block = 0
     dims, m = qs[0].dim, schedules[0].M
+    k_max = max(s.K for s in schedules)
     cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams, stochastic_final=stochastic)
-    _set_budget(monkeypatch, beams, schedules[0], dims, per_chunk, span)
-    whole = one_address and not stochastic and 9 * m * dims <= codec.MAX_CHUNK_FLOATS
+    _set_budget(monkeypatch, beams, schedules[0], dims, per_chunk, span, count)
+    whole = not own_seeds and k_max * m * dims <= codec.MAX_CHUNK_FLOATS
     chunks, slab_steps, normals = [], [], []
     encode_chunk, draw_normals = codec._encode_chunk, stream.draw_normals
 
     def counting_chunk(*args):
-        chunks.append(len(args[5]))
+        chunks.append(len(args[0]))
         return encode_chunk(*args)
 
     def counting_draws(seed, block, step, *args):
@@ -307,20 +307,17 @@ def _check_blocks_match_lone_encodes(
         patch.setattr(codec, "_encode_chunk", counting_chunk)
         patch.setattr(stream, "draw_normals", counting_draws)
         seed = np.array(seeds, dtype=np.uint64) if own_seeds else 21
-        indices, zs, ratios = codec.encode_blocks(*_stacked(qs), schedules, cfg, seed, blocks)
+        indices, zs, ratios = codec.encode_blocks(*_stacked(qs), schedules, cfg, seed, block)
     if per_chunk is not None:
-        assert chunks == [min(per_chunk, 13 - lo) for lo in range(0, 13, per_chunk)]
+        assert chunks == [min(per_chunk, count - lo) for lo in range(0, count, per_chunk)]
     assert max(normals) <= max(codec.MAX_CHUNK_FLOATS, max(chunks) * m * dims)
+    assert k_max == 9
     if whole:
-        assert max(s.K for s in schedules) == 9
         assert slab_steps == [9]
-    elif span is not None:
-        assert max(s.K for s in schedules) == 9
-        assert chunks == [13]
+    elif span is not None and span * dims >= beams:
+        assert chunks == [count]
         assert slab_steps == [min(span, 9 - k) for k in range(0, 9, span)]
-    for q, schedule, seed, block, idx, z, ratio in zip(
-        qs, schedules, seeds, blocks, indices, zs, ratios
-    ):
+    for q, schedule, seed, idx, z, ratio in zip(qs, schedules, seeds, indices, zs, ratios):
         alone = encode(q, schedule, cfg, seed=seed, block=block)
         assert idx == alone[0]
         assert z.tobytes() == alone[1].tobytes()
@@ -358,9 +355,9 @@ class TestEncodeBlocks:
     @pytest.mark.parametrize("span", [1, 2, 9, 30])
     @pytest.mark.parametrize("beams,stochastic", [(1, False), (4, False), (1, True)])
     def test_matches_across_draw_slabs(self, beams, stochastic, span, monkeypatch):
-        # Slabs of 1 step, of 2 (which do not divide K = 9), of exactly K and
-        # of 30 > K steps; under these budgets a lone encode draws at least
-        # 13 steps, so all 9 at once.
+        # Budgets of 1 step for all 13 blocks, of 2 (which do not divide
+        # K = 9), of exactly K and of 30 > K steps: each fits the call's one
+        # draw of all 9 steps, as does a lone encode's budget.
         assert _thirteen_blocks()[1].K == 9
         _check_blocks_match_lone_encodes(beams, stochastic, monkeypatch, span=span)
 
@@ -375,20 +372,19 @@ class TestEncodeBlocks:
     )
     def test_matches_across_step_counts(self, beams, stochastic, budget, monkeypatch):
         # Blocks of K = 1..9 in one call: chunks of 1 or 4 blocks or as many
-        # as the module's budget allows, or one chunk drawing 1, 2 or 30
-        # steps per stream call, so that blocks retire inside a slab. (B = 20
-        # takes no slab of 1 step: span * D = 16 < B, so its chunks would not
-        # hold all 13.)
+        # as the module's budget allows, or one chunk under a budget of 1, 2
+        # or 30 steps. (B = 20 takes no budget of 1 step: span * D = 16 < B,
+        # so its chunks would not hold all 13.)
         _check_blocks_match_lone_encodes(beams, stochastic, monkeypatch, mixed=True, **budget)
 
     @pytest.mark.parametrize("beams,stochastic,budget", _EVERY_BUDGET)
     def test_matches_at_one_block_address(self, beams, stochastic, budget, monkeypatch):
-        # Blocks of K = 1..9 at one block address under seed 21. The module's
-        # and the span budgets fit the call's one draw of all 9 steps (at 20
-        # beams and span 1, across chunks of 10 and 3 blocks); the chunk
-        # budgets and stochastic encodes draw per chunk and span instead.
+        # The first three blocks of K = 5, 3 and 9: budgets of 1 and 2
+        # steps for three blocks fall below the call's draw of 9 steps, so
+        # each span draws its steps once and gathers the rows of blocks that
+        # retire inside it; the module's budget and 30 steps fit the call's draw.
         _check_blocks_match_lone_encodes(
-            beams, stochastic, monkeypatch, mixed=True, one_address=True, **budget
+            beams, stochastic, monkeypatch, mixed=True, count=3, **budget
         )
 
     @pytest.mark.parametrize("budget", [{"per_chunk": 4}, {"span": 2}], ids=["chunk4", "span2"])
@@ -405,52 +401,78 @@ class TestEncodeBlocks:
     def test_draws_exactly_what_it_uses(
         self, beams, stochastic, budget, monkeypatch, raw_words_calls
     ):
-        # Blocks of K = 1..9: the normal draws address each live (block,
-        # step), k < K, at samples 0..M-1 exactly once, and nothing else; a
-        # stochastic encode adds one uniform per live (block, step), at the
-        # reserved sample M, which no normal draw uses. Each Philox
-        # invocation gives one word of raw_words' output: ceil(D / 2) per
-        # normal vector, one per uniform.
-        qs, schedules, blocks = _mixed_blocks()
+        # Blocks of K = 1..9, taken in chunks in order of K. Under seed 21,
+        # the normal draws address each (block, k, i), i < M, once per call
+        # for k < K_max if all K_max steps fit the budget, and otherwise once
+        # per chunk for k below the chunk's own K_max; a stochastic encode
+        # adds one uniform per chunk and step, at the reserved sample M, which
+        # no normal draw uses. Under a seed per block, each live (seed, k, i),
+        # k < K, is drawn exactly once, and a stochastic encode adds one
+        # uniform for each live (seed, k). Each Philox invocation gives one
+        # word of raw_words' output: ceil(D / 2) per normal vector, one per
+        # uniform.
+        qs, schedules, block = _mixed_blocks()
         m, dims = schedules[0].M, qs[0].dim
         cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams, stochastic_final=stochastic)
         _set_budget(monkeypatch, beams, schedules[0], dims, **budget)
-        codec.encode_blocks(*_stacked(qs), schedules, cfg, 21, blocks)
-        normals, uniforms = [], []
-        for (_, block, step, samples, _), _ in raw_words_calls:
-            grid = np.broadcast_arrays(block, step, samples)
-            for address in zip(*(np.ravel(x).tolist() for x in grid)):
-                (uniforms if address[2] == m else normals).append(address)
-        live = [(block, k) for block, s in zip(blocks, schedules) for k in range(s.K)]
-        assert sorted(normals) == sorted((*pair, i) for pair in live for i in range(m))
-        assert sorted(uniforms) == (sorted((*pair, m) for pair in live) if stochastic else [])
-        total = sum(words for _, words in raw_words_calls)
-        assert total == len(live) * (m * -(-dims // 2) + stochastic)
+        ks = sorted((s.K for s in schedules), reverse=True)
+        tops = ks[:: max(1, codec.MAX_CHUNK_FLOATS // (beams * m))]  # each chunk's K_max
+        whole = ks[0] * m * dims <= codec.MAX_CHUNK_FLOATS
+        own = [21 + 2**59 * i for i in range(13)]
+        live = [(seed, 0, k) for seed, s in zip(own, schedules) for k in range(s.K)]
+        per_chunk = [(21, block, k) for top in tops for k in range(top)]
+        cases = [
+            (21, block, [(21, block, k) for k in range(ks[0])] if whole else per_chunk, per_chunk),
+            (np.array(own, dtype=np.uint64), 0, live, live),
+        ]
+        for seed, at, steps, uniform_steps in cases:
+            raw_words_calls.clear()
+            codec.encode_blocks(*_stacked(qs), schedules, cfg, seed, at)
+            normals, uniforms, normal_calls = [], [], 0
+            for (*grid, lanes), _ in raw_words_calls:  # grid: (seed, block, step, sample)
+                addresses = zip(*(np.ravel(x).tolist() for x in np.broadcast_arrays(*grid)))
+                (normals if lanes > 1 else uniforms).extend(addresses)
+                normal_calls += lanes > 1
+            assert sorted(normals) == sorted((*step, i) for step in steps for i in range(m))
+            assert sorted(uniforms) == sorted((*step, m) for step in uniform_steps if stochastic)
+            total = sum(words for _, words in raw_words_calls)
+            assert total == len(normals) * -(-dims // 2) + len(uniforms)
+            if np.ndim(seed) == 0 and whole:
+                assert normal_calls == 1
 
     @pytest.mark.parametrize("per_chunk,calls", [(None, 5), (4, 4 * 9)])
     def test_one_stream_call_per_draw_slab(self, per_chunk, calls, monkeypatch, raw_words_calls):
-        # A chunk of G blocks draws span = max(1, MAX_CHUNK_FLOATS // (G * M
-        # * D)) steps per call, so ceil(K / span) calls. At the module's
-        # budget of 2**14 floats one chunk of 13 blocks (13 * B * M = 1,924
-        # scores) draws 2 steps per call (13 * M * D = 7,696 floats a step):
-        # 5 calls. A budget of 4 * B * M = 592 floats gives chunks of 4, 4, 4
-        # and 1 blocks, and each draws 1 step per call (M * D = 592 floats
-        # for one block): 4 * 9 calls.
-        qs, schedule, blocks = _thirteen_blocks()
+        # Under a seed per block, a chunk of G blocks draws span = max(1,
+        # MAX_CHUNK_FLOATS // (G * M * D)) steps per call, so ceil(K / span)
+        # calls. At the module's budget of 2**14 floats one chunk of 13
+        # blocks (13 * B * M = 1,924 scores) draws 2 steps per call (13 * M
+        # * D = 7,696 floats a step): 5 calls. A budget of 4 * B * M = 592
+        # floats gives chunks of 4, 4, 4 and 1 blocks, and each draws 1 step
+        # per call (M * D = 592 floats for one block): 4 * 9 calls. Under one
+        # seed, one call draws all 9 steps if 9 * M * D = 5,328 floats fit
+        # the budget, as at the module's; else each chunk and span draws once,
+        # 4 * 9 calls again.
+        qs, schedule, block = _thirteen_blocks()
         cfg = RecConfig(omega=3.0, epsilon=0.2, beams=4)
         _set_budget(monkeypatch, cfg.beams, schedule, qs[0].dim, per_chunk)
-        codec.encode_blocks(*_stacked(qs), [schedule] * 13, cfg, 21, blocks)
+        seeds = np.arange(21, 34, dtype=np.uint64)
+        codec.encode_blocks(*_stacked(qs), [schedule] * 13, cfg, seeds, block)
         assert len(raw_words_calls) == calls
+        raw_words_calls.clear()
+        codec.encode_blocks(*_stacked(qs), [schedule] * 13, cfg, 21, block)
+        assert len(raw_words_calls) == (1 if per_chunk is None else calls)
 
     def test_rejects_mismatched_inputs(self):
         schedule = build_schedule(5.0, 3.0, 0.2)
         two = np.zeros((2, 2))
         with pytest.raises(UsageError):
-            codec.encode_blocks(two, np.ones(3), [schedule] * 2, CFG, 0, [0, 1])
+            codec.encode_blocks(two, np.ones(3), [schedule] * 2, CFG, 0, 0)
         with pytest.raises(UsageError):
-            codec.encode_blocks(two[:1], np.ones(2), [schedule] * 2, CFG, 0, [0, 1])
+            codec.encode_blocks(two[:1], np.ones(2), [schedule] * 2, CFG, 0, 0)
         with pytest.raises(UsageError):
-            codec.encode_blocks(two[:0], np.ones(2), [schedule], CFG, 0, [])
+            codec.encode_blocks(two[:0], np.ones(2), [schedule], CFG, 0, 0)
+        with pytest.raises(UsageError, match="no schedules"):
+            codec.encode_blocks(two[:0], np.ones(2), [], CFG, 0, 0)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -473,11 +495,11 @@ class TestEncodeBlocks:
         except Exception as exc:
             for mean, std in batches:
                 with pytest.raises(type(exc)):
-                    codec.encode_blocks(mean, std, [schedule] * len(mean), CFG, 5, [2] * len(mean))
+                    codec.encode_blocks(mean, std, [schedule] * len(mean), CFG, 5, 2)
             return
         good = encode(q, schedule, CFG, seed=5, block=2)
         for mean, std in batches:
-            coded = codec.encode_blocks(mean, std, [schedule] * len(mean), CFG, 5, [2] * len(mean))
+            coded = codec.encode_blocks(mean, std, [schedule] * len(mean), CFG, 5, 2)
             for row, expect in zip(zip(*coded), [good, alone][-len(mean) :]):
                 assert row[0] == expect[0]
                 assert row[1].tobytes() == expect[1].tobytes()
@@ -492,31 +514,31 @@ class TestEncodeBlocks:
             (np.float64(0.0), np.float64(1.0)),
         ]:
             with pytest.raises(UsageError):
-                codec.encode_blocks(mean, std, [schedule] * 2, CFG, 0, [0, 1])
+                codec.encode_blocks(mean, std, [schedule] * 2, CFG, 0, 0)
         # A (D,) mean is one target, not D blocks.
         with pytest.raises(UsageError):
-            codec.encode_blocks(np.zeros(2), np.ones(2), [schedule] * 2, CFG, 0, [0, 1])
+            codec.encode_blocks(np.zeros(2), np.ones(2), [schedule] * 2, CFG, 0, 0)
 
     @pytest.mark.parametrize("seeds", [[0], [0, 1, 2], [[0, 1]], [0, -1], [0.0, 1.0]])
     def test_rejects_seeds_not_one_u64_per_block(self, seeds):
         schedule = build_schedule(5.0, 3.0, 0.2)
         with pytest.raises(UsageError, match="seed"):
-            codec.encode_blocks(np.zeros((2, 2)), np.ones(2), [schedule] * 2, CFG, seeds, [0, 1])
+            codec.encode_blocks(np.zeros((2, 2)), np.ones(2), [schedule] * 2, CFG, seeds, 0)
 
     def test_seed_list_spanning_2_63(self):
         # The codec checks seeds with the stream's one rule: NumPy infers
         # float64 for these Python ints, yet they are u64 seeds.
         targets = np.array([[0.5, -1.0], [2.0, 0.0]]), np.full(2, 0.3)
         schedules = [build_schedule(5.0, 3.0, 0.2)] * 2
-        listed = codec.encode_blocks(*targets, schedules, CFG, [2**63 - 1, 2**63], [0, 1])
+        listed = codec.encode_blocks(*targets, schedules, CFG, [2**63 - 1, 2**63], 0)
         arrayed = codec.encode_blocks(
-            *targets, schedules, CFG, np.array([2**63 - 1, 2**63], dtype=np.uint64), [0, 1]
+            *targets, schedules, CFG, np.array([2**63 - 1, 2**63], dtype=np.uint64), 0
         )
         assert listed[0] == arrayed[0]
         assert listed[1].tobytes() == arrayed[1].tobytes()
         for bad in ([-1, 2**63], [2**63, 2**64], [2**64], [1.0, 2**63], (0, 1.5)):
             with pytest.raises(UsageError, match="seed") as from_codec:
-                codec.encode_blocks(*targets, schedules, CFG, bad, [0, 1])
+                codec.encode_blocks(*targets, schedules, CFG, bad, 0)
             with pytest.raises(UsageError) as from_stream:
                 stream.draw_uniforms(bad, 0, 0, 0)
             assert str(from_codec.value) == str(from_stream.value)
@@ -532,24 +554,24 @@ class TestEncodeBlocks:
         two = np.zeros((2, 2))
         for pair in ([schedule, other], [other, schedule]):
             with pytest.raises(UsageError):
-                codec.encode_blocks(two, np.ones(2), pair, CFG, 0, [0, 1])
+                codec.encode_blocks(two, np.ones(2), pair, CFG, 0, 0)
 
 
 class TestStepTables:
     """The step values free of draws and beams: cached per (schedule, std row) when the
     blocks share one std row, else walked once per call."""
 
-    def _encode(self, mean, std, schedules, blocks, beams=4):
+    def _encode(self, mean, std, schedules, block, beams=4):
         cfg = RecConfig(omega=3.0, epsilon=0.2, beams=beams)
-        return codec.encode_blocks(mean, std, schedules, cfg, 21, blocks)
+        return codec.encode_blocks(mean, std, schedules, cfg, 21, block)
 
     def _shared(self):
         # 13 blocks of one std row, as an image's blocks are, with K = 1..9.
-        qs, _, blocks = _mixed_blocks()
+        qs, _, block = _mixed_blocks()
         std = qs[0].std
         steps = [*range(9, 0, -1), 2, 5, 7, 9]
         schedules = [schedule_from_steps(k, 3.0, 0.2, std * std) for k in steps]
-        return _stacked(qs)[0], std, schedules, blocks
+        return _stacked(qs)[0], std, schedules, block
 
     def _assert_same(self, a, b):
         assert a[0] == b[0]
@@ -557,28 +579,28 @@ class TestStepTables:
         assert np.asarray(a[2]).tobytes() == np.asarray(b[2]).tobytes()
 
     def test_cold_and_warm_cache_give_the_same_output(self):
-        mean, std, schedules, blocks = self._shared()
+        mean, std, schedules, block = self._shared()
         codec._step_table.cache_clear()
-        cold = self._encode(mean, std, schedules, blocks)
+        cold = self._encode(mean, std, schedules, block)
         built = codec._step_table.cache_info().misses
         assert built == 9  # one table per distinct K
-        warm = self._encode(mean, std, schedules, blocks)
+        warm = self._encode(mean, std, schedules, block)
         assert codec._step_table.cache_info().misses == built
         self._assert_same(cold, warm)
 
     def test_cached_tables_match_the_walk_of_repeated_std_rows(self):
         # The (G, D) form of the same std row takes the uncached walk.
-        mean, std, schedules, blocks = self._shared()
+        mean, std, schedules, block = self._shared()
         codec._step_table.cache_clear()
-        walked = self._encode(mean, np.tile(std, (len(mean), 1)), schedules, blocks)
+        walked = self._encode(mean, np.tile(std, (len(mean), 1)), schedules, block)
         assert codec._step_table.cache_info().currsize == 0
-        self._assert_same(walked, self._encode(mean, std, schedules, blocks))
+        self._assert_same(walked, self._encode(mean, std, schedules, block))
 
     def test_blocks_of_one_schedule_and_their_own_std_rows(self):
-        qs, schedule, blocks = _thirteen_blocks()
+        qs, schedule, block = _thirteen_blocks()
         assert len({q.std.tobytes() for q in qs}) == len(qs)
-        indices, zs, ratios = self._encode(*_stacked(qs), [schedule] * len(qs), blocks)
-        for q, block, idx, z, ratio in zip(qs, blocks, indices, zs, ratios):
+        indices, zs, ratios = self._encode(*_stacked(qs), [schedule] * len(qs), block)
+        for q, idx, z, ratio in zip(qs, indices, zs, ratios):
             alone = encode(q, schedule, RecConfig(omega=3.0, epsilon=0.2, beams=4), 21, block)
             self._assert_same((idx, z, ratio), alone)
 
@@ -588,7 +610,7 @@ class TestStepTables:
         qs = [synthetic_target(2, 4.0, rng) for _ in range(400)]
         schedule = build_schedule(4.0, 3.0, 0.2)
         codec._step_table.cache_clear()
-        self._encode(*_stacked(qs), [schedule] * len(qs), list(range(len(qs))), beams=1)
+        self._encode(*_stacked(qs), [schedule] * len(qs), 0, beams=1)
         assert codec._step_table.cache_info().currsize == 0
 
     def test_cache_is_bounded(self):
@@ -597,7 +619,7 @@ class TestStepTables:
         schedule = build_schedule(4.0, 3.0, 0.2)
         for _ in range(bound + 40):
             q = synthetic_target(2, 4.0, rng)
-            self._encode(q.mean[None], q.std, [schedule], [0], beams=1)
+            self._encode(q.mean[None], q.std, [schedule], 0, beams=1)
         assert codec._step_table.cache_info().currsize == bound
 
     def test_long_tables_are_built_but_not_cached(self, monkeypatch):
@@ -605,10 +627,10 @@ class TestStepTables:
         schedule = schedule_from_steps(130, 3.0, 0.2)
         assert (4 * qs[0].dim + 2) * schedule.K > codec.MAX_TABLE_FLOATS
         codec._step_table.cache_clear()
-        long = self._encode(qs[0].mean[None], qs[0].std, [schedule], [3], beams=1)
+        long = self._encode(qs[0].mean[None], qs[0].std, [schedule], 3, beams=1)
         assert codec._step_table.cache_info().currsize == 0
         monkeypatch.setattr(codec, "MAX_TABLE_FLOATS", 1 << 20)
-        self._assert_same(long, self._encode(qs[0].mean[None], qs[0].std, [schedule], [3], beams=1))
+        self._assert_same(long, self._encode(qs[0].mean[None], qs[0].std, [schedule], 3, beams=1))
         assert codec._step_table.cache_info().currsize == 1
 
     def test_tables_are_read_only(self):
@@ -653,6 +675,34 @@ class TestDecode:
             codec.decode_blocks([(0, 0), (bad, 0)], [schedule] * 2, 0, [0, 1], 2)
         assert raw_words_calls == []
 
+    @pytest.mark.parametrize(
+        "call,seed,block",
+        [
+            pytest.param("encode", 0, np.array([1, 2]), id="encode-block-array"),
+            pytest.param("encode", 0, [0], id="encode-block-list"),
+            pytest.param("encode", 0, 1.0, id="encode-block-float"),
+            pytest.param("encode", 0, -1, id="encode-block-negative"),
+            pytest.param("encode", 0, 2**32, id="encode-block-2^32"),
+            pytest.param("decode", np.array([1, 2], dtype=np.uint64), 0, id="decode-seed-array"),
+            pytest.param("decode", 2**64, 0, id="decode-seed-2^64"),
+            pytest.param("decode", 1.5, 0, id="decode-seed-float"),
+            pytest.param("decode", 0, [0, 1], id="decode-block-list"),
+            pytest.param("decode", 0, np.array([0, 1]), id="decode-block-array"),
+            pytest.param("decode", 0, 1.0, id="decode-block-float"),
+            pytest.param("decode", 0, 2**32, id="decode-block-2^32"),
+        ],
+    )
+    def test_refuses_a_seed_or_block_that_is_not_one_integer(self, call, seed, block,
+                                                             raw_words_calls):
+        # A u64 seed and a u32 block address, each one integer, or UsageError before any draw.
+        schedule = schedule_from_steps(2, 3.0, 0.2)
+        with pytest.raises(UsageError):
+            if call == "encode":
+                encode(DiagGaussian(np.zeros(2), np.full(2, 0.5)), schedule, CFG, seed, block)
+            else:
+                decode((1, 2), schedule, seed, block, 2)
+        assert raw_words_calls == []
+
     def test_numpy_integer_indices_act_as_plain_ints(self):
         schedule = schedule_from_steps(2, 3.0, 0.2)
         expected = decode((5, 0), schedule, 3, 1, 4)
@@ -661,16 +711,17 @@ class TestDecode:
 
 
 def _decoder_case(dims, power_law):
-    # 8 blocks of K = 1..6 and two repeats in shuffled order, encoded in one
-    # call; version-1 files use the power-law schedule, later ones equal KL.
+    # 8 blocks of K = 1..6 and two repeats in shuffled order, each encoded
+    # alone at its own block address, as versions 1-4 address blocks;
+    # version-1 files use the power-law schedule, later ones equal KL.
     rng = np.random.default_rng(dims)
     steps = rng.permutation([*range(1, 7), 2, 5]).tolist()
     qs = [synthetic_target(dims, dims + 3.0 * k, rng) for k in steps]
     variances = None if power_law else np.exp(rng.uniform(-3.0, 0.0, dims))
     schedules = [schedule_from_steps(k, 3.0, 0.2, variances) for k in steps]
     blocks = [int(b) for b in rng.choice(5000, size=len(qs), replace=False)]
-    indices, zs, _ = codec.encode_blocks(*_stacked(qs), schedules, CFG, 21, blocks)
-    return indices, schedules, blocks, zs
+    coded = [encode(q, s, CFG, 21, block) for q, s, block in zip(qs, schedules, blocks)]
+    return [code for code, _, _ in coded], schedules, blocks, np.array([z for _, z, _ in coded])
 
 
 def _stepwise_decode(indices, schedule, seed, block, dims):
